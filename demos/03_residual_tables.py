@@ -30,5 +30,7 @@ for label in ("upper", "lower"):
         print(row)
     print()
 
-print("column maxima shrink toward the fold on the upper branch,")
-print("and the lam=0 lower column is exactly zero (trivial solution).")
+for label in ("upper", "lower"):
+    maxima = ", ".join(f"{columns[(label, lam)].max_abs():.3g}" for lam in rates)
+    print(f"{label} column maxima at lam = {rates}: {maxima}")
+print("the lam=0 lower column is exactly zero (trivial solution).")

@@ -200,11 +200,26 @@ def _table_worker(task):
     return lam, list(table.values)
 
 
+def _pool_size(jobs: int, n_tasks: int) -> int:
+    # a fork-based pool starts all its workers at once, so never ask for
+    # more than there are tasks or processors
+    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+
+
 def _run_pool(worker, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = _pool_size(jobs, len(tasks))
+    if workers == 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
+
+
+def _jobs(value) -> int:
+    if value is None:
+        return os.cpu_count() or 1
+    if not isinstance(value, int) or value < 1:
+        raise UsageError(f"--jobs must be a positive integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +283,9 @@ def _cmd_residual_table(args) -> int:
     if args.lambdas is None:
         raise UsageError("residual-table requires --lambdas")
     lambdas = _parse_lambda_list(args.lambdas)
+    jobs = _jobs(args.jobs)
     out_dir = _resolve_out_dir(args.out)
     window = _parse_window(args.a_window) if args.a_window else None
-    jobs = args.jobs or os.cpu_count() or 1
     _echo_config(out_dir, "residual-table", {
         "bc": bc.value, "branch": label.value, "lambdas": lambdas,
         "n_iter": args.n_iter, "jobs": jobs,
@@ -335,9 +350,9 @@ def _cmd_sweep(args) -> int:
         lambdas = _parse_lambda_range(args.lambda_range)
     else:
         raise UsageError("sweep requires --lambdas or --lambda-range")
+    jobs = _jobs(args.jobs)
     out_dir = _resolve_out_dir(args.out)
     window = _parse_window(args.a_window) if args.a_window else None
-    jobs = args.jobs or os.cpu_count() or 1
     fmt = args.format or "csv"
     _echo_config(out_dir, "sweep", {
         "bc": bc.value, "lambdas": lambdas, "n_iter": args.n_iter,

@@ -16,6 +16,7 @@ fail that check by many orders of magnitude.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import recover
 from .polyring import RPoly, evaluate
-from .vim import _defect_coeffs, _iterate_coeffs
+from .vim import _defect_rows, _iterate_coeffs, _r_powers
 
 __all__ = [
     "BoundaryKind",
@@ -46,8 +47,9 @@ DEFAULT_GRID_POINTS = 4000
 DEFAULT_ROOT_TOL = 1e-11
 DEFAULT_RESIDUAL_CAP = 10.0
 
-# residual grid on which genuineness is judged (matches the residual tables)
-_TABLE_GRID = np.linspace(0.0, 0.9, 10)
+# residual grid on which genuineness is judged (matches the residual tables),
+# as values of s = r**2
+_TABLE_S = np.linspace(0.0, 0.9, 10) ** 2
 
 
 class AmbiguousClassification(RuntimeError):
@@ -118,96 +120,111 @@ class BranchRoot:
     bracket: tuple
 
 
+# start values per kernel call: larger blocks were no faster and raised the
+# peak memory
+_BLOCK = 64
+
+
 @lru_cache(maxsize=None)
-def _kindex(n: int) -> np.ndarray:
-    out = np.arange(n, dtype=float)
+def _exponents(n: int) -> np.ndarray:
+    # the power of r in each column of an iterate stored in s = r**2
+    out = 2.0 * np.arange(n)
     out.setflags(write=False)
     return out
 
 
-def _endpoint_pair(c: np.ndarray):
-    # w(1) and w'(1) as plain coefficient sums
-    k = _kindex(c.size)
-    return float(c.sum()), float(np.dot(k, c))
+def _boundary_rows(c: np.ndarray, bc: BoundaryKind):
+    """Boundary functional of each row, and its rounding-noise floor.
 
-
-def boundary_residual(a: float, lam: float, bc: BoundaryKind,
-                      n_iter: int | None = None) -> float:
-    """Right-boundary functional of the n_iter-step iterate started at a r**2."""
-    n = bc.default_iterations if n_iter is None else n_iter
-    w1, w1p = _endpoint_pair(_iterate_coeffs(a, lam, n))
-    return bc.residual(w1, w1p)
-
-
-def _residual_noise_floor(c: np.ndarray, bc: BoundaryKind) -> float:
-    # rounding-error bound for evaluating the boundary functional: on steep
-    # branches the coefficients cancel massively, and |B| cannot be resolved
-    # below eps times the absolute coefficient mass
-    k = _kindex(c.size)
-    s0 = float(np.abs(c).sum())
-    s1 = float(np.dot(k, np.abs(c)))
+    w(1) and w'(1) are plain coefficient sums.  On steep branches the
+    coefficients cancel massively, and |B| cannot be resolved below eps
+    times the absolute coefficient mass; the floor is 8 eps times that mass.
+    """
+    k = _exponents(c.shape[1])
+    b = bc.residual(c.sum(axis=1), (c * k).sum(axis=1))
+    size = np.abs(c)
+    s0, s1 = size.sum(axis=1), (size * k).sum(axis=1)
     if bc is BoundaryKind.DIRICHLET:
         scale = s0
     elif bc is BoundaryKind.NAVIER_ONE:
         scale = s1
     else:
         scale = s0 + s1
-    return 8.0 * np.finfo(float).eps * scale
+    return b, 8.0 * np.finfo(float).eps * scale
 
 
-def _table_residual_max(a: float, lam: float, n: int) -> float:
-    c = _iterate_coeffs(a, lam, n)
-    defect = _defect_coeffs(c, lam, True)
-    acc = np.zeros_like(_TABLE_GRID)
-    for ck in defect[::-1]:
-        acc = acc * _TABLE_GRID + ck
-    return float(np.max(np.abs(acc)))
+def boundary_residual(a: float, lam: float, bc: BoundaryKind,
+                      n_iter: int | None = None) -> float:
+    """Right-boundary functional of the n_iter-step iterate started at a r**2."""
+    n = bc.default_iterations if n_iter is None else n_iter
+    return float(_boundary_rows(_iterate_coeffs(a, lam, n), bc)[0][0])
 
 
-def _table_residual_excess(a: float, lam: float, n: int) -> float:
-    """Largest defect reading beyond its own evaluation-noise bound.
+def _table_excess(c: np.ndarray, lam: float) -> np.ndarray:
+    """Largest defect reading on the residual grid beyond its own
+    evaluation-noise bound, for each row of iterates.
 
-    On the steepest branch the defect coefficients cancel so massively near
+    On steep branches the defect coefficients cancel so massively near
     r = 0.9 that the computed residual there is pure rounding noise; such
     points carry no evidence either way, so each grid point only counts by
     the amount it exceeds eps times its absolute coefficient mass.
     """
-    c = _iterate_coeffs(a, lam, n)
-    defect = _defect_coeffs(c, lam, True)
-    acc = np.zeros_like(_TABLE_GRID)
-    mass = np.zeros_like(_TABLE_GRID)
-    for ck in defect[::-1]:
-        acc = acc * _TABLE_GRID + ck
-        mass = mass * _TABLE_GRID + abs(ck)
-    noise = 8.0 * np.finfo(float).eps * mass
-    return float(np.max(np.abs(acc) - noise))
+    defect = _defect_rows(c, lam, 2, True)
+    acc = np.zeros((c.shape[0], _TABLE_S.size))
+    mass = np.zeros_like(acc)
+    for col in defect.T[::-1, :, None]:
+        acc = acc * _TABLE_S + col
+        mass = mass * _TABLE_S + np.abs(col)
+    return (np.abs(acc) - 8.0 * np.finfo(float).eps * mass).max(axis=1)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float):
-    """Bisect a sign-change bracket down to floating-point resolution.
+def _per_block(read, a, lam: float, n: int):
+    """Apply read to the iterates at the start values a, _BLOCK at a time,
+    and join its result arrays."""
+    # an empty a still makes one call, so that read's empty arrays come back
+    parts = [read(_iterate_coeffs(a[i:i + _BLOCK], lam, n))
+             for i in range(0, max(a.size, 1), _BLOCK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    Returns (root, achieved |f|).  If the bracket straddles zero the exact
-    candidate a = 0 is probed first so that the trivial branch is reported
-    as an exact zero root.
+
+def _bisect(lo, hi, f_lo, floor_lo, readings):
+    """Bisect sign-change brackets [lo, hi] in lockstep, down to
+    floating-point resolution.
+
+    ``readings`` maps an array of points to the functional and its noise
+    floor there; each step evaluates every open bracket's midpoint in one
+    call.  Per bracket this returns the point of smallest |f| met, that
+    |f| and its floor.  A bracket that straddles zero probes the exact
+    candidate a = 0 first, so that the trivial branch is reported as an
+    exact zero root.  A bracket with lo == hi returns lo.
     """
-    if lo < 0.0 < hi:
-        if f(0.0) == 0.0:
-            return 0.0, 0.0
-    best_x, best_f = lo, abs(f_lo)
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    best_x, best_f, best_floor = lo.copy(), np.abs(f_lo), floor_lo.copy()
+    open_ = np.ones(lo.size, dtype=bool)
+    straddle = np.flatnonzero((lo < 0.0) & (hi > 0.0))
+    if straddle.size:
+        f_zero, floor_zero = readings(np.zeros(straddle.size))
+        hit = straddle[f_zero == 0.0]
+        best_x[hit], best_f[hit] = 0.0, 0.0
+        best_floor[hit] = floor_zero[f_zero == 0.0]
+        open_[hit] = False
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = f(mid)
-        if abs(f_mid) < best_f:
-            best_x, best_f = mid, abs(f_mid)
-        if f_mid == 0.0:
-            return mid, 0.0
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return best_x, best_f
+        idx = np.flatnonzero(open_)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        done = (mid == lo[idx]) | (mid == hi[idx])
+        open_[idx[done]] = False
+        idx, mid = idx[~done], mid[~done]
+        if not idx.size:
+            return best_x, best_f, best_floor
+        f_mid, floor_mid = readings(mid)
+        better = np.abs(f_mid) < best_f[idx]
+        best_x[idx[better]] = mid[better]
+        best_f[idx[better]] = np.abs(f_mid[better])
+        best_floor[idx[better]] = floor_mid[better]
+        open_[idx[f_mid == 0.0]] = False
+        left = f_lo[idx] * f_mid < 0.0
+        hi[idx[left]] = mid[left]
+        lo[idx[~left]], f_lo[idx[~left]] = mid[~left], f_mid[~left]
 
 
 def _sup_norm(phi: RPoly) -> float:
@@ -308,8 +325,12 @@ def find_branches(lam: float, bc: BoundaryKind,
     or below the floating-point noise floor of its own evaluation,
     whichever is larger; the steep branch at large |a| is resolved to
     machine precision but its functional cannot be evaluated below the
-    cancellation noise of its coefficients.
+    cancellation noise of its coefficients.  For the same reason a
+    sign-change bracket is kept only when the nearest grid readings on
+    either side that rise above their noise floor have opposite signs.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"the rate must be finite, got {lam!r}")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
@@ -317,80 +338,80 @@ def find_branches(lam: float, bc: BoundaryKind,
         raise ValueError("grid_points must be at least 100")
     n = bc.default_iterations if n_iter is None else n_iter
 
-    def residual(a: float) -> float:
-        return boundary_residual(a, lam, bc, n)
+    def readings(a):
+        return _per_block(lambda c: _boundary_rows(c, bc), a, lam, n)
 
     xs = np.linspace(lo, hi, grid_points)
-    fs = np.array([residual(x) for x in xs])
+    fs, floors = readings(xs)
 
-    brackets = []
-    for i in range(grid_points - 1):
-        if fs[i] == 0.0:
-            brackets.append((xs[i], xs[i]))
-        elif fs[i + 1] != 0.0 and fs[i] * fs[i + 1] < 0.0:
-            brackets.append((xs[i], xs[i + 1]))
-    if fs[-1] == 0.0:
-        brackets.append((xs[-1], xs[-1]))
+    # a bracket is a grid interval with a sign change, or a grid point
+    # where the functional vanishes
+    zero = fs == 0.0
+    b_lo = np.flatnonzero(zero | np.append(fs[:-1] * fs[1:] < 0.0, False))
+    b_hi = np.where(zero[b_lo], b_lo, b_lo + 1)
 
     # where the iteration diverges, the truncated functional oscillates and
     # produces dense bands of meaningless crossings; genuine branches are
     # isolated, or form one close pair near the fold
-    centres = [0.5 * (b_lo + b_hi) for b_lo, b_hi in brackets]
+    centres = 0.5 * (xs[b_lo] + xs[b_hi])
+    crowd = (np.searchsorted(centres, centres + 1.5, side="right")
+             - np.searchsorted(centres, centres - 1.5, side="left"))
+    keep = crowd < 3
 
-    def crowded(centre: float) -> bool:
-        return sum(1 for other in centres if abs(other - centre) <= 1.5) >= 3
+    # a sign change between readings below the noise floor is rounding
+    # noise unless the resolved readings around it change sign as well
+    resolved = np.abs(fs) > floors
+    index = np.arange(grid_points)
+    last = np.maximum.accumulate(np.where(resolved, index, -1))
+    first = np.minimum.accumulate(
+        np.where(resolved, index, grid_points)[::-1])[::-1]
+    sign = np.append(np.sign(fs), 0.0)  # the slot for "no such reading"
+    keep &= sign[last[b_lo]] * sign[first[b_hi]] < 0.0
 
+    # the caps read the defect beyond its noise bound: on the steep
+    # Dirichlet branch the raw float reading at a bracket centre is rounding
+    # noise of tens to thousands, and would keep or drop its roots by chance
     wild_cap = 100.0 * residual_cap
     rough_cap = 10.0 * residual_cap
-    roots = []
-    for b_lo, b_hi in brackets:
-        mid = 0.5 * (b_lo + b_hi)
-        if crowded(mid):
-            continue
-        mid_residual = _table_residual_max(mid, lam, n)
-        if mid_residual > wild_cap:
-            continue
-        f_lo, f_hi = residual(b_lo), residual(b_hi)
-        credible = (
-            abs(f_lo) > _residual_noise_floor(_iterate_coeffs(b_lo, lam, n), bc)
-            or abs(f_hi) > _residual_noise_floor(_iterate_coeffs(b_hi, lam, n), bc)
+    kept = np.flatnonzero(keep)
+    (mid_excess,) = _per_block(lambda c: (_table_excess(c, lam),),
+                               centres[kept], lam, n)
+    credible = resolved[b_lo[kept]] | resolved[b_hi[kept]]
+    # a crossing below the evaluation noise of the functional is only
+    # trusted when the iterate is well-behaved across the whole bracket
+    kept = kept[~(mid_excess > wild_cap)
+                & (credible | ~(mid_excess > rough_cap))]
+
+    a_star, achieved, floor = _bisect(xs[b_lo[kept]], xs[b_hi[kept]],
+                                      fs[b_lo[kept]], floors[b_lo[kept]],
+                                      readings)
+    unresolved = achieved > np.fmax(root_tol, floor)
+    for i in np.flatnonzero(unresolved):
+        warnings.warn(
+            f"bracket [{xs[b_lo[kept[i]]]:.6g}, {xs[b_hi[kept[i]]]:.6g}] did "
+            f"not resolve below tolerance (|B| = {achieved[i]:.3e}); dropping",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        # a crossing below the evaluation noise of the functional is only
-        # trusted when the iterate is well-behaved across the whole bracket
-        if not credible and mid_residual > rough_cap:
-            continue
-        if b_lo == b_hi:
-            a_star, achieved = b_lo, abs(f_lo)
-        else:
-            a_star, achieved = _bisect(residual, b_lo, b_hi, f_lo)
-        floor = _residual_noise_floor(_iterate_coeffs(a_star, lam, n), bc)
-        if achieved > max(root_tol, floor):
-            warnings.warn(
-                f"bracket [{b_lo:.6g}, {b_hi:.6g}] did not resolve below "
-                f"tolerance (|B| = {achieved:.3e}); dropping",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        if _table_residual_excess(a_star, lam, n) > residual_cap:
-            continue
-        roots.append((a_star, (b_lo, b_hi)))
+    kept, a_star = kept[~unresolved], a_star[~unresolved]
+    rows, excess = _per_block(lambda c: (c, _table_excess(c, lam)),
+                              a_star, lam, n)
+    genuine = ~(excess > residual_cap)
 
     deduped = []
-    for a_star, bracket in sorted(roots):
-        if deduped and abs(a_star - deduped[-1][0]) <= 1e-12 * max(1.0, abs(a_star)):
+    for a, i, row in sorted(zip(a_star[genuine].tolist(), kept[genuine],
+                                rows[genuine]), key=lambda item: item[:2]):
+        if deduped and abs(a - deduped[-1][0]) <= 1e-12 * max(1.0, abs(a)):
             continue
-        deduped.append((a_star, bracket))
+        deduped.append((a, i, row))
 
     unlabelled = [
-        BranchRoot(a_star=float(a), bc=bc, lam=lam, label=BranchLabel.LOWER,
-                   bracket=(float(br[0]), float(br[1])))
-        for a, br in deduped
+        BranchRoot(a_star=a, bc=bc, lam=lam, label=BranchLabel.LOWER,
+                   bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])))
+        for a, i, _ in deduped
     ]
-    phis = [
-        recover.recover_phi(RPoly(_iterate_coeffs(root.a_star, lam, n)))
-        for root in unlabelled
-    ]
+    phis = [recover.recover_phi(RPoly(_r_powers(row)))
+            for _, _, row in deduped]
     labelled = _assign_labels(unlabelled, phis, lam)
     labelled.sort(key=lambda root: root.a_star)
     return labelled

@@ -13,7 +13,12 @@ with K the closed-form kernel of :func:`epibvp.polyring.apply_vim_kernel`
 (weight (t - r)/t**2, obtained from the stationarity conditions of the
 correction functional).  Starting from w0 = a r**2 every iterate is a
 polynomial with no constant or linear term, so the scheme stays exactly
-representable in :class:`~epibvp.polyring.RPoly`.
+representable in :class:`~epibvp.polyring.RPoly`.  Such an iterate also
+has exactly zero odd coefficients, so the numeric kernel
+(:func:`_iterate_coeffs`) stores it as a polynomial in s = r**2 and runs
+many start coefficients at once, one row each.  The public functions on
+:class:`~epibvp.polyring.RPoly` call the same step arithmetic with every
+power of r stored.
 
 A symbolic mode keeps the initial coefficient ``a`` and the parameter
 ``lam`` as formal symbols and reproduces the low-order iterates in closed
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .polyring import NonIntegrableDefect, RPoly
 from .polyring import _dd_powers, _kernel_weights, _two_prod
@@ -35,6 +41,7 @@ from .polyring import _dd_powers, _kernel_weights, _two_prod
 __all__ = [
     "DomainError",
     "IterationBudgetExceeded",
+    "MAX_DEPTH",
     "VimProblem",
     "APoly",
     "ode_defect",
@@ -78,44 +85,100 @@ class VimProblem:
 # numeric path
 # ---------------------------------------------------------------------------
 
+# each step doubles the degree, so a row of a depth-d iterate holds 2**d + 1
+# coefficients and the squaring costs about 4**d products per row
+MAX_DEPTH = 10
+
+
 @lru_cache(maxsize=None)
-def _euler_symbol(n: int) -> np.ndarray:
+def _euler_symbol(n: int, spacing: int = 1) -> np.ndarray:
     # the linear operator r^2 d^2 - r d acts on r^k as multiplication by k(k-2)
-    k = np.arange(n, dtype=float)
+    k = spacing * np.arange(n, dtype=float)
     out = k * (k - 2.0)
     out.setflags(write=False)
     return out
 
 
-def _defect_coeffs(c: np.ndarray, lam: float, nonlinear: bool) -> np.ndarray:
-    n = c.size
-    size = max(2 * n - 1, 5) if nonlinear else max(n, 5)
-    out = np.zeros(size)
-    out[:n] = _euler_symbol(n) * c
+def _square(c: np.ndarray, out: np.ndarray) -> None:
+    """Write the self-convolution of each row of c into the rows of out.
+
+    Row i of the result is sum_j c[i, j] * c[i, k - j]; the sum runs over a
+    read-only window view of the zero-padded rows, so no (rows, 2n - 1, n)
+    array is formed.  Each row is summed in the same order whatever the
+    number of rows, so a row's result does not depend on its neighbours.
+    """
+    m, n = c.shape
+    padded = np.zeros((m, 3 * n - 2))
+    padded[:, n - 1:2 * n - 1] = c
+    step = padded.itemsize
+    windows = as_strided(padded, (m, 2 * n - 1, n),
+                         (padded.strides[0], step, step), writeable=False)
+    np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
+
+
+def _defect_rows(c: np.ndarray, lam: float, spacing: int,
+                 nonlinear: bool) -> np.ndarray:
+    """Defect coefficients of each row of c.
+
+    Column j of a row holds the coefficient of r**(spacing * j); products of
+    such powers stay on the same lattice, so squaring is a plain convolution
+    of the columns whatever the spacing.
+    """
+    m, n = c.shape
+    forcing = 4 // spacing
+    size = max(2 * n - 1 if nonlinear else n, forcing + 1)
+    out = np.zeros((m, size))
     if nonlinear:
-        sq = np.convolve(c, c)
-        out[: sq.size] -= 0.5 * sq
-    out[4] -= 0.5 * lam
+        _square(c, out[:, :2 * n - 1])
+        out *= -0.5
+    out[:, :n] += _euler_symbol(n, spacing) * c
+    out[:, forcing] -= 0.5 * lam
     return out
 
 
-def _step_coeffs(c: np.ndarray, lam: float, nonlinear: bool) -> np.ndarray:
-    d = _defect_coeffs(c, lam, nonlinear)
-    if d[0] != 0.0 or d[1] != 0.0:
+def _step_rows(c: np.ndarray, lam: float, spacing: int,
+               nonlinear: bool) -> np.ndarray:
+    d = _defect_rows(c, lam, spacing, nonlinear)
+    # the columns of r**0 and r**1
+    if d[:, :1 // spacing + 1].any():
         raise NonIntegrableDefect(
             "defect has a nonzero r**0 or r**1 coefficient"
         )
-    out = d * _kernel_weights(d.size)
-    out[: c.size] += c
-    return out
+    d *= _kernel_weights(d.shape[1], spacing)
+    d[:, :c.shape[1]] += c
+    return d
 
 
-def _iterate_coeffs(a: float, lam: float, n_iter: int,
-                    nonlinear: bool = True) -> np.ndarray:
-    c = np.array([0.0, 0.0, a])
+def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
+         nonlinear: bool = True) -> np.ndarray:
+    if n_iter > MAX_DEPTH:
+        raise ValueError(
+            f"iteration depth {n_iter} exceeds the maximum of {MAX_DEPTH}"
+        )
     for _ in range(n_iter):
-        c = _step_coeffs(c, lam, nonlinear)
+        c = _step_rows(c, lam, spacing, nonlinear)
     return c
+
+
+def _iterate_coeffs(a, lam: float, n_iter: int) -> np.ndarray:
+    """The n_iter-step iterates started at a r**2, one row per value of a.
+
+    Every such iterate has exactly zero odd coefficients, so a row stores
+    it as a polynomial in s = r**2: column j holds the coefficient of
+    r**(2 j).  Depths above :data:`MAX_DEPTH` raise ``ValueError`` before
+    the first step.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    c = np.zeros((a.size, 2))
+    c[:, 1] = a
+    return _run(c, lam, n_iter, 2)
+
+
+def _r_powers(row: np.ndarray) -> np.ndarray:
+    """Coefficients of r**0, r**1, ... of a row stored in s = r**2."""
+    out = np.zeros(2 * row.size - 1)
+    out[::2] = row
+    return out
 
 
 def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
@@ -126,7 +189,7 @@ def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     identically exactly when w solves the equation.  ``nonlinear=False``
     drops the w**2/2 term (the small-|lam| linearisation used in tests).
     """
-    return RPoly(_defect_coeffs(w.coeffs, lam, nonlinear))
+    return RPoly(_defect_rows(w.coeffs[None], lam, 1, nonlinear)[0])
 
 
 # the term arrays take about 20 kB per point at depth 7; blocks of points
@@ -176,21 +239,19 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
 
 def vim_step(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     """One correction step: w + K[defect(w)].  Doubles the degree at most."""
-    return RPoly(_step_coeffs(w.coeffs, lam, nonlinear))
+    return RPoly(_step_rows(w.coeffs[None], lam, 1, nonlinear)[0])
 
 
 def iterate(prob: VimProblem) -> RPoly:
     """Run n_iter correction steps from w0 = a r**2."""
-    return RPoly(_iterate_coeffs(prob.a, prob.lam, prob.n_iter))
+    row = _iterate_coeffs(prob.a, prob.lam, prob.n_iter)[0]
+    return RPoly(_r_powers(row))
 
 
 def iterate_from(w0: RPoly, lam: float, n_iter: int, *,
                  nonlinear: bool = True) -> RPoly:
     """Run n_iter correction steps from an arbitrary start polynomial."""
-    c = w0.coeffs
-    for _ in range(n_iter):
-        c = _step_coeffs(c, lam, nonlinear)
-    return RPoly(c)
+    return RPoly(_run(w0.coeffs[None], lam, n_iter, 1, nonlinear)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from epibvp import cli
 from epibvp.cli import main
 
 
@@ -37,6 +38,19 @@ def test_solve_nonexistence_exit_code(tmp_path):
     assert code == 3
     summary = (tmp_path / "summary_dirichlet_200p0.csv").read_text().splitlines()
     assert summary == ["label,a_star,sup_norm_phi"]
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_solve_non_finite_rate_is_usage_error(tmp_path, lam):
+    code = run(["solve", "--bc", "navier1", "--lambda", lam,
+                "--out", str(tmp_path)])
+    assert code == 1
+
+
+def test_solve_depth_above_maximum_is_usage_error(tmp_path):
+    code = run(["solve", "--bc", "navier1", "--lambda", "1", "--n-iter", "11",
+                "--out", str(tmp_path)])
+    assert code == 1
 
 
 def test_solve_trivial_branch_profile_is_zero(tmp_path):
@@ -271,3 +285,36 @@ def test_residual_table_parallel_jobs(tmp_path):
     assert code == 0
     lines = (tmp_path / "residual_table_navier2_lower.csv").read_text().splitlines()
     assert lines[0] == "r,lambda=0.0,lambda=8.0"
+
+
+# ---------------------------------------------------------------------------
+# worker pool limits
+# ---------------------------------------------------------------------------
+
+def test_sweep_non_finite_rate_is_usage_error(tmp_path):
+    code = run(["sweep", "--bc", "navier1", "--lambdas", "nan",
+                "--out", str(tmp_path), "--jobs", "1"])
+    assert code == 1
+    assert not (tmp_path / "sweep_navier1.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--bc", "navier1", "--lambdas", "0,1"],
+    ["residual-table", "--bc", "navier1", "--branch", "upper", "--lambdas", "0,1"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, command, jobs):
+    assert run(command + ["--out", str(tmp_path), "--jobs", jobs]) == 1
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    # pure arithmetic: no process is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._pool_size(100000, 7) == 2
+    assert cli._pool_size(2, 1) == 1
+    assert cli._pool_size(1, 7) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._pool_size(100000, 7) == 7
+    assert cli._pool_size(3, 7) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._pool_size(4, 7) == 1

@@ -16,7 +16,7 @@ from epibvp import (
     recover_phi,
     solve_profile,
 )
-from epibvp.shooting import _residual_noise_floor
+from epibvp import shooting
 from epibvp.vim import _iterate_coeffs
 
 from _util import ALL_BCS, GRID_101
@@ -127,9 +127,9 @@ def test_root_residuals_below_tolerance():
     for lam, bc in cases:
         for root in find_branches(lam, bc):
             achieved = abs(boundary_residual(root.a_star, lam, bc))
-            floor = _residual_noise_floor(
+            _, floor = shooting._boundary_rows(
                 _iterate_coeffs(root.a_star, lam, bc.default_iterations), bc)
-            assert achieved <= max(1e-11, floor)
+            assert achieved <= max(1e-11, floor[0])
 
 
 def test_grid_refinement_stability():
@@ -146,6 +146,103 @@ def test_trivial_root_exact_at_zero_rate(bc):
     roots = find_branches(0.0, bc)
     trivial = min(roots, key=lambda r: abs(r.a_star))
     assert abs(trivial.a_star) <= 1e-13
+
+
+def test_noise_crossings_are_dropped_navier_one_deep_negative():
+    # the functional reads below its noise floor everywhere left of
+    # a = -70 here; two sign changes inside that noise used to pass as
+    # roots near a = -73.16 and -73.14
+    roots = find_branches(-96.0, BoundaryKind.NAVIER_ONE)
+    assert len(roots) == 2
+    assert {root.label for root in roots} == {
+        BranchLabel.POSITIVE,
+        BranchLabel.NEGATIVE,
+    }
+
+
+@pytest.mark.parametrize("lam", [-44.0, 8.0, 23.0])
+def test_no_roots_among_unresolved_dirichlet_readings(lam):
+    # left of about a = -103 every reading of the functional lies under its
+    # noise floor; without the resolved-sign rule, sign changes there near
+    # a = -112 to -120 pass every other filter
+    roots = find_branches(lam, BoundaryKind.DIRICHLET)
+    assert len(roots) == 2
+    assert all(root.a_star > -100.0 for root in roots)
+
+
+def test_scan_equals_point_evaluations(monkeypatch):
+    bc, lam = BoundaryKind.NAVIER_ONE, 15.0
+    xs = np.linspace(-120.0, 20.0, 1000)
+    points = np.array([boundary_residual(x, lam, bc) for x in xs])
+
+    def scan():
+        return shooting._per_block(lambda c: shooting._boundary_rows(c, bc),
+                                   xs, lam, bc.default_iterations)
+
+    values, floors = scan()
+    assert np.array_equal(values, points)
+    for block in (1, 7, 100):
+        monkeypatch.setattr(shooting, "_BLOCK", block)
+        again, again_floors = scan()
+        assert np.array_equal(again, values)
+        assert np.array_equal(again_floors, floors)
+
+
+def _bisect_one(f, lo, hi, f_lo):
+    # one bracket at a time, the reference for the lockstep bisection
+    if lo < 0.0 < hi and f(0.0) == 0.0:
+        return 0.0, 0.0
+    best_x, best_f = lo, abs(f_lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return best_x, best_f
+        f_mid = f(mid)
+        if abs(f_mid) < best_f:
+            best_x, best_f = mid, abs(f_mid)
+        if f_mid == 0.0:
+            return mid, 0.0
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+
+
+@pytest.mark.parametrize("bc,lam,a_min", [
+    (BoundaryKind.NAVIER_ONE, 0.0, -70.0),
+    (BoundaryKind.NAVIER_ONE, 15.0, -70.0),
+    # includes the steep root and some of the noise crossings around it
+    (BoundaryKind.DIRICHLET, -25.0, -90.0),
+])
+def test_lockstep_bisection_matches_one_bracket_at_a_time(bc, lam, a_min):
+    n = bc.default_iterations
+    xs = np.linspace(-120.0, 20.0, 4000)
+    values = np.array([boundary_residual(x, lam, bc) for x in xs])
+    i = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    i = i[xs[i] > a_min]
+    lo, hi = xs[i], xs[i + 1]
+    lo, hi = np.append(lo, xs[5]), np.append(hi, xs[5])  # a degenerate bracket
+    f_lo = np.array([boundary_residual(x, lam, bc) for x in lo])
+
+    def readings(a):
+        return shooting._per_block(lambda c: shooting._boundary_rows(c, bc),
+                                   a, lam, n)
+
+    roots, achieved, floors = shooting._bisect(lo, hi, f_lo, readings(lo)[1],
+                                               readings)
+    for k in range(lo.size):
+        expected = _bisect_one(lambda a: boundary_residual(a, lam, bc),
+                               lo[k], hi[k], f_lo[k])
+        assert (roots[k], achieved[k]) == expected
+        assert floors[k] == readings(np.array([roots[k]]))[1][0]
+    if lam == 0.0:
+        assert 0.0 in roots
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_rate_is_rejected(lam):
+    with pytest.raises(ValueError, match="finite"):
+        find_branches(lam, BoundaryKind.NAVIER_ONE)
 
 
 def test_window_validation():

@@ -11,6 +11,7 @@ from epibvp import (
     RPoly,
     VimProblem,
     evaluate,
+    find_branches,
     iterate,
     iterate_from,
     multiplier,
@@ -19,7 +20,13 @@ from epibvp import (
     symbolic_iterate,
     vim_step,
 )
-from epibvp.vim import multiplier_dt, multiplier_dtt
+from epibvp.vim import (
+    MAX_DEPTH,
+    _iterate_coeffs,
+    _r_powers,
+    multiplier_dt,
+    multiplier_dtt,
+)
 
 from _util import GRID_101, lower_branch_root, sup_on_grid
 
@@ -116,6 +123,43 @@ def test_quadratic_coefficient_is_preserved():
 def test_iterate_validates_depth():
     with pytest.raises(ValueError):
         VimProblem(lam=0.0, a=1.0, n_iter=0)
+
+
+def test_even_power_storage_matches_r_power_chain():
+    # the kernel stores iterates in s = r**2; the public step keeps every
+    # power of r and runs the same arithmetic on the wider lattice
+    seeded = np.random.default_rng(2024)
+    for a, lam in zip(seeded.uniform(-120.0, 20.0, 200),
+                      seeded.uniform(-100.0, 200.0, 200)):
+        row = _iterate_coeffs(np.array([a]), lam, 7)[0]
+        expanded = _r_powers(row)
+        assert not expanded[1::2].any()
+        w = RPoly([0.0, 0.0, a])
+        for _ in range(7):
+            w = vim_step(w, lam)
+        chain = np.zeros_like(expanded)
+        chain[:w.coeffs.size] = w.coeffs
+        assert np.all(np.abs(expanded - chain) <= 4.0 * np.spacing(np.abs(chain)))
+
+
+def test_kernel_rows_do_not_depend_on_their_block():
+    a = np.linspace(-120.0, 20.0, 97)
+    together = _iterate_coeffs(a, 15.0, 7)
+    for i in (0, 48, 96):
+        assert np.array_equal(_iterate_coeffs(a[i:i + 1], 15.0, 7)[0], together[i])
+    assert np.array_equal(np.vstack([_iterate_coeffs(a[i:i + 10], 15.0, 7)
+                                     for i in range(0, a.size, 10)]), together)
+
+
+def test_depth_above_maximum_is_rejected():
+    # raised before the first step, so nothing of that size is ever built
+    deep = MAX_DEPTH + 1
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        iterate(VimProblem(lam=0.0, a=1.0, n_iter=deep))
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        iterate_from(RPoly([0.0, 0.0, 1.0]), 0.0, deep)
+    with pytest.raises(ValueError, match="exceeds the maximum"):
+        find_branches(1.0, BoundaryKind.NAVIER_ONE, n_iter=deep)
 
 
 def test_structural_invariant_and_no_kernel_failure():
