@@ -15,7 +15,7 @@ columns = {}
 for lam in rates:
     for root in find_branches(lam, bc):
         profile = solve_profile(root.a_star, lam, bc)
-        table = residual_table(profile.w, lam, branch_label=root.label, bc=bc)
+        table = residual_table(profile.w, lam)
         columns[(root.label.value, lam)] = table
 
 for label in ("upper", "lower"):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -69,6 +70,9 @@ def _parse_lambda_list(text: str):
     return values
 
 
+_MAX_RATES = 100_000
+
+
 def _parse_lambda_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -77,17 +81,26 @@ def _parse_lambda_range(text: str):
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"bad --lambda-range (want lo:hi:step): {text!r}")
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise UsageError(f"--lambda-range parts must be finite: {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError("--lambda-range needs lo <= hi and step > 0")
-    values = []
-    k = 0
-    while True:
-        value = lo + k * step
-        if value > hi + 1e-12 * max(1.0, abs(hi)):
-            break
-        values.append(value)
-        k += 1
-    return values
+    if lo + step == lo:
+        raise UsageError(f"--lambda-range step {step!r} does not advance lo")
+    limit = hi + 1e-12 * max(1.0, abs(hi))
+    span = (limit - lo) / step
+    if not span < _MAX_RATES:
+        raise UsageError(f"--lambda-range gives more than {_MAX_RATES} rates")
+    # the rates are lo + k * step while they do not pass the limit; the
+    # quotient can round either way, so settle the count on the rates
+    count = int(span) + 1
+    while count > 1 and lo + (count - 1) * step > limit:
+        count -= 1
+    while lo + count * step <= limit:
+        count += 1
+    if count > _MAX_RATES:
+        raise UsageError(f"--lambda-range gives more than {_MAX_RATES} rates")
+    return [lo + k * step for k in range(count)]
 
 
 def _parse_window(text: str):
@@ -150,7 +163,23 @@ def _lambda_tag(lam: float) -> str:
     return _fmt(lam).replace("-", "m").replace(".", "p")
 
 
-def _apply_config_file(args: argparse.Namespace):
+def _config_value(action: argparse.Action, key: str, value):
+    # a value goes through the conversion its flag's text would, so a
+    # boolean, a list or a malformed number fails as a bad flag does
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"config value for {key!r} must be a string or a number")
+    text = value if isinstance(value, str) else repr(value)
+    try:
+        converted = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        raise UsageError(f"bad config value for {key!r}: {value!r}")
+    if action.choices is not None and converted not in action.choices:
+        raise UsageError(f"config value for {key!r} must be one of "
+                         f"{', '.join(map(str, action.choices))}")
+    return converted
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
     if not getattr(args, "config", None):
         return
     try:
@@ -160,39 +189,30 @@ def _apply_config_file(args: argparse.Namespace):
         raise UsageError(f"cannot read config file: {exc}")
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    actions = {action.dest: action
+               for action in commands.choices[args.command]._actions}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        # only flags this command has and the command line left unset
+        if getattr(args, attr, False) is None and value is not None:
+            setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 # ---------------------------------------------------------------------------
 # workers (module level so they survive pickling into the pool)
 # ---------------------------------------------------------------------------
 
-def _census_worker(task):
-    lam, bc_value, n_iter, window, grid_points = task
-    bc = BoundaryKind(bc_value)
-    window = tuple(window) if window else shooting.DEFAULT_WINDOW
-    grid_points = grid_points or shooting.DEFAULT_GRID_POINTS
-    roots = shooting.find_branches(lam, bc, window, grid_points, n_iter=n_iter)
-    grid = np.linspace(0.0, 1.0, 101)
-    branches = []
-    for root in roots:
-        profile = recover.solve_profile(root.a_star, lam, bc, n_iter)
-        sup = float(np.max(np.abs(evaluate(profile.phi, grid))))
-        branches.append((root.a_star, sup, root.label.value))
-    fold = len(roots) == 2 and abs(roots[1].a_star - roots[0].a_star) < critical.FOLD_SEPARATION
-    return lam, branches, fold
+def _sweep_worker(task):
+    lam, bc, n_iter, window = task
+    return critical.sweep([lam], bc, n_iter=n_iter, window=window)[0]
 
 
 def _table_worker(task):
-    lam, bc_value, label_value, n_iter, window, grid_points = task
-    bc = BoundaryKind(bc_value)
-    window = tuple(window) if window else shooting.DEFAULT_WINDOW
-    grid_points = grid_points or shooting.DEFAULT_GRID_POINTS
-    roots = shooting.find_branches(lam, bc, window, grid_points, n_iter=n_iter)
-    wanted = [r for r in roots if r.label.value == label_value]
+    lam, bc, label, n_iter, window = task
+    roots = shooting.find_branches(lam, bc, window, n_iter=n_iter)
+    wanted = [r for r in roots if r.label is label]
     if not wanted:
         return lam, None
     profile = recover.solve_profile(wanted[0].a_star, lam, bc, n_iter)
@@ -285,13 +305,12 @@ def _cmd_residual_table(args) -> int:
     lambdas = _parse_lambda_list(args.lambdas)
     jobs = _jobs(args.jobs)
     out_dir = _resolve_out_dir(args.out)
-    window = _parse_window(args.a_window) if args.a_window else None
+    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
     _echo_config(out_dir, "residual-table", {
         "bc": bc.value, "branch": label.value, "lambdas": lambdas,
         "n_iter": args.n_iter, "jobs": jobs,
     })
-    tasks = [(lam, bc.value, label.value, args.n_iter, window, None)
-             for lam in lambdas]
+    tasks = [(lam, bc, label, args.n_iter, window) for lam in lambdas]
     results = _run_pool(_table_worker, tasks, jobs)
     columns = {lam: values for lam, values in results}
     found = [lam for lam in lambdas if columns[lam] is not None]
@@ -352,38 +371,39 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep requires --lambdas or --lambda-range")
     jobs = _jobs(args.jobs)
     out_dir = _resolve_out_dir(args.out)
-    window = _parse_window(args.a_window) if args.a_window else None
+    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
     fmt = args.format or "csv"
     _echo_config(out_dir, "sweep", {
         "bc": bc.value, "lambdas": lambdas, "n_iter": args.n_iter,
         "jobs": jobs, "format": fmt,
     })
-    tasks = [(lam, bc.value, args.n_iter, window, None) for lam in lambdas]
-    results = _run_pool(_census_worker, tasks, jobs)
+    tasks = [(lam, bc, args.n_iter, window) for lam in lambdas]
+    records = _run_pool(_sweep_worker, tasks, jobs)
     if fmt == "json":
         payload = [
             {
-                "lambda": lam,
-                "branch_count": len(branches),
-                "fold": fold,
+                "lambda": rec.lam,
+                "branch_count": rec.branch_count,
+                "fold": rec.fold_flag,
                 "branches": [
-                    {"a_star": a, "sup_norm_phi": sup, "label": lab}
-                    for a, sup, lab in branches
+                    {"a_star": b.a_star, "sup_norm_phi": b.sup_norm_phi,
+                     "label": b.label.value}
+                    for b in rec.branches
                 ],
             }
-            for lam, branches, fold in results
+            for rec in records
         ]
         path = out_dir / f"sweep_{bc.value}.json"
         _write_json(path, payload)
     else:
         rows = []
-        for lam, branches, fold in results:
-            if not branches:
-                rows.append((_fmt(lam), "0", "false", "", "", ""))
-            for a, sup, lab in branches:
-                rows.append((_fmt(lam), str(len(branches)),
-                             "true" if fold else "false",
-                             lab, _fmt(a), _fmt(sup)))
+        for rec in records:
+            if not rec.branches:
+                rows.append((_fmt(rec.lam), "0", "false", "", "", ""))
+            for b in rec.branches:
+                rows.append((_fmt(rec.lam), str(rec.branch_count),
+                             "true" if rec.fold_flag else "false",
+                             b.label.value, _fmt(b.a_star), _fmt(b.sup_norm_phi)))
         path = out_dir / f"sweep_{bc.value}.csv"
         _write_csv(path, ("lambda", "branch_count", "fold", "label",
                           "a_star", "sup_norm_phi"), rows)
@@ -421,6 +441,8 @@ def _cmd_oracle_check(args) -> int:
     bc = BoundaryKind.parse(args.bc)
     lam = float(args.lam)
     tol = float(args.tol) if args.tol is not None else 5e-2
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--tol must be finite and non-negative, got {tol!r}")
     window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
     roots = shooting.find_branches(lam, bc, window, n_iter=args.n_iter)
     ivp_roots = oracle.oracle_branches(lam, bc, window)
@@ -532,7 +554,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import shooting
 from .polyring import evaluate
-from .recover import solve_profile
+from .recover import PROFILE_GRID, _sup_norm, solve_profile
 from .shooting import BoundaryKind, BranchLabel
 
 __all__ = [
@@ -77,9 +77,8 @@ class CriticalEstimate:
 
 def _summarise(root: shooting.BranchRoot, n_iter: int | None) -> BranchSummary:
     profile = solve_profile(root.a_star, root.lam, root.bc, n_iter)
-    grid = np.linspace(0.0, 1.0, 101)
-    sup = float(np.max(np.abs(evaluate(profile.phi, grid))))
-    return BranchSummary(a_star=root.a_star, sup_norm_phi=sup, label=root.label)
+    return BranchSummary(a_star=root.a_star, sup_norm_phi=_sup_norm(profile.phi),
+                         label=root.label)
 
 
 def sweep(lambdas, bc: BoundaryKind, *, n_iter: int | None = None,
@@ -107,13 +106,12 @@ def branch_gap(record: SweepRecord, *, n_iter: int | None = None) -> float:
         raise NotTwoBranches(
             f"record at lam={record.lam} has {record.branch_count} branches"
         )
-    grid = np.linspace(0.0, 1.0, 101)
     profiles = [
         solve_profile(summary.a_star, record.lam, record.bc, n_iter)
         for summary in record.branches
     ]
-    first = evaluate(profiles[0].phi, grid)
-    second = evaluate(profiles[1].phi, grid)
+    first = evaluate(profiles[0].phi, PROFILE_GRID)
+    second = evaluate(profiles[1].phi, PROFILE_GRID)
     return float(np.max(np.abs(first - second)))
 
 
@@ -151,9 +149,10 @@ def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
 
 
 def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
-                      *, depths=None, window=shooting.DEFAULT_WINDOW,
+                      *, window=shooting.DEFAULT_WINDOW,
                       grid_points: int = _BISECTION_GRID_POINTS) -> dict:
-    """Critical-rate estimates at neighbouring iteration depths.
+    """Critical-rate estimates one iteration depth below and one above the
+    default.
 
     The fold location depends on the truncation depth, and at deeper
     truncation it can move past the requested bracket; the bracket's upper
@@ -162,10 +161,8 @@ def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
     against a bound.
     """
     base = bc.default_iterations
-    if depths is None:
-        depths = (base - 1, base + 1)
     out = {}
-    for depth in depths:
+    for depth in (base - 1, base + 1):
         estimate = None
         span = hi - lo
         for factor in (1.0, 2.0, 4.0):

@@ -50,30 +50,22 @@ class IvpOverflow(ArithmeticError):
 
 @dataclass(frozen=True)
 class IvpConfig:
-    """Integrator settings: series handoff radius, step size, series order."""
+    """Integrator settings: series handoff radius and step size."""
 
     r0: float = 1e-4
     h: float = 1e-4
-    series_terms: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.r0 < 1.0:
             raise ValueError("handoff radius must lie in (0, 1)")
         if not 0.0 < self.h <= 1e-3:
             raise ValueError("step size must lie in (0, 1e-3]")
-        if self.series_terms not in (1, 2):
-            raise ValueError("series_terms must be 1 or 2")
 
 
-def series_start(a: float, lam: float, r0: float, series_terms: int = 2):
-    """Series state (w, w') at the handoff radius."""
-    w = a * r0 * r0
-    wp = 2.0 * a * r0
-    if series_terms >= 2:
-        c4 = (a * a + lam) / 16.0
-        w += c4 * r0 ** 4
-        wp += 4.0 * c4 * r0 ** 3
-    return w, wp
+def series_start(a, lam: float, r0: float):
+    """Series state (w, w') at the handoff radius; ``a`` may be an array."""
+    c4 = (a * a + lam) / 16.0
+    return a * r0 * r0 + c4 * r0 ** 4, 2.0 * a * r0 + 4.0 * c4 * r0 ** 3
 
 
 def _steps(cfg: IvpConfig):
@@ -81,36 +73,58 @@ def _steps(cfg: IvpConfig):
     return n, (1.0 - cfg.r0) / n
 
 
+def _rk4_step(w, v, r, h, lam2):
+    """One classic RK4 step from r to r + h; w and v may be floats or arrays.
+
+    Returns the new state and the new radius.
+    """
+    half = 0.5 * h
+    rm = r + half
+    re = r + h
+    k1v = v / r + w * w / (2.0 * r * r) + lam2 * r * r
+    w2 = w + half * v
+    v2 = v + half * k1v
+    k2v = v2 / rm + w2 * w2 / (2.0 * rm * rm) + lam2 * rm * rm
+    w3 = w + half * v2
+    v3 = v + half * k2v
+    k3v = v3 / rm + w3 * w3 / (2.0 * rm * rm) + lam2 * rm * rm
+    w4 = w + h * v3
+    v4 = v + h * k3v
+    k4v = v4 / re + w4 * w4 / (2.0 * re * re) + lam2 * re * re
+    return (w + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0,
+            v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0,
+            re)
+
+
+def _march(a: float, lam: float, cfg: IvpConfig, nodes=None):
+    """Integrate one trajectory to r = 1; returns the endpoint (w, w').
+
+    Raises :class:`IvpOverflow` when |w| passes the blow-up guard.  Given
+    ``nodes``, three preallocated arrays (r, w, w') of one more entry than
+    there are steps, it also stores the state at every node.
+    """
+    n, h = _steps(cfg)
+    w, v = series_start(a, lam, cfg.r0)
+    r = cfg.r0
+    lam2 = 0.5 * lam
+    if nodes is not None:
+        rs, ws, vs = nodes
+        rs[0], ws[0], vs[0] = r, w, v
+    for i in range(1, n + 1):
+        w, v, r = _rk4_step(w, v, r, h, lam2)
+        if not abs(w) <= BLOWUP_GUARD:
+            raise IvpOverflow(f"|w| exceeded {BLOWUP_GUARD:g} at r = {r:.6f}")
+        if nodes is not None:
+            rs[i], ws[i], vs[i] = r, w, v
+    return w, v
+
+
 def ivp_integrate(a: float, lam: float, cfg: IvpConfig | None = None):
     """Integrate to r = 1; returns the endpoint pair (w(1), w'(1)).
 
     Raises :class:`IvpOverflow` if |w| passes the blow-up guard on the way.
     """
-    cfg = cfg or IvpConfig()
-    n, h = _steps(cfg)
-    w, v = series_start(a, lam, cfg.r0, cfg.series_terms)
-    r = cfg.r0
-    half = 0.5 * h
-    lam2 = 0.5 * lam
-    for _ in range(n):
-        k1v = v / r + w * w / (2.0 * r * r) + lam2 * r * r
-        rm = r + half
-        w2 = w + half * v
-        v2 = v + half * k1v
-        k2v = v2 / rm + w2 * w2 / (2.0 * rm * rm) + lam2 * rm * rm
-        w3 = w + half * v2
-        v3 = v + half * k2v
-        k3v = v3 / rm + w3 * w3 / (2.0 * rm * rm) + lam2 * rm * rm
-        re = r + h
-        w4 = w + h * v3
-        v4 = v + h * k3v
-        k4v = v4 / re + w4 * w4 / (2.0 * re * re) + lam2 * re * re
-        w += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        r = re
-        if not abs(w) <= BLOWUP_GUARD:
-            raise IvpOverflow(f"|w| exceeded {BLOWUP_GUARD:g} at r = {r:.6f}")
-    return w, v
+    return _march(a, lam, cfg or IvpConfig())
 
 
 def ivp_trajectory(a: float, lam: float, cfg: IvpConfig | None = None):
@@ -120,35 +134,9 @@ def ivp_trajectory(a: float, lam: float, cfg: IvpConfig | None = None):
     profile recovery.
     """
     cfg = cfg or IvpConfig()
-    n, h = _steps(cfg)
-    w, v = series_start(a, lam, cfg.r0, cfg.series_terms)
-    rs = np.empty(n + 1)
-    ws = np.empty(n + 1)
-    vs = np.empty(n + 1)
-    rs[0], ws[0], vs[0] = cfg.r0, w, v
-    r = cfg.r0
-    half = 0.5 * h
-    lam2 = 0.5 * lam
-    for i in range(n):
-        k1v = v / r + w * w / (2.0 * r * r) + lam2 * r * r
-        rm = r + half
-        w2 = w + half * v
-        v2 = v + half * k1v
-        k2v = v2 / rm + w2 * w2 / (2.0 * rm * rm) + lam2 * rm * rm
-        w3 = w + half * v2
-        v3 = v + half * k2v
-        k3v = v3 / rm + w3 * w3 / (2.0 * rm * rm) + lam2 * rm * rm
-        re = r + h
-        w4 = w + h * v3
-        v4 = v + h * k3v
-        k4v = v4 / re + w4 * w4 / (2.0 * re * re) + lam2 * re * re
-        w += h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        r = re
-        if not abs(w) <= BLOWUP_GUARD:
-            raise IvpOverflow(f"|w| exceeded {BLOWUP_GUARD:g} at r = {r:.6f}")
-        rs[i + 1], ws[i + 1], vs[i + 1] = r, w, v
-    return rs, ws, vs
+    nodes = tuple(np.empty(_steps(cfg)[0] + 1) for _ in range(3))
+    _march(a, lam, cfg, nodes)
+    return nodes
 
 
 def profile_from_trajectory(rs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -170,33 +158,12 @@ def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig):
     reported as NaN instead of raising.
     """
     n, h = _steps(cfg)
-    a = np.asarray(a_values, dtype=float)
-    c4 = (a * a + lam) / 16.0
-    w = a * cfg.r0 ** 2
-    v = 2.0 * a * cfg.r0
-    if cfg.series_terms >= 2:
-        w = w + c4 * cfg.r0 ** 4
-        v = v + 4.0 * c4 * cfg.r0 ** 3
+    w, v = series_start(np.asarray(a_values, dtype=float), lam, cfg.r0)
     r = cfg.r0
-    half = 0.5 * h
     lam2 = 0.5 * lam
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n):
-            k1v = v / r + w * w / (2.0 * r * r) + lam2 * r * r
-            rm = r + half
-            w2 = w + half * v
-            v2 = v + half * k1v
-            k2v = v2 / rm + w2 * w2 / (2.0 * rm * rm) + lam2 * rm * rm
-            w3 = w + half * v2
-            v3 = v + half * k2v
-            k3v = v3 / rm + w3 * w3 / (2.0 * rm * rm) + lam2 * rm * rm
-            re = r + h
-            w4 = w + h * v3
-            v4 = v + h * k3v
-            k4v = v4 / re + w4 * w4 / (2.0 * re * re) + lam2 * re * re
-            w = w + h * (v + 2.0 * v2 + 2.0 * v3 + v4) / 6.0
-            v = v + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-            r = re
+            w, v, r = _rk4_step(w, v, r, h, lam2)
             bad = ~(np.abs(w) <= BLOWUP_GUARD)
             if bad.any():
                 w = np.where(bad, np.nan, w)
@@ -204,20 +171,24 @@ def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig):
     return w, v
 
 
+# scan points and bisection tolerance in the shooting parameter
+_GRID_POINTS = 320
+_ROOT_TOL = 1e-10
+
+
 def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
-                    cfg: IvpConfig | None = None, grid_points: int = 320,
-                    root_tol: float = 1e-10) -> list:
+                    cfg: IvpConfig | None = None) -> list:
     """Roots of the boundary functional built from the integrator.
 
     Scans the window, skips blown-up stretches, and bisects each
-    sign-change bracket to ``root_tol`` in the shooting parameter.  An
+    sign-change bracket to ``_ROOT_TOL`` in the shooting parameter.  An
     empty list mirrors branch non-existence above the critical rate.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     cfg = cfg or IvpConfig()
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, _GRID_POINTS)
     w1, v1 = _integrate_batch(xs, lam, cfg)
     fs = np.array([
         bc.residual(wi, vi) if math.isfinite(wi) and math.isfinite(vi)
@@ -230,7 +201,7 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
         return bc.residual(w, v)
 
     roots = []
-    for i in range(grid_points - 1):
+    for i in range(_GRID_POINTS - 1):
         f_lo, f_hi = fs[i], fs[i + 1]
         if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
             continue
@@ -241,7 +212,7 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
             continue
         b_lo, b_hi = float(xs[i]), float(xs[i + 1])
         g_lo = f_lo
-        while b_hi - b_lo > root_tol:
+        while b_hi - b_lo > _ROOT_TOL:
             mid = 0.5 * (b_lo + b_hi)
             if mid == b_lo or mid == b_hi:
                 break
@@ -267,8 +238,8 @@ def step_halving_order(a: float, lam: float, cfg: IvpConfig | None = None):
     """
     cfg = cfg or IvpConfig(r0=1e-2, h=1e-3)
     w_h = ivp_integrate(a, lam, cfg)[0]
-    w_h2 = ivp_integrate(a, lam, IvpConfig(cfg.r0, cfg.h / 2, cfg.series_terms))[0]
-    w_h4 = ivp_integrate(a, lam, IvpConfig(cfg.r0, cfg.h / 4, cfg.series_terms))[0]
+    w_h2 = ivp_integrate(a, lam, IvpConfig(cfg.r0, cfg.h / 2))[0]
+    w_h4 = ivp_integrate(a, lam, IvpConfig(cfg.r0, cfg.h / 4))[0]
     d1 = abs(w_h - w_h2)
     d2 = abs(w_h2 - w_h4)
     order = math.log2(d1 / d2) if d2 > 0.0 else math.inf

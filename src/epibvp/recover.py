@@ -16,8 +16,9 @@ closed-form small-|lam| approximations for the three boundary conditions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,13 +26,14 @@ from .polyring import RPoly, evaluate
 from .vim import VimProblem, _defect_at, iterate
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .shooting import BoundaryKind, BranchLabel
+    from .shooting import BoundaryKind
 
 __all__ = [
     "NonRecoverable",
     "Profile",
     "ResidualTable",
     "TABLE_GRID",
+    "PROFILE_GRID",
     "recover_phi",
     "residual_table",
     "linear_approximation",
@@ -39,6 +41,10 @@ __all__ = [
 ]
 
 TABLE_GRID = tuple(np.linspace(0.0, 0.9, 10))
+
+# the grid on which profiles are compared and their sup norms taken
+PROFILE_GRID = np.linspace(0.0, 1.0, 101)
+PROFILE_GRID.setflags(write=False)
 
 
 class NonRecoverable(ValueError):
@@ -62,12 +68,15 @@ class ResidualTable:
 
     grid: tuple
     values: tuple
-    branch_label: Optional["BranchLabel"] = None
-    bc: Optional["BoundaryKind"] = None
     lam: float = 0.0
 
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values)
+
+
+def _sup_norm(phi: RPoly) -> float:
+    """Largest |phi| on :data:`PROFILE_GRID`."""
+    return float(np.max(np.abs(evaluate(phi, PROFILE_GRID))))
 
 
 def recover_phi(w: RPoly) -> RPoly:
@@ -90,8 +99,7 @@ def recover_phi(w: RPoly) -> RPoly:
     return RPoly(coeffs)
 
 
-def residual_table(w: RPoly, lam: float, grid=None, *,
-                   branch_label=None, bc=None) -> ResidualTable:
+def residual_table(w: RPoly, lam: float, grid=None) -> ResidualTable:
     """Evaluate the exact polynomial defect of w at the grid points.
 
     The defect is formed from the coefficients (never by finite
@@ -103,8 +111,7 @@ def residual_table(w: RPoly, lam: float, grid=None, *,
     """
     pts = TABLE_GRID if grid is None else tuple(float(g) for g in grid)
     values = tuple(_defect_at(w.coeffs, lam, pts).tolist())
-    return ResidualTable(grid=tuple(pts), values=values,
-                         branch_label=branch_label, bc=bc, lam=lam)
+    return ResidualTable(grid=tuple(pts), values=values, lam=lam)
 
 
 def linear_approximation(bc: "BoundaryKind", lam: float) -> Profile:
@@ -115,6 +122,8 @@ def linear_approximation(bc: "BoundaryKind", lam: float) -> Profile:
     recovered profiles are lam/64 (r**2-1)**2, lam/64 (r**4 - 4 r**2 + 3)
     and lam/64 (r**4 - 6 r**2 + 5) respectively.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"the rate must be finite, got {lam!r}")
     c = bc.linear_root_coefficient
     w = RPoly([0.0, 0.0, -c * lam / 16.0, 0.0, lam / 16.0])
     return Profile(phi=recover_phi(w), w=w, a_star=-c * lam / 16.0,

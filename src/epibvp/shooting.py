@@ -10,8 +10,8 @@ the truncated iterate polynomial additionally develops spurious
 sign changes of B at large |a| where the iteration no longer converges.
 Candidate roots are therefore accepted only if the converged iterate
 actually satisfies the differential equation to a sanity bound
-(``residual_cap``) on the standard residual grid; the spurious crossings
-fail that check by many orders of magnitude.
+(``DEFAULT_RESIDUAL_CAP``) on the standard residual grid; the spurious
+crossings fail that check by many orders of magnitude.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ DEFAULT_GRID_POINTS = 4000
 DEFAULT_ROOT_TOL = 1e-11
 DEFAULT_RESIDUAL_CAP = 10.0
 
-# residual grid on which genuineness is judged (matches the residual tables),
-# as values of s = r**2
-_TABLE_S = np.linspace(0.0, 0.9, 10) ** 2
+# residual grid on which genuineness is judged, as values of s = r**2
+_TABLE_S = np.asarray(recover.TABLE_GRID) ** 2
 
 
 class AmbiguousClassification(RuntimeError):
@@ -227,11 +226,6 @@ def _bisect(lo, hi, f_lo, floor_lo, readings):
         lo[idx[~left]], f_lo[idx[~left]] = mid[~left], f_mid[~left]
 
 
-def _sup_norm(phi: RPoly) -> float:
-    grid = np.linspace(0.0, 1.0, 101)
-    return float(np.max(np.abs(evaluate(phi, grid))))
-
-
 def classify_branch(root: BranchRoot, phi: RPoly,
                     partner_phi: RPoly | None = None) -> BranchRoot:
     """Attach the branch label implied by the recovered profile.
@@ -245,7 +239,7 @@ def classify_branch(root: BranchRoot, phi: RPoly,
     and :class:`AmbiguousClassification` is raised.  Without a partner the
     single branch is labelled lower.
     """
-    grid = np.linspace(0.0, 1.0, 101)
+    grid = recover.PROFILE_GRID
     if root.lam < 0.0:
         midvalue = evaluate(phi, 0.5)
         label = BranchLabel.POSITIVE if midvalue >= 0.0 else BranchLabel.NEGATIVE
@@ -260,7 +254,7 @@ def classify_branch(root: BranchRoot, phi: RPoly,
         return replace(root, label=label)
     if partner_phi is None:
         return replace(root, label=BranchLabel.LOWER)
-    mine, theirs = _sup_norm(phi), _sup_norm(partner_phi)
+    mine, theirs = recover._sup_norm(phi), recover._sup_norm(partner_phi)
     if abs(mine - theirs) < 1e-9:
         raise AmbiguousClassification(
             f"branch sup norms coincide to {abs(mine - theirs):.3e}; fold"
@@ -297,7 +291,8 @@ def _assign_labels(roots, phis, lam):
         except AmbiguousClassification:
             # merged pair: keep both, order arbitrarily by sup norm then a
             pass
-    order = sorted(range(len(roots)), key=lambda i: (_sup_norm(phis[i]), i))
+    order = sorted(range(len(roots)),
+                   key=lambda i: (recover._sup_norm(phis[i]), i))
     labelled = []
     for rank, i in enumerate(order):
         label = BranchLabel.LOWER if rank == 0 else BranchLabel.UPPER
@@ -310,22 +305,20 @@ def find_branches(lam: float, bc: BoundaryKind,
                   window: tuple = DEFAULT_WINDOW,
                   grid_points: int = DEFAULT_GRID_POINTS,
                   *,
-                  n_iter: int | None = None,
-                  root_tol: float = DEFAULT_ROOT_TOL,
-                  residual_cap: float = DEFAULT_RESIDUAL_CAP) -> list:
+                  n_iter: int | None = None) -> list:
     """Locate and label every genuine solution branch inside the a-window.
 
     Scans the boundary functional on a uniform grid, bisects each
     sign-change bracket, and keeps a root only when the iterate at that
-    root satisfies the differential equation to ``residual_cap`` on the
-    standard residual grid.  An empty list is the expected non-existence
+    root satisfies the differential equation to ``DEFAULT_RESIDUAL_CAP`` on
+    the standard residual grid.  An empty list is the expected non-existence
     signal above the critical deposition rate, not a failure.
 
-    Roots are accepted when the boundary functional is below ``root_tol``
-    or below the floating-point noise floor of its own evaluation,
-    whichever is larger; the steep branch at large |a| is resolved to
-    machine precision but its functional cannot be evaluated below the
-    cancellation noise of its coefficients.  For the same reason a
+    Roots are accepted when the boundary functional is below
+    ``DEFAULT_ROOT_TOL`` or below the floating-point noise floor of its own
+    evaluation, whichever is larger; the steep branch at large |a| is
+    resolved to machine precision but its functional cannot be evaluated
+    below the cancellation noise of its coefficients.  For the same reason a
     sign-change bracket is kept only when the nearest grid readings on
     either side that rise above their noise floor have opposite signs.
     """
@@ -371,8 +364,8 @@ def find_branches(lam: float, bc: BoundaryKind,
     # the caps read the defect beyond its noise bound: on the steep
     # Dirichlet branch the raw float reading at a bracket centre is rounding
     # noise of tens to thousands, and would keep or drop its roots by chance
-    wild_cap = 100.0 * residual_cap
-    rough_cap = 10.0 * residual_cap
+    wild_cap = 100.0 * DEFAULT_RESIDUAL_CAP
+    rough_cap = 10.0 * DEFAULT_RESIDUAL_CAP
     kept = np.flatnonzero(keep)
     (mid_excess,) = _per_block(lambda c: (_table_excess(c, lam),),
                                centres[kept], lam, n)
@@ -385,7 +378,7 @@ def find_branches(lam: float, bc: BoundaryKind,
     a_star, achieved, floor = _bisect(xs[b_lo[kept]], xs[b_hi[kept]],
                                       fs[b_lo[kept]], floors[b_lo[kept]],
                                       readings)
-    unresolved = achieved > np.fmax(root_tol, floor)
+    unresolved = achieved > np.fmax(DEFAULT_ROOT_TOL, floor)
     for i in np.flatnonzero(unresolved):
         warnings.warn(
             f"bracket [{xs[b_lo[kept[i]]]:.6g}, {xs[b_hi[kept[i]]]:.6g}] did "
@@ -396,7 +389,7 @@ def find_branches(lam: float, bc: BoundaryKind,
     kept, a_star = kept[~unresolved], a_star[~unresolved]
     rows, excess = _per_block(lambda c: (c, _table_excess(c, lam)),
                               a_star, lam, n)
-    genuine = ~(excess > residual_cap)
+    genuine = ~(excess > DEFAULT_RESIDUAL_CAP)
 
     deduped = []
     for a, i, row in sorted(zip(a_star[genuine].tolist(), kept[genuine],

@@ -171,6 +171,43 @@ def test_sweep_lambda_range(tmp_path):
     assert all(entry["branch_count"] == 2 for entry in payload)
 
 
+def _range_reference(lo, hi, step):
+    values, k = [], 0
+    while lo + k * step <= hi + 1e-12 * max(1.0, abs(hi)):
+        values.append(lo + k * step)
+        k += 1
+    return values
+
+
+@pytest.mark.parametrize("text, bounds", [
+    ("0:12:2", (0.0, 12.0, 2.0)),
+    ("-3.7:5.1:0.3", (-3.7, 5.1, 0.3)),
+    ("0:0.3:0.1", (0.0, 0.3, 0.1)),
+    ("1e-3:2e-3:1e-7", (1e-3, 2e-3, 1e-7)),
+    ("5:5:1", (5.0, 5.0, 1.0)),
+])
+def test_lambda_range_matches_stepping_loop(text, bounds):
+    assert cli._parse_lambda_range(text) == _range_reference(*bounds)
+
+
+def test_lambda_range_count_limit():
+    assert len(cli._parse_lambda_range("0:99999:1")) == 100000
+    with pytest.raises(cli.UsageError):
+        cli._parse_lambda_range("0:100000:1")
+
+
+@pytest.mark.parametrize("text", [
+    "0:nan:1", "0:inf:1", "nan:1:1", "-inf:0:1", "0:1:nan", "0:1:inf",
+    "0:1e9:1e-9",   # a billion rates
+    "1e20:1e20:1",  # the step is below half an ulp of lo
+    "0:1e308:1e-308",
+])
+def test_lambda_range_rejects_without_building_the_list(text):
+    # called directly: a stepping loop never ends on these
+    with pytest.raises(cli.UsageError):
+        cli._parse_lambda_range(text)
+
+
 # ---------------------------------------------------------------------------
 # linear
 # ---------------------------------------------------------------------------
@@ -200,6 +237,13 @@ def test_linear_zero_rate(tmp_path):
         assert float(w) == 0.0 and float(phi) == 0.0
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_linear_non_finite_rate_is_usage_error(tmp_path, lam):
+    assert run(["linear", "--bc", "dirichlet", "--lambda", lam,
+                "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.glob("linear_*"))
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 # ---------------------------------------------------------------------------
@@ -216,6 +260,14 @@ def test_oracle_check_agrees_on_nonexistence(capsys):
     code = run(["oracle-check", "--bc", "navier1", "--lambda", "40"])
     assert code == 0
     assert "both methods agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_oracle_check_bad_tolerance_is_usage_error(tol, capsys):
+    # nan used to pass every comparison and exit 0 whatever the deviation
+    assert run(["oracle-check", "--bc", "dirichlet", "--lambda", "1",
+                "--tol", tol]) == 1
+    assert "--tol" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +312,35 @@ def test_flags_override_config_file(tmp_path):
     assert code == 0
     lines = (tmp_path / "linear_dirichlet_1p0.csv").read_text().splitlines()
     assert len(lines) == 6
+
+
+_SWEEP = ["sweep", "--bc", "navier1", "--lambdas", "0"]
+_LINEAR = ["linear", "--bc", "dirichlet", "--lambda", "1"]
+
+
+@pytest.mark.parametrize("command, config", [
+    (_SWEEP, {"jobs": True}),
+    (_SWEEP, {"jobs": 1.5}),
+    (_SWEEP, {"format": "xml"}),
+    (["sweep", "--bc", "navier1"], {"lambdas": [0, 15]}),
+    (_LINEAR, {"n_iter": "seven"}),
+    (_LINEAR, {"grid_step": [0.5]}),
+])
+def test_config_values_are_type_checked(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run(command + ["--out", str(tmp_path), "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_strings_convert_like_flags(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid_step": "0.5", "n_iter": "7"}))
+    code = run(_LINEAR + ["--out", str(tmp_path), "--config", str(config)])
+    assert code == 0
+    lines = (tmp_path / "linear_dirichlet_1p0.csv").read_text().splitlines()
+    assert len(lines) == 4
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from epibvp import (
     step_halving_order,
     RPoly,
 )
+from epibvp.oracle import _integrate_batch
 
 from _util import lower_branch_root
 
@@ -37,8 +38,6 @@ def test_config_validation():
         IvpConfig(h=2e-3)
     with pytest.raises(ValueError):
         IvpConfig(h=0.0)
-    with pytest.raises(ValueError):
-        IvpConfig(series_terms=3)
 
 
 def test_series_start_trivial():
@@ -89,6 +88,28 @@ def test_endpoint_matches_trajectory():
 def test_blow_up_raises():
     with pytest.raises(IvpOverflow):
         ivp_integrate(50.0, 0.0)
+
+
+@pytest.mark.parametrize("lam", [-40.0, 0.0, 15.0])
+def test_batch_matches_scalar_integration_bit_for_bit(lam):
+    # the scan and the bisection of oracle_branches must read the same B.
+    # At a = -113.17 and -72.22 a start formed as a * r0**2 instead of
+    # (a * r0) * r0 ends a few ulps off; a = 50 blows up
+    cfg = IvpConfig(r0=1e-2, h=1e-3)
+    a_values = np.concatenate([np.linspace(-120.0, 20.0, 29),
+                               [-113.17, -72.22, 50.0]])
+    w, v = _integrate_batch(a_values, lam, cfg)
+    overflowed = np.zeros(a_values.size, dtype=bool)
+    for i, a in enumerate(a_values):
+        try:
+            expected = ivp_integrate(float(a), lam, cfg)
+        except IvpOverflow:
+            overflowed[i] = True
+            continue
+        assert np.array([w[i], v[i]]).tobytes() == np.array(expected).tobytes()
+    assert overflowed[-1]
+    assert np.array_equal(np.isnan(w), overflowed)
+    assert np.array_equal(np.isnan(v), overflowed)
 
 
 def test_fourth_order_convergence():
