@@ -1,9 +1,11 @@
-"""Track the two branches toward their fold and bisect for the critical rate.
+"""Track the two branches toward their fold and locate the critical rate.
 
 As the deposition rate grows the branch profiles move toward each other;
 past a critical rate the boundary condition has no real solution and the
-branch pair disappears.  The fold is located by bisecting on the branch
-count, which stays robust where a double root defeats sign bracketing.
+branch pair disappears.  Newton's method on B = 0, dB/da = 0 estimates
+the fold, and a bisection on the branch count, which stays robust where
+a double root defeats sign bracketing, probes either side of that
+estimate to return a bracket with two branches below and none above.
 """
 
 from epibvp import (
@@ -23,7 +25,8 @@ for record in records:
     print(f"  lam={record.lam:6g}: {record.branch_count} branches, "
           f"profile gap {gap:.4f}")
 
-print("\nbisecting on branch count between lam=5 (two) and lam=20 (none):")
+print("\nfold estimate checked by branch counts between lam=5 (two) "
+      "and lam=20 (none):")
 estimate = find_critical_lambda(bc, 5.0, 20.0, 0.01)
 print(f"  critical rate ~ {estimate.lambda_crit:.4f} "
       f"(bracket {estimate.bracket[0]:.4f}..{estimate.bracket[1]:.4f}, "

@@ -111,6 +111,8 @@ def _parse_window(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"bad --a-window (want lo:hi): {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--a-window bounds must be finite: {text!r}")
     if not lo < hi:
         raise UsageError("--a-window needs lo < hi")
     return (lo, hi)

@@ -185,8 +185,8 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     empty list mirrors branch non-existence above the critical rate.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     cfg = cfg or IvpConfig()
     xs = np.linspace(lo, hi, _GRID_POINTS)
     w1, v1 = _integrate_batch(xs, lam, cfg)

@@ -325,8 +325,8 @@ def find_branches(lam: float, bc: BoundaryKind,
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
     lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
     n = bc.default_iterations if n_iter is None else n_iter

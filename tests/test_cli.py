@@ -145,6 +145,18 @@ def test_critical_bad_bracket_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lo", "nan"), ("--hi", "inf"), ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_critical_non_finite_bracket_exit_code(flag, value, capsys):
+    bracket = {"--lo": "5", "--hi": "20", "--tol": "0.5", flag: value}
+    argv = ["critical", "--bc", "navier2"]
+    for name, text in bracket.items():
+        argv += [name, text]
+    assert run(argv) == 2
+    assert "invalid bracket" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -206,6 +218,19 @@ def test_lambda_range_rejects_without_building_the_list(text):
     # called directly: a stepping loop never ends on these
     with pytest.raises(cli.UsageError):
         cli._parse_lambda_range(text)
+
+
+@pytest.mark.parametrize("text", ["-1e400:0", "0:1e400", "nan:0", "-inf:0"])
+def test_a_window_bounds_must_be_finite(text):
+    with pytest.raises(cli.UsageError, match="--a-window"):
+        cli._parse_window(text)
+
+
+def test_solve_overflowing_window_is_usage_error(tmp_path, capsys):
+    code = run(["solve", "--bc", "navier1", "--lambda", "1",
+                "--a-window=-1e400:0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "--a-window" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

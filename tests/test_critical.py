@@ -1,6 +1,10 @@
 """Sweeps, gap tracking and fold location."""
 
+import math
+
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from epibvp import (
     BoundaryKind,
@@ -9,8 +13,11 @@ from epibvp import (
     NotTwoBranches,
     SweepRecord,
     branch_gap,
+    critical,
     depth_sensitivity,
+    find_branches,
     find_critical_lambda,
+    shooting,
     sweep,
 )
 
@@ -85,8 +92,6 @@ def test_critical_rate_navier_two():
 
 def test_critical_bracket_endpoint_predicate():
     # returned bracket endpoints keep the defining two-roots/no-roots property
-    from epibvp import find_branches
-
     estimate = find_critical_lambda(BoundaryKind.NAVIER_TWO, 5.0, 20.0, 0.5)
     lo, hi = estimate.bracket
     assert len(find_branches(lo, BoundaryKind.NAVIER_TWO)) >= 2
@@ -131,3 +136,171 @@ def test_fold_flag_absent_away_from_fold():
     (record,) = sweep([8.0], BoundaryKind.NAVIER_TWO)
     assert record.fold_flag is False
     assert isinstance(record, SweepRecord)
+
+
+# ---------------------------------------------------------------------------
+# fold estimate and the count bisection it steers
+# ---------------------------------------------------------------------------
+
+# the README and acceptance brackets: (lo, hi, tol)
+BRACKETS = {
+    BoundaryKind.NAVIER_TWO: (5.0, 20.0, 0.01),
+    BoundaryKind.NAVIER_ONE: (20.0, 40.0, 0.01),
+    BoundaryKind.DIRICHLET: (140.0, 200.0, 0.1),
+}
+
+# what the plain midpoint bisection returns on BRACKETS: (lambda_crit, bracket)
+MIDPOINT_RESULTS = {
+    BoundaryKind.NAVIER_TWO: (11.339111328125, (11.33544921875, 11.3427734375)),
+    BoundaryKind.NAVIER_ONE: (31.9482421875, (31.943359375, 31.953125)),
+    BoundaryKind.DIRICHLET: (168.681640625, (168.65234375, 168.7109375)),
+}
+
+
+def _count(lam, bc):
+    return len(find_branches(lam, bc, shooting.DEFAULT_WINDOW,
+                             critical._BISECTION_GRID_POINTS))
+
+
+def _midpoint_bisection(bc, lo, hi, tol):
+    """The count bisection without a fold estimate: midpoints only."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if _count(mid, bc) >= 2:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (lo, hi)
+
+
+def _independent_fold(bc, lo, hi, n, points=1001):
+    """Fold rate from the extremum of B on a dense a-grid between the
+    closest roots at lo, found as a root in lam of that extremum."""
+    a = sorted(root.a_star for root in find_branches(lo, bc, n_iter=n))
+    i = min(range(len(a) - 1), key=lambda j: a[j + 1] - a[j])
+    grid = np.linspace(a[i], a[i + 1], points)
+
+    def reading(lam):
+        return shooting._per_block(
+            lambda c: shooting._boundary_rows(c, bc), grid, lam, n)[0]
+
+    sign = np.sign(reading(lo)[points // 2])
+
+    def extremum(lam):
+        # the vertex of the parabola through the largest reading and its
+        # neighbours
+        b = sign * reading(lam)
+        k = int(np.clip(np.argmax(b), 1, points - 2))
+        y0, y1, y2 = b[k - 1:k + 2]
+        return y1 - (y2 - y0) ** 2 / (8.0 * (y0 - 2.0 * y1 + y2))
+
+    return brentq(extremum, lo, hi, xtol=1e-12)
+
+
+def _scan_counter(monkeypatch, limit=None):
+    """Count find_branches calls (the rates they scan), raising past limit."""
+    rates = []
+    scan = shooting.find_branches
+
+    def counted(lam, *args, **kwargs):
+        rates.append(lam)
+        if limit is not None and len(rates) > limit:
+            raise AssertionError(f"more than {limit} scans")
+        return scan(lam, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "find_branches", counted)
+    return rates
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_midpoint_reference_matches_recorded_results(bc):
+    assert _midpoint_bisection(bc, *BRACKETS[bc]) == MIDPOINT_RESULTS[bc]
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_critical_rate_within_tol_of_midpoint_bisection(bc):
+    lo, hi, tol = BRACKETS[bc]
+    estimate = find_critical_lambda(bc, lo, hi, tol)
+    reference, _ = MIDPOINT_RESULTS[bc]
+    assert abs(estimate.lambda_crit - reference) <= tol
+    b_lo, b_hi = estimate.bracket
+    assert lo <= b_lo < b_hi <= hi and b_hi - b_lo <= tol
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_without_an_estimate_the_bisection_is_unchanged(bc, monkeypatch):
+    monkeypatch.setattr(critical, "_fold_estimate", lambda *args: None)
+    estimate = find_critical_lambda(bc, *BRACKETS[bc])
+    assert (estimate.lambda_crit, estimate.bracket) == MIDPOINT_RESULTS[bc]
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fold_estimate_matches_independent_fold(bc, offset):
+    lo, hi, _ = BRACKETS[bc]
+    n = bc.default_iterations + offset
+    roots = find_branches(lo, bc, shooting.DEFAULT_WINDOW,
+                          critical._BISECTION_GRID_POINTS, n_iter=n)
+    estimate = critical._fold_estimate(roots, bc, n, lo, hi)
+    assert estimate is not None
+    assert estimate == pytest.approx(_independent_fold(bc, lo, hi, n),
+                                     abs=1e-5)
+
+
+def test_fold_estimate_gives_up_outside_the_bracket():
+    # the closest pair at lam = 0 is the trivial root and the steep branch,
+    # which do not meet at a fold inside the bracket
+    bc = BoundaryKind.DIRICHLET
+    roots = find_branches(0.0, bc, n_iter=5)
+    assert len(roots) == 2
+    assert critical._fold_estimate(roots, bc, 5, 0.0, 200.0) is None
+
+
+# the benchmark's fold searches: lo between 2w and w below the reference
+# rate, a span of 3w, at the base depth and one above and below
+BENCHMARK_FOLDS = {
+    BoundaryKind.DIRICHLET: (169.0, 10.0, 0.1),
+    BoundaryKind.NAVIER_ONE: (31.94, 1.0, 0.01),
+    BoundaryKind.NAVIER_TWO: (11.34, 0.5, 0.01),
+}
+
+
+@pytest.mark.parametrize("bc", list(BENCHMARK_FOLDS))
+@pytest.mark.parametrize("shift", [1.0, 2.0])
+def test_benchmark_searches_take_four_scans(bc, shift, monkeypatch):
+    ref, width, tol = BENCHMARK_FOLDS[bc]
+    lo = ref - width * shift
+    rates = _scan_counter(monkeypatch)
+    for offset in (-1, 0, 1):
+        rates.clear()
+        estimate = find_critical_lambda(bc, lo, lo + 3.0 * width, tol,
+                                        n_iter=bc.default_iterations + offset)
+        assert len(rates) == 4, rates
+        b_lo, b_hi = estimate.bracket
+        assert b_hi - b_lo <= tol
+
+
+@pytest.mark.parametrize("with_estimate", [True, False])
+def test_tol_below_float_spacing_stops(with_estimate, monkeypatch):
+    # the midpoint of adjacent floats is one of them; the search used to
+    # scan that rate forever
+    if not with_estimate:
+        monkeypatch.setattr(critical, "_fold_estimate", lambda *args: None)
+    rates = _scan_counter(monkeypatch, limit=200)
+    estimate = find_critical_lambda(BoundaryKind.NAVIER_TWO, 11.33, 11.35,
+                                    1e-300, window=(-4.7, -4.1),
+                                    grid_points=200)
+    lo, hi = estimate.bracket
+    assert np.nextafter(lo, math.inf) == hi
+    assert len(set(rates)) == len(rates)
+
+
+@pytest.mark.parametrize("lo,hi,tol", [
+    (math.nan, 20.0, 0.01), (5.0, math.nan, 0.01), (-math.inf, 20.0, 0.01),
+    (5.0, math.inf, 0.01), (5.0, 20.0, math.nan), (5.0, 20.0, math.inf),
+])
+def test_non_finite_bracket_is_rejected_before_any_scan(lo, hi, tol,
+                                                        monkeypatch):
+    _scan_counter(monkeypatch, limit=0)
+    with pytest.raises(InvalidBracket):
+        find_critical_lambda(BoundaryKind.NAVIER_TWO, lo, hi, tol)

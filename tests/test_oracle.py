@@ -207,3 +207,6 @@ def test_profiles_agree_between_methods():
 def test_oracle_window_validation():
     with pytest.raises(ValueError):
         oracle_branches(0.0, BoundaryKind.NAVIER_ONE, window=(3.0, 3.0))
+    for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="window must be finite"):
+            oracle_branches(0.0, BoundaryKind.NAVIER_ONE, window=window)

@@ -248,6 +248,9 @@ def test_non_finite_rate_is_rejected(lam):
 def test_window_validation():
     with pytest.raises(ValueError):
         find_branches(1.0, BoundaryKind.NAVIER_ONE, window=(5.0, 5.0))
+    for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match="window must be finite"):
+            find_branches(1.0, BoundaryKind.NAVIER_ONE, window=window)
     with pytest.raises(ValueError):
         find_branches(1.0, BoundaryKind.NAVIER_ONE, grid_points=50)
 
