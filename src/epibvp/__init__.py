@@ -65,6 +65,7 @@ from .vim import (
     APoly,
     DomainError,
     IterationBudgetExceeded,
+    IterationOverflow,
     VimProblem,
     iterate,
     iterate_from,
@@ -88,6 +89,7 @@ __all__ = [
     "DomainError",
     "InvalidBracket",
     "IterationBudgetExceeded",
+    "IterationOverflow",
     "IvpConfig",
     "IvpOverflow",
     "NonIntegrableDefect",

@@ -27,6 +27,7 @@ import numpy as np
 from . import critical, oracle, recover, shooting
 from .polyring import evaluate
 from .shooting import BoundaryKind, BranchLabel
+from .vim import IterationOverflow
 
 __all__ = ["main"]
 
@@ -334,11 +335,13 @@ def _cmd_residual_table(args) -> int:
 def _cmd_critical(args) -> int:
     bc = BoundaryKind.parse(args.bc)
     tol = float(args.tol) if args.tol is not None else 0.01
+    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
     try:
         estimate = critical.find_critical_lambda(
-            bc, float(args.lo), float(args.hi), tol, n_iter=args.n_iter)
+            bc, float(args.lo), float(args.hi), tol, n_iter=args.n_iter,
+            window=window)
         sensitivity = critical.depth_sensitivity(
-            bc, float(args.lo), float(args.hi), tol)
+            bc, float(args.lo), float(args.hi), tol, window=window)
     except critical.InvalidBracket as exc:
         print(f"invalid bracket: {exc}", file=sys.stderr)
         return EXIT_BAD_BRACKET
@@ -355,7 +358,7 @@ def _cmd_critical(args) -> int:
         out_dir = _resolve_out_dir(args.out)
         _echo_config(out_dir, "critical", {
             "bc": bc.value, "lo": float(args.lo), "hi": float(args.hi),
-            "tol": tol, "n_iter": args.n_iter,
+            "tol": tol, "n_iter": args.n_iter, "a_window": list(window),
         })
         _write_text(out_dir / f"critical_{bc.value}.json", text + "\n")
     return EXIT_OK
@@ -560,6 +563,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except IterationOverflow as exc:
+        print(f"error: {exc}; narrow --a-window", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,7 +71,8 @@ class ResidualTable:
     lam: float = 0.0
 
     def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
+        """Largest |value|; NaN when any value is NaN."""
+        return float(np.max(np.abs(self.values)))
 
 
 def _sup_norm(phi: RPoly) -> float:

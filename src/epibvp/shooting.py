@@ -5,13 +5,16 @@ so the only degree of freedom is the coefficient ``a`` of w0 = a r**2.  The
 right boundary condition turns into a scalar equation B(a) = 0 which is
 scanned on a grid, bracketed and bisected.
 
-Two genuine solution branches coexist below the critical deposition rate;
-the truncated iterate polynomial additionally develops spurious
-sign changes of B at large |a| where the iteration no longer converges.
-Candidate roots are therefore accepted only if the converged iterate
-actually satisfies the differential equation to a sanity bound
-(``DEFAULT_RESIDUAL_CAP``) on the standard residual grid; the spurious
-crossings fail that check by many orders of magnitude.
+Two genuine solution branches coexist below the critical deposition rate.
+At large |a| the float value of B is dominated by rounding and changes
+sign in dense bands.  A root is accepted by two rules only:
+
+* its grid cell is a sign change of B, the nearest readings on either
+  side that rise above their rounding-noise floor have opposite signs, and
+  no other sign change lies between those two readings;
+* the exact residual table of its iterate (:func:`recover.residual_table`,
+  the figure ``solve`` and ``residual-table`` print) has a maximum of at
+  most ``DEFAULT_RESIDUAL_CAP``; a NaN maximum fails.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import recover
 from .polyring import RPoly, evaluate
-from .vim import _defect_rows, _iterate_coeffs, _r_powers
+from .vim import _iterate_coeffs, _r_powers
 
 __all__ = [
     "BoundaryKind",
@@ -46,9 +49,6 @@ DEFAULT_WINDOW = (-120.0, 20.0)
 DEFAULT_GRID_POINTS = 4000
 DEFAULT_ROOT_TOL = 1e-11
 DEFAULT_RESIDUAL_CAP = 10.0
-
-# residual grid on which genuineness is judged, as values of s = r**2
-_TABLE_S = np.asarray(recover.TABLE_GRID) ** 2
 
 
 class AmbiguousClassification(RuntimeError):
@@ -157,24 +157,6 @@ def boundary_residual(a: float, lam: float, bc: BoundaryKind,
     """Right-boundary functional of the n_iter-step iterate started at a r**2."""
     n = bc.default_iterations if n_iter is None else n_iter
     return float(_boundary_rows(_iterate_coeffs(a, lam, n), bc)[0][0])
-
-
-def _table_excess(c: np.ndarray, lam: float) -> np.ndarray:
-    """Largest defect reading on the residual grid beyond its own
-    evaluation-noise bound, for each row of iterates.
-
-    On steep branches the defect coefficients cancel so massively near
-    r = 0.9 that the computed residual there is pure rounding noise; such
-    points carry no evidence either way, so each grid point only counts by
-    the amount it exceeds eps times its absolute coefficient mass.
-    """
-    defect = _defect_rows(c, lam, 2, True)
-    acc = np.zeros((c.shape[0], _TABLE_S.size))
-    mass = np.zeros_like(acc)
-    for col in defect.T[::-1, :, None]:
-        acc = acc * _TABLE_S + col
-        mass = mass * _TABLE_S + np.abs(col)
-    return (np.abs(acc) - 8.0 * np.finfo(float).eps * mass).max(axis=1)
 
 
 def _per_block(read, a, lam: float, n: int):
@@ -289,16 +271,14 @@ def _assign_labels(roots, phis, lam):
                 classify_branch(roots[1], phis[1], phis[0]),
             ]
         except AmbiguousClassification:
-            # merged pair: keep both, order arbitrarily by sup norm then a
+            # merged pair: keep both, the smaller sup norm (then the
+            # smaller a) is lower
             pass
-    order = sorted(range(len(roots)),
-                   key=lambda i: (recover._sup_norm(phis[i]), i))
-    labelled = []
-    for rank, i in enumerate(order):
-        label = BranchLabel.LOWER if rank == 0 else BranchLabel.UPPER
-        labelled.append(replace(roots[i], label=label))
-    labelled.sort(key=lambda root: root.a_star)
-    return labelled
+    lowest = min(range(len(roots)),
+                 key=lambda i: (recover._sup_norm(phis[i]), i))
+    return [replace(root, label=BranchLabel.LOWER if i == lowest
+                    else BranchLabel.UPPER)
+            for i, root in enumerate(roots)]
 
 
 def find_branches(lam: float, bc: BoundaryKind,
@@ -308,19 +288,22 @@ def find_branches(lam: float, bc: BoundaryKind,
                   n_iter: int | None = None) -> list:
     """Locate and label every genuine solution branch inside the a-window.
 
-    Scans the boundary functional on a uniform grid, bisects each
-    sign-change bracket, and keeps a root only when the iterate at that
-    root satisfies the differential equation to ``DEFAULT_RESIDUAL_CAP`` on
-    the standard residual grid.  An empty list is the expected non-existence
-    signal above the critical deposition rate, not a failure.
+    Scans the boundary functional on a uniform grid and bisects each grid
+    cell where it changes sign (or each grid point where it vanishes).  A
+    cell is bisected only when the nearest readings on either side that
+    rise above the rounding-noise floor of their own evaluation have
+    opposite signs and enclose no other sign change, and a root is kept
+    only when the exact residual table of its iterate has a maximum of at
+    most ``DEFAULT_RESIDUAL_CAP``.  An empty list is the expected
+    non-existence signal above the critical deposition rate, not a
+    failure.
 
-    Roots are accepted when the boundary functional is below
-    ``DEFAULT_ROOT_TOL`` or below the floating-point noise floor of its own
-    evaluation, whichever is larger; the steep branch at large |a| is
-    resolved to machine precision but its functional cannot be evaluated
-    below the cancellation noise of its coefficients.  For the same reason a
-    sign-change bracket is kept only when the nearest grid readings on
-    either side that rise above their noise floor have opposite signs.
+    A bisected root whose functional reads above both ``DEFAULT_ROOT_TOL``
+    and its noise floor is dropped with a warning.  The steep branch at
+    large |a| is resolved to machine precision, but its functional cannot
+    be evaluated below the cancellation noise of its coefficients.  Each
+    root stays inside its own grid cell, so the roots are distinct and
+    come out sorted by a.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
@@ -343,37 +326,20 @@ def find_branches(lam: float, bc: BoundaryKind,
     b_lo = np.flatnonzero(zero | np.append(fs[:-1] * fs[1:] < 0.0, False))
     b_hi = np.where(zero[b_lo], b_lo, b_lo + 1)
 
-    # where the iteration diverges, the truncated functional oscillates and
-    # produces dense bands of meaningless crossings; genuine branches are
-    # isolated, or form one close pair near the fold
-    centres = 0.5 * (xs[b_lo] + xs[b_hi])
-    crowd = (np.searchsorted(centres, centres + 1.5, side="right")
-             - np.searchsorted(centres, centres - 1.5, side="left"))
-    keep = crowd < 3
-
     # a sign change between readings below the noise floor is rounding
-    # noise unless the resolved readings around it change sign as well
+    # noise unless the resolved readings around it change sign as well;
+    # those prove a root between them but not which crossing it is, so
+    # they vouch for a bracket only when it is the only one between them
     resolved = np.abs(fs) > floors
     index = np.arange(grid_points)
     last = np.maximum.accumulate(np.where(resolved, index, -1))
     first = np.minimum.accumulate(
         np.where(resolved, index, grid_points)[::-1])[::-1]
     sign = np.append(np.sign(fs), 0.0)  # the slot for "no such reading"
-    keep &= sign[last[b_lo]] * sign[first[b_hi]] < 0.0
-
-    # the caps read the defect beyond its noise bound: on the steep
-    # Dirichlet branch the raw float reading at a bracket centre is rounding
-    # noise of tens to thousands, and would keep or drop its roots by chance
-    wild_cap = 100.0 * DEFAULT_RESIDUAL_CAP
-    rough_cap = 10.0 * DEFAULT_RESIDUAL_CAP
-    kept = np.flatnonzero(keep)
-    (mid_excess,) = _per_block(lambda c: (_table_excess(c, lam),),
-                               centres[kept], lam, n)
-    credible = resolved[b_lo[kept]] | resolved[b_hi[kept]]
-    # a crossing below the evaluation noise of the functional is only
-    # trusted when the iterate is well-behaved across the whole bracket
-    kept = kept[~(mid_excess > wild_cap)
-                & (credible | ~(mid_excess > rough_cap))]
+    left = last[b_lo]
+    _, shared, count = np.unique(left, return_inverse=True, return_counts=True)
+    kept = np.flatnonzero((sign[left] * sign[first[b_hi]] < 0.0)
+                          & (count[shared] == 1))
 
     a_star, achieved, floor = _bisect(xs[b_lo[kept]], xs[b_hi[kept]],
                                       fs[b_lo[kept]], floors[b_lo[kept]],
@@ -387,24 +353,18 @@ def find_branches(lam: float, bc: BoundaryKind,
             stacklevel=2,
         )
     kept, a_star = kept[~unresolved], a_star[~unresolved]
-    rows, excess = _per_block(lambda c: (c, _table_excess(c, lam)),
-                              a_star, lam, n)
-    genuine = ~(excess > DEFAULT_RESIDUAL_CAP)
+    (rows,) = _per_block(lambda c: (c,), a_star, lam, n)
 
-    deduped = []
-    for a, i, row in sorted(zip(a_star[genuine].tolist(), kept[genuine],
-                                rows[genuine]), key=lambda item: item[:2]):
-        if deduped and abs(a - deduped[-1][0]) <= 1e-12 * max(1.0, abs(a)):
+    # each bracket is its own grid cell and its root stays inside it, so
+    # the roots are distinct and already sorted by a
+    unlabelled, phis = [], []
+    for a, i, row in zip(a_star.tolist(), kept, rows):
+        w = RPoly(_r_powers(row))
+        # a NaN maximum fails the comparison and rejects the root
+        if not recover.residual_table(w, lam).max_abs() <= DEFAULT_RESIDUAL_CAP:
             continue
-        deduped.append((a, i, row))
-
-    unlabelled = [
-        BranchRoot(a_star=a, bc=bc, lam=lam, label=BranchLabel.LOWER,
-                   bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])))
-        for a, i, _ in deduped
-    ]
-    phis = [recover.recover_phi(RPoly(_r_powers(row)))
-            for _, _, row in deduped]
-    labelled = _assign_labels(unlabelled, phis, lam)
-    labelled.sort(key=lambda root: root.a_star)
-    return labelled
+        unlabelled.append(BranchRoot(
+            a_star=a, bc=bc, lam=lam, label=BranchLabel.LOWER,
+            bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]]))))
+        phis.append(recover.recover_phi(w))
+    return _assign_labels(unlabelled, phis, lam)

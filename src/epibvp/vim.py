@@ -41,6 +41,7 @@ from .polyring import _dd_powers, _kernel_weights, _two_prod
 __all__ = [
     "DomainError",
     "IterationBudgetExceeded",
+    "IterationOverflow",
     "MAX_DEPTH",
     "VimProblem",
     "APoly",
@@ -66,6 +67,11 @@ class IterationBudgetExceeded(ValueError):
     Each symbolic step squares the term count, so the budget guards against
     accidental blow-up rather than any mathematical obstruction.
     """
+
+
+class IterationOverflow(ValueError):
+    """The iterates left the float64 range: the start values are too large
+    in magnitude for the iteration depth."""
 
 
 @dataclass(frozen=True)
@@ -137,10 +143,15 @@ def _defect_rows(c: np.ndarray, lam: float, spacing: int,
 
 
 def _step_rows(c: np.ndarray, lam: float, spacing: int,
-               nonlinear: bool) -> np.ndarray:
+               nonlinear: bool, depth: int = 1) -> np.ndarray:
     d = _defect_rows(c, lam, spacing, nonlinear)
-    # the columns of r**0 and r**1
+    # the columns of r**0 and r**1; an overflowed row has NaN in every column
     if d[:, :1 // spacing + 1].any():
+        if not np.isfinite(d).all():
+            raise IterationOverflow(
+                f"the iterates overflow float64 at depth {depth}: the start "
+                f"values are too large in magnitude"
+            )
         raise NonIntegrableDefect(
             "defect has a nonzero r**0 or r**1 coefficient"
         )
@@ -156,7 +167,7 @@ def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
             f"iteration depth {n_iter} exceeds the maximum of {MAX_DEPTH}"
         )
     for _ in range(n_iter):
-        c = _step_rows(c, lam, spacing, nonlinear)
+        c = _step_rows(c, lam, spacing, nonlinear, n_iter)
     return c
 
 

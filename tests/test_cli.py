@@ -145,6 +145,24 @@ def test_critical_bad_bracket_exit_code(capsys):
     assert code == 2
 
 
+def test_critical_uses_the_window(tmp_path, capsys):
+    # no branch has a in [10, 20], so lo = 5 fails the predicate
+    assert run(["critical", "--bc", "navier2", "--lo", "5", "--hi", "20",
+                "--tol", "0.05", "--a-window=10:20"]) == 2
+    assert "invalid bracket" in capsys.readouterr().err
+    # near the fold both roots lie in [-4.7, -4.1], so the narrow window
+    # finds the same fold
+    argv = ["critical", "--bc", "navier2", "--lo", "11.31", "--hi", "12",
+            "--tol", "0.05"]
+    assert run(argv) == 0
+    default = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert run(argv + ["--a-window=-4.7:-4.1", "--out", str(tmp_path)]) == 0
+    narrow = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert abs(narrow["lambda_crit"] - default["lambda_crit"]) <= 0.05
+    config = json.loads((tmp_path / "effective_config.json").read_text())
+    assert config["a_window"] == [-4.7, -4.1]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--lo", "nan"), ("--hi", "inf"), ("--tol", "nan"), ("--tol", "inf"),
 ])
@@ -231,6 +249,27 @@ def test_solve_overflowing_window_is_usage_error(tmp_path, capsys):
                 "--a-window=-1e400:0", "--out", str(tmp_path)])
     assert code == 1
     assert "--a-window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--a-window=-1e200:0"],
+    ["--n-iter", "8", "--a-window=-1e5:0"],
+])
+def test_solve_window_that_overflows_the_iteration(tmp_path, capsys, extra):
+    code = run(["solve", "--bc", "navier1", "--lambda", "1", "--out",
+                str(tmp_path)] + extra)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "--a-window" in err
+    assert "r**0" not in err
+
+
+def test_sweep_window_that_overflows_the_iteration(tmp_path, capsys):
+    code = run(["sweep", "--bc", "navier1", "--lambdas", "1", "--jobs", "1",
+                "--a-window=-1e200:0", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "overflow" in err and "--a-window" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from epibvp import (
     BranchLabel,
     NonRecoverable,
     RPoly,
+    ResidualTable,
     differentiate,
     evaluate,
     find_branches,
@@ -138,6 +139,18 @@ def test_residual_table_custom_grid():
     assert table.grid == (0.0, 0.25, 0.5)
     defect_at_half = evaluate(RPoly([0.0, 0.0, 0.0, 0.0, -0.5]), 0.5)
     assert table.values[2] == pytest.approx(defect_at_half, rel=1e-15)
+
+
+@pytest.mark.parametrize("values,expected", [
+    ((0.0, float("nan"), 5.0), float("nan")),
+    ((float("nan"), 0.0, 5.0), float("nan")),
+    ((0.0, 5.0, float("nan")), float("nan")),
+    ((0.0, -7.5, 5.0), 7.5),
+])
+def test_residual_table_maximum(values, expected):
+    # a NaN entry anywhere makes the maximum NaN
+    table = ResidualTable(grid=(0.0, 0.1, 0.2), values=values)
+    np.testing.assert_equal(table.max_abs(), expected)
 
 
 def test_residual_table_is_exact_on_steep_branch():

@@ -14,9 +14,10 @@ from epibvp import (
     evaluate,
     find_branches,
     recover_phi,
+    residual_table,
     solve_profile,
 )
-from epibvp import shooting
+from epibvp import recover, shooting
 from epibvp.vim import _iterate_coeffs
 
 from _util import ALL_BCS, GRID_101
@@ -163,11 +164,51 @@ def test_noise_crossings_are_dropped_navier_one_deep_negative():
 @pytest.mark.parametrize("lam", [-44.0, 8.0, 23.0])
 def test_no_roots_among_unresolved_dirichlet_readings(lam):
     # left of about a = -103 every reading of the functional lies under its
-    # noise floor; without the resolved-sign rule, sign changes there near
-    # a = -112 to -120 pass every other filter
+    # noise floor; the resolved-sign rule drops the sign changes there near
+    # a = -112 to -120 (at lam = 8 their residual tables read 47 and more,
+    # above the cap as well)
     roots = find_branches(lam, BoundaryKind.DIRICHLET)
     assert len(roots) == 2
     assert all(root.a_star > -100.0 for root in roots)
+
+
+def test_one_resolved_sign_change_vouches_for_one_bracket():
+    # on this window every reading from a = -281 to -69 lies under its
+    # noise floor, and the resolved readings around that span have opposite
+    # signs; 40 of the sign changes inside it, at a = -86.3 to -74.2, have
+    # a residual table below the cap
+    roots = find_branches(-150.0, BoundaryKind.NAVIER_ONE, window=(-300.0, 300.0))
+    assert [root.label for root in roots] == [BranchLabel.NEGATIVE]
+    assert abs(roots[0].a_star - 10.13) < 0.01
+
+
+@pytest.mark.parametrize("entry", [2.0 * shooting.DEFAULT_RESIDUAL_CAP,
+                                   float("nan")])
+def test_roots_need_a_residual_table_below_the_cap(monkeypatch, entry):
+    def table(w, lam, grid=None):
+        values = (0.0, entry) + (0.0,) * 8
+        return recover.ResidualTable(grid=recover.TABLE_GRID, values=values,
+                                     lam=lam)
+
+    assert len(find_branches(15.0, BoundaryKind.NAVIER_ONE)) == 2
+    monkeypatch.setattr(recover, "residual_table", table)
+    assert find_branches(15.0, BoundaryKind.NAVIER_ONE) == []
+
+
+@pytest.mark.parametrize("bc,lam", [
+    (BoundaryKind.DIRICHLET, -25.0),
+    (BoundaryKind.DIRICHLET, -60.0),
+    (BoundaryKind.NAVIER_ONE, -96.0),
+    (BoundaryKind.NAVIER_ONE, 29.2),
+    (BoundaryKind.NAVIER_TWO, -82.07),
+    (BoundaryKind.NAVIER_TWO, 8.0),
+])
+def test_every_root_carries_a_table_below_the_cap(bc, lam):
+    roots = find_branches(lam, bc)
+    assert roots
+    for root in roots:
+        w = solve_profile(root.a_star, lam, bc).w
+        assert residual_table(w, lam).max_abs() <= shooting.DEFAULT_RESIDUAL_CAP
 
 
 def test_scan_equals_point_evaluations(monkeypatch):

@@ -7,6 +7,7 @@ from epibvp import (
     BoundaryKind,
     DomainError,
     IterationBudgetExceeded,
+    IterationOverflow,
     NonIntegrableDefect,
     RPoly,
     VimProblem,
@@ -160,6 +161,23 @@ def test_depth_above_maximum_is_rejected():
         iterate_from(RPoly([0.0, 0.0, 1.0]), 0.0, deep)
     with pytest.raises(ValueError, match="exceeds the maximum"):
         find_branches(1.0, BoundaryKind.NAVIER_ONE, n_iter=deep)
+
+
+@pytest.mark.parametrize("a,depth", [(-1e200, 7), (-1e5, 8), (-1e12, 6)])
+def test_overflowing_start_values_are_named(a, depth):
+    # the rows overflow to inf and then to NaN in every column, which is
+    # what trips the r**0 / r**1 check
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IterationOverflow, match=f"overflow.*depth {depth}"):
+            _iterate_coeffs(np.array([1.0, a]), 1.0, depth)
+        with pytest.raises(IterationOverflow):
+            iterate(VimProblem(lam=1.0, a=a, n_iter=depth))
+
+
+def test_finite_low_order_defect_is_still_non_integrable():
+    with pytest.raises(NonIntegrableDefect) as caught:
+        vim_step(RPoly([0.0, 1.0]), 0.0)
+    assert not isinstance(caught.value, IterationOverflow)
 
 
 def test_structural_invariant_and_no_kernel_failure():
