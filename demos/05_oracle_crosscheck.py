@@ -24,12 +24,12 @@ from epibvp import (
 lam = 1.0
 for bc in BoundaryKind:
     vim_roots = find_branches(lam, bc)
-    ivp_roots = oracle_branches(lam, bc, cfg=IvpConfig(h=5e-4))
+    ivp_roots = oracle_branches(lam, bc, cfg=IvpConfig(steps=640))
     print(f"{bc.value}: lam={lam}")
     for root in vim_roots:
         nearest = min(ivp_roots, key=lambda x: abs(x - root.a_star))
         profile = solve_profile(root.a_star, lam, bc)
-        rs, ws, _ = ivp_trajectory(nearest, lam, IvpConfig(h=5e-4))
+        rs, ws, _ = ivp_trajectory(nearest, lam, IvpConfig(steps=640))
         phi_rk = profile_from_trajectory(rs, ws)
         sample = slice(0, rs.size, 40)
         dphi = np.max(np.abs(evaluate(profile.phi, rs[sample]) - phi_rk[sample]))
@@ -38,6 +38,6 @@ for bc in BoundaryKind:
               f"|da| {abs(nearest - root.a_star):.2e}  "
               f"profile gap {dphi:.2e}")
 
-order, d1, d2 = step_halving_order(-0.126, 1.0, IvpConfig(r0=1e-2, h=1e-3))
+order, d1, d2 = step_halving_order(-0.126, 1.0, IvpConfig(r0=1e-2, steps=1000))
 print(f"\nintegrator order by step halving: {order:.2f} "
       f"(differences {d1:.2e} -> {d2:.2e}; fourth order gives a ratio of 16)")

@@ -460,6 +460,10 @@ def _cmd_oracle_check(args) -> int:
             f"{len(ivp_roots)} (integrator)",
             file=sys.stderr,
         )
+        for method, values in (("iteration", [r.a_star for r in roots]),
+                               ("integrator", ivp_roots)):
+            listed = ", ".join(_fmt(x) for x in values) or "none"
+            print(f"  {method} roots: {listed}", file=sys.stderr)
         return EXIT_DEVIATION
     worst = 0.0
     for root in roots:

@@ -148,16 +148,20 @@ def _step_rows(c: np.ndarray, lam: float, spacing: int,
     # the columns of r**0 and r**1; an overflowed row has NaN in every column
     if d[:, :1 // spacing + 1].any():
         if not np.isfinite(d).all():
-            raise IterationOverflow(
-                f"the iterates overflow float64 at depth {depth}: the start "
-                f"values are too large in magnitude"
-            )
+            raise _overflow(depth)
         raise NonIntegrableDefect(
             "defect has a nonzero r**0 or r**1 coefficient"
         )
     d *= _kernel_weights(d.shape[1], spacing)
     d[:, :c.shape[1]] += c
     return d
+
+
+def _overflow(depth: int) -> IterationOverflow:
+    return IterationOverflow(
+        f"the iterates overflow float64 at depth {depth}: the start "
+        f"values are too large in magnitude"
+    )
 
 
 def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
@@ -168,6 +172,10 @@ def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
         )
     for _ in range(n_iter):
         c = _step_rows(c, lam, spacing, nonlinear, n_iter)
+    # an overflow in an earlier step trips the check in _step_rows; one in
+    # the last step shows only here
+    if not np.isfinite(c).all():
+        raise _overflow(n_iter)
     return c
 
 

@@ -332,7 +332,7 @@ def test_08_linear_regime_check():
 
 def test_09_cross_method_validation():
     t0 = time.perf_counter()
-    cfg = IvpConfig(h=5e-4)
+    cfg = IvpConfig(steps=640)
     worst_root = 0.0
     worst_profile = 0.0
     checked = 0
@@ -352,7 +352,7 @@ def test_09_cross_method_validation():
                     evaluate(profile.phi, rs[sample]) - phi_ivp[sample])))
                 worst_profile = max(worst_profile, gap)
                 checked += 1
-    order, _, _ = step_halving_order(-0.126, 1.0, IvpConfig(r0=1e-2, h=1e-3))
+    order, _, _ = step_halving_order(-0.126, 1.0, IvpConfig(r0=1e-2, steps=1000))
     ok = worst_root <= 5e-2 and worst_profile <= 5e-2 and order >= 3.8
     elapsed = time.perf_counter() - t0
     _verdict(9, "cross-method validation", ok and elapsed < 120.0, t0,

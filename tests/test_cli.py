@@ -254,6 +254,7 @@ def test_solve_overflowing_window_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     ["--a-window=-1e200:0"],
     ["--n-iter", "8", "--a-window=-1e5:0"],
+    ["--a-window=-2e5:0"],
 ])
 def test_solve_window_that_overflows_the_iteration(tmp_path, capsys, extra):
     code = run(["solve", "--bc", "navier1", "--lambda", "1", "--out",
@@ -332,6 +333,19 @@ def test_oracle_check_bad_tolerance_is_usage_error(tol, capsys):
     assert run(["oracle-check", "--bc", "dirichlet", "--lambda", "1",
                 "--tol", tol]) == 1
     assert "--tol" in capsys.readouterr().err
+
+
+def test_oracle_check_count_mismatch_lists_both_roots(monkeypatch, capsys):
+    monkeypatch.setattr(cli.oracle, "oracle_branches",
+                        lambda lam, bc, window: [-0.5])
+    code = run(["oracle-check", "--bc", "navier1", "--lambda", "0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "branch count mismatch: 2 (iteration) vs 1 (integrator)" in err
+    iteration = [line for line in err.splitlines()
+                 if "iteration roots:" in line]
+    assert len(iteration) == 1 and iteration[0].count(", ") == 1
+    assert "integrator roots: -0.5" in err
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from epibvp import (
     step_halving_order,
     RPoly,
 )
+from epibvp import oracle
 from epibvp.oracle import _integrate_batch
 
 from _util import lower_branch_root
@@ -34,10 +35,11 @@ def test_config_validation():
         IvpConfig(r0=0.0)
     with pytest.raises(ValueError):
         IvpConfig(r0=1.5)
-    with pytest.raises(ValueError):
-        IvpConfig(h=2e-3)
-    with pytest.raises(ValueError):
-        IvpConfig(h=0.0)
+    for steps in (0, 15, 10 ** 6 + 1, True, 2000.0, "2000", None):
+        with pytest.raises(ValueError, match="steps"):
+            IvpConfig(steps=steps)
+    assert IvpConfig(steps=16).steps == 16
+    assert IvpConfig(steps=10 ** 6).steps == 10 ** 6
 
 
 def test_series_start_trivial():
@@ -76,13 +78,18 @@ def test_trivial_trajectory_stays_zero():
 
 
 def test_endpoint_matches_trajectory():
-    cfg = IvpConfig(r0=1e-3, h=1e-3)
-    w1, v1 = ivp_integrate(-0.5, 1.0, cfg)
-    rs, ws, vs = ivp_trajectory(-0.5, 1.0, cfg)
-    assert rs[0] == cfg.r0
-    assert rs[-1] == pytest.approx(1.0, abs=1e-12)
-    assert ws[-1] == w1
-    assert vs[-1] == v1
+    for cfg in (IvpConfig(r0=1e-3, steps=1000), IvpConfig()):
+        w1, v1 = ivp_integrate(-0.5, 1.0, cfg)
+        rs, ws, vs = ivp_trajectory(-0.5, 1.0, cfg)
+        assert rs.size == ws.size == vs.size == cfg.steps + 1
+        assert rs[0] == cfg.r0
+        assert rs[-1] == 1.0
+        assert np.all(np.diff(rs) > 0.0)
+        # geometric nodes: equal steps in ln r
+        assert np.allclose(np.diff(np.log(rs)), -np.log(cfg.r0) / cfg.steps,
+                           rtol=1e-9, atol=0.0)
+        assert ws[-1] == w1
+        assert vs[-1] == v1
 
 
 def test_blow_up_raises():
@@ -95,7 +102,7 @@ def test_batch_matches_scalar_integration_bit_for_bit(lam):
     # the scan and the bisection of oracle_branches must read the same B.
     # At a = -113.17 and -72.22 a start formed as a * r0**2 instead of
     # (a * r0) * r0 ends a few ulps off; a = 50 blows up
-    cfg = IvpConfig(r0=1e-2, h=1e-3)
+    cfg = IvpConfig(r0=1e-2, steps=1600)
     a_values = np.concatenate([np.linspace(-120.0, 20.0, 29),
                                [-113.17, -72.22, 50.0]])
     w, v = _integrate_batch(a_values, lam, cfg)
@@ -115,7 +122,7 @@ def test_batch_matches_scalar_integration_bit_for_bit(lam):
 def test_fourth_order_convergence():
     root = lower_branch_root(1.0, BoundaryKind.NAVIER_ONE)
     order, d1, d2 = step_halving_order(root.a_star, 1.0,
-                                       IvpConfig(r0=1e-2, h=1e-3))
+                                       IvpConfig(r0=1e-2, steps=1000))
     assert order >= 3.8
     assert d1 <= 16.0 * d2 * 1.2
 
@@ -123,7 +130,7 @@ def test_fourth_order_convergence():
 def test_series_start_insensitivity():
     root = lower_branch_root(1.0, BoundaryKind.DIRICHLET)
     endpoints = [
-        ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0, h=1e-4))[0]
+        ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0, steps=4000))[0]
         for r0 in (1e-5, 1e-4, 1e-3)
     ]
     assert max(endpoints) - min(endpoints) <= 1e-7
@@ -170,7 +177,7 @@ def test_oracle_branches_empty_above_critical():
 
 def test_both_methods_agree_on_nonexistence_past_the_fold():
     # one and a half times the critical rate for each boundary kind
-    cfg = IvpConfig(h=1e-3)
+    cfg = IvpConfig(steps=1250)
     cases = [
         (BoundaryKind.NAVIER_ONE, 47.91),
         (BoundaryKind.NAVIER_TWO, 17.01),
@@ -210,3 +217,63 @@ def test_oracle_window_validation():
     for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0)):
         with pytest.raises(ValueError, match="window must be finite"):
             oracle_branches(0.0, BoundaryKind.NAVIER_ONE, window=window)
+
+
+# roots from a second integrator: RK4 on 10 000 uniform steps in r from
+# r0 = 1e-4, bisected to 1e-10 in the same scan brackets
+_PINNED_ROOTS = {
+    (BoundaryKind.NAVIER_ONE, 15.0): (-17.243790661658494, -2.221780190697567),
+    (BoundaryKind.DIRICHLET, -25.0): (-87.3653512033174, 1.4918005402049608),
+    (BoundaryKind.NAVIER_TWO, 0.0): (-9.400751295409728, 3.651413251473236e-12),
+}
+
+
+def _bisection_roots(lam, bc):
+    """Reference: plain bisection to 1e-12 in each sign change of the
+    oracle's 320-point scan of the default window, on the same integrator."""
+    xs = np.linspace(-120.0, 20.0, 320)
+    fs = bc.residual(*_integrate_batch(xs, lam, IvpConfig()))
+    roots = []
+    for lo, hi, f_lo, f_hi in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
+        if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
+            continue
+        if f_lo == 0.0:
+            roots.append(float(lo))
+            continue
+        if f_hi == 0.0 or f_lo * f_hi > 0.0:
+            continue
+        lo, hi = float(lo), float(hi)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            f_mid = bc.residual(*ivp_integrate(mid, lam))
+            if f_mid == 0.0:
+                lo = hi = mid
+            elif (f_mid < 0.0) == (f_lo < 0.0):
+                lo = mid
+            else:
+                hi = mid
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+@pytest.mark.parametrize("bc,lam", list(_PINNED_ROOTS))
+def test_illinois_roots(bc, lam, monkeypatch):
+    calls = []
+    integrate = oracle.ivp_integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ivp_integrate", counted)
+    roots = oracle_branches(lam, bc)
+    monkeypatch.undo()
+    assert len(roots) == len(_PINNED_ROOTS[bc, lam])
+    # superlinear: plain bisection to the same tolerance needs about 33
+    assert len(calls) <= 12 * len(roots)
+    for root, pinned in zip(roots, _PINNED_ROOTS[bc, lam]):
+        assert abs(root - pinned) <= 1e-6
+    reference = _bisection_roots(lam, bc)
+    assert len(reference) == len(roots)
+    for root, expected in zip(roots, reference):
+        assert abs(root - expected) <= 1e-9

@@ -11,6 +11,7 @@ from epibvp import (
     NonIntegrableDefect,
     RPoly,
     VimProblem,
+    boundary_residual,
     evaluate,
     find_branches,
     iterate,
@@ -163,15 +164,26 @@ def test_depth_above_maximum_is_rejected():
         find_branches(1.0, BoundaryKind.NAVIER_ONE, n_iter=deep)
 
 
-@pytest.mark.parametrize("a,depth", [(-1e200, 7), (-1e5, 8), (-1e12, 6)])
+@pytest.mark.parametrize("a,depth", [(-1e200, 7), (-1e5, 8), (-1e12, 6),
+                                     (-1e5, 7)])
 def test_overflowing_start_values_are_named(a, depth):
     # the rows overflow to inf and then to NaN in every column, which is
-    # what trips the r**0 / r**1 check
+    # what trips the r**0 / r**1 check; at a = -1e5, depth 7 they overflow
+    # only in the last step
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IterationOverflow, match=f"overflow.*depth {depth}"):
             _iterate_coeffs(np.array([1.0, a]), 1.0, depth)
         with pytest.raises(IterationOverflow):
             iterate(VimProblem(lam=1.0, a=a, n_iter=depth))
+
+
+def test_last_step_overflow_reaches_the_branch_finder():
+    bc = BoundaryKind.NAVIER_ONE
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IterationOverflow, match="depth 7"):
+            boundary_residual(-1e5, 1.0, bc, 7)
+        with pytest.raises(IterationOverflow, match="depth 7"):
+            find_branches(1.0, bc, (-2e5, 0.0), n_iter=7)
 
 
 def test_finite_low_order_defect_is_still_non_integrable():
