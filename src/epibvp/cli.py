@@ -119,9 +119,34 @@ def _parse_window(text: str):
     return (lo, hi)
 
 
-def _profile_grid(step: float) -> np.ndarray:
+_MAX_GRID_POINTS = 100_001
+
+
+def _grid_step(text: str) -> float:
+    step = float(text)
     if not 0.0 < step <= 0.5:
         raise UsageError("--grid-step must lie in (0, 0.5]")
+    # the grid has at most 1/step + 1 points; count them before any is made
+    if not 1.0 / step <= _MAX_GRID_POINTS - 1:
+        raise UsageError(f"--grid-step gives more than {_MAX_GRID_POINTS} points")
+    return step
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--tol must be finite and non-negative, got {tol!r}")
+    return tol
+
+
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise UsageError(f"--jobs must be a positive integer, got {jobs!r}")
+    return jobs
+
+
+def _profile_grid(step: float) -> np.ndarray:
     count = int(round(1.0 / step))
     if abs(count * step - 1.0) < 1e-9:
         return np.linspace(0.0, 1.0, count + 1)
@@ -156,9 +181,10 @@ def _write_json(path: Path, payload):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _echo_config(out_dir: Path, command: str, settings: dict):
-    payload = {"command": command}
-    payload.update(settings)
+def _echo_config(out_dir: Path, args: argparse.Namespace):
+    # every flag of the command with the value the run used
+    payload = {("lambda" if key == "lam" else key): value
+               for key, value in vars(args).items() if key not in ("out", "config")}
     _write_json(out_dir / "effective_config.json", payload)
 
 
@@ -182,9 +208,12 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if not getattr(args, "config", None):
-        return
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    # a --config file becomes the defaults of the command's optional flags,
+    # so a second parse lets the flags on the command line win
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     try:
         with open(args.config) as handle:
             data = json.load(handle)
@@ -194,13 +223,17 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         raise UsageError("config file must hold a JSON object")
     commands = next(action for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
-    actions = {action.dest: action
-               for action in commands.choices[args.command]._actions}
+    command = commands.choices[args.command]
+    actions = {action.dest: action for action in command._actions
+               if action.option_strings and not action.required
+               and action.dest != "help"}
+    defaults = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        # only flags this command has and the command line left unset
-        if getattr(args, attr, False) is None and value is not None:
-            setattr(args, attr, _config_value(actions[attr], key, value))
+        if attr in actions and value is not None:
+            defaults[attr] = _config_value(actions[attr], key, value)
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +270,17 @@ def _run_pool(worker, tasks, jobs: int):
         return list(pool.map(worker, tasks))
 
 
-def _jobs(value) -> int:
-    if value is None:
-        return os.cpu_count() or 1
-    if not isinstance(value, int) or value < 1:
-        raise UsageError(f"--jobs must be a positive integer, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
     bc = BoundaryKind.parse(args.bc)
-    lam = float(args.lam)
+    lam = args.lam
     out_dir = _resolve_out_dir(args.out)
-    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
-    step = float(args.grid_step) if args.grid_step is not None else 0.01
-    grid = _profile_grid(step)
-    fmt = args.format or "csv"
-    _echo_config(out_dir, "solve", {
-        "bc": bc.value, "lambda": lam, "n_iter": args.n_iter,
-        "a_window": list(window), "grid_step": step, "format": fmt,
-    })
-    roots = shooting.find_branches(lam, bc, window, n_iter=args.n_iter)
+    grid = _profile_grid(args.grid_step)
+    _echo_config(out_dir, args)
+    roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
     summary_rows = []
     for root in roots:
         profile = recover.solve_profile(root.a_star, lam, bc, args.n_iter)
@@ -271,7 +290,7 @@ def _cmd_solve(args) -> int:
         sup = float(np.max(np.abs(phi_vals)))
         summary_rows.append((root.label.value, root.a_star, sup))
         stem = f"profile_{bc.value}_{_lambda_tag(lam)}_{root.label.value}"
-        if fmt == "json":
+        if args.format == "json":
             _write_json(out_dir / f"{stem}.json", {
                 "r": [float(g) for g in grid],
                 "w": [float(v) for v in w_vals],
@@ -285,7 +304,7 @@ def _cmd_solve(args) -> int:
             ]
             _write_csv(out_dir / f"{stem}.csv", ("r", "w", "phi", "residual"), rows)
     stem = f"summary_{bc.value}_{_lambda_tag(lam)}"
-    if fmt == "json":
+    if args.format == "json":
         _write_json(out_dir / f"{stem}.json", {
             "bc": bc.value, "lambda": lam, "branch_count": len(roots),
             "branches": [
@@ -305,19 +324,13 @@ def _cmd_residual_table(args) -> int:
     label = BranchLabel.parse(args.branch)
     if args.lambdas is None:
         raise UsageError("residual-table requires --lambdas")
-    lambdas = _parse_lambda_list(args.lambdas)
-    jobs = _jobs(args.jobs)
     out_dir = _resolve_out_dir(args.out)
-    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
-    _echo_config(out_dir, "residual-table", {
-        "bc": bc.value, "branch": label.value, "lambdas": lambdas,
-        "n_iter": args.n_iter, "jobs": jobs,
-    })
-    tasks = [(lam, bc, label, args.n_iter, window) for lam in lambdas]
-    results = _run_pool(_table_worker, tasks, jobs)
+    _echo_config(out_dir, args)
+    tasks = [(lam, bc, label, args.n_iter, args.a_window) for lam in args.lambdas]
+    results = _run_pool(_table_worker, tasks, args.jobs)
     columns = {lam: values for lam, values in results}
-    found = [lam for lam in lambdas if columns[lam] is not None]
-    missing = [lam for lam in lambdas if columns[lam] is None]
+    found = [lam for lam in args.lambdas if columns[lam] is not None]
+    missing = [lam for lam in args.lambdas if columns[lam] is None]
     for lam in missing:
         print(f"no {label.value} branch at lambda={_fmt(lam)}", file=sys.stderr)
     if not found:
@@ -334,14 +347,11 @@ def _cmd_residual_table(args) -> int:
 
 def _cmd_critical(args) -> int:
     bc = BoundaryKind.parse(args.bc)
-    tol = float(args.tol) if args.tol is not None else 0.01
-    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
     try:
         estimate = critical.find_critical_lambda(
-            bc, float(args.lo), float(args.hi), tol, n_iter=args.n_iter,
-            window=window)
+            bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
         sensitivity = critical.depth_sensitivity(
-            bc, float(args.lo), float(args.hi), tol, window=window)
+            bc, args.lo, args.hi, args.tol, window=args.a_window)
     except critical.InvalidBracket as exc:
         print(f"invalid bracket: {exc}", file=sys.stderr)
         return EXIT_BAD_BRACKET
@@ -356,10 +366,7 @@ def _cmd_critical(args) -> int:
     print(text)
     if args.out:
         out_dir = _resolve_out_dir(args.out)
-        _echo_config(out_dir, "critical", {
-            "bc": bc.value, "lo": float(args.lo), "hi": float(args.hi),
-            "tol": tol, "n_iter": args.n_iter, "a_window": list(window),
-        })
+        _echo_config(out_dir, args)
         _write_text(out_dir / f"critical_{bc.value}.json", text + "\n")
     return EXIT_OK
 
@@ -368,23 +375,16 @@ def _cmd_sweep(args) -> int:
     bc = BoundaryKind.parse(args.bc)
     if args.lambdas is not None and args.lambda_range is not None:
         raise UsageError("give exactly one of --lambdas / --lambda-range")
-    if args.lambdas is not None:
-        lambdas = _parse_lambda_list(args.lambdas)
-    elif args.lambda_range is not None:
-        lambdas = _parse_lambda_range(args.lambda_range)
-    else:
+    if args.lambdas is None and args.lambda_range is None:
         raise UsageError("sweep requires --lambdas or --lambda-range")
-    jobs = _jobs(args.jobs)
+    if args.lambda_range is not None:
+        # the echo lists the rates a range expands to
+        args.lambdas, args.lambda_range = args.lambda_range, None
     out_dir = _resolve_out_dir(args.out)
-    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
-    fmt = args.format or "csv"
-    _echo_config(out_dir, "sweep", {
-        "bc": bc.value, "lambdas": lambdas, "n_iter": args.n_iter,
-        "jobs": jobs, "format": fmt,
-    })
-    tasks = [(lam, bc, args.n_iter, window) for lam in lambdas]
-    records = _run_pool(_sweep_worker, tasks, jobs)
-    if fmt == "json":
+    _echo_config(out_dir, args)
+    tasks = [(lam, bc, args.n_iter, args.a_window) for lam in args.lambdas]
+    records = _run_pool(_sweep_worker, tasks, args.jobs)
+    if args.format == "json":
         payload = [
             {
                 "lambda": rec.lam,
@@ -418,13 +418,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_linear(args) -> int:
     bc = BoundaryKind.parse(args.bc)
-    lam = float(args.lam)
+    lam = args.lam
     out_dir = _resolve_out_dir(args.out)
-    step = float(args.grid_step) if args.grid_step is not None else 0.01
-    grid = _profile_grid(step)
-    _echo_config(out_dir, "linear", {
-        "bc": bc.value, "lambda": lam, "grid_step": step,
-    })
+    grid = _profile_grid(args.grid_step)
+    _echo_config(out_dir, args)
     profile = recover.linear_approximation(bc, lam)
     w_vals = evaluate(profile.w, grid)
     phi_vals = evaluate(profile.phi, grid)
@@ -444,13 +441,9 @@ def _cmd_linear(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     bc = BoundaryKind.parse(args.bc)
-    lam = float(args.lam)
-    tol = float(args.tol) if args.tol is not None else 5e-2
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise UsageError(f"--tol must be finite and non-negative, got {tol!r}")
-    window = _parse_window(args.a_window) if args.a_window else shooting.DEFAULT_WINDOW
-    roots = shooting.find_branches(lam, bc, window, n_iter=args.n_iter)
-    ivp_roots = oracle.oracle_branches(lam, bc, window)
+    lam = args.lam
+    roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
+    ivp_roots = oracle.oracle_branches(lam, bc, args.a_window)
     if not roots and not ivp_roots:
         print(f"no branches at lambda={_fmt(lam)} [{bc.value}]: both methods agree")
         return EXIT_OK
@@ -480,8 +473,8 @@ def _cmd_oracle_check(args) -> int:
             f"{root.label.value}: a*={_fmt(root.a_star)} vs {_fmt(nearest)} "
             f"(|da|={da:.3e}), profile deviation {dphi:.3e}"
         )
-    if worst > tol:
-        print(f"deviation {worst:.3e} above tolerance {tol:g}", file=sys.stderr)
+    if worst > args.tol:
+        print(f"deviation {worst:.3e} above tolerance {args.tol:g}", file=sys.stderr)
         return EXIT_DEVIATION
     return EXIT_OK
 
@@ -495,7 +488,7 @@ def _add_common(sub):
                      help="boundary condition: dirichlet | navier1 | navier2")
     sub.add_argument("--n-iter", type=int, default=None,
                      help="iteration depth (default: 7, or 6 for dirichlet)")
-    sub.add_argument("--a-window", default=None,
+    sub.add_argument("--a-window", type=_parse_window, default=shooting.DEFAULT_WINDOW,
                      help="shooting window lo:hi (default -120:20)")
     sub.add_argument("--out", default=None,
                      help=f"output directory (default ${_OUT_DIR_ENV} or ./epibvp_out)")
@@ -511,40 +504,43 @@ def _build_parser() -> _Parser:
     solve = commands.add_parser("solve", help="solve all branches at one rate")
     _add_common(solve)
     solve.add_argument("--lambda", dest="lam", type=float, required=True)
-    solve.add_argument("--grid-step", type=float, default=None)
-    solve.add_argument("--format", choices=("csv", "json"), default=None)
+    solve.add_argument("--grid-step", type=_grid_step, default=0.01)
+    solve.add_argument("--format", choices=("csv", "json"), default="csv")
 
     table = commands.add_parser("residual-table",
                                 help="defect table for one branch over several rates")
     _add_common(table)
     table.add_argument("--branch", required=True,
                        help="lower | upper | positive | negative")
-    table.add_argument("--lambdas", default=None, help="comma-separated rates")
-    table.add_argument("--jobs", type=int, default=None)
+    table.add_argument("--lambdas", type=_parse_lambda_list, default=None,
+                       help="comma-separated rates")
+    table.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
 
     crit = commands.add_parser("critical", help="bisect for the fold rate")
     _add_common(crit)
     crit.add_argument("--lo", type=float, required=True)
     crit.add_argument("--hi", type=float, required=True)
-    crit.add_argument("--tol", type=float, default=None)
+    crit.add_argument("--tol", type=float, default=0.01)
 
     swp = commands.add_parser("sweep", help="branch census over many rates")
     _add_common(swp)
-    swp.add_argument("--lambdas", default=None, help="comma-separated rates")
-    swp.add_argument("--lambda-range", default=None, help="lo:hi:step")
-    swp.add_argument("--jobs", type=int, default=None)
-    swp.add_argument("--format", choices=("csv", "json"), default=None)
+    swp.add_argument("--lambdas", type=_parse_lambda_list, default=None,
+                     help="comma-separated rates")
+    swp.add_argument("--lambda-range", type=_parse_lambda_range, default=None,
+                     help="lo:hi:step")
+    swp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     lin = commands.add_parser("linear", help="closed-form small-rate approximation")
     _add_common(lin)
     lin.add_argument("--lambda", dest="lam", type=float, required=True)
-    lin.add_argument("--grid-step", type=float, default=None)
+    lin.add_argument("--grid-step", type=_grid_step, default=0.01)
 
     check = commands.add_parser("oracle-check",
                                 help="cross-validate against the RK4 integrator")
     _add_common(check)
     check.add_argument("--lambda", dest="lam", type=float, required=True)
-    check.add_argument("--tol", type=float, default=None)
+    check.add_argument("--tol", type=_tolerance, default=5e-2)
 
     return parser
 
@@ -562,8 +558,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, parser)
+        args = _parse_args(parser, argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,6 +166,8 @@ def _overflow(depth: int) -> IterationOverflow:
 
 def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
          nonlinear: bool = True) -> np.ndarray:
+    if n_iter < 1:
+        raise ValueError(f"iteration depth {n_iter} is below the minimum of 1")
     if n_iter > MAX_DEPTH:
         raise ValueError(
             f"iteration depth {n_iter} exceeds the maximum of {MAX_DEPTH}"
@@ -184,8 +186,8 @@ def _iterate_coeffs(a, lam: float, n_iter: int) -> np.ndarray:
 
     Every such iterate has exactly zero odd coefficients, so a row stores
     it as a polynomial in s = r**2: column j holds the coefficient of
-    r**(2 j).  Depths above :data:`MAX_DEPTH` raise ``ValueError`` before
-    the first step.
+    r**(2 j).  Depths outside 1..:data:`MAX_DEPTH` raise ``ValueError``
+    before the first step.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     c = np.zeros((a.size, 2))

@@ -477,3 +477,95 @@ def test_pool_size_is_clamped(monkeypatch):
     assert cli._pool_size(3, 7) == 3
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._pool_size(4, 7) == 1
+
+
+# ---------------------------------------------------------------------------
+# flag defaults, the configuration echo and input limits
+# ---------------------------------------------------------------------------
+
+def _echo(path):
+    return json.loads((path / "effective_config.json").read_text())
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--bc", "navier1", "--lambdas", "40", "--jobs", "1"],
+    ["residual-table", "--bc", "navier1", "--branch", "upper",
+     "--lambdas", "40", "--jobs", "1"],
+])
+def test_echo_records_the_window(tmp_path, command):
+    run(command + ["--a-window=-50:0", "--out", str(tmp_path)])
+    assert _echo(tmp_path)["a_window"] == [-50.0, 0.0]
+
+
+def _flag_names(command):
+    commands = next(action for action in cli._build_parser()._actions
+                    if action.dest == "command")
+    dests = {action.dest for action in commands.choices[command]._actions}
+    names = {"lambda" if dest == "lam" else dest for dest in dests}
+    return names - {"help", "out", "config"} | {"command"}
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--bc", "navier1", "--lambda", "40"],
+    ["residual-table", "--bc", "navier1", "--branch", "upper", "--lambdas", "40",
+     "--jobs", "1"],
+    ["critical", "--bc", "navier2", "--lo", "11.31", "--hi", "12", "--tol", "0.05",
+     "--a-window=-4.7:-4.1"],
+    ["sweep", "--bc", "navier1", "--lambdas", "40", "--jobs", "1"],
+    ["linear", "--bc", "dirichlet", "--lambda", "1"],
+])
+def test_echo_lists_every_flag_of_the_command(tmp_path, command, capsys):
+    run(command + ["--out", str(tmp_path)])
+    assert set(_echo(tmp_path)) == _flag_names(command[0])
+
+
+def test_echo_expands_a_lambda_range(tmp_path):
+    assert run(["sweep", "--bc", "navier1", "--lambda-range", "40:41:1",
+                "--jobs", "1", "--out", str(tmp_path)]) == 0
+    echo = _echo(tmp_path)
+    assert echo["lambdas"] == [40.0, 41.0]
+    assert echo["lambda_range"] is None
+
+
+def test_config_window_is_used_and_a_flag_overrides_it(tmp_path):
+    # no navier1 branch at lambda = 15 has a in [10, 20]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"a_window": "10:20"}))
+    argv = ["sweep", "--bc", "navier1", "--lambdas", "15", "--jobs", "1",
+            "--out", str(tmp_path), "--config", str(config)]
+    assert run(argv) == 0
+    assert _echo(tmp_path)["a_window"] == [10.0, 20.0]
+    lines = (tmp_path / "sweep_navier1.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["0"]
+    assert run(argv + ["--a-window=-120:20"]) == 0
+    assert _echo(tmp_path)["a_window"] == [-120.0, 20.0]
+    lines = (tmp_path / "sweep_navier1.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["2", "2"]
+
+
+@pytest.mark.parametrize("command", [
+    ["critical", "--bc", "navier2", "--lo", "5", "--hi", "20", "--n-iter", "0"],
+    ["oracle-check", "--bc", "navier1", "--lambda", "15", "--n-iter", "-1"],
+])
+def test_depth_below_one_is_usage_error(command, capsys):
+    assert run(command) == 1
+    assert capsys.readouterr().err.startswith("error: iteration depth")
+
+
+@pytest.mark.parametrize("text", ["1e-9", "5e-324", "9.99e-6", "0", "0.7", "nan", "inf"])
+def test_grid_step_rejects_without_building_the_grid(text):
+    # called directly: a step of 1e-9 would ask for a billion points
+    with pytest.raises(cli.UsageError, match="--grid-step"):
+        cli._grid_step(text)
+
+
+def test_grid_step_point_limit():
+    step = cli._grid_step("1e-5")
+    assert cli._profile_grid(step).size == cli._MAX_GRID_POINTS
+
+
+def test_grid_step_is_checked_before_the_output_directory(tmp_path):
+    out = tmp_path / "out"
+    assert run(["solve", "--bc", "navier1", "--lambda", "15",
+                "--grid-step", "0.7", "--out", str(out)]) == 1
+    assert not out.exists()

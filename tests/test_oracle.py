@@ -277,3 +277,17 @@ def test_illinois_roots(bc, lam, monkeypatch):
     assert len(reference) == len(roots)
     for root, expected in zip(roots, reference):
         assert abs(root - expected) <= 1e-9
+
+
+def test_illinois_rule_halves_the_kept_end():
+    # plain regula falsi keeps the left end of e**x - 2 on [0, 4] for
+    # about 250 evaluations; halving the kept end's value ends it in 11
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(x) - 2.0
+
+    root = oracle._illinois(f, 0.0, 4.0, -1.0, np.exp(4.0) - 2.0)
+    assert len(calls) <= 20
+    assert abs(root - np.log(2.0)) <= 1e-10

@@ -348,3 +348,9 @@ def test_default_iteration_depths():
     assert BoundaryKind.DIRICHLET.default_iterations == 6
     assert BoundaryKind.NAVIER_ONE.default_iterations == 7
     assert BoundaryKind.NAVIER_TWO.default_iterations == 7
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_below_one_is_rejected(depth):
+    with pytest.raises(ValueError, match="below the minimum"):
+        find_branches(15.0, BoundaryKind.NAVIER_ONE, n_iter=depth)
