@@ -146,6 +146,18 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _canonical(kind):
+    """Flag type for a name of the enum ``kind``: the canonical value, so
+    that the echo reads "navier1" for "NAVIER1"; an unknown name exits
+    with the message that lists the choices."""
+    def parse(text: str) -> str:
+        try:
+            return kind.parse(text).value
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    return parse
+
+
 def _profile_grid(step: float) -> np.ndarray:
     count = int(round(1.0 / step))
     if abs(count * step - 1.0) < 1e-9:
@@ -275,7 +287,7 @@ def _run_pool(worker, tasks, jobs: int):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    bc = BoundaryKind.parse(args.bc)
+    bc = BoundaryKind(args.bc)
     lam = args.lam
     out_dir = _resolve_out_dir(args.out)
     grid = _profile_grid(args.grid_step)
@@ -320,8 +332,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_residual_table(args) -> int:
-    bc = BoundaryKind.parse(args.bc)
-    label = BranchLabel.parse(args.branch)
+    bc = BoundaryKind(args.bc)
+    label = BranchLabel(args.branch)
     if args.lambdas is None:
         raise UsageError("residual-table requires --lambdas")
     out_dir = _resolve_out_dir(args.out)
@@ -346,7 +358,7 @@ def _cmd_residual_table(args) -> int:
 
 
 def _cmd_critical(args) -> int:
-    bc = BoundaryKind.parse(args.bc)
+    bc = BoundaryKind(args.bc)
     try:
         estimate = critical.find_critical_lambda(
             bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
@@ -372,7 +384,7 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    bc = BoundaryKind.parse(args.bc)
+    bc = BoundaryKind(args.bc)
     if args.lambdas is not None and args.lambda_range is not None:
         raise UsageError("give exactly one of --lambdas / --lambda-range")
     if args.lambdas is None and args.lambda_range is None:
@@ -417,7 +429,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_linear(args) -> int:
-    bc = BoundaryKind.parse(args.bc)
+    bc = BoundaryKind(args.bc)
     lam = args.lam
     out_dir = _resolve_out_dir(args.out)
     grid = _profile_grid(args.grid_step)
@@ -440,8 +452,10 @@ def _cmd_linear(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    bc = BoundaryKind.parse(args.bc)
+    bc = BoundaryKind(args.bc)
     lam = args.lam
+    if args.out or os.environ.get(_OUT_DIR_ENV):
+        _echo_config(_resolve_out_dir(args.out), args)
     roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
     ivp_roots = oracle.oracle_branches(lam, bc, args.a_window)
     if not roots and not ivp_roots:
@@ -484,7 +498,7 @@ def _cmd_oracle_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sub):
-    sub.add_argument("--bc", required=True,
+    sub.add_argument("--bc", type=_canonical(BoundaryKind), required=True,
                      help="boundary condition: dirichlet | navier1 | navier2")
     sub.add_argument("--n-iter", type=int, default=None,
                      help="iteration depth (default: 7, or 6 for dirichlet)")
@@ -510,7 +524,7 @@ def _build_parser() -> _Parser:
     table = commands.add_parser("residual-table",
                                 help="defect table for one branch over several rates")
     _add_common(table)
-    table.add_argument("--branch", required=True,
+    table.add_argument("--branch", type=_canonical(BranchLabel), required=True,
                        help="lower | upper | positive | negative")
     table.add_argument("--lambdas", type=_parse_lambda_list, default=None,
                        help="comma-separated rates")

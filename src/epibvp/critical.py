@@ -23,7 +23,7 @@ from . import shooting
 from .polyring import evaluate
 from .recover import PROFILE_GRID, _sup_norm, solve_profile
 from .shooting import BoundaryKind, BranchLabel
-from .vim import _iterate_coeffs
+from .vim import _iterate_coeffs, _iterate_tangents
 
 __all__ = [
     "InvalidBracket",
@@ -31,14 +31,11 @@ __all__ = [
     "BranchSummary",
     "SweepRecord",
     "CriticalEstimate",
-    "FOLD_SEPARATION",
     "sweep",
     "branch_gap",
     "find_critical_lambda",
     "depth_sensitivity",
 ]
-
-FOLD_SEPARATION = 1e-6
 
 # branch counting during the bisection does not need the fine default scan;
 # a coarser grid only biases the estimate by (spacing)**2 through the
@@ -91,20 +88,33 @@ def _summarise(root: shooting.BranchRoot, n_iter: int | None) -> BranchSummary:
 def sweep(lambdas, bc: BoundaryKind, *, n_iter: int | None = None,
           window=shooting.DEFAULT_WINDOW,
           grid_points: int = shooting.DEFAULT_GRID_POINTS) -> list:
-    """Census the branches at each deposition rate, flagging near-folds."""
+    """Census the branches at each deposition rate, flagging near-folds
+    (see :func:`_near_fold`)."""
     records = []
     for lam in lambdas:
         roots = shooting.find_branches(float(lam), bc, window, grid_points,
                                        n_iter=n_iter)
         branches = tuple(_summarise(root, n_iter) for root in roots)
-        fold = bool(
-            len(roots) == 2
-            and abs(roots[1].a_star - roots[0].a_star) < FOLD_SEPARATION
-        )
         records.append(SweepRecord(lam=float(lam), bc=bc,
                                    branch_count=len(roots),
-                                   branches=branches, fold_flag=fold))
+                                   branches=branches,
+                                   fold_flag=_near_fold(roots, n_iter)))
     return records
+
+
+def _near_fold(roots, n_iter: int | None) -> bool:
+    """Whether a root pair cannot be told apart from a fold: the pair's gap
+    is at most the sum of its noise bands, or dB/da at a root reads below
+    its own rounding-noise floor."""
+    if len(roots) != 2:
+        return False
+    if abs(roots[1].a_star - roots[0].a_star) <= roots[0].band + roots[1].band:
+        return True
+    bc, lam = roots[0].bc, roots[0].lam
+    n = bc.default_iterations if n_iter is None else n_iter
+    _, c_a = _iterate_tangents([root.a_star for root in roots], lam, n)
+    slope, noise = shooting._boundary_rows(c_a, bc)
+    return bool((np.abs(slope) <= noise).any())
 
 
 def branch_gap(record: SweepRecord, *, n_iter: int | None = None) -> float:

@@ -3,7 +3,10 @@
 The left boundary behaviour (w'(0) = 0, w -> 0) is built into the iterates,
 so the only degree of freedom is the coefficient ``a`` of w0 = a r**2.  The
 right boundary condition turns into a scalar equation B(a) = 0 which is
-scanned on a grid, bracketed and bisected.
+scanned on a grid and bracketed; each bracket is then solved by Newton
+steps on the exact derivative dB/da, which the kernel carries next to the
+iterate, with bisection as the safeguard.  Each root reports its noise
+band, rounding-noise floor / |dB/da|: how far the root is determined.
 
 Two genuine solution branches coexist below the critical deposition rate.
 At large |a| the float value of B is dominated by rounding and changes
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import recover
 from .polyring import RPoly, evaluate
-from .vim import _iterate_coeffs, _r_powers
+from .vim import _check_depth, _iterate_coeffs, _iterate_tangents, _r_powers
 
 __all__ = [
     "BoundaryKind",
@@ -117,11 +120,22 @@ class BranchRoot:
     lam: float
     label: BranchLabel
     bracket: tuple
+    # noise band floor / |dB/da| at a_star: the root is determined only to
+    # within this distance
+    band: float
 
 
-# start values per kernel call: larger blocks were no faster and raised the
-# peak memory
+# start values per kernel call: 64 rows at depth 7 and deeper, where
+# smaller blocks cost more per row and larger ones were no faster; a
+# shallower depth takes as many rows as hold the coefficients of 64
+# depth-7 rows, since there the per-call overhead dominates
 _BLOCK = 64
+_BLOCK_COEFFS = 64 * 129
+
+
+def _block_rows(n: int) -> int:
+    _check_depth(n)
+    return max(_BLOCK, _BLOCK_COEFFS // (2 ** n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -160,52 +174,65 @@ def boundary_residual(a: float, lam: float, bc: BoundaryKind,
 
 
 def _per_block(read, a, lam: float, n: int):
-    """Apply read to the iterates at the start values a, _BLOCK at a time,
-    and join its result arrays."""
+    """Apply read to the iterates at the start values a, a block of
+    :func:`_block_rows` at a time, and join its result arrays."""
+    block = _block_rows(n)
     # an empty a still makes one call, so that read's empty arrays come back
-    parts = [read(_iterate_coeffs(a[i:i + _BLOCK], lam, n))
-             for i in range(0, max(a.size, 1), _BLOCK)]
+    parts = [read(_iterate_coeffs(a[i:i + block], lam, n))
+             for i in range(0, max(a.size, 1), block)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _bisect(lo, hi, f_lo, floor_lo, readings):
-    """Bisect sign-change brackets [lo, hi] in lockstep, down to
-    floating-point resolution.
+# a Newton step this many float spacings of a or shorter ends the polish
+_STEP_ULPS = 4
 
-    ``readings`` maps an array of points to the functional and its noise
-    floor there; each step evaluates every open bracket's midpoint in one
-    call.  Per bracket this returns the point of smallest |f| met, that
-    |f| and its floor.  A bracket that straddles zero probes the exact
-    candidate a = 0 first, so that the trivial branch is reported as an
-    exact zero root.  A bracket with lo == hi returns lo.
+
+def _polish(lo, hi, f_lo, readings):
+    """Solve sign-change brackets [lo, hi] in lockstep by safeguarded
+    Newton steps, down to the noise floor or float resolution.
+
+    ``readings`` maps an array of points to the functional, its noise
+    floor, its exact a-derivative and the iterate rows there; each step
+    evaluates every open bracket's point in one call.  A bracket starts
+    from its midpoint, or from the exact candidate a = 0 when it
+    straddles zero, so that the trivial branch is reported as an exact
+    zero root.  Each reading shrinks the bracket by its sign; the next
+    point is the Newton point, or the midpoint when the Newton point
+    leaves the bracket or fails to halve the previous step.  A bracket
+    stops when B reads zero or below its floor, or when the next step is
+    at most ``_STEP_ULPS`` float spacings of a.  Per bracket this returns
+    the last point evaluated, |B| and its floor there, the noise band
+    floor / |dB/da| and the iterate row.  A bracket with lo == hi
+    returns lo.
     """
     lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    best_x, best_f, best_floor = lo.copy(), np.abs(f_lo), floor_lo.copy()
-    open_ = np.ones(lo.size, dtype=bool)
-    straddle = np.flatnonzero((lo < 0.0) & (hi > 0.0))
-    if straddle.size:
-        f_zero, floor_zero = readings(np.zeros(straddle.size))
-        hit = straddle[f_zero == 0.0]
-        best_x[hit], best_f[hit] = 0.0, 0.0
-        best_floor[hit] = floor_zero[f_zero == 0.0]
-        open_[hit] = False
-    while True:
-        idx = np.flatnonzero(open_)
-        mid = 0.5 * (lo[idx] + hi[idx])
-        done = (mid == lo[idx]) | (mid == hi[idx])
-        open_[idx[done]] = False
-        idx, mid = idx[~done], mid[~done]
-        if not idx.size:
-            return best_x, best_f, best_floor
-        f_mid, floor_mid = readings(mid)
-        better = np.abs(f_mid) < best_f[idx]
-        best_x[idx[better]] = mid[better]
-        best_f[idx[better]] = np.abs(f_mid[better])
-        best_floor[idx[better]] = floor_mid[better]
-        open_[idx[f_mid == 0.0]] = False
-        left = f_lo[idx] * f_mid < 0.0
-        hi[idx[left]] = mid[left]
-        lo[idx[~left]], f_lo[idx[~left]] = mid[~left], f_mid[~left]
+    x = np.where((lo < 0.0) & (hi > 0.0), 0.0, 0.5 * (lo + hi))
+    step = hi - lo
+    achieved, floor, band = np.empty((3, lo.size))
+    rows = np.empty((lo.size, 0))
+    idx = np.arange(lo.size)
+    while idx.size:
+        f, f_floor, slope, c = readings(x[idx])
+        if rows.shape[1] < c.shape[1]:
+            rows = np.zeros((lo.size, c.shape[1]))
+        achieved[idx], floor[idx], rows[idx] = np.abs(f), f_floor, c
+        with np.errstate(divide="ignore"):
+            band[idx] = f_floor / np.abs(slope)
+        left = f * f_lo[idx] > 0.0
+        lo[idx[left]], f_lo[idx[left]] = x[idx[left]], f[left]
+        hi[idx[~left]] = x[idx[~left]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            target = x[idx] - f / slope
+        new_step = np.abs(target - x[idx])
+        bisect = ~((target > lo[idx]) & (target < hi[idx])
+                   & (2.0 * new_step <= step[idx]))
+        target[bisect] = 0.5 * (lo[idx[bisect]] + hi[idx[bisect]])
+        new_step = np.abs(target - x[idx])
+        done = ((np.abs(f) <= f_floor)
+                | (new_step <= _STEP_ULPS * np.spacing(np.abs(x[idx]))))
+        idx, target, new_step = idx[~done], target[~done], new_step[~done]
+        x[idx], step[idx] = target, new_step
+    return x, achieved, floor, band, rows
 
 
 def classify_branch(root: BranchRoot, phi: RPoly,
@@ -288,22 +315,25 @@ def find_branches(lam: float, bc: BoundaryKind,
                   n_iter: int | None = None) -> list:
     """Locate and label every genuine solution branch inside the a-window.
 
-    Scans the boundary functional on a uniform grid and bisects each grid
-    cell where it changes sign (or each grid point where it vanishes).  A
-    cell is bisected only when the nearest readings on either side that
-    rise above the rounding-noise floor of their own evaluation have
-    opposite signs and enclose no other sign change, and a root is kept
-    only when the exact residual table of its iterate has a maximum of at
-    most ``DEFAULT_RESIDUAL_CAP``.  An empty list is the expected
-    non-existence signal above the critical deposition rate, not a
-    failure.
+    Scans the boundary functional on a uniform grid and solves each grid
+    cell where it changes sign (or each grid point where it vanishes) by
+    the safeguarded Newton polish of :func:`_polish`.  A cell is solved
+    only when the nearest readings on either side that rise above the
+    rounding-noise floor of their own evaluation have opposite signs and
+    enclose no other sign change, and a root is kept only when the exact
+    residual table of its iterate has a maximum of at most
+    ``DEFAULT_RESIDUAL_CAP``.  An empty list is the expected non-existence
+    signal above the critical deposition rate, not a failure.
 
-    A bisected root whose functional reads above both ``DEFAULT_ROOT_TOL``
-    and its noise floor is dropped with a warning.  The steep branch at
-    large |a| is resolved to machine precision, but its functional cannot
-    be evaluated below the cancellation noise of its coefficients.  Each
-    root stays inside its own grid cell, so the roots are distinct and
-    come out sorted by a.
+    A root whose functional reads above both ``DEFAULT_ROOT_TOL`` and its
+    noise floor is dropped with a warning.  The polish stops once B reads
+    below its noise floor, so a root is fixed only to within its ``band``:
+    1e-11 or less on most roots, up to about 2e-6 near a = -50, and on the
+    steep Dirichlet branch, whose functional cannot be evaluated below the
+    cancellation noise of its coefficients, from about 1e-5 at a = -70 to
+    about 1 at a = -97.  Each root
+    stays inside its own grid cell, so the roots are distinct and come out
+    sorted by a.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
@@ -341,9 +371,13 @@ def find_branches(lam: float, bc: BoundaryKind,
     kept = np.flatnonzero((sign[left] * sign[first[b_hi]] < 0.0)
                           & (count[shared] == 1))
 
-    a_star, achieved, floor = _bisect(xs[b_lo[kept]], xs[b_hi[kept]],
-                                      fs[b_lo[kept]], floors[b_lo[kept]],
-                                      readings)
+    def tangents(a):
+        c, c_a = _iterate_tangents(a, lam, n)
+        b, floor = _boundary_rows(c, bc)
+        return b, floor, _boundary_rows(c_a, bc)[0], c
+
+    a_star, achieved, floor, band, rows = _polish(
+        xs[b_lo[kept]], xs[b_hi[kept]], fs[b_lo[kept]], tangents)
     unresolved = achieved > np.fmax(DEFAULT_ROOT_TOL, floor)
     for i in np.flatnonzero(unresolved):
         warnings.warn(
@@ -352,19 +386,19 @@ def find_branches(lam: float, bc: BoundaryKind,
             RuntimeWarning,
             stacklevel=2,
         )
-    kept, a_star = kept[~unresolved], a_star[~unresolved]
-    (rows,) = _per_block(lambda c: (c,), a_star, lam, n)
+    keep = ~unresolved
+    kept, a_star, band, rows = kept[keep], a_star[keep], band[keep], rows[keep]
 
     # each bracket is its own grid cell and its root stays inside it, so
     # the roots are distinct and already sorted by a
     unlabelled, phis = [], []
-    for a, i, row in zip(a_star.tolist(), kept, rows):
+    for a, i, width, row in zip(a_star.tolist(), kept, band.tolist(), rows):
         w = RPoly(_r_powers(row))
         # a NaN maximum fails the comparison and rejects the root
         if not recover.residual_table(w, lam).max_abs() <= DEFAULT_RESIDUAL_CAP:
             continue
         unlabelled.append(BranchRoot(
             a_star=a, bc=bc, lam=lam, label=BranchLabel.LOWER,
-            bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]]))))
+            bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])), band=width))
         phis.append(recover.recover_phi(w))
     return _assign_labels(unlabelled, phis, lam)

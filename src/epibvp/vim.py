@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .polyring import NonIntegrableDefect, RPoly
 from .polyring import _dd_powers, _kernel_weights, _two_prod
@@ -105,21 +104,31 @@ def _euler_symbol(n: int, spacing: int = 1) -> np.ndarray:
     return out
 
 
-def _square(c: np.ndarray, out: np.ndarray) -> None:
-    """Write the self-convolution of each row of c into the rows of out.
+def _convolve(c: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+    """Write the convolution of each row of c with the same row of d into
+    the rows of out.
 
-    Row i of the result is sum_j c[i, j] * c[i, k - j]; the sum runs over a
-    read-only window view of the zero-padded rows, so no (rows, 2n - 1, n)
-    array is formed.  Each row is summed in the same order whatever the
-    number of rows, so a row's result does not depend on its neighbours.
+    Row i of the result is sum_j c[i, j] * d[i, k - j]; the sum runs over a
+    read-only window view of the zero-padded rows of d, so no
+    (rows, 2n - 1, n) array is formed.  Each row is summed in the same
+    order whatever the number of rows, so a row's result does not depend
+    on its neighbours.
     """
-    m, n = c.shape
+    m, n = d.shape
     padded = np.zeros((m, 3 * n - 2))
-    padded[:, n - 1:2 * n - 1] = c
+    padded[:, n - 1:2 * n - 1] = d
     step = padded.itemsize
-    windows = as_strided(padded, (m, 2 * n - 1, n),
-                         (padded.strides[0], step, step), writeable=False)
+    # window k of a row starts at column k; built directly on the buffer,
+    # as as_strided would, without its per-call overhead
+    windows = np.ndarray((m, 2 * n - 1, n), padded.dtype, padded, 0,
+                         (padded.strides[0], step, step))
+    windows.flags.writeable = False
     np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
+
+
+def _defect_width(n: int, spacing: int, nonlinear: bool) -> int:
+    # the square doubles the degree; the forcing column r**4 may lie beyond
+    return max(2 * n - 1 if nonlinear else n, 4 // spacing + 1)
 
 
 def _defect_rows(c: np.ndarray, lam: float, spacing: int,
@@ -131,14 +140,12 @@ def _defect_rows(c: np.ndarray, lam: float, spacing: int,
     of the columns whatever the spacing.
     """
     m, n = c.shape
-    forcing = 4 // spacing
-    size = max(2 * n - 1 if nonlinear else n, forcing + 1)
-    out = np.zeros((m, size))
+    out = np.zeros((m, _defect_width(n, spacing, nonlinear)))
     if nonlinear:
-        _square(c, out[:, :2 * n - 1])
+        _convolve(c, c, out[:, :2 * n - 1])
         out *= -0.5
     out[:, :n] += _euler_symbol(n, spacing) * c
-    out[:, forcing] -= 0.5 * lam
+    out[:, 4 // spacing] -= 0.5 * lam
     return out
 
 
@@ -157,6 +164,27 @@ def _step_rows(c: np.ndarray, lam: float, spacing: int,
     return d
 
 
+def _tangent_rows(c: np.ndarray, c_a: np.ndarray, spacing: int,
+                  nonlinear: bool) -> np.ndarray:
+    """The a-derivative of one step of the rows c, given their
+    a-derivatives c_a.
+
+    The step is c + W (-c*c/2 + E c - lam/2 e_forcing) with the kernel
+    weights W and the Euler symbol E, so its derivative is
+    c_a + W (-c*c_a + E c_a): the forcing column drops out.
+    """
+    m, n = c.shape
+    size = _defect_width(n, spacing, nonlinear)
+    out = np.zeros((m, size))
+    if nonlinear:
+        _convolve(c, c_a, out[:, :2 * n - 1])
+        out *= -1.0
+    out[:, :n] += _euler_symbol(n, spacing) * c_a
+    out *= _kernel_weights(size, spacing)
+    out[:, :n] += c_a
+    return out
+
+
 def _overflow(depth: int) -> IterationOverflow:
     return IterationOverflow(
         f"the iterates overflow float64 at depth {depth}: the start "
@@ -164,20 +192,35 @@ def _overflow(depth: int) -> IterationOverflow:
     )
 
 
-def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
-         nonlinear: bool = True) -> np.ndarray:
+def _check_depth(n_iter: int) -> None:
     if n_iter < 1:
         raise ValueError(f"iteration depth {n_iter} is below the minimum of 1")
     if n_iter > MAX_DEPTH:
         raise ValueError(
             f"iteration depth {n_iter} exceeds the maximum of {MAX_DEPTH}"
         )
+
+
+def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
+         nonlinear: bool = True, c_a: np.ndarray | None = None):
+    """Run n_iter steps from the rows c; return the rows and, when c_a is
+    given, their a-derivatives carried along (else None)."""
+    _check_depth(n_iter)
     for _ in range(n_iter):
+        if c_a is not None:
+            c_a = _tangent_rows(c, c_a, spacing, nonlinear)
         c = _step_rows(c, lam, spacing, nonlinear, n_iter)
     # an overflow in an earlier step trips the check in _step_rows; one in
     # the last step shows only here
     if not np.isfinite(c).all():
         raise _overflow(n_iter)
+    return c, c_a
+
+
+def _start_rows(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float).reshape(-1)
+    c = np.zeros((a.size, 2))
+    c[:, 1] = a
     return c
 
 
@@ -189,10 +232,16 @@ def _iterate_coeffs(a, lam: float, n_iter: int) -> np.ndarray:
     r**(2 j).  Depths outside 1..:data:`MAX_DEPTH` raise ``ValueError``
     before the first step.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    c = np.zeros((a.size, 2))
-    c[:, 1] = a
-    return _run(c, lam, n_iter, 2)
+    return _run(_start_rows(a), lam, n_iter, 2)[0]
+
+
+def _iterate_tangents(a, lam: float, n_iter: int):
+    """The rows of :func:`_iterate_coeffs` (bit for bit) and their exact
+    derivatives with respect to a, stored the same way."""
+    c = _start_rows(a)
+    c_a = np.zeros_like(c)
+    c_a[:, 1] = 1.0
+    return _run(c, lam, n_iter, 2, c_a=c_a)
 
 
 def _r_powers(row: np.ndarray) -> np.ndarray:
@@ -272,7 +321,7 @@ def iterate(prob: VimProblem) -> RPoly:
 def iterate_from(w0: RPoly, lam: float, n_iter: int, *,
                  nonlinear: bool = True) -> RPoly:
     """Run n_iter correction steps from an arbitrary start polynomial."""
-    return RPoly(_run(w0.coeffs[None], lam, n_iter, 1, nonlinear)[0])
+    return RPoly(_run(w0.coeffs[None], lam, n_iter, 1, nonlinear)[0][0])
 
 
 # ---------------------------------------------------------------------------

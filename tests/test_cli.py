@@ -335,6 +335,28 @@ def test_oracle_check_bad_tolerance_is_usage_error(tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+def test_oracle_check_echoes_its_flags(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "check"
+    argv = ["oracle-check", "--bc", "NAVIER1", "--lambda", "40"]
+    assert run(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    echo = json.loads((out / "effective_config.json").read_text())
+    assert set(echo) == _flag_names("oracle-check")
+    assert (echo["bc"], echo["lambda"]) == ("navier1", 40.0)
+    # the directory may come from the environment; stdout is unchanged
+    monkeypatch.setenv(cli._OUT_DIR_ENV, str(tmp_path / "env"))
+    assert run(argv) == 0
+    assert capsys.readouterr() == printed
+    assert (tmp_path / "env" / "effective_config.json").exists()
+
+
+def test_oracle_check_without_a_directory_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli._OUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run(["oracle-check", "--bc", "navier1", "--lambda", "40"]) == 0
+    assert not list(tmp_path.iterdir())
+
+
 def test_oracle_check_count_mismatch_lists_both_roots(monkeypatch, capsys):
     monkeypatch.setattr(cli.oracle, "oracle_branches",
                         lambda lam, bc, window: [-0.5])
@@ -354,6 +376,24 @@ def test_oracle_check_count_mismatch_lists_both_roots(monkeypatch, capsys):
 
 def test_unknown_bc_is_usage_error(capsys):
     assert run(["solve", "--bc", "robin", "--lambda", "1"]) == 1
+
+
+@pytest.mark.parametrize("command,flag,text", [
+    (["solve", "--lambda", "1"], "--bc", "robin"),
+    (["residual-table", "--bc", "navier1", "--lambdas", "1"], "--branch", "middle"),
+])
+def test_unknown_name_lists_the_choices(tmp_path, capsys, command, flag, text):
+    assert run(command + [flag, text, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert repr(text) in err and "expected one of" in err
+    assert not (tmp_path / "effective_config.json").exists()
+
+
+def test_echo_records_canonical_names(tmp_path):
+    assert run(["residual-table", "--bc", " NAVIER1", "--branch", "Upper",
+                "--lambdas", "40", "--jobs", "1", "--out", str(tmp_path)]) == 3
+    echo = _echo(tmp_path)
+    assert (echo["bc"], echo["branch"]) == ("navier1", "upper")
 
 
 def test_missing_required_flag_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Sweeps, gap tracking and fold location."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import brentq
 from epibvp import (
     BoundaryKind,
     BranchLabel,
+    BranchRoot,
     InvalidBracket,
     NotTwoBranches,
     SweepRecord,
@@ -136,6 +138,46 @@ def test_fold_flag_absent_away_from_fold():
     (record,) = sweep([8.0], BoundaryKind.NAVIER_TWO)
     assert record.fold_flag is False
     assert isinstance(record, SweepRecord)
+
+
+# the navier2 fold of the depth-7 functional, by Newton on B = 0, dB/da = 0
+# with exact dB/da
+NAVIER_TWO_FOLD = (-4.435041378889438, 11.342555130624106)
+
+
+def test_fold_flag_on_a_pair_at_the_fold():
+    # at the fold dB/da reads inside its own rounding noise.  The scan never
+    # returns a pair this close: it needs a reading above the noise floor
+    # between the two roots, and that keeps the gap above twice the sum of
+    # the bands, so the pair is built here
+    bc = BoundaryKind.NAVIER_TWO
+    a, lam = NAVIER_TWO_FOLD
+    pair = [BranchRoot(a_star=x, bc=bc, lam=lam, label=BranchLabel.LOWER,
+                       bracket=(x, x), band=0.0)
+            for x in (a, np.nextafter(a, 0.0))]
+    assert critical._near_fold(pair, None)
+    # away from the fold only bands that cover the gap raise the flag
+    apart = [replace(pair[0], a_star=a - 1e-3), replace(pair[1], a_star=a + 1e-3)]
+    assert not critical._near_fold(apart, None)
+    wide = [replace(root, band=1.5e-3) for root in apart]
+    assert critical._near_fold(wide, None)
+    assert not critical._near_fold(wide[:1], None)
+
+
+def test_closest_resolved_pair_is_not_flagged():
+    # a rate 1e-12 below the fold, on a window a few gaps wide: the pair is
+    # 2.8e-6 apart and each band grows like 1/gap, but stays below a sixth
+    # of the gap
+    bc = BoundaryKind.NAVIER_TWO
+    a, lam = NAVIER_TWO_FOLD
+    window = (a - 1.2e-5, a + 1.2e-5)
+    (record,) = sweep([lam - 1e-12], bc, window=window)
+    assert record.branch_count == 2
+    roots = find_branches(lam - 1e-12, bc, window)
+    gap = roots[1].a_star - roots[0].a_star
+    assert 1e-6 < gap < 1e-5
+    assert 1e-8 < roots[0].band + roots[1].band < gap / 2.0
+    assert record.fold_flag is False
 
 
 # ---------------------------------------------------------------------------

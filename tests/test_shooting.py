@@ -18,7 +18,7 @@ from epibvp import (
     solve_profile,
 )
 from epibvp import recover, shooting
-from epibvp.vim import _iterate_coeffs
+from epibvp.vim import _iterate_coeffs, _iterate_tangents
 
 from _util import ALL_BCS, GRID_101
 
@@ -212,37 +212,63 @@ def test_every_root_carries_a_table_below_the_cap(bc, lam):
 
 
 def test_scan_equals_point_evaluations(monkeypatch):
+    # at depths 5, 6 and 7 the blocks hold 250, 127 and 64 rows
     bc, lam = BoundaryKind.NAVIER_ONE, 15.0
     xs = np.linspace(-120.0, 20.0, 1000)
-    points = np.array([boundary_residual(x, lam, bc) for x in xs])
+    for depth in (5, 6, 7):
+        points = np.array([boundary_residual(x, lam, bc, depth) for x in xs])
 
-    def scan():
-        return shooting._per_block(lambda c: shooting._boundary_rows(c, bc),
-                                   xs, lam, bc.default_iterations)
+        def scan():
+            return shooting._per_block(
+                lambda c: shooting._boundary_rows(c, bc), xs, lam, depth)
 
-    values, floors = scan()
-    assert np.array_equal(values, points)
-    for block in (1, 7, 100):
-        monkeypatch.setattr(shooting, "_BLOCK", block)
-        again, again_floors = scan()
-        assert np.array_equal(again, values)
-        assert np.array_equal(again_floors, floors)
+        values, floors = scan()
+        assert np.array_equal(values, points)
+        with monkeypatch.context() as patch:
+            for block in (1, 7, 100):
+                patch.setattr(shooting, "_block_rows", lambda n: block)
+                again, again_floors = scan()
+                assert np.array_equal(again, values)
+                assert np.array_equal(again_floors, floors)
+
+
+def test_block_rows_follow_the_depth():
+    assert [shooting._block_rows(n) for n in (5, 6, 7, 8, 10)] == \
+        [250, 127, 64, 64, 64]
+    with pytest.raises(ValueError, match="below the minimum"):
+        shooting._block_rows(0)
+
+
+def test_kernel_calls_per_search(monkeypatch):
+    calls = {"_iterate_coeffs": 0, "_iterate_tangents": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(shooting, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(shooting, name, counted)
+    assert len(find_branches(15.0, BoundaryKind.NAVIER_ONE)) == 2
+    assert calls["_iterate_tangents"] <= 8
+    calls.update(_iterate_coeffs=0)
+    # the depth-6 scan of 4000 points, in blocks of 127 rows
+    find_branches(15.0, BoundaryKind.DIRICHLET)
+    assert calls["_iterate_coeffs"] <= 32
 
 
 def _bisect_one(f, lo, hi, f_lo):
-    # one bracket at a time, the reference for the lockstep bisection
+    # one bracket at a time down to float resolution, the reference for
+    # the Newton polish
     if lo < 0.0 < hi and f(0.0) == 0.0:
-        return 0.0, 0.0
+        return 0.0
     best_x, best_f = lo, abs(f_lo)
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            return best_x, best_f
+            return best_x
         f_mid = f(mid)
         if abs(f_mid) < best_f:
             best_x, best_f = mid, abs(f_mid)
         if f_mid == 0.0:
-            return mid, 0.0
+            return mid
         if f_lo * f_mid < 0.0:
             hi = mid
         else:
@@ -255,7 +281,7 @@ def _bisect_one(f, lo, hi, f_lo):
     # includes the steep root and some of the noise crossings around it
     (BoundaryKind.DIRICHLET, -25.0, -90.0),
 ])
-def test_lockstep_bisection_matches_one_bracket_at_a_time(bc, lam, a_min):
+def test_polish_matches_bisection(bc, lam, a_min):
     n = bc.default_iterations
     xs = np.linspace(-120.0, 20.0, 4000)
     values = np.array([boundary_residual(x, lam, bc) for x in xs])
@@ -266,18 +292,35 @@ def test_lockstep_bisection_matches_one_bracket_at_a_time(bc, lam, a_min):
     f_lo = np.array([boundary_residual(x, lam, bc) for x in lo])
 
     def readings(a):
-        return shooting._per_block(lambda c: shooting._boundary_rows(c, bc),
-                                   a, lam, n)
+        c, c_a = _iterate_tangents(a, lam, n)
+        b, floor = shooting._boundary_rows(c, bc)
+        return b, floor, shooting._boundary_rows(c_a, bc)[0], c
 
-    roots, achieved, floors = shooting._bisect(lo, hi, f_lo, readings(lo)[1],
-                                               readings)
+    roots, achieved, floors, bands, rows = shooting._polish(lo, hi, f_lo,
+                                                            readings)
+    assert roots[-1] == lo[-1]
     for k in range(lo.size):
         expected = _bisect_one(lambda a: boundary_residual(a, lam, bc),
                                lo[k], hi[k], f_lo[k])
-        assert (roots[k], achieved[k]) == expected
-        assert floors[k] == readings(np.array([roots[k]]))[1][0]
+        assert abs(roots[k] - expected) <= bands[k]
+        b, floor, slope, row = readings(np.array([roots[k]]))
+        assert achieved[k] == abs(b[0]) and floors[k] == floor[0]
+        assert bands[k] == floor[0] / abs(slope[0])
+        assert np.array_equal(rows[k], row[0])
     if lam == 0.0:
         assert 0.0 in roots
+
+
+def test_roots_carry_their_noise_band():
+    # off the steep branch a root is fixed to 1e-11 or better; the steep
+    # Dirichlet root only to about 2e-2 at lam = -25
+    for lam, bc in [(15.0, BoundaryKind.NAVIER_ONE), (-25.0, BoundaryKind.DIRICHLET)]:
+        for root in find_branches(lam, bc):
+            c, c_a = _iterate_tangents(root.a_star, lam, bc.default_iterations)
+            _, floor = shooting._boundary_rows(c, bc)
+            slope = shooting._boundary_rows(c_a, bc)[0]
+            assert root.band == floor[0] / abs(slope[0])
+            assert root.band <= (3e-2 if root.a_star < -80.0 else 1e-11)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
@@ -302,7 +345,7 @@ def test_window_validation():
 
 def _dummy_root(lam):
     return BranchRoot(a_star=-1.0, bc=BoundaryKind.NAVIER_ONE, lam=lam,
-                      label=BranchLabel.LOWER, bracket=(-1.1, -0.9))
+                      label=BranchLabel.LOWER, bracket=(-1.1, -0.9), band=0.0)
 
 
 def test_classify_orders_by_sup_norm():

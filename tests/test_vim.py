@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from epibvp import (
     BoundaryKind,
@@ -24,7 +25,9 @@ from epibvp import (
 )
 from epibvp.vim import (
     MAX_DEPTH,
+    _convolve,
     _iterate_coeffs,
+    _iterate_tangents,
     _r_powers,
     multiplier_dt,
     multiplier_dtt,
@@ -151,6 +154,74 @@ def test_kernel_rows_do_not_depend_on_their_block():
         assert np.array_equal(_iterate_coeffs(a[i:i + 1], 15.0, 7)[0], together[i])
     assert np.array_equal(np.vstack([_iterate_coeffs(a[i:i + 10], 15.0, 7)
                                      for i in range(0, a.size, 10)]), together)
+
+
+def _square(c, out):
+    # the self-convolution the kernel used before it took two operands
+    m, n = c.shape
+    padded = np.zeros((m, 3 * n - 2))
+    padded[:, n - 1:2 * n - 1] = c
+    step = padded.itemsize
+    windows = as_strided(padded, (m, 2 * n - 1, n),
+                         (padded.strides[0], step, step), writeable=False)
+    np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
+
+
+def test_convolution_with_itself_is_the_old_square():
+    seeded = np.random.default_rng(7)
+    for n in (2, 3, 17, 129):
+        c = seeded.normal(size=(5, n)) * 10.0 ** seeded.integers(-8, 9, (5, 1))
+        expected, actual = np.empty((5, 2 * n - 1)), np.empty((5, 2 * n - 1))
+        _square(c, expected)
+        _convolve(c, c, actual)
+        assert np.array_equal(actual, expected)
+
+
+def test_convolution_of_two_rows():
+    c = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
+    d = np.array([[4.0, 0.0, 5.0], [2.0, 1.0, 0.0]])
+    out = np.empty((2, 5))
+    _convolve(c, d, out)
+    for i in range(2):
+        assert np.array_equal(out[i], np.convolve(c[i], d[i]))
+
+
+A_SAMPLES = np.array([-17.2, -2.2, -0.3, 0.0, 1.5])
+
+
+def test_tangent_value_rows_equal_the_kernel_rows():
+    a = np.linspace(-120.0, 20.0, 97)
+    for lam, depth in ((15.0, 7), (-25.0, 6), (0.0, 1)):
+        c, _ = _iterate_tangents(a, lam, depth)
+        assert np.array_equal(c, _iterate_coeffs(a, lam, depth))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 15.0, -25.0])
+def test_tangents_equal_the_symbolic_derivative(depth, lam):
+    # d/da of sum c_ijk a**i lam**j r**k is sum i c_ijk a**(i-1) lam**j r**k;
+    # each entry may differ by rounding relative to its absolute term mass
+    sym = symbolic_iterate(depth)
+    _, c_a = _iterate_tangents(A_SAMPLES, lam, depth)
+    for a, row in zip(A_SAMPLES, c_a):
+        exact = np.zeros(2 * row.size - 1)
+        mass = np.zeros_like(exact)
+        for (i, j, k), value in sym.terms.items():
+            if i:
+                term = i * value * a ** (i - 1) * lam ** j
+                exact[k] += term
+                mass[k] += abs(term)
+        assert not exact[1::2].any()
+        assert np.all(np.abs(row - exact[::2]) <= 1e-14 * mass[::2])
+
+
+def test_tangents_match_central_differences_at_depth_seven():
+    lam = 15.0
+    _, c_a = _iterate_tangents(A_SAMPLES, lam, 7)
+    h = 1e-5 * np.maximum(1.0, np.abs(A_SAMPLES))[:, None]
+    diff = (_iterate_coeffs(A_SAMPLES + h[:, 0], lam, 7)
+            - _iterate_coeffs(A_SAMPLES - h[:, 0], lam, 7)) / (2.0 * h)
+    assert np.all(np.abs(c_a - diff) <= 1e-7 * np.maximum(1.0, np.abs(c_a)))
 
 
 def test_depth_above_maximum_is_rejected():
