@@ -6,17 +6,16 @@ the truncated iteration solves the equation; exact solutions give an
 identically zero column (realised exactly by the trivial branch at lam=0).
 """
 
-from epibvp import BoundaryKind, find_branches, residual_table, solve_profile
+from epibvp import BoundaryKind, find_branches
 
 bc = BoundaryKind.NAVIER_ONE
 rates = [0.0, 15.0, 20.0, 31.0]
 
 columns = {}
 for lam in rates:
+    # each root carries the exact residual table of its iterate
     for root in find_branches(lam, bc):
-        profile = solve_profile(root.a_star, lam, bc)
-        table = residual_table(profile.w, lam)
-        columns[(root.label.value, lam)] = table
+        columns[(root.label.value, lam)] = root.table
 
 for label in ("upper", "lower"):
     print(f"{label} branch residuals, {bc.value} conditions")

@@ -14,7 +14,6 @@ everything against an independent Runge-Kutta integrator.
 """
 
 from .critical import (
-    BranchSummary,
     CriticalEstimate,
     InvalidBracket,
     NotTwoBranches,
@@ -84,7 +83,6 @@ __all__ = [
     "BoundaryKind",
     "BranchLabel",
     "BranchRoot",
-    "BranchSummary",
     "CriticalEstimate",
     "DomainError",
     "InvalidBracket",

@@ -178,6 +178,14 @@ def _resolve_out_dir(flag_value) -> Path:
     return out
 
 
+def _optional_out_dir(flag_value):
+    """The output directory of a command whose files are optional: the one
+    that --out or $EPIBVP_OUT_DIR names, else None (write nothing)."""
+    if flag_value or os.environ.get(_OUT_DIR_ENV):
+        return _resolve_out_dir(flag_value)
+    return None
+
+
 def _write_text(path: Path, text: str):
     with open(path, "w", newline="") as handle:
         handle.write(text)
@@ -263,9 +271,7 @@ def _table_worker(task):
     wanted = [r for r in roots if r.label is label]
     if not wanted:
         return lam, None
-    profile = recover.solve_profile(wanted[0].a_star, lam, bc, n_iter)
-    table = recover.residual_table(profile.w, lam)
-    return lam, list(table.values)
+    return lam, list(wanted[0].table.values)
 
 
 def _pool_size(jobs: int, n_tasks: int) -> int:
@@ -295,12 +301,11 @@ def _cmd_solve(args) -> int:
     roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
     summary_rows = []
     for root in roots:
-        profile = recover.solve_profile(root.a_star, lam, bc, args.n_iter)
-        w_vals = evaluate(profile.w, grid)
-        phi_vals = evaluate(profile.phi, grid)
-        res_vals = np.asarray(recover.residual_table(profile.w, lam, grid).values)
+        w_vals = evaluate(root.w, grid)
+        phi_vals = evaluate(root.phi, grid)
+        res_vals = np.asarray(recover.residual_table(root.w, lam, grid).values)
         sup = float(np.max(np.abs(phi_vals)))
-        summary_rows.append((root.label.value, root.a_star, sup))
+        summary_rows.append((root.label.value, root.a_star, root.band, sup))
         stem = f"profile_{bc.value}_{_lambda_tag(lam)}_{root.label.value}"
         if args.format == "json":
             _write_json(out_dir / f"{stem}.json", {
@@ -320,13 +325,15 @@ def _cmd_solve(args) -> int:
         _write_json(out_dir / f"{stem}.json", {
             "bc": bc.value, "lambda": lam, "branch_count": len(roots),
             "branches": [
-                {"label": lab, "a_star": a, "sup_norm_phi": sup}
-                for lab, a, sup in summary_rows
+                {"label": lab, "a_star": a, "band": band, "sup_norm_phi": sup}
+                for lab, a, band, sup in summary_rows
             ],
         })
     else:
-        _write_csv(out_dir / f"{stem}.csv", ("label", "a_star", "sup_norm_phi"),
-                   [(lab, _fmt(a), _fmt(sup)) for lab, a, sup in summary_rows])
+        _write_csv(out_dir / f"{stem}.csv",
+                   ("label", "a_star", "band", "sup_norm_phi"),
+                   [(lab, _fmt(a), _fmt(band), _fmt(sup))
+                    for lab, a, band, sup in summary_rows])
     print(f"{len(roots)} branch(es) at lambda={_fmt(lam)} [{bc.value}] -> {out_dir}")
     return EXIT_OK if roots else EXIT_NO_BRANCHES
 
@@ -376,8 +383,8 @@ def _cmd_critical(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    if args.out:
-        out_dir = _resolve_out_dir(args.out)
+    out_dir = _optional_out_dir(args.out)
+    if out_dir is not None:
         _echo_config(out_dir, args)
         _write_text(out_dir / f"critical_{bc.value}.json", text + "\n")
     return EXIT_OK
@@ -401,9 +408,9 @@ def _cmd_sweep(args) -> int:
             {
                 "lambda": rec.lam,
                 "branch_count": rec.branch_count,
-                "fold": rec.fold_flag,
                 "branches": [
-                    {"a_star": b.a_star, "sup_norm_phi": b.sup_norm_phi,
+                    {"a_star": b.a_star, "band": b.band,
+                     "sup_norm_phi": recover._sup_norm(b.phi),
                      "label": b.label.value}
                     for b in rec.branches
                 ],
@@ -416,14 +423,14 @@ def _cmd_sweep(args) -> int:
         rows = []
         for rec in records:
             if not rec.branches:
-                rows.append((_fmt(rec.lam), "0", "false", "", "", ""))
+                rows.append((_fmt(rec.lam), "0", "", "", "", ""))
             for b in rec.branches:
                 rows.append((_fmt(rec.lam), str(rec.branch_count),
-                             "true" if rec.fold_flag else "false",
-                             b.label.value, _fmt(b.a_star), _fmt(b.sup_norm_phi)))
+                             b.label.value, _fmt(b.a_star), _fmt(b.band),
+                             _fmt(recover._sup_norm(b.phi))))
         path = out_dir / f"sweep_{bc.value}.csv"
-        _write_csv(path, ("lambda", "branch_count", "fold", "label",
-                          "a_star", "sup_norm_phi"), rows)
+        _write_csv(path, ("lambda", "branch_count", "label", "a_star",
+                          "band", "sup_norm_phi"), rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -454,8 +461,9 @@ def _cmd_linear(args) -> int:
 def _cmd_oracle_check(args) -> int:
     bc = BoundaryKind(args.bc)
     lam = args.lam
-    if args.out or os.environ.get(_OUT_DIR_ENV):
-        _echo_config(_resolve_out_dir(args.out), args)
+    out_dir = _optional_out_dir(args.out)
+    if out_dir is not None:
+        _echo_config(out_dir, args)
     roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
     ivp_roots = oracle.oracle_branches(lam, bc, args.a_window)
     if not roots and not ivp_roots:
@@ -476,12 +484,11 @@ def _cmd_oracle_check(args) -> int:
     for root in roots:
         nearest = min(ivp_roots, key=lambda x: abs(x - root.a_star))
         da = abs(nearest - root.a_star)
-        profile = recover.solve_profile(root.a_star, lam, bc, args.n_iter)
         rs, ws, _ = oracle.ivp_trajectory(nearest, lam)
         phi_ivp = oracle.profile_from_trajectory(rs, ws)
         sample = slice(0, rs.size, max(1, rs.size // 512))
         dphi = float(np.max(np.abs(
-            evaluate(profile.phi, rs[sample]) - phi_ivp[sample])))
+            evaluate(root.phi, rs[sample]) - phi_ivp[sample])))
         worst = max(worst, da, dphi)
         print(
             f"{root.label.value}: a*={_fmt(root.a_star)} vs {_fmt(nearest)} "

@@ -80,6 +80,11 @@ class RPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RPoly is immutable")
 
+    def __reduce__(self):
+        # rebuild through the constructor: pickle's default restores slots
+        # by setattr, which the class refuses
+        return (RPoly, (self.coeffs,))
+
     @classmethod
     def zero(cls) -> "RPoly":
         return cls([0.0])

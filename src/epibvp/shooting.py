@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -113,7 +113,9 @@ class BranchLabel(Enum):
 
 @dataclass(frozen=True)
 class BranchRoot:
-    """One resolved solution branch at fixed (lam, bc)."""
+    """One resolved solution branch at fixed (lam, bc), with its evidence:
+    the iterate w at a_star, the profile phi recovered from it and the
+    exact residual table of w."""
 
     a_star: float
     bc: BoundaryKind
@@ -123,6 +125,9 @@ class BranchRoot:
     # noise band floor / |dB/da| at a_star: the root is determined only to
     # within this distance
     band: float
+    w: RPoly = field(repr=False)
+    phi: RPoly = field(repr=False)
+    table: recover.ResidualTable = field(repr=False)
 
 
 # start values per kernel call: 64 rows at depth 7 and deeper, where
@@ -173,14 +178,14 @@ def boundary_residual(a: float, lam: float, bc: BoundaryKind,
     return float(_boundary_rows(_iterate_coeffs(a, lam, n), bc)[0][0])
 
 
-def _per_block(read, a, lam: float, n: int):
-    """Apply read to the iterates at the start values a, a block of
-    :func:`_block_rows` at a time, and join its result arrays."""
+def _scan(a, lam: float, bc: BoundaryKind, n: int):
+    """Boundary functional and its noise floor at the start values a, read
+    from the n-step iterates a block of :func:`_block_rows` at a time."""
     block = _block_rows(n)
-    # an empty a still makes one call, so that read's empty arrays come back
-    parts = [read(_iterate_coeffs(a[i:i + block], lam, n))
-             for i in range(0, max(a.size, 1), block)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    parts = [_boundary_rows(_iterate_coeffs(a[i:i + block], lam, n), bc)
+             for i in range(0, a.size, block)]
+    return (np.concatenate([b for b, _ in parts]),
+            np.concatenate([floor for _, floor in parts]))
 
 
 # a Newton step this many float spacings of a or shorter ends the polish
@@ -235,24 +240,24 @@ def _polish(lo, hi, f_lo, readings):
     return x, achieved, floor, band, rows
 
 
-def classify_branch(root: BranchRoot, phi: RPoly,
-                    partner_phi: RPoly | None = None) -> BranchRoot:
-    """Attach the branch label implied by the recovered profile.
+def classify_branch(root: BranchRoot,
+                    partner: BranchRoot | None = None) -> BranchRoot:
+    """Attach the branch label implied by the recovered profile root.phi.
 
     For lam < 0 the label is the sign of phi at r = 1/2 (positive or
     negative solution); a profile that changes sign on [0, 1] triggers a
     soft warning, since sign-definiteness is expected but not enforced.
     For lam >= 0 the two coexisting branches are ordered by the sup norm
-    of phi, so the partner profile is required to tell lower from upper;
+    of phi, so the partner root is required to tell lower from upper;
     when the two sup norms agree to within 1e-9 the branches have merged
     and :class:`AmbiguousClassification` is raised.  Without a partner the
     single branch is labelled lower.
     """
     grid = recover.PROFILE_GRID
     if root.lam < 0.0:
-        midvalue = evaluate(phi, 0.5)
+        midvalue = evaluate(root.phi, 0.5)
         label = BranchLabel.POSITIVE if midvalue >= 0.0 else BranchLabel.NEGATIVE
-        values = evaluate(phi, grid)
+        values = evaluate(root.phi, grid)
         tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
         if (values > tol).any() and (values < -tol).any():
             warnings.warn(
@@ -261,19 +266,16 @@ def classify_branch(root: BranchRoot, phi: RPoly,
                 stacklevel=2,
             )
         return replace(root, label=label)
-    if partner_phi is None:
+    if partner is None:
         return replace(root, label=BranchLabel.LOWER)
-    mine, theirs = recover._sup_norm(phi), recover._sup_norm(partner_phi)
+    mine, theirs = recover._sup_norm(root.phi), recover._sup_norm(partner.phi)
     if abs(mine - theirs) < 1e-9:
         raise AmbiguousClassification(
             f"branch sup norms coincide to {abs(mine - theirs):.3e}; fold"
         )
     label = BranchLabel.LOWER if mine < theirs else BranchLabel.UPPER
-    lower_vals, upper_vals = (
-        (evaluate(phi, grid), evaluate(partner_phi, grid))
-        if label is BranchLabel.LOWER
-        else (evaluate(partner_phi, grid), evaluate(phi, grid))
-    )
+    lower, upper = (root, partner) if label is BranchLabel.LOWER else (partner, root)
+    lower_vals, upper_vals = evaluate(lower.phi, grid), evaluate(upper.phi, grid)
     slack = 1e-9 * max(1.0, float(np.max(np.abs(upper_vals))))
     if np.any(lower_vals > upper_vals + slack):
         warnings.warn(
@@ -284,25 +286,25 @@ def classify_branch(root: BranchRoot, phi: RPoly,
     return replace(root, label=label)
 
 
-def _assign_labels(roots, phis, lam):
+def _assign_labels(roots, lam):
     if not roots:
         return []
     if lam < 0.0:
-        return [classify_branch(root, phi) for root, phi in zip(roots, phis)]
+        return [classify_branch(root) for root in roots]
     if len(roots) == 1:
-        return [classify_branch(roots[0], phis[0])]
+        return [classify_branch(roots[0])]
     if len(roots) == 2:
         try:
             return [
-                classify_branch(roots[0], phis[0], phis[1]),
-                classify_branch(roots[1], phis[1], phis[0]),
+                classify_branch(roots[0], roots[1]),
+                classify_branch(roots[1], roots[0]),
             ]
         except AmbiguousClassification:
             # merged pair: keep both, the smaller sup norm (then the
             # smaller a) is lower
             pass
     lowest = min(range(len(roots)),
-                 key=lambda i: (recover._sup_norm(phis[i]), i))
+                 key=lambda i: (recover._sup_norm(roots[i].phi), i))
     return [replace(root, label=BranchLabel.LOWER if i == lowest
                     else BranchLabel.UPPER)
             for i, root in enumerate(roots)]
@@ -333,7 +335,9 @@ def find_branches(lam: float, bc: BoundaryKind,
     cancellation noise of its coefficients, from about 1e-5 at a = -70 to
     about 1 at a = -97.  Each root
     stays inside its own grid cell, so the roots are distinct and come out
-    sorted by a.
+    sorted by a.  Each root carries the iterate, profile and residual table
+    that the cap and the labels read; they equal :func:`recover.solve_profile`
+    and :func:`recover.residual_table` at its a_star bit for bit.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
@@ -344,11 +348,8 @@ def find_branches(lam: float, bc: BoundaryKind,
         raise ValueError("grid_points must be at least 100")
     n = bc.default_iterations if n_iter is None else n_iter
 
-    def readings(a):
-        return _per_block(lambda c: _boundary_rows(c, bc), a, lam, n)
-
     xs = np.linspace(lo, hi, grid_points)
-    fs, floors = readings(xs)
+    fs, floors = _scan(xs, lam, bc, n)
 
     # a bracket is a grid interval with a sign change, or a grid point
     # where the functional vanishes
@@ -391,14 +392,15 @@ def find_branches(lam: float, bc: BoundaryKind,
 
     # each bracket is its own grid cell and its root stays inside it, so
     # the roots are distinct and already sorted by a
-    unlabelled, phis = [], []
+    unlabelled = []
     for a, i, width, row in zip(a_star.tolist(), kept, band.tolist(), rows):
         w = RPoly(_r_powers(row))
+        table = recover.residual_table(w, lam)
         # a NaN maximum fails the comparison and rejects the root
-        if not recover.residual_table(w, lam).max_abs() <= DEFAULT_RESIDUAL_CAP:
+        if not table.max_abs() <= DEFAULT_RESIDUAL_CAP:
             continue
         unlabelled.append(BranchRoot(
             a_star=a, bc=bc, lam=lam, label=BranchLabel.LOWER,
-            bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])), band=width))
-        phis.append(recover.recover_phi(w))
-    return _assign_labels(unlabelled, phis, lam)
+            bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])), band=width,
+            w=w, phi=recover.recover_phi(w), table=table))
+    return _assign_labels(unlabelled, lam)

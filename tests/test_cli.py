@@ -37,7 +37,7 @@ def test_solve_nonexistence_exit_code(tmp_path):
                 "--out", str(tmp_path)])
     assert code == 3
     summary = (tmp_path / "summary_dirichlet_200p0.csv").read_text().splitlines()
-    assert summary == ["label,a_star,sup_norm_phi"]
+    assert summary == ["label,a_star,band,sup_norm_phi"]
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
@@ -81,6 +81,9 @@ def test_solve_json_format(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "summary_navier1_0p0.json").read_text())
     assert payload["branch_count"] == 2
+    for branch in payload["branches"]:
+        assert set(branch) == {"label", "a_star", "band", "sup_norm_phi"}
+        assert 0.0 <= branch["band"] < 1e-10
     profile = json.loads(
         (tmp_path / "profile_navier1_0p0_lower.json").read_text())
     assert set(profile) == {"r", "w", "phi", "residual"}
@@ -163,6 +166,22 @@ def test_critical_uses_the_window(tmp_path, capsys):
     assert config["a_window"] == [-4.7, -4.1]
 
 
+def test_critical_writes_to_the_environment_directory(tmp_path, monkeypatch,
+                                                      capsys):
+    argv = ["critical", "--bc", "navier2", "--lo", "11.31", "--hi", "12",
+            "--tol", "0.05", "--a-window=-4.7:-4.1"]
+    monkeypatch.delenv(cli._OUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    assert not list(tmp_path.iterdir())
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    monkeypatch.setenv(cli._OUT_DIR_ENV, str(tmp_path / "env"))
+    assert run(argv) == 0
+    assert (tmp_path / "env" / "effective_config.json").exists()
+    written = (tmp_path / "env" / "critical_navier2.json").read_text()
+    assert written == printed + "\n"
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--lo", "nan"), ("--hi", "inf"), ("--tol", "nan"), ("--tol", "inf"),
 ])
@@ -184,12 +203,24 @@ def test_sweep_csv(tmp_path):
                 "--out", str(tmp_path), "--jobs", "1"])
     assert code == 0
     lines = (tmp_path / "sweep_navier1.csv").read_text().splitlines()
-    assert lines[0] == "lambda,branch_count,fold,label,a_star,sup_norm_phi"
+    assert lines[0] == "lambda,branch_count,label,a_star,band,sup_norm_phi"
     zero_rows = [l for l in lines[1:] if l.startswith("0.0,")]
     forty_rows = [l for l in lines[1:] if l.startswith("40.0,")]
     assert len(zero_rows) == 2
-    assert len(forty_rows) == 1
-    assert forty_rows[0].split(",")[1] == "0"
+    for row in zero_rows:
+        assert 0.0 <= float(row.split(",")[4]) < 1e-10
+    assert forty_rows == ["40.0,0,,,,"]
+
+
+def test_sweep_jobs_write_the_same_bytes(tmp_path):
+    # with two jobs the records, roots and all, cross the process pool
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert run(["sweep", "--bc", "navier2", "--lambdas", "0,8",
+                    "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append((out / "sweep_navier2.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_lambda_range(tmp_path):
@@ -199,6 +230,10 @@ def test_sweep_lambda_range(tmp_path):
     payload = json.loads((tmp_path / "sweep_navier2.json").read_text())
     assert [entry["lambda"] for entry in payload] == [0.0, 5.0, 10.0]
     assert all(entry["branch_count"] == 2 for entry in payload)
+    assert all(set(entry) == {"lambda", "branch_count", "branches"}
+               for entry in payload)
+    assert all(set(branch) == {"label", "a_star", "band", "sup_norm_phi"}
+               for entry in payload for branch in entry["branches"])
 
 
 def _range_reference(lo, hi, step):

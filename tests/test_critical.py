@@ -1,7 +1,7 @@
 """Sweeps, gap tracking and fold location."""
 
 import math
-from dataclasses import replace
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from scipy.optimize import brentq
 from epibvp import (
     BoundaryKind,
     BranchLabel,
-    BranchRoot,
     InvalidBracket,
     NotTwoBranches,
     SweepRecord,
@@ -19,6 +18,7 @@ from epibvp import (
     depth_sensitivity,
     find_branches,
     find_critical_lambda,
+    recover,
     shooting,
     sweep,
 )
@@ -32,7 +32,6 @@ def test_sweep_positive_rates_navier_one():
         assert {b.label for b in record.branches} == {
             BranchLabel.LOWER, BranchLabel.UPPER,
         }
-        assert not record.fold_flag
 
 
 def test_sweep_negative_rates_navier_two():
@@ -52,9 +51,27 @@ def test_sweep_supercritical_dirichlet_is_empty():
 
 def test_sweep_records_sup_norms():
     (record,) = sweep([15.0], BoundaryKind.NAVIER_ONE)
-    by_label = {b.label: b for b in record.branches}
-    assert by_label[BranchLabel.UPPER].sup_norm_phi > \
-        by_label[BranchLabel.LOWER].sup_norm_phi > 0.0
+    sup = {b.label: recover._sup_norm(b.phi) for b in record.branches}
+    assert sup[BranchLabel.UPPER] > sup[BranchLabel.LOWER] > 0.0
+
+
+def test_sweep_records_hold_the_roots():
+    bc = BoundaryKind.NAVIER_ONE
+    (record,) = sweep([15.0], bc)
+    assert record.branches == tuple(find_branches(15.0, bc))
+
+
+def test_sweep_records_survive_pickling():
+    # records, roots and all, cross the command line's process pool
+    records = sweep([15.0, 40.0], BoundaryKind.NAVIER_ONE)
+    again = pickle.loads(pickle.dumps(records))
+    assert again == records
+    assert all(isinstance(record, SweepRecord) for record in again)
+    for root, copy in zip(records[0].branches, again[0].branches):
+        assert copy.phi.coeffs.tobytes() == root.phi.coeffs.tobytes()
+        assert copy.w.coeffs.tobytes() == root.w.coeffs.tobytes()
+        assert np.array(copy.table.values).tobytes() == \
+            np.array(root.table.values).tobytes()
 
 
 def test_branch_gap_requires_two_branches():
@@ -134,50 +151,25 @@ def test_depth_sensitivity_reports_neighbouring_depths():
     assert values[8] is None or values[8] > 5.0
 
 
-def test_fold_flag_absent_away_from_fold():
-    (record,) = sweep([8.0], BoundaryKind.NAVIER_TWO)
-    assert record.fold_flag is False
-    assert isinstance(record, SweepRecord)
-
-
 # the navier2 fold of the depth-7 functional, by Newton on B = 0, dB/da = 0
 # with exact dB/da
 NAVIER_TWO_FOLD = (-4.435041378889438, 11.342555130624106)
 
 
-def test_fold_flag_on_a_pair_at_the_fold():
-    # at the fold dB/da reads inside its own rounding noise.  The scan never
-    # returns a pair this close: it needs a reading above the noise floor
-    # between the two roots, and that keeps the gap above twice the sum of
-    # the bands, so the pair is built here
-    bc = BoundaryKind.NAVIER_TWO
-    a, lam = NAVIER_TWO_FOLD
-    pair = [BranchRoot(a_star=x, bc=bc, lam=lam, label=BranchLabel.LOWER,
-                       bracket=(x, x), band=0.0)
-            for x in (a, np.nextafter(a, 0.0))]
-    assert critical._near_fold(pair, None)
-    # away from the fold only bands that cover the gap raise the flag
-    apart = [replace(pair[0], a_star=a - 1e-3), replace(pair[1], a_star=a + 1e-3)]
-    assert not critical._near_fold(apart, None)
-    wide = [replace(root, band=1.5e-3) for root in apart]
-    assert critical._near_fold(wide, None)
-    assert not critical._near_fold(wide[:1], None)
-
-
-def test_closest_resolved_pair_is_not_flagged():
+def test_closest_resolved_pair_is_wider_than_its_bands():
     # a rate 1e-12 below the fold, on a window a few gaps wide: the pair is
     # 2.8e-6 apart and each band grows like 1/gap, but stays below a sixth
-    # of the gap
+    # of the gap.  The scan keeps a pair only with a reading above the noise
+    # floor between the roots, so no scanned pair has bands that cover its gap
     bc = BoundaryKind.NAVIER_TWO
     a, lam = NAVIER_TWO_FOLD
     window = (a - 1.2e-5, a + 1.2e-5)
     (record,) = sweep([lam - 1e-12], bc, window=window)
     assert record.branch_count == 2
-    roots = find_branches(lam - 1e-12, bc, window)
+    roots = record.branches
     gap = roots[1].a_star - roots[0].a_star
     assert 1e-6 < gap < 1e-5
     assert 1e-8 < roots[0].band + roots[1].band < gap / 2.0
-    assert record.fold_flag is False
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +215,7 @@ def _independent_fold(bc, lo, hi, n, points=1001):
     grid = np.linspace(a[i], a[i + 1], points)
 
     def reading(lam):
-        return shooting._per_block(
-            lambda c: shooting._boundary_rows(c, bc), grid, lam, n)[0]
+        return shooting._scan(grid, lam, bc, n)[0]
 
     sign = np.sign(reading(lo)[points // 2])
 

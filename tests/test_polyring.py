@@ -1,5 +1,7 @@
 """Polynomial arithmetic and the closed-form correction kernel."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -226,3 +228,15 @@ def test_immutability():
         p.coeffs = np.zeros(3)
     with pytest.raises(ValueError):
         p.coeffs[0] = 5.0
+
+
+def test_pickle_round_trip():
+    # records holding polynomials cross the command line's process pool
+    for p in (RPoly([0.0, 0.0, 1.5]), RPoly.zero(), RPoly([-0.0, 1e-300, 2.0])):
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p
+        assert copy.coeffs.tobytes() == p.coeffs.tobytes()
+        with pytest.raises(AttributeError):
+            copy.coeffs = np.zeros(3)
+        with pytest.raises(ValueError):
+            copy.coeffs[0] = 5.0

@@ -211,23 +211,46 @@ def test_every_root_carries_a_table_below_the_cap(bc, lam):
         assert residual_table(w, lam).max_abs() <= shooting.DEFAULT_RESIDUAL_CAP
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("bc,lam,n_iter", [
+    (BoundaryKind.DIRICHLET, -25.0, None),
+    (BoundaryKind.DIRICHLET, -60.0, None),
+    (BoundaryKind.DIRICHLET, 100.0, None),
+    (BoundaryKind.NAVIER_ONE, -96.0, None),
+    (BoundaryKind.NAVIER_ONE, 0.0, None),
+    (BoundaryKind.NAVIER_ONE, 15.0, 5),
+    (BoundaryKind.NAVIER_ONE, 29.2, None),
+    (BoundaryKind.NAVIER_TWO, -82.07, None),
+    (BoundaryKind.NAVIER_TWO, 11.34, None),
+])
+def test_roots_carry_the_profile_and_table_of_their_root(bc, lam, n_iter):
+    # the evidence a root carries is what a fresh solve at a_star gives
+    roots = find_branches(lam, bc, n_iter=n_iter)
+    assert roots
+    for root in roots:
+        profile = solve_profile(root.a_star, lam, bc, n_iter)
+        assert _bits(root.w.coeffs) == _bits(profile.w.coeffs)
+        assert _bits(root.phi.coeffs) == _bits(profile.phi.coeffs)
+        table = residual_table(profile.w, lam)
+        assert root.table.grid == table.grid and root.table.lam == lam
+        assert _bits(root.table.values) == _bits(table.values)
+
+
 def test_scan_equals_point_evaluations(monkeypatch):
     # at depths 5, 6 and 7 the blocks hold 250, 127 and 64 rows
     bc, lam = BoundaryKind.NAVIER_ONE, 15.0
     xs = np.linspace(-120.0, 20.0, 1000)
     for depth in (5, 6, 7):
         points = np.array([boundary_residual(x, lam, bc, depth) for x in xs])
-
-        def scan():
-            return shooting._per_block(
-                lambda c: shooting._boundary_rows(c, bc), xs, lam, depth)
-
-        values, floors = scan()
+        values, floors = shooting._scan(xs, lam, bc, depth)
         assert np.array_equal(values, points)
         with monkeypatch.context() as patch:
             for block in (1, 7, 100):
                 patch.setattr(shooting, "_block_rows", lambda n: block)
-                again, again_floors = scan()
+                again, again_floors = shooting._scan(xs, lam, bc, depth)
                 assert np.array_equal(again, values)
                 assert np.array_equal(again_floors, floors)
 
@@ -343,41 +366,36 @@ def test_window_validation():
 # classification
 # ---------------------------------------------------------------------------
 
-def _dummy_root(lam):
+def _dummy_root(lam, w):
     return BranchRoot(a_star=-1.0, bc=BoundaryKind.NAVIER_ONE, lam=lam,
-                      label=BranchLabel.LOWER, bracket=(-1.1, -0.9), band=0.0)
+                      label=BranchLabel.LOWER, bracket=(-1.1, -0.9), band=0.0,
+                      w=w, phi=recover_phi(w), table=residual_table(w, lam))
 
 
 def test_classify_orders_by_sup_norm():
     # downward w gives nonnegative dome-shaped profiles, as on real branches
-    small = RPoly([0.0, 0.0, -0.1, 0.0, 0.1])
-    large = RPoly([0.0, 0.0, -1.0, 0.0, 1.0])
-    phi_small = recover_phi(small)
-    phi_large = recover_phi(large)
-    assert classify_branch(_dummy_root(1.0), phi_small, phi_large).label \
-        is BranchLabel.LOWER
-    assert classify_branch(_dummy_root(1.0), phi_large, phi_small).label \
-        is BranchLabel.UPPER
+    small = _dummy_root(1.0, RPoly([0.0, 0.0, -0.1, 0.0, 0.1]))
+    large = _dummy_root(1.0, RPoly([0.0, 0.0, -1.0, 0.0, 1.0]))
+    assert classify_branch(small, large).label is BranchLabel.LOWER
+    assert classify_branch(large, small).label is BranchLabel.UPPER
 
 
 def test_classify_merged_profiles_is_ambiguous():
-    phi = recover_phi(RPoly([0.0, 0.0, 1.0]))
+    root = _dummy_root(1.0, RPoly([0.0, 0.0, 1.0]))
     with pytest.raises(AmbiguousClassification):
-        classify_branch(_dummy_root(1.0), phi, phi)
+        classify_branch(root, root)
 
 
 def test_classify_by_sign_at_negative_rate():
-    positive = recover_phi(RPoly([0.0, 0.0, -1.0]))
-    negative = recover_phi(RPoly([0.0, 0.0, 1.0]))
-    assert classify_branch(_dummy_root(-1.0), positive).label \
-        is BranchLabel.POSITIVE
-    assert classify_branch(_dummy_root(-1.0), negative).label \
-        is BranchLabel.NEGATIVE
+    positive = _dummy_root(-1.0, RPoly([0.0, 0.0, -1.0]))
+    negative = _dummy_root(-1.0, RPoly([0.0, 0.0, 1.0]))
+    assert classify_branch(positive).label is BranchLabel.POSITIVE
+    assert classify_branch(negative).label is BranchLabel.NEGATIVE
 
 
 def test_classify_single_branch_defaults_to_lower():
-    phi = recover_phi(RPoly([0.0, 0.0, 1.0]))
-    assert classify_branch(_dummy_root(0.5), phi).label is BranchLabel.LOWER
+    root = _dummy_root(0.5, RPoly([0.0, 0.0, 1.0]))
+    assert classify_branch(root).label is BranchLabel.LOWER
 
 
 def test_boundary_kind_parsing():
