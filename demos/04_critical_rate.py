@@ -2,10 +2,11 @@
 
 As the deposition rate grows the branch profiles move toward each other;
 past a critical rate the boundary condition has no real solution and the
-branch pair disappears.  Newton's method on B = 0, dB/da = 0 estimates
-the fold, and a bisection on the branch count, which stays robust where
-a double root defeats sign bracketing, probes either side of that
-estimate to return a bracket with two branches below and none above.
+branch pair disappears.  Newton's method on B = 0, dB/da = 0, with the
+exact derivatives the iteration carries, locates the fold lambda*, and a
+bisection on the branch count, which stays robust where a double root
+defeats sign bracketing, probes either side of it to return a bracket
+with two branches below and none above.
 """
 
 from epibvp import (
@@ -25,14 +26,15 @@ for record in records:
     print(f"  lam={record.lam:6g}: {record.branch_count} branches, "
           f"profile gap {gap:.4f}")
 
-print("\nfold estimate checked by branch counts between lam=5 (two) "
+print("\nNewton fold checked by branch counts between lam=5 (two) "
       "and lam=20 (none):")
 estimate = find_critical_lambda(bc, 5.0, 20.0, 0.01)
-print(f"  critical rate ~ {estimate.lambda_crit:.4f} "
-      f"(bracket {estimate.bracket[0]:.4f}..{estimate.bracket[1]:.4f}, "
-      f"depth {estimate.n_iter_used})")
+print(f"  fold lambda* = {estimate.lambda_star:.6f} at a = "
+      f"{estimate.a_fold:.6f} (depth {estimate.n_iter_used})")
+print(f"  count bracket {estimate.bracket[0]:.4f}..{estimate.bracket[1]:.4f}"
+      f", critical rate ~ {estimate.lambda_crit:.4f}")
 
-print("\nthe estimate depends mildly on the truncation depth:")
+print("\nthe fold depends mildly on the truncation depth:")
 for depth, value in depth_sensitivity(bc, 5.0, 20.0, 0.01,
                                       grid_points=800).items():
     print(f"  depth {depth}: {value if value is not None else 'not resolved'}")

@@ -370,7 +370,8 @@ def _cmd_critical(args) -> int:
         estimate = critical.find_critical_lambda(
             bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
         sensitivity = critical.depth_sensitivity(
-            bc, args.lo, args.hi, args.tol, window=args.a_window)
+            bc, args.lo, args.hi, args.tol, n_iter=args.n_iter,
+            window=args.a_window)
     except critical.InvalidBracket as exc:
         print(f"invalid bracket: {exc}", file=sys.stderr)
         return EXIT_BAD_BRACKET
@@ -379,6 +380,8 @@ def _cmd_critical(args) -> int:
         "lambda_crit": estimate.lambda_crit,
         "bracket": list(estimate.bracket),
         "n_iter": estimate.n_iter_used,
+        "a_fold": estimate.a_fold,
+        "lambda_star": estimate.lambda_star,
         "sensitivity": {str(k): v for k, v in sensitivity.items()},
     }
     text = json.dumps(payload, sort_keys=True)

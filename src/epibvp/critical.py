@@ -5,11 +5,11 @@ increases and disappear past a fold.  Exactly at the fold the boundary
 functional has a double root that sign-change bracketing cannot see, so
 the critical rate is reported as a bracket of the branch *count* (two
 branches below, none above).  Newton's method on the fold system
-B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with derivatives by
-central differences of the block kernel, estimates the fold first; the
-count bisection then probes either side of that estimate, so that it
-usually closes the bracket in two scans, and falls back to midpoints
-whenever the estimate is missing or a probe does not resolve.
+B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with the exact
+derivatives that the kernel carries, finds the fold first; the count
+bisection probes either side of it, so that it usually closes the bracket
+in two scans.  The same fold at the neighbouring depths, checked by the
+count on either side, is the depth sensitivity.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .polyring import evaluate
 # name a caller module bound by import is traced, on this binding
 from .recover import PROFILE_GRID, solve_profile  # noqa: F401
 from .shooting import BoundaryKind
-from .vim import _iterate_coeffs
+from .vim import MAX_DEPTH, IterationOverflow, _iterate_tangents
 
 __all__ = [
     "InvalidBracket",
@@ -38,9 +38,8 @@ __all__ = [
     "depth_sensitivity",
 ]
 
-# branch counting during the bisection does not need the fine default scan;
-# a coarser grid only biases the estimate by (spacing)**2 through the
-# square-root closing of the gap, far below the tolerances in use
+# the count scans: coarser than the default scan, they miss pairs closer
+# than their spacing, so they see the fold up to 7.2e-4 low (navier2)
 _BISECTION_GRID_POINTS = 1500
 
 
@@ -65,12 +64,14 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class CriticalEstimate:
-    """Bisection result for the fold location."""
+    """Count bracket and Newton fold (None if none) of the critical rate."""
 
     bc: BoundaryKind
     lambda_crit: float
     bracket: tuple
     n_iter_used: int
+    a_fold: float | None = None
+    lambda_star: float | None = None
 
 
 def sweep(lambdas, bc: BoundaryKind, *, n_iter: int | None = None,
@@ -104,58 +105,55 @@ def _branch_count(lam: float, bc: BoundaryKind, n_iter: int | None,
                                       n_iter=n_iter))
 
 
-# Newton on the fold system: step budget, relative step size taken as
-# converged, and the relative difference step (about eps**(1/4), which
-# balances truncation and rounding in the second differences)
+# Newton on the fold system: step budget and converged relative step size
 _NEWTON_STEPS = 20
 _NEWTON_RTOL = 1e-8
-_DIFF_STEP = 1e-4
 
-# the count bisection probes the fold estimate this many tolerances to
-# either side, so that two resolving probes leave a bracket inside tol
+# the count probes sit this many tolerances to either side of the fold, so
+# that two resolving probes leave a bracket inside tol
 _PROBE_OFFSET = 0.45
 
 
-def _fold_estimate(roots, bc: BoundaryKind, n: int, lo: float, hi: float):
-    """Fold rate of the n-step boundary functional near the closest root
-    pair at lo, or None.
-
-    Runs Newton on (a, lam) for B = 0, dB/da = 0 from the midpoint of that
-    pair at lam = lo.  B, B_a, B_aa, B_lam and B_alam are central
-    differences over a 3 x 3 stencil of kernel rows.  There is no estimate
-    when a step is singular or not finite, when lam leaves (lo, hi), or
-    when the steps have not settled after ``_NEWTON_STEPS``.
-    """
-    a_star = [root.a_star for root in roots]
-    i = min(range(len(a_star) - 1), key=lambda j: a_star[j + 1] - a_star[j])
-    a, lam = 0.5 * (a_star[i] + a_star[i + 1]), lo
+def _fold(bc: BoundaryKind, n: int, a: float, lam: float,
+          lo: float = -math.inf, hi: float = math.inf):
+    """The fold (a, lam) of the n-step functional by Newton on B = 0, B_a = 0
+    from (a, lam), with the exact Jacobian of one kernel call per step; None
+    when a step is singular or not finite, the iterates overflow, the steps
+    do not settle in ``_NEWTON_STEPS``, or lam ends outside (lo, hi)."""
     for _ in range(_NEWTON_STEPS):
-        h = _DIFF_STEP * max(1.0, abs(a))
-        d = _DIFF_STEP * max(1.0, abs(lam))
-        # g[row, col] = B(a + (col - 1) h, lam + (row - 1) d)
-        g = np.array([
-            shooting._boundary_rows(
-                _iterate_coeffs(np.array([a - h, a, a + h]), lam + j * d, n),
-                bc)[0]
-            for j in (-1, 0, 1)
-        ])
-        b = g[1, 1]
-        b_a = (g[1, 2] - g[1, 0]) / (2.0 * h)
-        b_aa = (g[1, 2] - 2.0 * b + g[1, 0]) / (h * h)
-        b_lam = (g[2, 1] - g[0, 1]) / (2.0 * d)
-        b_alam = (g[2, 2] - g[2, 0] - g[0, 2] + g[0, 0]) / (4.0 * h * d)
+        try:
+            rows = _iterate_tangents(a, lam, n, second=True)
+        except IterationOverflow:
+            return None
+        b, b_a, b_lam, b_aa, b_alam = shooting._boundary_rows(
+            np.vstack(rows), bc)[0].tolist()
         det = b_a * b_alam - b_lam * b_aa
         if det == 0.0 or not math.isfinite(det):
             return None
         step_a = (b_a * b_lam - b * b_alam) / det
         step_lam = (b * b_aa - b_a * b_a) / det
         a, lam = a + step_a, lam + step_lam
-        if not (math.isfinite(a) and lo < lam < hi):
+        if not (math.isfinite(a) and math.isfinite(lam)):
             return None
         if (abs(step_a) <= _NEWTON_RTOL * max(1.0, abs(a))
                 and abs(step_lam) <= _NEWTON_RTOL * max(1.0, abs(lam))):
-            return float(lam)
+            return (a, lam) if lo < lam < hi else None
     return None
+
+
+def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
+                window, grid_points: int):
+    """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
+    InvalidBracket unless lo < hi, tol > 0 are finite and lo has a pair."""
+    if not (all(math.isfinite(x) for x in (lo, hi, tol))
+            and lo < hi and tol > 0.0):
+        raise InvalidBracket("need finite lo < hi and tol > 0")
+    roots = shooting.find_branches(lo, bc, window, grid_points, n_iter=n)
+    if len(roots) < 2:
+        raise InvalidBracket(f"fewer than two branches at lo = {lo}")
+    a_star = [root.a_star for root in roots]
+    i = min(range(len(a_star) - 1), key=lambda j: a_star[j + 1] - a_star[j])
+    return _fold(bc, n, 0.5 * (a_star[i] + a_star[i + 1]), lo, lo, hi)
 
 
 def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
@@ -168,24 +166,19 @@ def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
     Requires finite lo < hi and tol > 0, at least two branches at lo and
     none at hi; anything else raises :class:`InvalidBracket` (the bounds
     before any scan).  The first two probes sit 0.45 tol below and above
-    the Newton fold estimate when they lie inside the bracket; every
-    later probe is the midpoint.  Each probe keeps the predicate at the
-    bracket ends.  The search also stops when the midpoint rounds to an
-    end, so a tol below the floating-point spacing returns the tightest
-    bracket instead of looping.
+    the Newton fold when they lie inside the bracket; every later probe is
+    the midpoint.  Each probe keeps the predicate at the bracket ends.
+    The search also stops when the midpoint rounds to an end, so a tol
+    below the floating-point spacing returns the tightest bracket instead
+    of looping.
     """
-    if not (all(math.isfinite(x) for x in (lo, hi, tol))
-            and lo < hi and tol > 0.0):
-        raise InvalidBracket("need finite lo < hi and tol > 0")
     n = bc.default_iterations if n_iter is None else n_iter
-    roots = shooting.find_branches(lo, bc, window, grid_points, n_iter=n)
-    if len(roots) < 2:
-        raise InvalidBracket(f"fewer than two branches at lo = {lo}")
+    fold = _fold_at_lo(bc, n, lo, hi, tol, window, grid_points)
     if _branch_count(hi, bc, n, window, grid_points) != 0:
         raise InvalidBracket(f"branches persist at hi = {hi}")
-    fold = _fold_estimate(roots, bc, n, lo, hi)
-    probes = [] if fold is None else [fold - _PROBE_OFFSET * tol,
-                                      fold + _PROBE_OFFSET * tol]
+    a_fold, lambda_star = fold or (None, None)
+    probes = [] if fold is None else [lambda_star - _PROBE_OFFSET * tol,
+                                      lambda_star + _PROBE_OFFSET * tol]
     while hi - lo > tol:
         probes = [p for p in probes if lo < p < hi]
         mid = probes.pop(0) if probes else 0.5 * (lo + hi)
@@ -196,33 +189,36 @@ def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
         else:
             hi = mid
     return CriticalEstimate(bc=bc, lambda_crit=0.5 * (lo + hi),
-                            bracket=(lo, hi), n_iter_used=n)
+                            bracket=(lo, hi), n_iter_used=n,
+                            a_fold=a_fold, lambda_star=lambda_star)
 
 
 def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
-                      *, window=shooting.DEFAULT_WINDOW,
+                      *, n_iter: int | None = None,
+                      window=shooting.DEFAULT_WINDOW,
                       grid_points: int = _BISECTION_GRID_POINTS) -> dict:
-    """Critical-rate estimates one iteration depth below and one above the
-    default.
+    """Fold rates one iteration depth below and one above n_iter (the
+    default depth when None), for disclosure.
 
-    The fold location depends on the truncation depth, and at deeper
-    truncation it can move past the requested bracket; the bracket's upper
-    end is then widened (up to four times its span) before giving up and
-    recording ``None``.  Values are reported for disclosure, never asserted
-    against a bound.
+    Newton's method at each neighbouring depth starts from the depth-n
+    fold found from the scan at lo, and may end beyond hi.  A value is
+    kept when the count at its depth shows two branches 0.45 tol below it
+    and none 0.45 tol above, so none passes below tol of about 2e-3; else,
+    and for a depth outside 1..MAX_DEPTH, it is None.  lo, hi and tol are
+    checked as in :func:`find_critical_lambda`, except hi's count.
     """
-    base = bc.default_iterations
-    out = {}
-    for depth in (base - 1, base + 1):
-        estimate = None
-        span = hi - lo
-        for factor in (1.0, 2.0, 4.0):
-            try:
-                estimate = find_critical_lambda(
-                    bc, lo, lo + factor * span, tol, n_iter=depth,
-                    window=window, grid_points=grid_points)
-                break
-            except InvalidBracket:
-                continue
-        out[depth] = None if estimate is None else estimate.lambda_crit
+    n = bc.default_iterations if n_iter is None else n_iter
+    seed = _fold_at_lo(bc, n, lo, hi, tol, window, grid_points)
+    out = dict.fromkeys((n - 1, n + 1))
+    for depth in out:
+        fold = (_fold(bc, depth, *seed)
+                if seed is not None and 1 <= depth <= MAX_DEPTH else None)
+        if fold is None:
+            continue
+        lam = fold[1]
+        if (_branch_count(lam - _PROBE_OFFSET * tol, bc, depth, window,
+                          grid_points) >= 2
+                and _branch_count(lam + _PROBE_OFFSET * tol, bc, depth,
+                                  window, grid_points) == 0):
+            out[depth] = lam
     return out

@@ -26,7 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -143,14 +142,6 @@ def _block_rows(n: int) -> int:
     return max(_BLOCK, _BLOCK_COEFFS // (2 ** n + 1))
 
 
-@lru_cache(maxsize=None)
-def _exponents(n: int) -> np.ndarray:
-    # the power of r in each column of an iterate stored in s = r**2
-    out = 2.0 * np.arange(n)
-    out.setflags(write=False)
-    return out
-
-
 def _boundary_rows(c: np.ndarray, bc: BoundaryKind):
     """Boundary functional of each row, and its rounding-noise floor.
 
@@ -158,7 +149,8 @@ def _boundary_rows(c: np.ndarray, bc: BoundaryKind):
     coefficients cancel massively, and |B| cannot be resolved below eps
     times the absolute coefficient mass; the floor is 8 eps times that mass.
     """
-    k = _exponents(c.shape[1])
+    # the power of r in each column of an iterate stored in s = r**2
+    k = 2.0 * np.arange(c.shape[1])
     b = bc.residual(c.sum(axis=1), (c * k).sum(axis=1))
     size = np.abs(c)
     s0, s1 = size.sum(axis=1), (size * k).sum(axis=1)

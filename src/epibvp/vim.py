@@ -164,24 +164,30 @@ def _step_rows(c: np.ndarray, lam: float, spacing: int,
     return d
 
 
-def _tangent_rows(c: np.ndarray, c_a: np.ndarray, spacing: int,
+def _tangent_rows(c: np.ndarray, d: np.ndarray, spacing: int,
                   nonlinear: bool) -> np.ndarray:
-    """The a-derivative of one step of the rows c, given their
-    a-derivatives c_a.
-
-    The step is c + W (-c*c/2 + E c - lam/2 e_forcing) with the kernel
-    weights W and the Euler symbol E, so its derivative is
-    c_a + W (-c*c_a + E c_a): the forcing column drops out.
+    """One step of the derivatives d of the rows c (c_a, then c_lam, c_aa
+    and c_alam when d holds four): the step c + W (-c*c/2 + E c - lam/2 e_4)
+    with kernel weights W, Euler symbol E and forcing column e_4 takes d[i]
+    to d[i] + W (-c*d[i] - cross + E d[i] - f e_4), with cross = c_a*c_a for
+    c_aa and c_a*c_lam for c_alam, f = 1/2 for c_lam, and both otherwise 0.
     """
-    m, n = c.shape
+    k, m, n = d.shape
     size = _defect_width(n, spacing, nonlinear)
-    out = np.zeros((m, size))
+    out = np.zeros((k, m, size))
     if nonlinear:
-        _convolve(c, c_a, out[:, :2 * n - 1])
+        for i in range(k):
+            _convolve(c, d[i], out[i, :, :2 * n - 1])
+            if i >= 2:
+                cross = np.empty((m, 2 * n - 1))
+                _convolve(d[0], d[i - 2], cross)
+                out[i, :, :2 * n - 1] += cross
         out *= -1.0
-    out[:, :n] += _euler_symbol(n, spacing) * c_a
+    out[:, :, :n] += _euler_symbol(n, spacing) * d
+    if k > 1:
+        out[1, :, 4 // spacing] -= 0.5
     out *= _kernel_weights(size, spacing)
-    out[:, :n] += c_a
+    out[:, :, :n] += d
     return out
 
 
@@ -202,19 +208,19 @@ def _check_depth(n_iter: int) -> None:
 
 
 def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
-         nonlinear: bool = True, c_a: np.ndarray | None = None):
-    """Run n_iter steps from the rows c; return the rows and, when c_a is
-    given, their a-derivatives carried along (else None)."""
+         nonlinear: bool = True, d: np.ndarray | None = None):
+    """Run n_iter steps from the rows c; return the rows and the
+    derivatives d carried along by :func:`_tangent_rows` (None without)."""
     _check_depth(n_iter)
     for _ in range(n_iter):
-        if c_a is not None:
-            c_a = _tangent_rows(c, c_a, spacing, nonlinear)
+        if d is not None:
+            d = _tangent_rows(c, d, spacing, nonlinear)
         c = _step_rows(c, lam, spacing, nonlinear, n_iter)
     # an overflow in an earlier step trips the check in _step_rows; one in
     # the last step shows only here
     if not np.isfinite(c).all():
         raise _overflow(n_iter)
-    return c, c_a
+    return c, d
 
 
 def _start_rows(a) -> np.ndarray:
@@ -235,13 +241,15 @@ def _iterate_coeffs(a, lam: float, n_iter: int) -> np.ndarray:
     return _run(_start_rows(a), lam, n_iter, 2)[0]
 
 
-def _iterate_tangents(a, lam: float, n_iter: int):
-    """The rows of :func:`_iterate_coeffs` (bit for bit) and their exact
-    derivatives with respect to a, stored the same way."""
+def _iterate_tangents(a, lam: float, n_iter: int, *, second: bool = False):
+    """The rows c of :func:`_iterate_coeffs` (bit for bit) and their exact
+    derivatives c_a, stored the same way; with ``second`` also c_lam, c_aa
+    and c_alam.  c and c_a do not depend on ``second``."""
     c = _start_rows(a)
-    c_a = np.zeros_like(c)
-    c_a[:, 1] = 1.0
-    return _run(c, lam, n_iter, 2, c_a=c_a)
+    d = np.zeros((4 if second else 1, *c.shape))
+    d[0, :, 1] = 1.0
+    c, d = _run(c, lam, n_iter, 2, d=d)
+    return (c, *d)
 
 
 def _r_powers(row: np.ndarray) -> np.ndarray:

@@ -140,6 +140,18 @@ def test_critical_json_output(tmp_path, capsys):
     assert abs(payload["lambda_crit"] - 11.34) <= 0.8
     assert payload["n_iter"] == 7
     assert set(payload["sensitivity"]) == {"6", "8"}
+    assert set(payload) == {"bc", "lambda_crit", "bracket", "n_iter",
+                            "sensitivity", "a_fold", "lambda_star"}
+    assert payload["lambda_star"] == pytest.approx(11.3426, abs=1e-4)
+
+
+def test_critical_sensitivity_is_around_the_depth_used(capsys):
+    code = run(["critical", "--bc", "navier2", "--lo", "11.2", "--hi", "11.6",
+                "--n-iter", "6"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["n_iter"] == 6
+    assert set(payload["sensitivity"]) == {"5", "7"}
 
 
 def test_critical_bad_bracket_exit_code(capsys):

@@ -142,13 +142,12 @@ def test_invalid_brackets():
 
 
 def test_depth_sensitivity_reports_neighbouring_depths():
-    values = depth_sensitivity(BoundaryKind.NAVIER_TWO, 5.0, 20.0, 0.5,
-                               grid_points=800)
+    bc = BoundaryKind.NAVIER_TWO
+    values = depth_sensitivity(bc, 5.0, 20.0, 0.5, grid_points=800)
     assert set(values) == {6, 8}
     assert values[6] == pytest.approx(11.34, abs=0.8)
-    # the deeper estimate may move past the bracket; it is reported either
-    # way (a number from a widened bracket, or None when not resolvable)
-    assert values[8] is None or values[8] > 5.0
+    assert values[8] == pytest.approx(_independent_fold(bc, 5.0, 20.0, 8),
+                                      abs=0.5)
 
 
 # the navier2 fold of the depth-7 functional, by Newton on B = 0, dB/da = 0
@@ -262,31 +261,36 @@ def test_critical_rate_within_tol_of_midpoint_bisection(bc):
 
 @pytest.mark.parametrize("bc", list(BRACKETS))
 def test_without_an_estimate_the_bisection_is_unchanged(bc, monkeypatch):
-    monkeypatch.setattr(critical, "_fold_estimate", lambda *args: None)
+    monkeypatch.setattr(critical, "_fold", lambda *args: None)
     estimate = find_critical_lambda(bc, *BRACKETS[bc])
     assert (estimate.lambda_crit, estimate.bracket) == MIDPOINT_RESULTS[bc]
+    assert estimate.a_fold is None and estimate.lambda_star is None
 
 
 @pytest.mark.parametrize("bc", list(BRACKETS))
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_fold_estimate_matches_independent_fold(bc, offset):
-    lo, hi, _ = BRACKETS[bc]
+    lo, hi, tol = BRACKETS[bc]
     n = bc.default_iterations + offset
-    roots = find_branches(lo, bc, shooting.DEFAULT_WINDOW,
-                          critical._BISECTION_GRID_POINTS, n_iter=n)
-    estimate = critical._fold_estimate(roots, bc, n, lo, hi)
-    assert estimate is not None
-    assert estimate == pytest.approx(_independent_fold(bc, lo, hi, n),
-                                     abs=1e-5)
+    fold = critical._fold_at_lo(bc, n, lo, hi, tol, shooting.DEFAULT_WINDOW,
+                                critical._BISECTION_GRID_POINTS)
+    assert fold is not None
+    assert fold[1] == pytest.approx(_independent_fold(bc, lo, hi, n),
+                                    abs=1e-5)
 
 
 def test_fold_estimate_gives_up_outside_the_bracket():
-    # the closest pair at lam = 0 is the trivial root and the steep branch,
-    # which do not meet at a fold inside the bracket
+    # the closest pair at lam = 0 is the trivial root and the steep branch;
+    # Newton from their midpoint leaves the bracket on its first step and
+    # settles on the depth-5 fold, which counts only when it lies inside
     bc = BoundaryKind.DIRICHLET
     roots = find_branches(0.0, bc, n_iter=5)
     assert len(roots) == 2
-    assert critical._fold_estimate(roots, bc, 5, 0.0, 200.0) is None
+    seed = 0.5 * (roots[0].a_star + roots[1].a_star)
+    a_fold, lam = critical._fold(bc, 5, seed, 0.0, 0.0, 200.0)
+    assert (a_fold, lam) == (pytest.approx(-26.09208, abs=1e-5),
+                             pytest.approx(168.45763, abs=1e-5))
+    assert critical._fold(bc, 5, seed, 0.0, 0.0, 150.0) is None
 
 
 # the benchmark's fold searches: lo between 2w and w below the reference
@@ -313,12 +317,70 @@ def test_benchmark_searches_take_four_scans(bc, shift, monkeypatch):
         assert b_hi - b_lo <= tol
 
 
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_critical_estimate_reports_the_newton_fold(bc):
+    # the exact fold of the default depth, next to the count bracket that
+    # certifies the scan
+    lo, hi, tol = BRACKETS[bc]
+    estimate = find_critical_lambda(bc, lo, hi, tol)
+    fold = critical._fold_at_lo(bc, bc.default_iterations, lo, hi, tol,
+                                shooting.DEFAULT_WINDOW,
+                                critical._BISECTION_GRID_POINTS)
+    assert (estimate.a_fold, estimate.lambda_star) == fold
+    if bc is BoundaryKind.NAVIER_TWO:
+        assert estimate.a_fold == pytest.approx(NAVIER_TWO_FOLD[0], abs=1e-9)
+        assert estimate.lambda_star == pytest.approx(NAVIER_TWO_FOLD[1],
+                                                     abs=1e-9)
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_depth_sensitivity_takes_five_scans(bc, monkeypatch):
+    # one scan at lo for the depth-n fold, then a count on either side of
+    # the Newton fold at each neighbouring depth
+    lo, hi, tol = BRACKETS[bc]
+    rates = _scan_counter(monkeypatch)
+    values = depth_sensitivity(bc, lo, hi, tol)
+    assert len(rates) == 5, rates
+    n = bc.default_iterations
+    assert set(values) == {n - 1, n + 1}
+    for depth, value in values.items():
+        assert value == pytest.approx(_independent_fold(bc, lo, hi, depth),
+                                      abs=1e-5)
+
+
+def test_depth_sensitivity_follows_the_fold_past_hi():
+    # the depth-6 fold (11.34625) lies above hi; Newton finds it there and
+    # the count check certifies it
+    bc = BoundaryKind.NAVIER_TWO
+    values = depth_sensitivity(bc, 11.30, 11.345, 0.01)
+    assert values[6] > 11.345
+    assert values[6] == pytest.approx(_independent_fold(bc, 11.30, 11.35, 6),
+                                      abs=1e-5)
+    assert values[8] == pytest.approx(_independent_fold(bc, 11.30, 11.345, 8),
+                                      abs=1e-5)
+
+
+def test_depth_sensitivity_around_the_depth_used():
+    bc = BoundaryKind.NAVIER_TWO
+    assert set(depth_sensitivity(bc, 5.0, 20.0, 0.5, n_iter=6)) == {5, 7}
+    # a neighbouring depth outside 1..MAX_DEPTH has no value
+    values = depth_sensitivity(bc, 5.0, 20.0, 0.5, n_iter=1)
+    assert values[0] is None and set(values) == {0, 2}
+
+
+def test_depth_sensitivity_is_none_where_the_count_cannot_certify():
+    # 0.45 tol below either neighbouring fold the 1500-point scan no longer
+    # sees the pair, so the count check fails and no value is reported
+    values = depth_sensitivity(BoundaryKind.NAVIER_TWO, 5.0, 20.0, 1e-3)
+    assert values == {6: None, 8: None}
+
+
 @pytest.mark.parametrize("with_estimate", [True, False])
 def test_tol_below_float_spacing_stops(with_estimate, monkeypatch):
     # the midpoint of adjacent floats is one of them; the search used to
     # scan that rate forever
     if not with_estimate:
-        monkeypatch.setattr(critical, "_fold_estimate", lambda *args: None)
+        monkeypatch.setattr(critical, "_fold", lambda *args: None)
     rates = _scan_counter(monkeypatch, limit=200)
     estimate = find_critical_lambda(BoundaryKind.NAVIER_TWO, 11.33, 11.35,
                                     1e-300, window=(-4.7, -4.1),
@@ -337,3 +399,5 @@ def test_non_finite_bracket_is_rejected_before_any_scan(lo, hi, tol,
     _scan_counter(monkeypatch, limit=0)
     with pytest.raises(InvalidBracket):
         find_critical_lambda(BoundaryKind.NAVIER_TWO, lo, hi, tol)
+    with pytest.raises(InvalidBracket):
+        depth_sensitivity(BoundaryKind.NAVIER_TWO, lo, hi, tol)

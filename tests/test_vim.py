@@ -1,5 +1,7 @@
 """Defect, correction steps, symbolic mode and the multiplier conditions."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
@@ -196,6 +198,37 @@ def test_tangent_value_rows_equal_the_kernel_rows():
         assert np.array_equal(c, _iterate_coeffs(a, lam, depth))
 
 
+def test_second_order_rows_leave_the_first_ones_byte_equal():
+    a = np.linspace(-120.0, 20.0, 97)
+    for lam, depth in ((15.0, 7), (-25.0, 6), (0.0, 1), (11.3, 8)):
+        c, c_a = _iterate_tangents(a, lam, depth)
+        rows = _iterate_tangents(a, lam, depth, second=True)
+        assert len(rows) == 5
+        assert rows[0].tobytes() == _iterate_coeffs(a, lam, depth).tobytes()
+        assert rows[0].tobytes() == c.tobytes()
+        assert rows[1].tobytes() == c_a.tobytes()
+
+
+def _symbolic_derivative(sym, a, lam, da, dlam, size):
+    """The (da, dlam)-th partial derivative of the symbolic iterate at
+    (a, lam), by powers of r below size, and the absolute mass of its
+    terms."""
+    exact = np.zeros(size)
+    mass = np.zeros_like(exact)
+    for (i, j, k), value in sym.terms.items():
+        if i >= da and j >= dlam:
+            term = (math.perm(i, da) * math.perm(j, dlam) * value
+                    * a ** (i - da) * lam ** (j - dlam))
+            exact[k] += term
+            mass[k] += abs(term)
+    return exact, mass
+
+
+# the derivative rows of _iterate_tangents(..., second=True) by the orders
+# (da, dlam) they take
+DERIVATIVE_ORDERS = {1: (1, 0), 2: (0, 1), 3: (2, 0), 4: (1, 1)}
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 15.0, -25.0])
 def test_tangents_equal_the_symbolic_derivative(depth, lam):
@@ -204,15 +237,24 @@ def test_tangents_equal_the_symbolic_derivative(depth, lam):
     sym = symbolic_iterate(depth)
     _, c_a = _iterate_tangents(A_SAMPLES, lam, depth)
     for a, row in zip(A_SAMPLES, c_a):
-        exact = np.zeros(2 * row.size - 1)
-        mass = np.zeros_like(exact)
-        for (i, j, k), value in sym.terms.items():
-            if i:
-                term = i * value * a ** (i - 1) * lam ** j
-                exact[k] += term
-                mass[k] += abs(term)
+        exact, mass = _symbolic_derivative(sym, a, lam, 1, 0,
+                                           2 * row.size - 1)
         assert not exact[1::2].any()
         assert np.all(np.abs(row - exact[::2]) <= 1e-14 * mass[::2])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 15.0, -25.0])
+def test_second_order_rows_equal_the_symbolic_derivatives(depth, lam):
+    sym = symbolic_iterate(depth)
+    rows = _iterate_tangents(A_SAMPLES, lam, depth, second=True)
+    for index, (da, dlam) in DERIVATIVE_ORDERS.items():
+        for a, row in zip(A_SAMPLES, rows[index]):
+            exact, mass = _symbolic_derivative(sym, a, lam, da, dlam,
+                                               2 * row.size - 1)
+            assert not exact[1::2].any()
+            assert np.all(np.abs(row - exact[::2]) <= 1e-14 * mass[::2]), \
+                (index, a)
 
 
 def test_tangents_match_central_differences_at_depth_seven():
@@ -222,6 +264,27 @@ def test_tangents_match_central_differences_at_depth_seven():
     diff = (_iterate_coeffs(A_SAMPLES + h[:, 0], lam, 7)
             - _iterate_coeffs(A_SAMPLES - h[:, 0], lam, 7)) / (2.0 * h)
     assert np.all(np.abs(c_a - diff) <= 1e-7 * np.maximum(1.0, np.abs(c_a)))
+
+
+def test_second_order_rows_match_central_differences_at_depth_seven():
+    # c_lam from the value rows, c_aa and c_alam from the exact c_a rows
+    lam = 15.0
+    _, _, c_lam, c_aa, c_alam = _iterate_tangents(A_SAMPLES, lam, 7,
+                                                  second=True)
+    h = 1e-5 * np.maximum(1.0, np.abs(A_SAMPLES))
+    d = 1e-5 * lam
+    diffs = (
+        (c_lam, _iterate_coeffs(A_SAMPLES, lam + d, 7),
+         _iterate_coeffs(A_SAMPLES, lam - d, 7), d),
+        (c_aa, _iterate_tangents(A_SAMPLES + h, lam, 7)[1],
+         _iterate_tangents(A_SAMPLES - h, lam, 7)[1], h[:, None]),
+        (c_alam, _iterate_tangents(A_SAMPLES, lam + d, 7)[1],
+         _iterate_tangents(A_SAMPLES, lam - d, 7)[1], d),
+    )
+    for exact, above, below, step in diffs:
+        diff = (above - below) / (2.0 * step)
+        assert np.all(np.abs(exact - diff)
+                      <= 1e-7 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_depth_above_maximum_is_rejected():
