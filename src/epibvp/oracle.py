@@ -172,19 +172,20 @@ def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig):
     """Endpoint states for many shooting parameters at once.
 
     Columns whose trajectory blows up (or leaves the finite range) are
-    reported as NaN instead of raising.
+    reported as NaN instead of raising.  Columns are independent, so a
+    blown-up column integrates on and is masked once at the end: the
+    running peak of |w| (NaN once w is) tells which.
     """
     h, f = _grid(lam, cfg)
     w, v = series_start(np.asarray(a_values, dtype=float), lam, cfg.r0)
     u = cfg.r0 * v
+    peak = np.zeros_like(w)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, cfg.steps + 1):
             w, u = _rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
-            bad = ~(np.abs(w) <= BLOWUP_GUARD)
-            if bad.any():
-                w = np.where(bad, np.nan, w)
-                u = np.where(bad, np.nan, u)
-    return w, u
+            np.maximum(peak, np.abs(w), out=peak)
+    bad = ~(peak <= BLOWUP_GUARD)
+    return np.where(bad, np.nan, w), np.where(bad, np.nan, u)
 
 
 # scan points and root tolerance in the shooting parameter
@@ -239,11 +240,9 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     cfg = cfg or IvpConfig()
     xs = np.linspace(lo, hi, _GRID_POINTS)
     w1, v1 = _integrate_batch(xs, lam, cfg)
-    fs = np.array([
-        bc.residual(wi, vi) if math.isfinite(wi) and math.isfinite(vi)
-        else np.nan
-        for wi, vi in zip(w1, v1)
-    ])
+    finite = np.isfinite(w1) & np.isfinite(v1)
+    with np.errstate(invalid="ignore"):
+        fs = np.where(finite, bc.residual(w1, v1), np.nan)
 
     def residual(a: float) -> float:
         w, v = ivp_integrate(a, lam, cfg)

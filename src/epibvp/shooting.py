@@ -8,6 +8,11 @@ steps on the exact derivative dB/da, which the kernel carries next to the
 iterate, with bisection as the safeguard.  Each root reports its noise
 band, rounding-noise floor / |dB/da|: how far the root is determined.
 
+The scan reads only the sign of B and whether |B| clears its noise floor.
+B after the last step is a quadratic form in the row before it, so the
+scan runs the kernel to depth n - 1 and takes the last step only where a
+rounding bound on that form cannot fix both facts (see :func:`_scan`).
+
 Two genuine solution branches coexist below the critical deposition rate.
 At large |a| the float value of B is dominated by rounding and changes
 sign in dense bands.  A root is accepted by two rules only:
@@ -26,12 +31,14 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import recover
-from .polyring import RPoly, evaluate
-from .vim import _check_depth, _iterate_coeffs, _iterate_tangents, _r_powers
+from .polyring import RPoly, _kernel_weights, evaluate
+from .vim import (_check_depth, _euler_symbol, _iterate_coeffs,
+                  _iterate_tangents, _r_powers, _run, _start_rows)
 
 __all__ = [
     "BoundaryKind",
@@ -129,12 +136,13 @@ class BranchRoot:
     table: recover.ResidualTable = field(repr=False)
 
 
-# start values per kernel call: 64 rows at depth 7 and deeper, where
-# smaller blocks cost more per row and larger ones were no faster; a
-# shallower depth takes as many rows as hold the coefficients of 64
-# depth-7 rows, since there the per-call overhead dominates
+# start values per kernel call in the scan: as many rows as hold 2**15
+# coefficients of the last iterate, and at least 64 (254 rows at depth 7),
+# the fastest of 64 * 129, 2**14, 2**15, 2**16, 2**17 and 2**19 coefficients;
+# the last step, whose arrays are the largest, takes at most 64 rows per
+# call, which was as fast and holds the peak memory down
 _BLOCK = 64
-_BLOCK_COEFFS = 64 * 129
+_BLOCK_COEFFS = 2 ** 15
 
 
 def _block_rows(n: int) -> int:
@@ -170,14 +178,109 @@ def boundary_residual(a: float, lam: float, bc: BoundaryKind,
     return float(_boundary_rows(_iterate_coeffs(a, lam, n), bc)[0][0])
 
 
+# a certified mass below this keeps every intermediate of the last step
+# finite: they are at most 32 m**2 times the mass, and m <= 513
+_MASS_LIMIT = 2.0 ** 960
+
+
+def _hankel(h: np.ndarray, m: int) -> np.ndarray:
+    """The m x m matrix of h[i + l], a read-only view on h."""
+    h.setflags(write=False)
+    step = h.itemsize
+    return np.ndarray((m, m), h.dtype, h, 0, (step, step))
+
+
+@lru_cache(maxsize=None)
+def _last_step_forms(m: int, bc: BoundaryKind):
+    """B after one more step from a row c of m columns, as forms in c,
+    the forms on |c| that bound its mass, and the certification factor.
+
+    With kernel weights W, Euler symbol E and g_j the boundary weight of
+    column j (1, 2 j or 1 - 2 j), the step maps c_j to
+    c_j + W_j (E_j c_j - (c*c)_j / 2 - lam / 2 [j = 2]), so
+
+        B = sum_j g_j (1 + W_j E_j) c_j - c^T H c / 2 - lam g_2 W_2 / 2
+
+    with the Hankel matrix H_il = g_{i+l} W_{i+l}.  The mass M is the same
+    forms on |c| with s_j (1, 2 j or 1 + 2 j) for g_j and |W|, and
+    1 + |W_j E_j| for 1 + W_j E_j.  The cache holds vectors only: each
+    Hankel matrix is a view on its 2 m - 1 entries.
+    """
+    k = 2.0 * np.arange(2 * m - 1)
+    weights = _kernel_weights(2 * m - 1, 2)
+    if bc is BoundaryKind.DIRICHLET:
+        g = s = np.ones_like(k)
+    elif bc is BoundaryKind.NAVIER_ONE:
+        g = s = k
+    else:
+        g, s = 1.0 - k, 1.0 + k
+    linear = weights[:m] * _euler_symbol(m, 2)
+    gw, sw = -0.5 * g * weights, 0.5 * s * np.abs(weights)
+    value = (g[:m] * (1.0 + linear), _hankel(gw, m), gw[2])
+    mass = (s[:m] * (1.0 + np.abs(linear)), _hankel(sw, m), sw[2])
+    for form in (value[0], mass[0]):
+        form.setflags(write=False)
+    # Higham's gamma_n = n u / (1 - n u) for n = 4 m + 16, u = eps / 2
+    nu = (4 * m + 16) * 0.5 * np.finfo(float).eps
+    gamma = nu / (1.0 - nu)
+    factor = (8.0 * np.finfo(float).eps + 2.0 * gamma) * (1.0 + gamma) ** 3
+    return value, mass, factor
+
+
+def _certify(c: np.ndarray, lam: float, bc: BoundaryKind):
+    """Read B after one more step from each row of c without forming the
+    step, and tell the rows whose reading certifies the exact one: where
+    |B^| > factor * M^, with M^ < ``_MASS_LIMIT``, the exact reading has the
+    sign of B^ and clears its noise floor (see :func:`_scan`)."""
+    value, mass, factor = _last_step_forms(c.shape[1], bc)
+
+    def form(x, linear, hankel, forcing, rate):
+        return np.einsum("ij,ij->i", x @ hankel + linear, x) + rate * forcing
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = form(c, *value, lam)
+        bound = form(np.abs(c), *mass, abs(lam))
+        sure = ((np.abs(b) > factor * bound + np.finfo(float).tiny)
+                & (bound < _MASS_LIMIT))
+    return b, sure
+
+
 def _scan(a, lam: float, bc: BoundaryKind, n: int):
-    """Boundary functional and its noise floor at the start values a, read
-    from the n-step iterates a block of :func:`_block_rows` at a time."""
+    """Boundary functional at the start values a and whether each reading
+    clears its rounding-noise floor, read a block of :func:`_block_rows`
+    rows at a time.
+
+    The first n - 1 steps run through the kernel.  :func:`_certify` then
+    reads B from the last rows c (m columns) without the last convolution,
+    and only the rows it cannot certify take the last step and
+    :func:`_boundary_rows`; their readings equal :func:`boundary_residual`
+    bit for bit.  A certified reading B^ has the sign of the exact one,
+    which is resolved.  The bound counts roundings (Higham 2002, ch. 3):
+    each term of the exact reading passes through at most 3 m + 4 of them
+    (m in the convolution, 4 in the step, 2 m in the boundary sums), and
+    each term of B^ and of the mass M^ through at most 2 m + 5, so with
+    gamma = gamma_{4 m + 16} the exact reading lies within 2 gamma M of
+    B^, its floor is at most 8 eps (1 + gamma) M, and M <= (1 + gamma) M^;
+    one more factor 1 + gamma covers the rounding of the threshold, and
+    ``tiny`` any underflow.  Overflowing rows are never certified and
+    raise :class:`IterationOverflow` as in the kernel.
+    """
     block = _block_rows(n)
-    parts = [_boundary_rows(_iterate_coeffs(a[i:i + block], lam, n), bc)
-             for i in range(0, a.size, block)]
-    return (np.concatenate([b for b, _ in parts]),
-            np.concatenate([floor for _, floor in parts]))
+    b = np.empty(a.size)
+    resolved = np.ones(a.size, dtype=bool)
+    for start in range(0, a.size, block):
+        c = _run(_start_rows(a[start:start + block]), lam, n, 2,
+                 stop=n - 1)[0]
+        b_hat, sure = _certify(c, lam, bc)
+        b[start:start + c.shape[0]] = b_hat
+        uncertain = np.flatnonzero(~sure)
+        for i in range(0, uncertain.size, _BLOCK):
+            rest = uncertain[i:i + _BLOCK]
+            exact, floor = _boundary_rows(
+                _run(c[rest], lam, n, 2, start=n - 1)[0], bc)
+            b[start + rest] = exact
+            resolved[start + rest] = np.abs(exact) > floor
+    return b, resolved
 
 
 # a Newton step this many float spacings of a or shorter ends the polish
@@ -186,7 +289,8 @@ _STEP_ULPS = 4
 
 def _polish(lo, hi, f_lo, readings):
     """Solve sign-change brackets [lo, hi] in lockstep by safeguarded
-    Newton steps, down to the noise floor or float resolution.
+    Newton steps, down to the noise floor or float resolution.  Only the
+    sign of f_lo, the functional at lo, is read.
 
     ``readings`` maps an array of points to the functional, its noise
     floor, its exact a-derivative and the iterate rows there; each step
@@ -341,24 +445,25 @@ def find_branches(lam: float, bc: BoundaryKind,
     n = bc.default_iterations if n_iter is None else n_iter
 
     xs = np.linspace(lo, hi, grid_points)
-    fs, floors = _scan(xs, lam, bc, n)
+    # only the signs of the readings and whether they clear their floor
+    # count, which is what the scan certifies
+    fs, resolved = _scan(xs, lam, bc, n)
+    sign = np.append(np.sign(fs), 0.0)  # the slot for "no such reading"
 
     # a bracket is a grid interval with a sign change, or a grid point
     # where the functional vanishes
     zero = fs == 0.0
-    b_lo = np.flatnonzero(zero | np.append(fs[:-1] * fs[1:] < 0.0, False))
+    b_lo = np.flatnonzero(zero | (sign[:-1] * sign[1:] < 0.0))
     b_hi = np.where(zero[b_lo], b_lo, b_lo + 1)
 
     # a sign change between readings below the noise floor is rounding
     # noise unless the resolved readings around it change sign as well;
     # those prove a root between them but not which crossing it is, so
     # they vouch for a bracket only when it is the only one between them
-    resolved = np.abs(fs) > floors
     index = np.arange(grid_points)
     last = np.maximum.accumulate(np.where(resolved, index, -1))
     first = np.minimum.accumulate(
         np.where(resolved, index, grid_points)[::-1])[::-1]
-    sign = np.append(np.sign(fs), 0.0)  # the slot for "no such reading"
     left = last[b_lo]
     _, shared, count = np.unique(left, return_inverse=True, return_counts=True)
     kept = np.flatnonzero((sign[left] * sign[first[b_hi]] < 0.0)
@@ -370,7 +475,7 @@ def find_branches(lam: float, bc: BoundaryKind,
         return b, floor, _boundary_rows(c_a, bc)[0], c
 
     a_star, achieved, floor, band, rows = _polish(
-        xs[b_lo[kept]], xs[b_hi[kept]], fs[b_lo[kept]], tangents)
+        xs[b_lo[kept]], xs[b_hi[kept]], sign[b_lo[kept]], tangents)
     unresolved = achieved > np.fmax(DEFAULT_ROOT_TOL, floor)
     for i in np.flatnonzero(unresolved):
         warnings.warn(

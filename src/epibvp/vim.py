@@ -208,17 +208,21 @@ def _check_depth(n_iter: int) -> None:
 
 
 def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
-         nonlinear: bool = True, d: np.ndarray | None = None):
-    """Run n_iter steps from the rows c; return the rows and the
-    derivatives d carried along by :func:`_tangent_rows` (None without)."""
+         nonlinear: bool = True, d: np.ndarray | None = None, *,
+         start: int = 0, stop: int | None = None):
+    """Run steps start + 1 to stop (by default n_iter) of an n_iter-step
+    run from the rows c; return the rows and the derivatives d carried
+    along by :func:`_tangent_rows` (None without).  An overflow names
+    depth n_iter."""
     _check_depth(n_iter)
-    for _ in range(n_iter):
+    stop = n_iter if stop is None else stop
+    for _ in range(start, stop):
         if d is not None:
             d = _tangent_rows(c, d, spacing, nonlinear)
         c = _step_rows(c, lam, spacing, nonlinear, n_iter)
     # an overflow in an earlier step trips the check in _step_rows; one in
     # the last step shows only here
-    if not np.isfinite(c).all():
+    if stop == n_iter and not np.isfinite(c).all():
         raise _overflow(n_iter)
     return c, d
 

@@ -22,6 +22,7 @@ from epibvp import (
     shooting,
     sweep,
 )
+from epibvp.vim import _iterate_coeffs
 
 
 def test_sweep_positive_rates_navier_one():
@@ -214,7 +215,9 @@ def _independent_fold(bc, lo, hi, n, points=1001):
     grid = np.linspace(a[i], a[i + 1], points)
 
     def reading(lam):
-        return shooting._scan(grid, lam, bc, n)[0]
+        # the full kernel, so that the reference shares no shortcut with
+        # the scan
+        return shooting._boundary_rows(_iterate_coeffs(grid, lam, n), bc)[0]
 
     sign = np.sign(reading(lo)[points // 2])
 

@@ -1,5 +1,7 @@
 """Branch location, classification and root quality."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from epibvp import (
     solve_profile,
 )
 from epibvp import recover, shooting
-from epibvp.vim import _iterate_coeffs, _iterate_tangents
+from epibvp.vim import IterationOverflow, _iterate_coeffs, _iterate_tangents
 
 from _util import ALL_BCS, GRID_101
 
@@ -239,27 +241,133 @@ def test_roots_carry_the_profile_and_table_of_their_root(bc, lam, n_iter):
         assert _bits(root.table.values) == _bits(table.values)
 
 
+def _recorded_certificates(monkeypatch):
+    """The certified mask of every block the scan reads, in order."""
+    masks = []
+    certify = shooting._certify
+
+    def recorded(c, lam, bc):
+        b, sure = certify(c, lam, bc)
+        masks.append(sure)
+        return b, sure
+
+    monkeypatch.setattr(shooting, "_certify", recorded)
+    return masks
+
+
 def test_scan_equals_point_evaluations(monkeypatch):
-    # at depths 5, 6 and 7 the blocks hold 250, 127 and 64 rows
+    # the signs and the resolution equal those of the pointwise readings
+    # at every point, and the values equal them wherever the scan could
+    # not certify its reading; by default the blocks hold 992, 504 and
+    # 254 rows at depths 5, 6 and 7, and the last step takes 64
     bc, lam = BoundaryKind.NAVIER_ONE, 15.0
     xs = np.linspace(-120.0, 20.0, 1000)
     for depth in (5, 6, 7):
         points = np.array([boundary_residual(x, lam, bc, depth) for x in xs])
-        values, floors = shooting._scan(xs, lam, bc, depth)
-        assert np.array_equal(values, points)
-        with monkeypatch.context() as patch:
-            for block in (1, 7, 100):
-                patch.setattr(shooting, "_block_rows", lambda n: block)
-                again, again_floors = shooting._scan(xs, lam, bc, depth)
-                assert np.array_equal(again, values)
-                assert np.array_equal(again_floors, floors)
+        floors = np.concatenate([
+            shooting._boundary_rows(_iterate_coeffs(x, lam, depth), bc)[1]
+            for x in xs])
+        for block in (None, 1, 7, 100):
+            with monkeypatch.context() as patch:
+                if block is not None:
+                    patch.setattr(shooting, "_block_rows", lambda n: block)
+                    patch.setattr(shooting, "_BLOCK", block)
+                masks = _recorded_certificates(patch)
+                values, resolved = shooting._scan(xs, lam, bc, depth)
+            sure = np.concatenate(masks)
+            # at depth 5 no reading lies near its floor
+            assert sure.size == xs.size and sure.mean() > 0.6
+            assert sure.all() == (depth == 5)
+            assert np.array_equal(np.sign(values), np.sign(points))
+            assert np.array_equal(resolved, np.abs(points) > floors)
+            assert np.array_equal(values[~sure], points[~sure])
 
 
 def test_block_rows_follow_the_depth():
-    assert [shooting._block_rows(n) for n in (5, 6, 7, 8, 10)] == \
-        [250, 127, 64, 64, 64]
+    assert [shooting._block_rows(n) for n in (1, 5, 6, 7, 8, 10)] == \
+        [10922, 992, 504, 254, 127, 64]
     with pytest.raises(ValueError, match="below the minimum"):
         shooting._block_rows(0)
+
+
+@pytest.mark.parametrize("bc,lam", [
+    (BoundaryKind.NAVIER_ONE, 15.0),
+    (BoundaryKind.NAVIER_ONE, -100.0),
+    (BoundaryKind.NAVIER_TWO, 8.0),
+    (BoundaryKind.DIRICHLET, 15.0),
+    (BoundaryKind.DIRICHLET, -25.0),
+])
+def test_certified_rows_agree_near_roots_and_in_the_noise(bc, lam):
+    # rows 1e-12 to 1e-3 from each root and across the noise band at
+    # a < -71, where the readings straddle their floors
+    n = bc.default_iterations
+    offsets = np.geomspace(1e-12, 1e-3, 46)
+    a = np.concatenate(
+        [root.a_star + side * offsets
+         for root in find_branches(lam, bc) for side in (-1.0, 1.0)]
+        + [np.linspace(-120.0, -71.0, 700)])
+    b_hat, sure = shooting._certify(_iterate_coeffs(a, lam, n - 1), lam, bc)
+    b, floor = shooting._boundary_rows(_iterate_coeffs(a, lam, n), bc)
+    assert sure.any() and not sure.all()
+    assert np.array_equal(np.sign(b_hat[sure]), np.sign(b[sure]))
+    assert (np.abs(b[sure]) > floor[sure]).all()
+
+
+def test_rows_that_overflow_in_the_last_step_are_not_certified():
+    # near a = -22150 the first six steps stay finite and the mass bound
+    # reads about 1e305, but the last step overflows
+    a = np.linspace(-22200.0, -22100.0, 50)
+    with pytest.raises(IterationOverflow, match="at depth 7"):
+        shooting._scan(a, 15.0, BoundaryKind.NAVIER_ONE, 7)
+
+
+def _exact_scan(a, lam, bc, n):
+    """The scan without certification: every reading from the full kernel."""
+    b, floor = shooting._boundary_rows(_iterate_coeffs(a, lam, n), bc)
+    return b, np.abs(b) > floor
+
+
+def _branch_record(lam, bc, window, grid_points, n_iter):
+    """Every field of the roots, with the warnings and the exception."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            roots = find_branches(lam, bc, window, grid_points, n_iter=n_iter)
+            outcome = [(r.a_star, r.band, r.bracket, r.label, _bits(r.w.coeffs),
+                        _bits(r.phi.coeffs), _bits(r.table.values),
+                        r.table.grid)
+                       for r in roots]
+        except Exception as error:
+            outcome = (type(error), str(error))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+_DEFAULT = shooting.DEFAULT_WINDOW
+_NAVIER_ONE, _NAVIER_TWO = BoundaryKind.NAVIER_ONE, BoundaryKind.NAVIER_TWO
+_DIRICHLET = BoundaryKind.DIRICHLET
+
+
+@pytest.mark.parametrize("lam,bc,window,grid_points,n_iter", [
+    *[(lam, bc, _DEFAULT, 4000, n) for bc in ALL_BCS
+      for lam, n in ((15.0, 1), (15.0, 5), (0.0, 6), (-50.0, 7), (8.0, 8))],
+    *[(lam, bc, (-300.0, 300.0), 4000, None) for bc in ALL_BCS
+      for lam in (-300.0, -100.0)],
+    (-130.0, _NAVIER_ONE, _DEFAULT, 4000, None),
+    (-70.0, _DIRICHLET, _DEFAULT, 4000, None),
+    (-120.0, _NAVIER_TWO, _DEFAULT, 4000, None),
+    (31.9, _NAVIER_ONE, _DEFAULT, 1500, 8),
+    (11.34, _NAVIER_TWO, _DEFAULT, 1500, 6),
+    (169.0, _DIRICHLET, _DEFAULT, 1500, 5),
+    (15.0, _NAVIER_ONE, (-1e200, 0.0), 4000, None),
+    (15.0, _DIRICHLET, (-1e308, 1e308), 4000, None),
+    (0.0, _NAVIER_TWO, (-1e5, 0.0), 4000, 7),
+    (15.0, _DIRICHLET, (-22200.0, -22100.0), 4000, 7),
+])
+def test_certified_scan_gives_the_exact_scans_branches(
+        monkeypatch, lam, bc, window, grid_points, n_iter):
+    certified = _branch_record(lam, bc, window, grid_points, n_iter)
+    monkeypatch.setattr(shooting, "_scan", _exact_scan)
+    assert certified == _branch_record(lam, bc, window, grid_points, n_iter)
 
 
 def test_kernel_calls_per_search(monkeypatch):
