@@ -52,12 +52,10 @@ from .recover import (
     solve_profile,
 )
 from .shooting import (
-    AmbiguousClassification,
     BoundaryKind,
     BranchLabel,
     BranchRoot,
     boundary_residual,
-    classify_branch,
     find_branches,
 )
 from .vim import (
@@ -79,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "APoly",
-    "AmbiguousClassification",
     "BoundaryKind",
     "BranchLabel",
     "BranchRoot",
@@ -102,7 +99,6 @@ __all__ = [
     "apply_vim_kernel",
     "boundary_residual",
     "branch_gap",
-    "classify_branch",
     "depth_sensitivity",
     "differentiate",
     "evaluate",

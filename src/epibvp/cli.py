@@ -112,8 +112,9 @@ def _parse_window(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"bad --a-window (want lo:hi): {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"--a-window bounds must be finite: {text!r}")
+    # a width that overflows would fill the scan grid with inf and NaN
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"--a-window bounds and width must be finite: {text!r}")
     if not lo < hi:
         raise UsageError("--a-window needs lo < hi")
     return (lo, hi)
@@ -265,15 +266,6 @@ def _sweep_worker(task):
     return critical.sweep([lam], bc, n_iter=n_iter, window=window)[0]
 
 
-def _table_worker(task):
-    lam, bc, label, n_iter, window = task
-    roots = shooting.find_branches(lam, bc, window, n_iter=n_iter)
-    wanted = [r for r in roots if r.label is label]
-    if not wanted:
-        return lam, None
-    return lam, list(wanted[0].table.values)
-
-
 def _pool_size(jobs: int, n_tasks: int) -> int:
     # a fork-based pool starts all its workers at once, so never ask for
     # more than there are tasks or processors
@@ -345,11 +337,15 @@ def _cmd_residual_table(args) -> int:
         raise UsageError("residual-table requires --lambdas")
     out_dir = _resolve_out_dir(args.out)
     _echo_config(out_dir, args)
-    tasks = [(lam, bc, label, args.n_iter, args.a_window) for lam in args.lambdas]
-    results = _run_pool(_table_worker, tasks, args.jobs)
-    columns = {lam: values for lam, values in results}
-    found = [lam for lam in args.lambdas if columns[lam] is not None]
-    missing = [lam for lam in args.lambdas if columns[lam] is None]
+    tasks = [(lam, bc, args.n_iter, args.a_window) for lam in args.lambdas]
+    records = _run_pool(_sweep_worker, tasks, args.jobs)
+    columns = {}
+    for lam, rec in zip(args.lambdas, records):
+        wanted = [b for b in rec.branches if b.label is label]
+        if wanted:
+            columns[lam] = wanted[0].table.values
+    found = [lam for lam in args.lambdas if lam in columns]
+    missing = [lam for lam in args.lambdas if lam not in columns]
     for lam in missing:
         print(f"no {label.value} branch at lambda={_fmt(lam)}", file=sys.stderr)
     if not found:

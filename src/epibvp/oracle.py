@@ -235,7 +235,8 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     empty list mirrors branch non-existence above the critical rate.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # a width that overflows would fill the grid with inf and NaN
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     cfg = cfg or IvpConfig()
     xs = np.linspace(lo, hi, _GRID_POINTS)

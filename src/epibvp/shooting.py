@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -44,24 +44,16 @@ __all__ = [
     "BoundaryKind",
     "BranchLabel",
     "BranchRoot",
-    "AmbiguousClassification",
     "boundary_residual",
     "find_branches",
-    "classify_branch",
     "DEFAULT_WINDOW",
     "DEFAULT_GRID_POINTS",
-    "DEFAULT_ROOT_TOL",
     "DEFAULT_RESIDUAL_CAP",
 ]
 
 DEFAULT_WINDOW = (-120.0, 20.0)
 DEFAULT_GRID_POINTS = 4000
-DEFAULT_ROOT_TOL = 1e-11
 DEFAULT_RESIDUAL_CAP = 10.0
-
-
-class AmbiguousClassification(RuntimeError):
-    """Branch profiles are too close to order; the pair has merged (fold)."""
 
 
 class BoundaryKind(Enum):
@@ -287,14 +279,14 @@ def _scan(a, lam: float, bc: BoundaryKind, n: int):
 _STEP_ULPS = 4
 
 
-def _polish(lo, hi, f_lo, readings):
+def _polish(lo, hi, f_lo, lam: float, bc: BoundaryKind, n: int):
     """Solve sign-change brackets [lo, hi] in lockstep by safeguarded
     Newton steps, down to the noise floor or float resolution.  Only the
     sign of f_lo, the functional at lo, is read.
 
-    ``readings`` maps an array of points to the functional, its noise
-    floor, its exact a-derivative and the iterate rows there; each step
-    evaluates every open bracket's point in one call.  A bracket starts
+    Each step reads the functional, its noise floor and its exact
+    a-derivative at every open bracket's point from one call of
+    :func:`vim._iterate_tangents`.  A bracket starts
     from its midpoint, or from the exact candidate a = 0 when it
     straddles zero, so that the trivial branch is reported as an exact
     zero root.  Each reading shrinks the bracket by its sign; the next
@@ -313,7 +305,9 @@ def _polish(lo, hi, f_lo, readings):
     rows = np.empty((lo.size, 0))
     idx = np.arange(lo.size)
     while idx.size:
-        f, f_floor, slope, c = readings(x[idx])
+        c, c_a = _iterate_tangents(x[idx], lam, n)
+        f, f_floor = _boundary_rows(c, bc)
+        slope = _boundary_rows(c_a, bc)[0]
         if rows.shape[1] < c.shape[1]:
             rows = np.zeros((lo.size, c.shape[1]))
         achieved[idx], floor[idx], rows[idx] = np.abs(f), f_floor, c
@@ -336,74 +330,46 @@ def _polish(lo, hi, f_lo, readings):
     return x, achieved, floor, band, rows
 
 
-def classify_branch(root: BranchRoot,
-                    partner: BranchRoot | None = None) -> BranchRoot:
-    """Attach the branch label implied by the recovered profile root.phi.
+def _labels(a_star, phis, lam: float) -> list:
+    """Branch labels of the roots at a_star with profiles phis, read from
+    each profile once on :data:`recover.PROFILE_GRID`.
 
     For lam < 0 the label is the sign of phi at r = 1/2 (positive or
     negative solution); a profile that changes sign on [0, 1] triggers a
     soft warning, since sign-definiteness is expected but not enforced.
-    For lam >= 0 the two coexisting branches are ordered by the sup norm
-    of phi, so the partner root is required to tell lower from upper;
-    when the two sup norms agree to within 1e-9 the branches have merged
-    and :class:`AmbiguousClassification` is raised.  Without a partner the
-    single branch is labelled lower.
+    For lam >= 0 the root whose phi has the smallest sup norm is lower,
+    ties going to the smaller a, and every other root is upper; a lower
+    profile that rises above an upper one triggers a soft warning, once
+    per such pair.
     """
-    grid = recover.PROFILE_GRID
-    if root.lam < 0.0:
-        midvalue = evaluate(root.phi, 0.5)
-        label = BranchLabel.POSITIVE if midvalue >= 0.0 else BranchLabel.NEGATIVE
-        values = evaluate(root.phi, grid)
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(values))))
-        if (values > tol).any() and (values < -tol).any():
-            warnings.warn(
-                f"branch at a={root.a_star:.6g} is not sign-definite on [0, 1]",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return replace(root, label=label)
-    if partner is None:
-        return replace(root, label=BranchLabel.LOWER)
-    mine, theirs = recover._sup_norm(root.phi), recover._sup_norm(partner.phi)
-    if abs(mine - theirs) < 1e-9:
-        raise AmbiguousClassification(
-            f"branch sup norms coincide to {abs(mine - theirs):.3e}; fold"
-        )
-    label = BranchLabel.LOWER if mine < theirs else BranchLabel.UPPER
-    lower, upper = (root, partner) if label is BranchLabel.LOWER else (partner, root)
-    lower_vals, upper_vals = evaluate(lower.phi, grid), evaluate(upper.phi, grid)
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(upper_vals))))
-    if np.any(lower_vals > upper_vals + slack):
-        warnings.warn(
-            "branch profiles are not pointwise ordered on [0, 1]",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return replace(root, label=label)
-
-
-def _assign_labels(roots, lam):
-    if not roots:
-        return []
+    values = [evaluate(phi, recover.PROFILE_GRID) for phi in phis]
+    sups = [float(np.max(np.abs(v))) for v in values]
     if lam < 0.0:
-        return [classify_branch(root) for root in roots]
-    if len(roots) == 1:
-        return [classify_branch(roots[0])]
-    if len(roots) == 2:
-        try:
-            return [
-                classify_branch(roots[0], roots[1]),
-                classify_branch(roots[1], roots[0]),
-            ]
-        except AmbiguousClassification:
-            # merged pair: keep both, the smaller sup norm (then the
-            # smaller a) is lower
-            pass
-    lowest = min(range(len(roots)),
-                 key=lambda i: (recover._sup_norm(roots[i].phi), i))
-    return [replace(root, label=BranchLabel.LOWER if i == lowest
-                    else BranchLabel.UPPER)
-            for i, root in enumerate(roots)]
+        for a, v, sup in zip(a_star, values, sups):
+            tol = 1e-9 * max(1.0, sup)
+            if (v > tol).any() and (v < -tol).any():
+                warnings.warn(
+                    f"branch at a={a:.6g} is not sign-definite on [0, 1]",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+        # PROFILE_GRID[50] is r = 1/2 exactly
+        return [BranchLabel.POSITIVE if v[50] >= 0.0 else BranchLabel.NEGATIVE
+                for v in values]
+    if not values:
+        return []
+    lowest = min(range(len(values)), key=lambda i: (sups[i], a_star[i]))
+    labels = [BranchLabel.UPPER] * len(values)
+    labels[lowest] = BranchLabel.LOWER
+    for i, upper in enumerate(values):
+        if i != lowest and np.any(values[lowest] > upper
+                                  + 1e-9 * max(1.0, sups[i])):
+            warnings.warn(
+                "branch profiles are not pointwise ordered on [0, 1]",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return labels
 
 
 def find_branches(lam: float, bc: BoundaryKind,
@@ -423,22 +389,24 @@ def find_branches(lam: float, bc: BoundaryKind,
     ``DEFAULT_RESIDUAL_CAP``.  An empty list is the expected non-existence
     signal above the critical deposition rate, not a failure.
 
-    A root whose functional reads above both ``DEFAULT_ROOT_TOL`` and its
-    noise floor is dropped with a warning.  The polish stops once B reads
-    below its noise floor, so a root is fixed only to within its ``band``:
+    A root is kept only when the polish brought |B| to its noise floor;
+    any other is dropped with a warning.  The polish stops there, so a
+    root is fixed only to within its ``band``:
     1e-11 or less on most roots, up to about 2e-6 near a = -50, and on the
     steep Dirichlet branch, whose functional cannot be evaluated below the
     cancellation noise of its coefficients, from about 1e-5 at a = -70 to
     about 1 at a = -97.  Each root
     stays inside its own grid cell, so the roots are distinct and come out
-    sorted by a.  Each root carries the iterate, profile and residual table
-    that the cap and the labels read; they equal :func:`recover.solve_profile`
-    and :func:`recover.residual_table` at its a_star bit for bit.
+    sorted by a, labelled by :func:`_labels`.  Each root carries the
+    iterate, profile and residual table that the cap and the labels read;
+    they equal :func:`recover.solve_profile` and
+    :func:`recover.residual_table` at its a_star bit for bit.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
     lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # a width that overflows would fill the grid with inf and NaN
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     if grid_points < 100:
         raise ValueError("grid_points must be at least 100")
@@ -469,14 +437,9 @@ def find_branches(lam: float, bc: BoundaryKind,
     kept = np.flatnonzero((sign[left] * sign[first[b_hi]] < 0.0)
                           & (count[shared] == 1))
 
-    def tangents(a):
-        c, c_a = _iterate_tangents(a, lam, n)
-        b, floor = _boundary_rows(c, bc)
-        return b, floor, _boundary_rows(c_a, bc)[0], c
-
     a_star, achieved, floor, band, rows = _polish(
-        xs[b_lo[kept]], xs[b_hi[kept]], sign[b_lo[kept]], tangents)
-    unresolved = achieved > np.fmax(DEFAULT_ROOT_TOL, floor)
+        xs[b_lo[kept]], xs[b_hi[kept]], sign[b_lo[kept]], lam, bc, n)
+    unresolved = achieved > floor
     for i in np.flatnonzero(unresolved):
         warnings.warn(
             f"bracket [{xs[b_lo[kept[i]]]:.6g}, {xs[b_hi[kept[i]]]:.6g}] did "
@@ -489,15 +452,16 @@ def find_branches(lam: float, bc: BoundaryKind,
 
     # each bracket is its own grid cell and its root stays inside it, so
     # the roots are distinct and already sorted by a
-    unlabelled = []
+    found = []
     for a, i, width, row in zip(a_star.tolist(), kept, band.tolist(), rows):
         w = RPoly(_r_powers(row))
         table = recover.residual_table(w, lam)
         # a NaN maximum fails the comparison and rejects the root
-        if not table.max_abs() <= DEFAULT_RESIDUAL_CAP:
-            continue
-        unlabelled.append(BranchRoot(
-            a_star=a, bc=bc, lam=lam, label=BranchLabel.LOWER,
-            bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])), band=width,
-            w=w, phi=recover.recover_phi(w), table=table))
-    return _assign_labels(unlabelled, lam)
+        if table.max_abs() <= DEFAULT_RESIDUAL_CAP:
+            found.append(dict(
+                a_star=a, bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])),
+                band=width, w=w, phi=recover.recover_phi(w), table=table))
+    labels = _labels([f["a_star"] for f in found],
+                     [f["phi"] for f in found], lam)
+    return [BranchRoot(bc=bc, lam=lam, label=label, **f)
+            for f, label in zip(found, labels)]

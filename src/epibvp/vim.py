@@ -82,8 +82,7 @@ class VimProblem:
     n_iter: int = 7
 
     def __post_init__(self):
-        if self.n_iter < 1:
-            raise ValueError("n_iter must be at least 1")
+        _check_depth(self.n_iter)
 
 
 # ---------------------------------------------------------------------------

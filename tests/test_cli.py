@@ -285,7 +285,8 @@ def test_lambda_range_rejects_without_building_the_list(text):
         cli._parse_lambda_range(text)
 
 
-@pytest.mark.parametrize("text", ["-1e400:0", "0:1e400", "nan:0", "-inf:0"])
+@pytest.mark.parametrize("text", ["-1e400:0", "0:1e400", "nan:0", "-inf:0",
+                                  "-1e308:1e308"])
 def test_a_window_bounds_must_be_finite(text):
     with pytest.raises(cli.UsageError, match="--a-window"):
         cli._parse_window(text)
@@ -296,6 +297,16 @@ def test_solve_overflowing_window_is_usage_error(tmp_path, capsys):
                 "--a-window=-1e400:0", "--out", str(tmp_path)])
     assert code == 1
     assert "--a-window" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_window_whose_width_overflows_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["solve", "--bc", "navier1", "--lambda", "1",
+                "--a-window=-1e308:1e308", "--out", str(out)])
+    assert code == 1
+    assert "--a-window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [

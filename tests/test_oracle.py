@@ -211,10 +211,14 @@ def test_profiles_agree_between_methods():
         assert gap <= 5e-2
 
 
+@pytest.mark.filterwarnings("error")
 def test_oracle_window_validation():
     with pytest.raises(ValueError):
         oracle_branches(0.0, BoundaryKind.NAVIER_ONE, window=(3.0, 3.0))
-    for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0)):
+    # the last window's width overflows: linspace would fill the grid with
+    # inf and NaN, and the scan would report no branches
+    for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0),
+                   (-1e308, 1e308)):
         with pytest.raises(ValueError, match="window must be finite"):
             oracle_branches(0.0, BoundaryKind.NAVIER_ONE, window=window)
 

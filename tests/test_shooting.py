@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from epibvp import (
-    AmbiguousClassification,
     BoundaryKind,
     BranchLabel,
     BranchRoot,
     RPoly,
     boundary_residual,
-    classify_branch,
     evaluate,
     find_branches,
     recover_phi,
@@ -428,7 +426,7 @@ def test_polish_matches_bisection(bc, lam, a_min):
         return b, floor, shooting._boundary_rows(c_a, bc)[0], c
 
     roots, achieved, floors, bands, rows = shooting._polish(lo, hi, f_lo,
-                                                            readings)
+                                                            lam, bc, n)
     assert roots[-1] == lo[-1]
     for k in range(lo.size):
         expected = _bisect_one(lambda a: boundary_residual(a, lam, bc),
@@ -460,10 +458,14 @@ def test_non_finite_rate_is_rejected(lam):
         find_branches(lam, BoundaryKind.NAVIER_ONE)
 
 
+@pytest.mark.filterwarnings("error")
 def test_window_validation():
     with pytest.raises(ValueError):
         find_branches(1.0, BoundaryKind.NAVIER_ONE, window=(5.0, 5.0))
-    for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0)):
+    # the last window's width overflows: linspace would fill the grid with
+    # inf and NaN
+    for window in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 0.0),
+                   (-1e308, 1e308)):
         with pytest.raises(ValueError, match="window must be finite"):
             find_branches(1.0, BoundaryKind.NAVIER_ONE, window=window)
     with pytest.raises(ValueError):
@@ -474,36 +476,86 @@ def test_window_validation():
 # classification
 # ---------------------------------------------------------------------------
 
-def _dummy_root(lam, w):
-    return BranchRoot(a_star=-1.0, bc=BoundaryKind.NAVIER_ONE, lam=lam,
-                      label=BranchLabel.LOWER, bracket=(-1.1, -0.9), band=0.0,
-                      w=w, phi=recover_phi(w), table=residual_table(w, lam))
+def _dummy_root(lam, w, a=-1.0):
+    return BranchRoot(a_star=a, bc=BoundaryKind.NAVIER_ONE, lam=lam,
+                      label=BranchLabel.LOWER, bracket=(a - 0.1, a + 0.1),
+                      band=0.0, w=w, phi=recover_phi(w),
+                      table=residual_table(w, lam))
 
 
-def test_classify_orders_by_sup_norm():
-    # downward w gives nonnegative dome-shaped profiles, as on real branches
-    small = _dummy_root(1.0, RPoly([0.0, 0.0, -0.1, 0.0, 0.1]))
-    large = _dummy_root(1.0, RPoly([0.0, 0.0, -1.0, 0.0, 1.0]))
-    assert classify_branch(small, large).label is BranchLabel.LOWER
-    assert classify_branch(large, small).label is BranchLabel.UPPER
+def _labels(lam, roots):
+    """The labels of roots and the texts of the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = shooting._labels([root.a_star for root in roots],
+                                  [root.phi for root in roots], lam)
+    return labels, [str(item.message) for item in caught]
 
 
-def test_classify_merged_profiles_is_ambiguous():
-    root = _dummy_root(1.0, RPoly([0.0, 0.0, 1.0]))
-    with pytest.raises(AmbiguousClassification):
-        classify_branch(root, root)
+# downward w gives nonnegative dome-shaped profiles, as on real branches;
+# phi = (r**2 - 1) (c2 / 2 + c4 (r**2 + 1) / 4) for w = c2 r**2 + c4 r**4
+_SMALL = RPoly([0.0, 0.0, -0.1, 0.0, 0.1])   # sup norm 0.025
+_MIDDLE = RPoly([0.0, 0.0, -0.5, 0.0, 0.5])
+_LARGE = RPoly([0.0, 0.0, -1.0, 0.0, 1.0])   # sup norm 0.25
+_ORDERED = "branch profiles are not pointwise ordered on [0, 1]"
 
 
-def test_classify_by_sign_at_negative_rate():
-    positive = _dummy_root(-1.0, RPoly([0.0, 0.0, -1.0]))
+@pytest.mark.parametrize("lam", [0.0, 1.0, -1.0])
+def test_labels_of_no_roots(lam):
+    assert _labels(lam, []) == ([], [])
+
+
+def test_single_root_is_lower():
+    assert _labels(0.5, [_dummy_root(0.5, _LARGE)]) == ([BranchLabel.LOWER], [])
+
+
+def test_pair_is_ordered_by_sup_norm():
+    small, large = _dummy_root(1.0, _SMALL, -2.0), _dummy_root(1.0, _LARGE)
+    lower, upper = BranchLabel.LOWER, BranchLabel.UPPER
+    assert _labels(1.0, [small, large]) == ([lower, upper], [])
+    assert _labels(1.0, [large, small]) == ([upper, lower], [])
+
+
+def test_smallest_of_three_is_lower_and_the_rest_upper():
+    roots = [_dummy_root(0.0, w, a)
+             for w, a in ((_LARGE, -3.0), (_SMALL, -2.0), (_MIDDLE, -1.0))]
+    assert _labels(0.0, roots) == (
+        [BranchLabel.UPPER, BranchLabel.LOWER, BranchLabel.UPPER], [])
+
+
+def test_exact_sup_norm_tie_goes_to_the_smaller_a():
+    left, right = _dummy_root(1.0, _SMALL, -2.0), _dummy_root(1.0, _SMALL, -1.0)
+    assert _labels(1.0, [left, right])[0] == [BranchLabel.LOWER,
+                                              BranchLabel.UPPER]
+    assert _labels(1.0, [right, left])[0] == [BranchLabel.UPPER,
+                                              BranchLabel.LOWER]
+
+
+def test_unordered_pair_warns_once():
+    # the upper profile is a trough: the lower dome rises above it
+    trough = _dummy_root(1.0, RPoly([0.0, 0.0, 1.0, 0.0, -1.0]))
+    labels, caught = _labels(1.0, [_dummy_root(1.0, _SMALL, -2.0), trough])
+    assert labels == [BranchLabel.LOWER, BranchLabel.UPPER]
+    assert caught == [_ORDERED]
+    # once per unordered pair: the ordered upper root adds no warning
+    caught = _labels(1.0, [_dummy_root(1.0, _SMALL, -3.0), trough,
+                           _dummy_root(1.0, _LARGE)])[1]
+    assert caught == [_ORDERED]
+
+
+def test_label_by_sign_at_negative_rate():
+    positive = _dummy_root(-1.0, RPoly([0.0, 0.0, -1.0]), -2.0)
     negative = _dummy_root(-1.0, RPoly([0.0, 0.0, 1.0]))
-    assert classify_branch(positive).label is BranchLabel.POSITIVE
-    assert classify_branch(negative).label is BranchLabel.NEGATIVE
+    assert _labels(-1.0, [positive, negative]) == (
+        [BranchLabel.POSITIVE, BranchLabel.NEGATIVE], [])
 
 
-def test_classify_single_branch_defaults_to_lower():
-    root = _dummy_root(0.5, RPoly([0.0, 0.0, 1.0]))
-    assert classify_branch(root).label is BranchLabel.LOWER
+def test_sign_changing_profile_warns():
+    # phi changes sign at r**2 = 1/3 and is positive at r = 1/2
+    root = _dummy_root(-1.0, RPoly([0.0, 0.0, -1.0, 0.0, 1.5]))
+    assert _labels(-1.0, [root]) == (
+        [BranchLabel.POSITIVE],
+        ["branch at a=-1 is not sign-definite on [0, 1]"])
 
 
 def test_boundary_kind_parsing():

@@ -128,8 +128,9 @@ def test_quadratic_coefficient_is_preserved():
 
 
 def test_iterate_validates_depth():
-    with pytest.raises(ValueError):
-        VimProblem(lam=0.0, a=1.0, n_iter=0)
+    for depth in (0, 11):
+        with pytest.raises(ValueError):
+            VimProblem(lam=0.0, a=1.0, n_iter=depth)
 
 
 def test_even_power_storage_matches_r_power_chain():
