@@ -86,45 +86,49 @@ def series_start(a, lam: float, r0: float):
 
 def _grid(lam: float, cfg: IvpConfig):
     """Step length in t, and the forcing lam exp(4 t) / 2 at the 2 steps + 1
-    stage points ln r0, ln r0 + h/2, ..., 0 as a list of floats."""
+    stage points ln r0, ln r0 + h/2, ..., 0 as a list of floats.
+
+    Raises ValueError for a rate that is not finite: its forcing is NaN at
+    every stage, which would read as blow-up everywhere.
+    """
+    if not math.isfinite(lam):
+        raise ValueError(f"the rate must be finite, got {lam!r}")
     t0 = math.log(cfg.r0)
     stages = np.linspace(t0, 0.0, 2 * cfg.steps + 1)
     return -t0 / cfg.steps, (0.5 * lam * np.exp(4.0 * stages)).tolist()
 
 
-def _rk4_step(w, u, h, f0, fm, f1):
-    """One classic RK4 step of length h in t; w and u may be floats or
-    arrays, f0, fm and f1 are the forcing at the start, middle and end."""
-    half = 0.5 * h
-    k1 = 2.0 * u + 0.5 * w * w + f0
-    w2 = w + half * u
-    u2 = u + half * k1
-    k2 = 2.0 * u2 + 0.5 * w2 * w2 + fm
-    w3 = w + half * u2
-    u3 = u + half * k2
-    k3 = 2.0 * u3 + 0.5 * w3 * w3 + fm
-    w4 = w + h * u3
-    u4 = u + h * k3
-    k4 = 2.0 * u4 + 0.5 * w4 * w4 + f1
-    return (w + h * (u + 2.0 * u2 + 2.0 * u3 + u4) / 6.0,
-            u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-
-
 def _march(a: float, lam: float, cfg: IvpConfig, nodes=None):
-    """Integrate one trajectory to r = 1; returns the endpoint (w, w').
+    """Integrate one trajectory to r = 1 by classic RK4; returns the
+    endpoint (w, w').
 
     Raises :class:`IvpOverflow` when |w| passes the blow-up guard.  Given
     ``nodes``, two preallocated arrays (w, u) of one more entry than there
-    are steps, it also stores the state at every node.
+    are steps, it also stores the state at every node.  The step is
+    written out on floats; :func:`_integrate_batch` does the same
+    operations in the same order on arrays, so both read the same bits.
     """
     h, f = _grid(lam, cfg)
+    half = 0.5 * h
     w, v = series_start(a, lam, cfg.r0)
     u = cfg.r0 * v
     if nodes is not None:
         ws, us = nodes
         ws[0], us[0] = w, u
-    for i in range(1, cfg.steps + 1):
-        w, u = _rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
+    for i, f0, fm, f1 in zip(range(1, cfg.steps + 1),
+                              f[0:-1:2], f[1::2], f[2::2]):
+        k1 = 2.0 * u + 0.5 * w * w + f0
+        w2 = w + half * u
+        u2 = u + half * k1
+        k2 = 2.0 * u2 + 0.5 * w2 * w2 + fm
+        w3 = w + half * u2
+        u3 = u + half * k2
+        k3 = 2.0 * u3 + 0.5 * w3 * w3 + fm
+        w4 = w + h * u3
+        u4 = u + h * k3
+        k4 = 2.0 * u4 + 0.5 * w4 * w4 + f1
+        w = w + h * (u + 2.0 * u2 + 2.0 * u3 + u4) / 6.0
+        u = u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not abs(w) <= BLOWUP_GUARD:
             r = cfg.r0 ** (1.0 - i / cfg.steps)
             raise IvpOverflow(f"|w| exceeded {BLOWUP_GUARD:g} at r = {r:.6f}")
@@ -136,7 +140,8 @@ def _march(a: float, lam: float, cfg: IvpConfig, nodes=None):
 def ivp_integrate(a: float, lam: float, cfg: IvpConfig | None = None):
     """Integrate to r = 1; returns the endpoint pair (w(1), w'(1)).
 
-    Raises :class:`IvpOverflow` if |w| passes the blow-up guard on the way.
+    Raises :class:`IvpOverflow` if |w| passes the blow-up guard on the way,
+    and ValueError for a rate that is not finite.
     """
     return _march(a, lam, cfg or IvpConfig())
 
@@ -175,17 +180,75 @@ def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig):
     reported as NaN instead of raising.  Columns are independent, so a
     blown-up column integrates on and is masked once at the end: the
     running peak of |w| (NaN once w is) tells which.
+
+    Each step does :func:`_march`'s floating-point operations in the same
+    order, as ``out=`` calls into one buffer of shape (4 stages, 3, ...):
+    stage j = 1..4 holds the rows (w_j, u_j, k_j), and stage 1's (w, u) is
+    the state, so the stage update (w, u) + c (u_j, k_j) is one multiply
+    and one add on stacked rows.  Every view is built before the loop:
+    per-call dispatch, not arithmetic, dominates at a few hundred columns.
     """
     h, f = _grid(lam, cfg)
-    w, v = series_start(np.asarray(a_values, dtype=float), lam, cfg.r0)
-    u = cfg.r0 * v
-    peak = np.zeros_like(w)
+    half = 0.5 * h
+    w0, v0 = series_start(np.asarray(a_values, dtype=float), lam, cfg.r0)
+    stages = np.empty((4, 3) + w0.shape)
+    stages[0, 0] = w0
+    np.multiply(cfg.r0, v0, out=stages[0, 1])
+    state = stages[0, :2]
+    w1, w2, w3, w4 = stages[:, 0]
+    u1, u2, u3, u4 = stages[:, 1]
+    k1, k2, k3, k4 = stages[:, 2]
+    rates1, rates2, rates3, rates4 = stages[:, 1:]
+    start2, start3, start4 = stages[1:, :2]
+    middle = stages[1:3, 1:]
+    doubled = np.empty((2, 2) + w0.shape)
+    doubled2, doubled3 = doubled
+    total = np.empty((2,) + w0.shape)
+    scratch = np.empty_like(w0)
+    peak = np.zeros_like(w0)
+    mul, add = np.multiply, np.add
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, cfg.steps + 1):
-            w, u = _rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
-            np.maximum(peak, np.abs(w), out=peak)
+        for f0, fm, f1 in zip(f[0:-1:2], f[1::2], f[2::2]):
+            # k_j = 2 u_j + 0.5 w_j w_j + forcing, and stage j + 1 starts
+            # at (w, u) + c (u_j, k_j)
+            mul(w1, 0.5, out=k1)
+            mul(k1, w1, out=k1)
+            mul(u1, 2.0, out=scratch)
+            add(scratch, k1, out=k1)
+            add(k1, f0, out=k1)
+            mul(rates1, half, out=start2)
+            add(state, start2, out=start2)
+            mul(w2, 0.5, out=k2)
+            mul(k2, w2, out=k2)
+            mul(u2, 2.0, out=scratch)
+            add(scratch, k2, out=k2)
+            add(k2, fm, out=k2)
+            mul(rates2, half, out=start3)
+            add(state, start3, out=start3)
+            mul(w3, 0.5, out=k3)
+            mul(k3, w3, out=k3)
+            mul(u3, 2.0, out=scratch)
+            add(scratch, k3, out=k3)
+            add(k3, fm, out=k3)
+            mul(rates3, h, out=start4)
+            add(state, start4, out=start4)
+            mul(w4, 0.5, out=k4)
+            mul(k4, w4, out=k4)
+            mul(u4, 2.0, out=scratch)
+            add(scratch, k4, out=k4)
+            add(k4, f1, out=k4)
+            # (w, u) += h ((u, k1) + 2 (u2, k2) + 2 (u3, k3) + (u4, k4)) / 6
+            mul(middle, 2.0, out=doubled)
+            add(rates1, doubled2, out=total)
+            add(total, doubled3, out=total)
+            add(total, rates4, out=total)
+            mul(total, h, out=total)
+            np.divide(total, 6.0, out=total)
+            add(state, total, out=state)
+            np.abs(w1, out=scratch)
+            np.maximum(peak, scratch, out=peak)
     bad = ~(peak <= BLOWUP_GUARD)
-    return np.where(bad, np.nan, w), np.where(bad, np.nan, u)
+    return np.where(bad, np.nan, w1), np.where(bad, np.nan, u1)
 
 
 # scan points and root tolerance in the shooting parameter
@@ -232,7 +295,8 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
 
     Scans the window, skips blown-up stretches, and solves each
     sign-change bracket to ``_ROOT_TOL`` in the shooting parameter.  An
-    empty list mirrors branch non-existence above the critical rate.
+    empty list mirrors branch non-existence above the critical rate; a
+    rate that is not finite raises ValueError.
     """
     lo, hi = float(window[0]), float(window[1])
     # a width that overflows would fill the grid with inf and NaN

@@ -393,6 +393,12 @@ def test_oracle_check_bad_tolerance_is_usage_error(tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_oracle_check_non_finite_rate_is_usage_error(lam, capsys):
+    assert run(["oracle-check", "--bc", "navier1", f"--lambda={lam}"]) == 1
+    assert "the rate must be finite" in capsys.readouterr().err
+
+
 def test_oracle_check_echoes_its_flags(tmp_path, monkeypatch, capsys):
     out = tmp_path / "check"
     argv = ["oracle-check", "--bc", "NAVIER1", "--lambda", "40"]

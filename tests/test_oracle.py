@@ -97,14 +97,43 @@ def test_blow_up_raises():
         ivp_integrate(50.0, 0.0)
 
 
-@pytest.mark.parametrize("lam", [-40.0, 0.0, 15.0])
-def test_batch_matches_scalar_integration_bit_for_bit(lam):
-    # the scan and the bisection of oracle_branches must read the same B.
-    # At a = -113.17 and -72.22 a start formed as a * r0**2 instead of
-    # (a * r0) * r0 ends a few ulps off; a = 50 blows up
-    cfg = IvpConfig(r0=1e-2, steps=1600)
-    a_values = np.concatenate([np.linspace(-120.0, 20.0, 29),
-                               [-113.17, -72.22, 50.0]])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_rate_rejected(lam):
+    # a NaN forcing reads as blow-up in every column, which oracle_branches
+    # would report as an empty list, the non-existence signal
+    message = f"the rate must be finite, got {lam!r}"
+    with pytest.raises(ValueError, match=message):
+        oracle_branches(lam, BoundaryKind.NAVIER_ONE)
+    with pytest.raises(ValueError, match=message):
+        ivp_integrate(-10.0, lam)
+    with pytest.raises(ValueError, match=message):
+        ivp_trajectory(-10.0, lam)
+
+
+# At a = -113.17 and -72.22 a start formed as a * r0**2 instead of
+# (a * r0) * r0 ends a few ulps off; a = 50 blows up
+_SHORT = (IvpConfig(r0=1e-2, steps=1600),
+          np.concatenate([np.linspace(-120.0, 20.0, 29),
+                          [-113.17, -72.22, 50.0]]),
+          1)
+
+
+@pytest.mark.parametrize("lam,cfg,a_values,blown_up", [
+    pytest.param(-40.0, *_SHORT, id="-40.0"),
+    pytest.param(0.0, *_SHORT, id="0.0"),
+    pytest.param(15.0, *_SHORT, id="15.0"),
+    # the oracle's own scan: default config and 320 columns; on the wide
+    # window a run of columns blows up while the rest integrate on
+    pytest.param(15.0, IvpConfig(), np.linspace(-120.0, 20.0, 320), 0,
+                 id="scan-15.0"),
+    pytest.param(-130.0, IvpConfig(), np.linspace(-300.0, 300.0, 320), 139,
+                 id="wide-scan--130.0"),
+])
+def test_batch_matches_scalar_integration_bit_for_bit(lam, cfg, a_values,
+                                                      blown_up):
+    # the scan and the bisection of oracle_branches must read the same B:
+    # every column equals the scalar march bit for bit, and exactly the
+    # columns whose march overflows read NaN
     w, v = _integrate_batch(a_values, lam, cfg)
     overflowed = np.zeros(a_values.size, dtype=bool)
     for i, a in enumerate(a_values):
@@ -114,9 +143,58 @@ def test_batch_matches_scalar_integration_bit_for_bit(lam):
             overflowed[i] = True
             continue
         assert np.array([w[i], v[i]]).tobytes() == np.array(expected).tobytes()
-    assert overflowed[-1]
+    assert overflowed.sum() == blown_up
     assert np.array_equal(np.isnan(w), overflowed)
     assert np.array_equal(np.isnan(v), overflowed)
+
+
+def _reference_march(a, lam, cfg):
+    """Reference march: one call of a float RK4 step per step, returning
+    a tuple.  Kept frozen; the oracle's march must equal it bit for bit."""
+
+    def rk4_step(w, u, h, f0, fm, f1):
+        half = 0.5 * h
+        k1 = 2.0 * u + 0.5 * w * w + f0
+        w2 = w + half * u
+        u2 = u + half * k1
+        k2 = 2.0 * u2 + 0.5 * w2 * w2 + fm
+        w3 = w + half * u2
+        u3 = u + half * k2
+        k3 = 2.0 * u3 + 0.5 * w3 * w3 + fm
+        w4 = w + h * u3
+        u4 = u + h * k3
+        k4 = 2.0 * u4 + 0.5 * w4 * w4 + f1
+        return (w + h * (u + 2.0 * u2 + 2.0 * u3 + u4) / 6.0,
+                u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+    h, f = oracle._grid(lam, cfg)
+    w, v = series_start(a, lam, cfg.r0)
+    u = cfg.r0 * v
+    for i in range(1, cfg.steps + 1):
+        w, u = rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
+        if not abs(w) <= oracle.BLOWUP_GUARD:
+            r = cfg.r0 ** (1.0 - i / cfg.steps)
+            raise IvpOverflow(
+                f"|w| exceeded {oracle.BLOWUP_GUARD:g} at r = {r:.6f}")
+    return w, u
+
+
+@pytest.mark.parametrize("a,lam", [
+    (-17.2, 15.0), (-87.3, -25.0), (-9.4, 0.0), (3.6, 1.0), (-113.17, -130.0),
+])
+def test_march_matches_frozen_reference_bit_for_bit(a, lam):
+    for cfg in (IvpConfig(), IvpConfig(r0=1e-2, steps=1600)):
+        expected = _reference_march(a, lam, cfg)
+        assert (np.array(oracle._march(a, lam, cfg)).tobytes()
+                == np.array(expected).tobytes())
+
+
+def test_march_overflow_message_matches_frozen_reference():
+    with pytest.raises(IvpOverflow) as expected:
+        _reference_march(50.0, 0.0, IvpConfig())
+    with pytest.raises(IvpOverflow) as raised:
+        oracle._march(50.0, 0.0, IvpConfig())
+    assert str(raised.value) == str(expected.value)
 
 
 def test_fourth_order_convergence():
@@ -221,6 +299,39 @@ def test_oracle_window_validation():
                    (-1e308, 1e308)):
         with pytest.raises(ValueError, match="window must be finite"):
             oracle_branches(0.0, BoundaryKind.NAVIER_ONE, window=window)
+
+
+# oracle_branches roots on the default window, in hex: a drift of one ulp
+# in the integrator or the root solve shows here first
+_HEX_ROOTS = {
+    (BoundaryKind.DIRICHLET, -25.0):
+        ("-0x1.5d761eb39bcc6p+6", "0x1.7de6a3ea1cd80p+0"),
+    (BoundaryKind.DIRICHLET, 30.0):
+        ("-0x1.2271b03fc3c63p+6", "-0x1.ff31488a05096p+0"),
+    (BoundaryKind.NAVIER_ONE, -60.0):
+        ("-0x1.2228c87f9898cp+5", "0x1.529f115c61e59p+2"),
+    (BoundaryKind.NAVIER_ONE, 15.0):
+        ("-0x1.13e6910f66746p+4", "-0x1.1c634b1a22192p+1"),
+    (BoundaryKind.NAVIER_TWO, -100.0):
+        ("-0x1.8ede2ebbda391p+4", "0x1.115527b0d3eb6p+3"),
+    (BoundaryKind.NAVIER_TWO, 8.0):
+        ("-0x1.c2e1b322fce24p+2", "-0x1.fac086155b012p+0"),
+}
+
+
+@pytest.mark.parametrize("bc,lam", list(_HEX_ROOTS))
+def test_oracle_roots_pinned_bit_for_bit(bc, lam):
+    roots = oracle_branches(lam, bc)
+    assert tuple(float(x).hex() for x in roots) == _HEX_ROOTS[bc, lam]
+
+
+def test_trajectory_pinned_bit_for_bit():
+    a = float.fromhex("-0x1.13e6910f66746p+4")  # navier1 lower root at 15
+    rs, ws, vs = ivp_trajectory(a, 15.0)
+    assert float(ws[-1]).hex() == "-0x1.89140966d5d62p+2"
+    assert float(vs[-1]).hex() == "-0x1.0d80000000000p-47"
+    assert float(ws[1000]).hex() == "-0x1.c3fc053a905c1p-10"
+    assert float(vs[1000]).hex() == "-0x1.6112a84b3a6fap-2"
 
 
 # roots from a second integrator: RK4 on 10 000 uniform steps in r from
