@@ -61,10 +61,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _rate(text: str) -> float:
+    """Flag type of a rate: a finite float, checked before any output is
+    written, with the message the library raises."""
+    try:
+        lam = float(text)
+    except ValueError:
+        # the message argparse gives a malformed value of a float flag
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(lam):
+        raise UsageError(f"the rate must be finite, got {lam!r}")
+    return lam
+
+
 def _parse_lambda_list(text: str):
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
+        values = [_rate(part) for part in text.split(",") if part.strip() != ""]
+    except argparse.ArgumentTypeError:
         raise UsageError(f"bad --lambdas list: {text!r}")
     if not values:
         raise UsageError("--lambdas list is empty")
@@ -523,7 +536,7 @@ def _build_parser() -> _Parser:
 
     solve = commands.add_parser("solve", help="solve all branches at one rate")
     _add_common(solve)
-    solve.add_argument("--lambda", dest="lam", type=float, required=True)
+    solve.add_argument("--lambda", dest="lam", type=_rate, required=True)
     solve.add_argument("--grid-step", type=_grid_step, default=0.01)
     solve.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -553,13 +566,13 @@ def _build_parser() -> _Parser:
 
     lin = commands.add_parser("linear", help="closed-form small-rate approximation")
     _add_common(lin)
-    lin.add_argument("--lambda", dest="lam", type=float, required=True)
+    lin.add_argument("--lambda", dest="lam", type=_rate, required=True)
     lin.add_argument("--grid-step", type=_grid_step, default=0.01)
 
     check = commands.add_parser("oracle-check",
                                 help="cross-validate against the RK4 integrator")
     _add_common(check)
-    check.add_argument("--lambda", dest="lam", type=float, required=True)
+    check.add_argument("--lambda", dest="lam", type=_rate, required=True)
     check.add_argument("--tol", type=_tolerance, default=5e-2)
 
     return parser

@@ -98,17 +98,18 @@ def _grid(lam: float, cfg: IvpConfig):
     return -t0 / cfg.steps, (0.5 * lam * np.exp(4.0 * stages)).tolist()
 
 
-def _march(a: float, lam: float, cfg: IvpConfig, nodes=None):
+def _march(a: float, lam: float, cfg: IvpConfig, nodes=None, grid=None):
     """Integrate one trajectory to r = 1 by classic RK4; returns the
     endpoint (w, w').
 
     Raises :class:`IvpOverflow` when |w| passes the blow-up guard.  Given
     ``nodes``, two preallocated arrays (w, u) of one more entry than there
-    are steps, it also stores the state at every node.  The step is
+    are steps, it also stores the state at every node.  ``grid`` is
+    :func:`_grid` of (lam, cfg), built here when not given.  The step is
     written out on floats; :func:`_integrate_batch` does the same
     operations in the same order on arrays, so both read the same bits.
     """
-    h, f = _grid(lam, cfg)
+    h, f = _grid(lam, cfg) if grid is None else grid
     half = 0.5 * h
     w, v = series_start(a, lam, cfg.r0)
     u = cfg.r0 * v
@@ -173,7 +174,8 @@ def profile_from_trajectory(rs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return -tail
 
 
-def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig):
+def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig,
+                     grid=None):
     """Endpoint states for many shooting parameters at once.
 
     Columns whose trajectory blows up (or leaves the finite range) are
@@ -187,8 +189,9 @@ def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig):
     the state, so the stage update (w, u) + c (u_j, k_j) is one multiply
     and one add on stacked rows.  Every view is built before the loop:
     per-call dispatch, not arithmetic, dominates at a few hundred columns.
+    ``grid`` is as for :func:`_march`.
     """
-    h, f = _grid(lam, cfg)
+    h, f = _grid(lam, cfg) if grid is None else grid
     half = 0.5 * h
     w0, v0 = series_start(np.asarray(a_values, dtype=float), lam, cfg.r0)
     stages = np.empty((4, 3) + w0.shape)
@@ -303,14 +306,16 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     cfg = cfg or IvpConfig()
+    # the scan and every Illinois march share one forcing grid
+    grid = _grid(lam, cfg)
     xs = np.linspace(lo, hi, _GRID_POINTS)
-    w1, v1 = _integrate_batch(xs, lam, cfg)
+    w1, v1 = _integrate_batch(xs, lam, cfg, grid)
     finite = np.isfinite(w1) & np.isfinite(v1)
     with np.errstate(invalid="ignore"):
         fs = np.where(finite, bc.residual(w1, v1), np.nan)
 
     def residual(a: float) -> float:
-        w, v = ivp_integrate(a, lam, cfg)
+        w, v = _march(a, lam, cfg, grid=grid)
         return bc.residual(w, v)
 
     roots = []

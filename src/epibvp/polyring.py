@@ -180,50 +180,6 @@ def evaluate(p: RPoly, r):
     return acc
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_prod(a, b):
-    """Error-free product: returns (p, e) with p = fl(a * b) and a * b = p + e.
-
-    Dekker's splitting (no fused multiply-add needed); exact unless the
-    operands are large enough to overflow or small enough to underflow.
-    """
-    p = a * b
-    c = _SPLITTER * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _SPLITTER * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _dd_mul(a_hi, a_lo, b_hi, b_lo):
-    # double-double product, relative error a few units of eps**2
-    p, e = _two_prod(a_hi, b_hi)
-    e = e + (a_hi * b_lo + a_lo * b_hi)
-    s = p + e
-    return s, e - (s - p)
-
-
-def _dd_powers(r, n: int):
-    """r**k for k < n at each point, as unevaluated sums hi + lo.
-
-    Returns two (number of points, n) arrays.  Each doubling step multiplies
-    the known block of powers by the next r**(2**j), so every power carries
-    a relative error of about log2(n) units of eps**2.
-    """
-    r = np.asarray(r, dtype=float).reshape(-1, 1)
-    hi, lo = np.ones_like(r), np.zeros_like(r)
-    step_hi, step_lo = r, np.zeros_like(r)
-    while hi.shape[1] < n:
-        block_hi, block_lo = _dd_mul(hi, lo, step_hi, step_lo)
-        hi, lo = np.hstack((hi, block_hi)), np.hstack((lo, block_lo))
-        step_hi, step_lo = _dd_mul(step_hi, step_lo, step_hi, step_lo)
-    return hi[:, :n], lo[:, :n]
-
-
 def apply_vim_kernel(f: RPoly) -> RPoly:
     """Integrate f against the kernel (t - r)/t**2 from 0 to r, in closed form.
 

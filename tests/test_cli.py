@@ -1,15 +1,27 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import epibvp
 from epibvp import cli
 from epibvp.cli import main
 
 
 def run(argv):
     return main(argv)
+
+
+def _rejected_before_output(argv, out, capsys, lam):
+    # the rate is checked before the output directory or the echo is made
+    assert run(argv + ["--out", str(out)]) == 1
+    assert f"the rate must be finite, got {lam}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +53,19 @@ def test_solve_nonexistence_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
-def test_solve_non_finite_rate_is_usage_error(tmp_path, lam):
-    code = run(["solve", "--bc", "navier1", "--lambda", lam,
-                "--out", str(tmp_path)])
-    assert code == 1
+def test_solve_non_finite_rate_is_usage_error(tmp_path, lam, capsys):
+    # "--lambda -inf" would read as a missing value: argparse takes -inf
+    # for an option
+    _rejected_before_output(["solve", "--bc", "navier1", f"--lambda={lam}"],
+                            tmp_path / "out", capsys, lam)
+
+
+def test_solve_malformed_rate_is_usage_error(tmp_path, capsys):
+    assert run(["solve", "--bc", "navier1", "--lambda", "abc",
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "argument --lambda: invalid float value: 'abc'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_depth_above_maximum_is_usage_error(tmp_path):
@@ -360,11 +381,10 @@ def test_linear_zero_rate(tmp_path):
         assert float(w) == 0.0 and float(phi) == 0.0
 
 
-@pytest.mark.parametrize("lam", ["nan", "inf"])
-def test_linear_non_finite_rate_is_usage_error(tmp_path, lam):
-    assert run(["linear", "--bc", "dirichlet", "--lambda", lam,
-                "--out", str(tmp_path)]) == 1
-    assert not list(tmp_path.glob("linear_*"))
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_linear_non_finite_rate_is_usage_error(tmp_path, lam, capsys):
+    _rejected_before_output(["linear", "--bc", "dirichlet", f"--lambda={lam}"],
+                            tmp_path / "out", capsys, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +414,9 @@ def test_oracle_check_bad_tolerance_is_usage_error(tol, capsys):
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
-def test_oracle_check_non_finite_rate_is_usage_error(lam, capsys):
-    assert run(["oracle-check", "--bc", "navier1", f"--lambda={lam}"]) == 1
-    assert "the rate must be finite" in capsys.readouterr().err
+def test_oracle_check_non_finite_rate_is_usage_error(tmp_path, lam, capsys):
+    _rejected_before_output(["oracle-check", "--bc", "navier1",
+                             f"--lambda={lam}"], tmp_path / "out", capsys, lam)
 
 
 def test_oracle_check_echoes_its_flags(tmp_path, monkeypatch, capsys):
@@ -554,11 +574,19 @@ def test_residual_table_parallel_jobs(tmp_path):
 # worker pool limits
 # ---------------------------------------------------------------------------
 
-def test_sweep_non_finite_rate_is_usage_error(tmp_path):
-    code = run(["sweep", "--bc", "navier1", "--lambdas", "nan",
-                "--out", str(tmp_path), "--jobs", "1"])
-    assert code == 1
-    assert not (tmp_path / "sweep_navier1.csv").exists()
+def test_sweep_non_finite_rate_is_usage_error(tmp_path, capsys):
+    # one bad entry among finite ones is enough
+    _rejected_before_output(["sweep", "--bc", "navier1", "--lambdas=1,nan",
+                             "--jobs", "1"], tmp_path / "out", capsys, "nan")
+
+
+@pytest.mark.parametrize("rates,lam", [("1,nan", "nan"), ("-inf", "-inf"),
+                                       ("0,inf,1", "inf")])
+def test_residual_table_non_finite_rate_is_usage_error(tmp_path, capsys,
+                                                        rates, lam):
+    _rejected_before_output(["residual-table", "--bc", "navier1", "--branch",
+                             "upper", f"--lambdas={rates}", "--jobs", "1"],
+                            tmp_path / "out", capsys, lam)
 
 
 @pytest.mark.parametrize("command", [
@@ -673,3 +701,19 @@ def test_grid_step_is_checked_before_the_output_directory(tmp_path):
     assert run(["solve", "--bc", "navier1", "--lambda", "15",
                 "--grid-step", "0.7", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# python -m epibvp
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lam,code", [("1", 0), ("nan", 1)])
+def test_module_entry_point_exit_code(tmp_path, lam, code):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(epibvp.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "epibvp", "linear", "--bc", "navier1",
+         f"--lambda={lam}", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    assert (tmp_path / "out").exists() == (code == 0)

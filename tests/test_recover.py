@@ -9,9 +9,11 @@ from epibvp import (
     NonRecoverable,
     RPoly,
     ResidualTable,
+    VimProblem,
     differentiate,
     evaluate,
     find_branches,
+    iterate,
     linear_approximation,
     recover_phi,
     residual_table,
@@ -167,10 +169,40 @@ def test_residual_table_is_exact_on_steep_branch():
     table = residual_table(profile.w, lam)
     assert table.max_abs() == pytest.approx(0.7103590435968146, rel=1e-9)
     # every entry is the exact defect of the float coefficients, rounded once
-    eps = np.finfo(float).eps
     for r, value in zip(table.grid, table.values):
-        exact = float(exact_defect(profile.w, lam, r))
-        assert abs(value - exact) <= eps * abs(exact)
+        assert value == float(exact_defect(profile.w, lam, r))
+
+
+def test_residual_table_is_correctly_rounded_on_a_high_mass_row():
+    # the coefficient mass is 2.4e19, so an error of eps**2 times the mass
+    # (1.2e-12) would span 600 units in the last place of the value
+    lam = -100.0
+    w = iterate(VimProblem(lam=lam, a=-86.47151022454172, n_iter=7))
+    value = residual_table(w, lam, grid=(0.9,)).values[0]
+    assert value == float(exact_defect(w, lam, 0.9)) == -11.787934110327528
+
+
+@pytest.mark.parametrize("coeffs,lam", [
+    ([0.0, 0.0, np.inf], 1.0),
+    ([0.0, 0.0, 0.0, -np.inf], 1.0),
+    ([0.0, 0.0, np.nan], 1.0),
+    ([0.0, 0.0, 1.0], np.inf),
+    ([0.0, 0.0, 1.0], np.nan),
+])
+def test_residual_table_of_non_finite_input_is_nan(coeffs, lam):
+    table = residual_table(RPoly(coeffs), lam)
+    assert np.isnan(table.values).all()
+
+
+def test_residual_table_past_the_float_range():
+    # 8 * 1e308, the linear term's coefficient, is past the float range,
+    # yet the value is the exact defect rounded once
+    w = RPoly([0.0, 0.0, 0.0, 0.0, 1e308])
+    value = residual_table(w, 1.0, grid=(1e-80,)).values[0]
+    assert value == float(exact_defect(w, 1.0, 1e-80))
+    # a value past the float range reads as -inf
+    table = residual_table(RPoly([0.0, 0.0, 1e200]), 1.0)
+    assert table.values == (0.0,) + (-np.inf,) * 9
 
 
 # ---------------------------------------------------------------------------
