@@ -61,14 +61,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _number(kind, text: str):
+    """text as a ``kind`` (float or int), failing with the message argparse
+    gives a malformed value of a plain float or int flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {kind.__name__} value: {text!r}")
+
+
 def _rate(text: str) -> float:
     """Flag type of a rate: a finite float, checked before any output is
     written, with the message the library raises."""
-    try:
-        lam = float(text)
-    except ValueError:
-        # the message argparse gives a malformed value of a float flag
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    lam = _number(float, text)
     if not math.isfinite(lam):
         raise UsageError(f"the rate must be finite, got {lam!r}")
     return lam
@@ -137,7 +143,7 @@ _MAX_GRID_POINTS = 100_001
 
 
 def _grid_step(text: str) -> float:
-    step = float(text)
+    step = _number(float, text)
     if not 0.0 < step <= 0.5:
         raise UsageError("--grid-step must lie in (0, 0.5]")
     # the grid has at most 1/step + 1 points; count them before any is made
@@ -147,14 +153,14 @@ def _grid_step(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    tol = float(text)
+    tol = _number(float, text)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and non-negative, got {tol!r}")
     return tol
 
 
 def _jobs(text: str) -> int:
-    jobs = int(text)
+    jobs = _number(int, text)
     if jobs < 1:
         raise UsageError(f"--jobs must be a positive integer, got {jobs!r}")
     return jobs
@@ -188,7 +194,11 @@ def _resolve_out_dir(flag_value) -> Path:
         out = Path(os.environ[_OUT_DIR_ENV])
     else:
         out = Path("epibvp_out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot use --out {str(out)!r}: {exc.strerror or exc}")
     return out
 
 
@@ -234,7 +244,7 @@ def _config_value(action: argparse.Action, key: str, value):
     text = value if isinstance(value, str) else repr(value)
     try:
         converted = action.type(text) if action.type else text
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
         raise UsageError(f"bad config value for {key!r}: {value!r}")
     if action.choices is not None and converted not in action.choices:
         raise UsageError(f"config value for {key!r} must be one of "
@@ -375,6 +385,9 @@ def _cmd_residual_table(args) -> int:
 
 def _cmd_critical(args) -> int:
     bc = BoundaryKind(args.bc)
+    out_dir = _optional_out_dir(args.out)
+    if out_dir is not None:
+        _echo_config(out_dir, args)
     try:
         estimate = critical.find_critical_lambda(
             bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
@@ -395,9 +408,7 @@ def _cmd_critical(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    out_dir = _optional_out_dir(args.out)
     if out_dir is not None:
-        _echo_config(out_dir, args)
         _write_text(out_dir / f"critical_{bc.value}.json", text + "\n")
     return EXIT_OK
 

@@ -130,10 +130,11 @@ def linear_approximation(bc: "BoundaryKind", lam: float) -> Profile:
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
-    c = bc.linear_root_coefficient
-    w = RPoly([0.0, 0.0, -c * lam / 16.0, 0.0, lam / 16.0])
-    return Profile(phi=recover_phi(w), w=w, a_star=-c * lam / 16.0,
-                   bc=bc, lam=lam)
+    # dividing first keeps -c * lam from overflowing near the float limit;
+    # lam / 16 is exact outside the subnormal range, so no other rate moves
+    a_star = -bc.linear_root_coefficient * (lam / 16.0)
+    w = RPoly([0.0, 0.0, a_star, 0.0, lam / 16.0])
+    return Profile(phi=recover_phi(w), w=w, a_star=a_star, bc=bc, lam=lam)
 
 
 def solve_profile(a_star: float, lam: float, bc: "BoundaryKind",

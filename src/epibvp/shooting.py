@@ -28,12 +28,14 @@ sign in dense bands.  A root is accepted by two rules only:
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import recover
 from .polyring import RPoly, _kernel_weights, evaluate
@@ -56,20 +58,26 @@ DEFAULT_GRID_POINTS = 4000
 DEFAULT_RESIDUAL_CAP = 10.0
 
 
-class BoundaryKind(Enum):
+class _Named(Enum):
+    """An enum of lower-case names, parsed by :meth:`parse`."""
+
+    @classmethod
+    def parse(cls, text: str):
+        try:
+            return cls(text.strip().lower())
+        except ValueError:
+            # "BoundaryKind" reads "boundary kind" in the message
+            noun = " ".join(re.findall("[A-Z][a-z]*", cls.__name__)).lower()
+            names = ", ".join(member.value for member in cls)
+            raise ValueError(f"unknown {noun} {text!r}; expected one of {names}")
+
+
+class BoundaryKind(_Named):
     """The three right-boundary conditions on w at r = 1."""
 
     DIRICHLET = "dirichlet"
     NAVIER_ONE = "navier1"
     NAVIER_TWO = "navier2"
-
-    @classmethod
-    def parse(cls, text: str) -> "BoundaryKind":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            names = ", ".join(kind.value for kind in cls)
-            raise ValueError(f"unknown boundary kind {text!r}; expected one of {names}")
 
     def residual(self, w1: float, w1_prime: float) -> float:
         """Boundary functional on the endpoint pair (w(1), w'(1))."""
@@ -80,33 +88,31 @@ class BoundaryKind(Enum):
         return w1 - w1_prime
 
     @property
+    def functional(self) -> tuple:
+        """(alpha, beta) with B = alpha w(1) + beta w'(1), read off
+        :meth:`residual`; B itself is always formed by :meth:`residual`,
+        since 0 * inf would turn an overflowed w'(1) into NaN."""
+        return self.residual(1.0, 0.0), self.residual(0.0, 1.0)
+
+    @property
     def default_iterations(self) -> int:
         """Iteration depth used for this condition unless overridden."""
         return 6 if self is BoundaryKind.DIRICHLET else 7
 
     @property
-    def linear_root_coefficient(self) -> int:
-        """c in the small-|lam| closed form w = lam/16 r**2 (r**2 - c)."""
-        if self is BoundaryKind.DIRICHLET:
-            return 1
-        if self is BoundaryKind.NAVIER_ONE:
-            return 2
-        return 3
+    def linear_root_coefficient(self) -> float:
+        """c in the small-|lam| closed form w = lam/16 r**2 (r**2 - c), whose
+        B = lam/16 (alpha (1 - c) + beta (4 - 2 c)) vanishes at
+        c = (alpha + 4 beta) / (alpha + 2 beta): exactly 1, 2 or 3."""
+        alpha, beta = self.functional
+        return (alpha + 4.0 * beta) / (alpha + 2.0 * beta)
 
 
-class BranchLabel(Enum):
+class BranchLabel(_Named):
     LOWER = "lower"
     UPPER = "upper"
     POSITIVE = "positive"
     NEGATIVE = "negative"
-
-    @classmethod
-    def parse(cls, text: str) -> "BranchLabel":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            names = ", ".join(label.value for label in cls)
-            raise ValueError(f"unknown branch label {text!r}; expected one of {names}")
 
 
 @dataclass(frozen=True)
@@ -147,19 +153,17 @@ def _boundary_rows(c: np.ndarray, bc: BoundaryKind):
 
     w(1) and w'(1) are plain coefficient sums.  On steep branches the
     coefficients cancel massively, and |B| cannot be resolved below eps
-    times the absolute coefficient mass; the floor is 8 eps times that mass.
+    times the absolute coefficient mass |alpha| sum |c_k| + |beta| sum k |c_k|
+    of B = alpha w(1) + beta w'(1); the floor is 8 eps times that mass.
     """
     # the power of r in each column of an iterate stored in s = r**2
     k = 2.0 * np.arange(c.shape[1])
     b = bc.residual(c.sum(axis=1), (c * k).sum(axis=1))
     size = np.abs(c)
-    s0, s1 = size.sum(axis=1), (size * k).sum(axis=1)
-    if bc is BoundaryKind.DIRICHLET:
-        scale = s0
-    elif bc is BoundaryKind.NAVIER_ONE:
-        scale = s1
-    else:
-        scale = s0 + s1
+    masses = size.sum(axis=1), (size * k).sum(axis=1)
+    # a zero weight adds nothing, even where its sum overflows
+    scale = sum(abs(weight) * mass
+                for weight, mass in zip(bc.functional, masses) if weight)
     return b, 8.0 * np.finfo(float).eps * scale
 
 
@@ -175,41 +179,30 @@ def boundary_residual(a: float, lam: float, bc: BoundaryKind,
 _MASS_LIMIT = 2.0 ** 960
 
 
-def _hankel(h: np.ndarray, m: int) -> np.ndarray:
-    """The m x m matrix of h[i + l], a read-only view on h."""
-    h.setflags(write=False)
-    step = h.itemsize
-    return np.ndarray((m, m), h.dtype, h, 0, (step, step))
-
-
 @lru_cache(maxsize=None)
 def _last_step_forms(m: int, bc: BoundaryKind):
     """B after one more step from a row c of m columns, as forms in c,
     the forms on |c| that bound its mass, and the certification factor.
 
-    With kernel weights W, Euler symbol E and g_j the boundary weight of
-    column j (1, 2 j or 1 - 2 j), the step maps c_j to
-    c_j + W_j (E_j c_j - (c*c)_j / 2 - lam / 2 [j = 2]), so
+    With kernel weights W, Euler symbol E and g_j = alpha + 2 j beta the
+    weight of column j in B = alpha w(1) + beta w'(1), the step maps c_j
+    to c_j + W_j (E_j c_j - (c*c)_j / 2 - lam / 2 [j = 2]), so
 
         B = sum_j g_j (1 + W_j E_j) c_j - c^T H c / 2 - lam g_2 W_2 / 2
 
     with the Hankel matrix H_il = g_{i+l} W_{i+l}.  The mass M is the same
-    forms on |c| with s_j (1, 2 j or 1 + 2 j) for g_j and |W|, and
+    forms on |c| with s_j = |alpha| + 2 j |beta| for g_j and |W|, and
     1 + |W_j E_j| for 1 + W_j E_j.  The cache holds vectors only: each
-    Hankel matrix is a view on its 2 m - 1 entries.
+    Hankel matrix is a read-only view on its 2 m - 1 entries.
     """
+    alpha, beta = bc.functional
     k = 2.0 * np.arange(2 * m - 1)
-    weights = _kernel_weights(2 * m - 1, 2)
-    if bc is BoundaryKind.DIRICHLET:
-        g = s = np.ones_like(k)
-    elif bc is BoundaryKind.NAVIER_ONE:
-        g = s = k
-    else:
-        g, s = 1.0 - k, 1.0 + k
-    linear = weights[:m] * _euler_symbol(m, 2)
-    gw, sw = -0.5 * g * weights, 0.5 * s * np.abs(weights)
-    value = (g[:m] * (1.0 + linear), _hankel(gw, m), gw[2])
-    mass = (s[:m] * (1.0 + np.abs(linear)), _hankel(sw, m), sw[2])
+    kernel = _kernel_weights(2 * m - 1, 2)
+    g, s = alpha + beta * k, abs(alpha) + abs(beta) * k
+    linear = kernel[:m] * _euler_symbol(m, 2)
+    gw, sw = -0.5 * g * kernel, 0.5 * s * np.abs(kernel)
+    value = (g[:m] * (1.0 + linear), sliding_window_view(gw, m), gw[2])
+    mass = (s[:m] * (1.0 + np.abs(linear)), sliding_window_view(sw, m), sw[2])
     for form in (value[0], mass[0]):
         form.setflags(write=False)
     # Higham's gamma_n = n u / (1 - n u) for n = 4 m + 16, u = eps / 2

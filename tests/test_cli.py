@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,6 +382,35 @@ def test_linear_zero_rate(tmp_path):
         assert float(w) == 0.0 and float(phi) == 0.0
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "navier1", "navier2"])
+def test_linear_at_the_largest_rates_writes_finite_numbers(tmp_path, bc):
+    for lam in ("1e308", "-1e308", repr(sys.float_info.max)):
+        out = tmp_path / lam
+        assert run(["linear", "--bc", bc, f"--lambda={lam}",
+                    "--out", str(out)]) == 0
+        (table,) = out.glob("linear_*[0-9].csv")
+        rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        assert rows[-1][2] == "0.0"
+        (coefficients,) = out.glob("*_coefficients.json")
+        _strict_json(coefficients.read_text())
+
+
+def test_grid_step_that_does_not_divide_one(tmp_path):
+    assert run(["linear", "--bc", "navier1", "--lambda", "1",
+                "--grid-step", "0.03", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "linear_navier1_1p0.csv").read_text().splitlines()
+    r = [line.split(",")[0] for line in lines[1:]]
+    assert len(r) == 35
+    assert r[:2] == ["0.0", "0.03"] and r[-2:] == ["0.99", "1.0"]
+
+
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_linear_non_finite_rate_is_usage_error(tmp_path, lam, capsys):
     _rejected_before_output(["linear", "--bc", "dirichlet", f"--lambda={lam}"],
@@ -439,6 +469,12 @@ def test_oracle_check_without_a_directory_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["oracle-check", "--bc", "navier1", "--lambda", "40"]) == 0
     assert not list(tmp_path.iterdir())
+
+
+def test_oracle_check_deviation_above_tolerance(capsys):
+    assert run(["oracle-check", "--bc", "navier1", "--lambda", "15",
+                "--tol", "0"]) == 4
+    assert "above tolerance 0" in capsys.readouterr().err
 
 
 def test_oracle_check_count_mismatch_lists_both_roots(monkeypatch, capsys):
@@ -534,6 +570,50 @@ def test_config_values_are_type_checked(tmp_path, capsys, command, config):
     assert run(command + ["--out", str(tmp_path), "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["solve", "--bc", "navier1", "--lambda", "1", "--grid-step", "x"], None,
+     "argument --grid-step: invalid float value: 'x'"),
+    (["oracle-check", "--bc", "navier1", "--lambda", "1", "--tol", "x"], None,
+     "argument --tol: invalid float value: 'x'"),
+    (["sweep", "--bc", "navier1", "--lambdas", "1", "--jobs", "x"], None,
+     "argument --jobs: invalid int value: 'x'"),
+    (["residual-table", "--bc", "navier1", "--branch", "upper",
+      "--lambdas", "1", "--jobs", "x"], None,
+     "argument --jobs: invalid int value: 'x'"),
+    (_LINEAR, {"grid-step": "x"}, "bad config value for 'grid-step': 'x'"),
+    (_SWEEP, {"jobs": "x"}, "bad config value for 'jobs': 'x'"),
+])
+def test_malformed_numbers_name_their_type(tmp_path, capsys, argv, config,
+                                           message):
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--bc", "navier1", "--lambda", "15"],
+    ["critical", "--bc", "navier2", "--lo", "11.31", "--hi", "12",
+     "--tol", "0.05", "--a-window=-4.7:-4.1"],
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_unusable_out_is_usage_error(tmp_path, capsys, command, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" if below else blocker
+    assert run(command + ["--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: cannot use --out {str(out)!r}: ")
+    # critical checks the directory before its search prints anything
+    assert printed.out == ""
+    assert blocker.read_text() == ""
 
 
 def test_config_strings_convert_like_flags(tmp_path):

@@ -22,7 +22,7 @@ from epibvp import (
     shooting,
     sweep,
 )
-from epibvp.vim import _iterate_coeffs
+from epibvp.vim import IterationOverflow, _iterate_coeffs, _iterate_tangents
 
 
 def test_sweep_positive_rates_navier_one():
@@ -294,6 +294,26 @@ def test_fold_estimate_gives_up_outside_the_bracket():
     assert (a_fold, lam) == (pytest.approx(-26.09208, abs=1e-5),
                              pytest.approx(168.45763, abs=1e-5))
     assert critical._fold(bc, 5, seed, 0.0, 0.0, 150.0) is None
+
+
+def test_fold_estimate_gives_up_when_the_iterates_overflow():
+    bc = BoundaryKind.NAVIER_ONE
+    with pytest.raises(IterationOverflow):
+        _iterate_tangents(-1e10, 0.0, 7, second=True)
+    assert critical._fold(bc, 7, -1e10, 0.0) is None
+
+
+@pytest.mark.parametrize("reading", [
+    # B, B_a, B_lam, B_aa, B_alam
+    (1.0, 0.0, 0.0, 0.0, 0.0),      # a singular step
+    (1.0, 1.0, 0.0, 0.0, 5e-324),   # a step to lam = -inf
+    (1.0, 0.0, 1.0, 1.0, 0.0),      # a step of -1 in lam, forever
+])
+def test_fold_estimate_gives_up_on_a_bad_newton_step(monkeypatch, reading):
+    # every kernel call reads the same functional and derivatives
+    monkeypatch.setattr(shooting, "_boundary_rows",
+                        lambda rows, bc: (np.array(reading), None))
+    assert critical._fold(BoundaryKind.NAVIER_ONE, 5, -5.0, 10.0) is None
 
 
 # the benchmark's fold searches: lo between 2w and w below the reference

@@ -1,5 +1,7 @@
 """Profile recovery, residual tables and the closed-form approximations."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,33 @@ def test_linear_approximation_profiles_match_forms(bc):
     constants = {1: 1.0, 2: 3.0, 3: 5.0}
     expected_phi = lam / 64.0 * (r ** 4 - 2 * c * r * r + constants[c])
     assert np.max(np.abs(evaluate(profile.phi, r) - expected_phi)) <= 1e-15
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+@pytest.mark.parametrize("lam", [16.0, -48.0, 1.0, 0.75])
+def test_linear_approximation_meets_its_condition_exactly(bc, lam):
+    w = linear_approximation(bc, lam).w
+    w1, w1_prime = evaluate(w, 1.0), evaluate(differentiate(w), 1.0)
+    assert bc.residual(w1, w1_prime) == 0.0
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+@pytest.mark.parametrize("lam", [sys.float_info.max, -sys.float_info.max])
+def test_linear_approximation_at_the_largest_rates(bc, lam):
+    # -c * lam overflows here; lam / 16 first does not
+    profile = linear_approximation(bc, lam)
+    assert np.isfinite(profile.w.coeffs).all()
+    assert np.isfinite(profile.phi.coeffs).all()
+    assert np.isfinite(evaluate(profile.w, GRID_101)).all()
+    assert np.isfinite(evaluate(profile.phi, GRID_101)).all()
+    assert evaluate(profile.phi, 1.0) == 0.0
+    assert profile.a_star == profile.w.coeffs[2]
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+def test_linear_approximation_rejects_a_non_finite_rate(lam):
+    with pytest.raises(ValueError, match="the rate must be finite"):
+        linear_approximation(BoundaryKind.NAVIER_ONE, lam)
 
 
 @pytest.mark.parametrize("bc", ALL_BCS)

@@ -195,6 +195,17 @@ def test_roots_need_a_residual_table_below_the_cap(monkeypatch, entry):
     assert find_branches(15.0, BoundaryKind.NAVIER_ONE) == []
 
 
+def test_brackets_the_polish_leaves_above_the_floor_are_dropped(monkeypatch):
+    # a step bound this large ends the polish at each bracket's first
+    # point, where |B| still lies above its noise floor
+    assert len(find_branches(15.0, BoundaryKind.NAVIER_ONE)) == 2
+    monkeypatch.setattr(shooting, "_STEP_ULPS", 1e300)
+    with pytest.warns(RuntimeWarning) as caught:
+        roots = find_branches(15.0, BoundaryKind.NAVIER_ONE)
+    assert roots == []
+    assert len(caught) == 2
+
+
 @pytest.mark.parametrize("bc,lam", [
     (BoundaryKind.DIRICHLET, -25.0),
     (BoundaryKind.DIRICHLET, -60.0),
@@ -563,6 +574,39 @@ def test_boundary_kind_parsing():
     assert BoundaryKind.parse(" NAVIER1 ") is BoundaryKind.NAVIER_ONE
     with pytest.raises(ValueError):
         BoundaryKind.parse("robin")
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    (BoundaryKind, "robin", "unknown boundary kind 'robin'; expected one of "
+                            "dirichlet, navier1, navier2"),
+    (BranchLabel, "middle", "unknown branch label 'middle'; expected one of "
+                            "lower, upper, positive, negative"),
+])
+def test_unknown_names_list_the_choices(kind, text, message):
+    with pytest.raises(ValueError) as raised:
+        kind.parse(text)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+def test_functional_reproduces_the_residual(bc):
+    alpha, beta = bc.functional
+    pairs = np.random.default_rng(11).standard_normal((500, 2)) * 1e3
+    for w1, w1_prime in pairs.tolist():
+        assert alpha * w1 + beta * w1_prime == bc.residual(w1, w1_prime)
+
+
+@pytest.mark.parametrize("bc", ALL_BCS)
+def test_floor_ignores_a_zero_weight_whose_mass_overflows(bc):
+    # sum k |c_k| overflows, sum |c_k| does not
+    c = np.zeros((1, 129))
+    c[0, -1] = 1e307
+    with np.errstate(over="ignore"):
+        b, floor = shooting._boundary_rows(c, bc)
+    if bc.functional[1] == 0.0:
+        assert floor[0] == 8.0 * np.finfo(float).eps * 1e307
+    else:
+        assert floor[0] == np.inf
 
 
 def test_default_iteration_depths():
