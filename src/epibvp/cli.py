@@ -211,8 +211,11 @@ def _optional_out_dir(flag_value):
 
 
 def _write_text(path: Path, text: str):
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_csv(path: Path, header, rows):

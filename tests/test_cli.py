@@ -616,6 +616,21 @@ def test_unusable_out_is_usage_error(tmp_path, capsys, command, below):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("command,name", [
+    (["linear", "--bc", "navier1", "--lambda", "1"], "effective_config.json"),
+    (["sweep", "--bc", "navier1", "--lambdas", "1", "--jobs", "1"],
+     "sweep_navier1.csv"),
+])
+def test_output_file_taken_by_a_directory_is_usage_error(tmp_path, capsys,
+                                                         command, name):
+    (tmp_path / name).mkdir()
+    assert run(command + ["--out", str(tmp_path)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: cannot write {tmp_path / name}: ")
+    assert printed.err.count("\n") == 1
+    assert printed.out == ""
+
+
 def test_config_strings_convert_like_flags(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"grid_step": "0.5", "n_iter": "7"}))

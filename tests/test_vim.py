@@ -1,6 +1,7 @@
 """Defect, correction steps, symbolic mode and the multiplier conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,12 +26,18 @@ from epibvp import (
     symbolic_iterate,
     vim_step,
 )
+from epibvp.polyring import _kernel_weights
 from epibvp.vim import (
+    _FEW_ROWS,
     MAX_DEPTH,
     _convolve,
+    _euler_symbol,
     _iterate_coeffs,
     _iterate_tangents,
+    _overflow,
     _r_powers,
+    _run,
+    _start_rows,
     multiplier_dt,
     multiplier_dtt,
 )
@@ -159,34 +166,207 @@ def test_kernel_rows_do_not_depend_on_their_block():
                                      for i in range(0, a.size, 10)]), together)
 
 
-def _square(c, out):
-    # the self-convolution the kernel used before it took two operands
-    m, n = c.shape
+# ---------------------------------------------------------------------------
+# the kernel against a frozen copy of its row-major steps
+# ---------------------------------------------------------------------------
+
+def _frozen_convolve(c, d, out):
+    # row i of out is the convolution of row i of c with row i of d
+    m, n = d.shape
     padded = np.zeros((m, 3 * n - 2))
-    padded[:, n - 1:2 * n - 1] = c
+    padded[:, n - 1:2 * n - 1] = d
     step = padded.itemsize
     windows = as_strided(padded, (m, 2 * n - 1, n),
                          (padded.strides[0], step, step), writeable=False)
     np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
 
 
+def _frozen_run(c, lam, n_iter, spacing, nonlinear=True, d=None, *,
+                start=0, stop=None):
+    """The step loop on row-major blocks, one iterate per row, with the
+    signature of vim._run.  Kept frozen; the kernel must equal it bit for
+    bit."""
+
+    def defect(c):
+        m, n = c.shape
+        out = np.zeros((m, max(2 * n - 1 if nonlinear else n,
+                               4 // spacing + 1)))
+        if nonlinear:
+            _frozen_convolve(c, c, out[:, :2 * n - 1])
+            out *= -0.5
+        out[:, :n] += _euler_symbol(n, spacing) * c
+        out[:, 4 // spacing] -= 0.5 * lam
+        return out
+
+    def step(c):
+        d = defect(c)
+        if d[:, :1 // spacing + 1].any():
+            if not np.isfinite(d).all():
+                raise _overflow(n_iter)
+            raise NonIntegrableDefect("nonzero r**0 or r**1 coefficient")
+        d *= _kernel_weights(d.shape[1], spacing)
+        d[:, :c.shape[1]] += c
+        return d
+
+    def tangent(c, d):
+        k, m, n = d.shape
+        size = max(2 * n - 1 if nonlinear else n, 4 // spacing + 1)
+        out = np.zeros((k, m, size))
+        if nonlinear:
+            for i in range(k):
+                _frozen_convolve(c, d[i], out[i, :, :2 * n - 1])
+                if i >= 2:
+                    cross = np.empty((m, 2 * n - 1))
+                    _frozen_convolve(d[0], d[i - 2], cross)
+                    out[i, :, :2 * n - 1] += cross
+            out *= -1.0
+        out[:, :, :n] += _euler_symbol(n, spacing) * d
+        if k > 1:
+            out[1, :, 4 // spacing] -= 0.5
+        out *= _kernel_weights(size, spacing)
+        out[:, :, :n] += d
+        return out
+
+    stop = n_iter if stop is None else stop
+    for _ in range(start, stop):
+        if d is not None:
+            d = tangent(c, d)
+        c = step(c)
+    if stop == n_iter and not np.isfinite(c).all():
+        raise _overflow(n_iter)
+    return c, d
+
+
+def _frozen_iterate(a, lam, n_iter, second=False):
+    c = _start_rows(a)
+    d = np.zeros((4 if second else 1, *c.shape))
+    d[0, :, 1] = 1.0
+    c, d = _frozen_run(c, lam, n_iter, 2, d=d)
+    return (c, *d)
+
+
+def _same_bytes(actual, expected):
+    assert len(actual) == len(expected)
+    for x, y in zip(actual, expected):
+        assert x.shape == y.shape and x.flags.c_contiguous
+        assert x.tobytes() == y.tobytes()
+
+
+# one side of the few-rows rule of the convolution, and the other
+BLOCK_SIZES = (1, 2, 3, _FEW_ROWS - 1, _FEW_ROWS, 64, 254)
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES)
+@pytest.mark.parametrize("depth", range(1, MAX_DEPTH + 1))
+def test_kernel_equals_the_frozen_row_major_steps(depth, rows):
+    seeded = np.random.default_rng(100 * depth + rows)
+    a = seeded.uniform(-120.0, 20.0, rows)
+    lam = float(seeded.choice([-300.0, -50.0, 0.0, 15.0, 31.9, 168.7]))
+    expected = _frozen_iterate(a, lam, depth, second=True)
+    _same_bytes([_iterate_coeffs(a, lam, depth)], expected[:1])
+    _same_bytes(_iterate_tangents(a, lam, depth), expected[:2])
+    _same_bytes(_iterate_tangents(a, lam, depth, second=True), expected)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_r_power_steps_equal_the_frozen_row_major_steps(nonlinear):
+    # vim_step and iterate_from keep every power of r
+    seeded = np.random.default_rng(11)
+    for _ in range(20):
+        w0 = RPoly(np.concatenate([[0.0, 0.0], seeded.uniform(-3.0, 3.0, 5)]))
+        lam = float(seeded.uniform(-50.0, 50.0))
+        for depth, actual in ((1, vim_step(w0, lam, nonlinear=nonlinear)),
+                              (4, iterate_from(w0, lam, 4,
+                                               nonlinear=nonlinear))):
+            expected = _frozen_run(w0.coeffs[None], lam, depth, 1,
+                                   nonlinear)[0][0]
+            assert actual.coeffs.tobytes() == RPoly(expected).coeffs.tobytes()
+
+
+def _outcome(run, a, depth, stop):
+    # the rows and derivatives of a run, or the message it raised, and the
+    # floating-point warnings it gave
+    d = np.zeros((4, a.size, 2))
+    d[0, :, 1] = 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            c, d = run(_start_rows(a), 1.0, depth, 2, d=d, stop=stop)
+            result = [c, *d]
+        except IterationOverflow as exc:
+            result = str(exc)
+    return result, {str(w.message) for w in caught}
+
+
+@pytest.mark.parametrize("rows", BLOCK_SIZES)
+def test_overflowing_rows_equal_the_frozen_row_major_steps(rows):
+    # a row that overflows passes through the steps of a partial run as
+    # inf and NaN until a step or the end of the full run raises
+    seeded = np.random.default_rng(rows)
+    for depth, big in ((4, -1e200), (6, -1e12), (7, -1e5), (8, -1e5),
+                       (9, 1e4)):
+        a = seeded.uniform(-120.0, 20.0, rows)
+        a[seeded.integers(0, rows, 1 + rows // 8)] = big
+        for stop in range(1, depth + 1):
+            actual, actual_warnings = _outcome(_run, a, depth, stop)
+            expected, expected_warnings = _outcome(_frozen_run, a, depth, stop)
+            assert actual_warnings == expected_warnings
+            if isinstance(expected, str):
+                assert actual == expected
+            else:
+                _same_bytes(actual, expected)
+        assert isinstance(expected, str)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryKind))
+def test_scan_readings_equal_the_frozen_row_major_steps(bc, monkeypatch):
+    # the scan and boundary_residual read the kernel through shooting._run
+    # and shooting._iterate_coeffs; both are swapped for the frozen steps
+    from epibvp import shooting
+
+    xs = np.linspace(-120.0, 20.0, 400)
+    cases = [(lam, n) for lam in (-50.0, 0.0, 15.0) for n in (5, 6, 7, 8)]
+
+    def readings():
+        return [(*shooting._scan(xs, lam, bc, n),
+                 np.array([boundary_residual(a, lam, bc, n)
+                           for a in (-97.3, -33.3, 0.0, 4.1)]))
+                for lam, n in cases]
+
+    actual = readings()
+    monkeypatch.setattr(shooting, "_run", _frozen_run)
+    monkeypatch.setattr(shooting, "_iterate_coeffs",
+                        lambda a, lam, n: _frozen_iterate(a, lam, n)[0])
+    for got, want in zip(actual, readings()):
+        _same_bytes(got, want)
+
+
 def test_convolution_with_itself_is_the_old_square():
     seeded = np.random.default_rng(7)
-    for n in (2, 3, 17, 129):
-        c = seeded.normal(size=(5, n)) * 10.0 ** seeded.integers(-8, 9, (5, 1))
-        expected, actual = np.empty((5, 2 * n - 1)), np.empty((5, 2 * n - 1))
-        _square(c, expected)
-        _convolve(c, c, actual)
-        assert np.array_equal(actual, expected)
+    for rows in (1, 5, _FEW_ROWS, 40):
+        for n in (2, 3, 17, 129):
+            c = (seeded.normal(size=(rows, n))
+                 * 10.0 ** seeded.integers(-8, 9, (rows, 1)))
+            expected = np.empty((rows, 2 * n - 1))
+            actual = np.empty((1, 2 * n - 1, rows))
+            _frozen_convolve(c, c, expected)
+            block = np.ascontiguousarray(c.T)
+            _convolve(block, block[None], actual)
+            assert np.array_equal(actual[0].T, expected)
 
 
 def test_convolution_of_two_rows():
-    c = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0]])
-    d = np.array([[4.0, 0.0, 5.0], [2.0, 1.0, 0.0]])
-    out = np.empty((2, 5))
-    _convolve(c, d, out)
-    for i in range(2):
-        assert np.array_equal(out[i], np.convolve(c[i], d[i]))
+    # columns of the blocks are the rows, on either side of the rule; the
+    # second block of the stack is the first reversed
+    for rows in (2, _FEW_ROWS + 2):
+        c = np.tile([[1.0, 0.0], [2.0, -1.0], [0.0, 3.0]], rows // 2)
+        d = np.tile([[4.0, 2.0], [0.0, 1.0], [5.0, 0.0]], rows // 2)
+        out = np.empty((2, 5, rows))
+        _convolve(c, np.stack([d, d[::-1]]), out)
+        for i in range(rows):
+            assert np.array_equal(out[0, :, i], np.convolve(c[:, i], d[:, i]))
+            assert np.array_equal(out[1, :, i],
+                                  np.convolve(c[:, i], d[::-1, i]))
 
 
 A_SAMPLES = np.array([-17.2, -2.2, -0.3, 0.0, 1.5])
