@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from . import critical, oracle, recover, shooting
 from .polyring import evaluate
 from .shooting import BoundaryKind, BranchLabel
-from .vim import IterationOverflow
+from .vim import IterationOverflow, _check_depth
 
 __all__ = ["main"]
 
@@ -166,13 +167,13 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _canonical(kind):
-    """Flag type for a name of the enum ``kind``: the canonical value, so
-    that the echo reads "navier1" for "NAVIER1"; an unknown name exits
-    with the message that lists the choices."""
-    def parse(text: str) -> str:
+def _member(kind):
+    """Flag type for a name of the enum ``kind``: its member, which the echo
+    writes by its canonical name ("navier1" for "NAVIER1"); an unknown name
+    exits with the message that lists the choices."""
+    def parse(text: str):
         try:
-            return kind.parse(text).value
+            return kind.parse(text)
         except ValueError as exc:
             raise UsageError(str(exc))
     return parse
@@ -219,8 +220,10 @@ def _write_text(path: Path, text: str):
 
 
 def _write_csv(path: Path, header, rows):
+    # a string cell is written as it is, a number in round-trip form
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(cell if isinstance(cell, str) else _fmt(cell)
+                          for cell in row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -228,9 +231,32 @@ def _write_json(path: Path, payload):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_columns(path: Path, fmt: str, columns):
+    """Write (name, floats) columns as a CSV table or as a JSON object of
+    lists."""
+    if fmt == "json":
+        _write_json(path, {name: [float(v) for v in values]
+                           for name, values in columns})
+    else:
+        _write_csv(path, [name for name, _ in columns],
+                   zip(*(values for _, values in columns)))
+
+
+_BRANCH_COLUMNS = ("label", "a_star", "band", "sup_norm_phi")
+
+
+def _branch_record(root) -> dict:
+    """The summary of one branch, as the CSV and JSON forms of solve and
+    sweep write it; sup_norm_phi is taken on the 101-point profile grid."""
+    return dict(zip(_BRANCH_COLUMNS, (root.label.value, root.a_star, root.band,
+                                      recover._sup_norm(root.phi))))
+
+
 def _echo_config(out_dir: Path, args: argparse.Namespace):
-    # every flag of the command with the value the run used
-    payload = {("lambda" if key == "lam" else key): value
+    # every flag of the command with the value the run used, an enum by
+    # its name
+    payload = {("lambda" if key == "lam" else key):
+               (value.value if isinstance(value, Enum) else value)
                for key, value in vars(args).items() if key not in ("out", "config")}
     _write_json(out_dir / "effective_config.json", payload)
 
@@ -239,12 +265,24 @@ def _lambda_tag(lam: float) -> str:
     return _fmt(lam).replace("-", "m").replace(".", "p")
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    # a value goes through the conversion its flag's text would, so a
-    # boolean, a list or a malformed number fails as a bad flag does
+# the echo writes these flags as JSON lists; a list joins back into the text
+_LIST_SEPARATORS = {"a_window": ":", "lambdas": ","}
+
+
+def _config_text(key: str, value) -> str:
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise UsageError(f"config value for {key!r} must be a string or a number")
-    text = value if isinstance(value, str) else repr(value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    # a value goes through the conversion its flag's text would, so a
+    # boolean, a misplaced list or a malformed number fails as a bad flag does
+    separator = _LIST_SEPARATORS.get(action.dest)
+    if separator and isinstance(value, list):
+        text = separator.join(_config_text(key, item) for item in value)
+    else:
+        text = _config_text(key, value)
     try:
         converted = action.type(text) if action.type else text
     except (TypeError, ValueError, argparse.ArgumentTypeError):
@@ -311,83 +349,57 @@ def _run_pool(worker, tasks, jobs: int):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    bc = BoundaryKind(args.bc)
     lam = args.lam
     out_dir = _resolve_out_dir(args.out)
     grid = _profile_grid(args.grid_step)
     _echo_config(out_dir, args)
-    roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
-    summary_rows = []
+    roots = shooting.find_branches(lam, args.bc, args.a_window, n_iter=args.n_iter)
+    stem = f"{args.bc.value}_{_lambda_tag(lam)}"
     for root in roots:
-        w_vals = evaluate(root.w, grid)
-        phi_vals = evaluate(root.phi, grid)
-        res_vals = np.asarray(recover.residual_table(root.w, lam, grid).values)
-        sup = float(np.max(np.abs(phi_vals)))
-        summary_rows.append((root.label.value, root.a_star, root.band, sup))
-        stem = f"profile_{bc.value}_{_lambda_tag(lam)}_{root.label.value}"
-        if args.format == "json":
-            _write_json(out_dir / f"{stem}.json", {
-                "r": [float(g) for g in grid],
-                "w": [float(v) for v in w_vals],
-                "phi": [float(v) for v in phi_vals],
-                "residual": [float(v) for v in res_vals],
-            })
-        else:
-            rows = [
-                (_fmt(g), _fmt(wv), _fmt(pv), _fmt(rv))
-                for g, wv, pv, rv in zip(grid, w_vals, phi_vals, res_vals)
-            ]
-            _write_csv(out_dir / f"{stem}.csv", ("r", "w", "phi", "residual"), rows)
-    stem = f"summary_{bc.value}_{_lambda_tag(lam)}"
+        residual = recover.residual_table(root.w, lam, grid).values
+        _write_columns(out_dir / f"profile_{stem}_{root.label.value}.{args.format}",
+                       args.format, [("r", grid), ("w", evaluate(root.w, grid)),
+                                     ("phi", evaluate(root.phi, grid)),
+                                     ("residual", residual)])
+    branches = [_branch_record(root) for root in roots]
+    path = out_dir / f"summary_{stem}.{args.format}"
     if args.format == "json":
-        _write_json(out_dir / f"{stem}.json", {
-            "bc": bc.value, "lambda": lam, "branch_count": len(roots),
-            "branches": [
-                {"label": lab, "a_star": a, "band": band, "sup_norm_phi": sup}
-                for lab, a, band, sup in summary_rows
-            ],
-        })
+        _write_json(path, {"bc": args.bc.value, "lambda": lam,
+                           "branch_count": len(roots), "branches": branches})
     else:
-        _write_csv(out_dir / f"{stem}.csv",
-                   ("label", "a_star", "band", "sup_norm_phi"),
-                   [(lab, _fmt(a), _fmt(band), _fmt(sup))
-                    for lab, a, band, sup in summary_rows])
-    print(f"{len(roots)} branch(es) at lambda={_fmt(lam)} [{bc.value}] -> {out_dir}")
+        _write_csv(path, _BRANCH_COLUMNS, [list(b.values()) for b in branches])
+    print(f"{len(roots)} branch(es) at lambda={_fmt(lam)} [{args.bc.value}] -> {out_dir}")
     return EXIT_OK if roots else EXIT_NO_BRANCHES
 
 
 def _cmd_residual_table(args) -> int:
-    bc = BoundaryKind(args.bc)
-    label = BranchLabel(args.branch)
+    bc, label = args.bc, args.branch
     if args.lambdas is None:
         raise UsageError("residual-table requires --lambdas")
     out_dir = _resolve_out_dir(args.out)
     _echo_config(out_dir, args)
     tasks = [(lam, bc, args.n_iter, args.a_window) for lam in args.lambdas]
     records = _run_pool(_sweep_worker, tasks, args.jobs)
-    columns = {}
+    tables = {}
     for lam, rec in zip(args.lambdas, records):
         wanted = [b for b in rec.branches if b.label is label]
         if wanted:
-            columns[lam] = wanted[0].table.values
-    found = [lam for lam in args.lambdas if lam in columns]
-    missing = [lam for lam in args.lambdas if lam not in columns]
+            tables[lam] = wanted[0].table.values
+    found = [lam for lam in args.lambdas if lam in tables]
+    missing = [lam for lam in args.lambdas if lam not in tables]
     for lam in missing:
         print(f"no {label.value} branch at lambda={_fmt(lam)}", file=sys.stderr)
     if not found:
         return EXIT_NO_BRANCHES
-    header = ["r"] + [f"lambda={_fmt(lam)}" for lam in found]
-    rows = []
-    for i, r in enumerate(recover.TABLE_GRID):
-        rows.append([_fmt(r)] + [_fmt(columns[lam][i]) for lam in found])
     path = out_dir / f"residual_table_{bc.value}_{label.value}.csv"
-    _write_csv(path, header, rows)
+    _write_columns(path, "csv", [("r", recover.TABLE_GRID)] + [
+        (f"lambda={_fmt(lam)}", tables[lam]) for lam in found])
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_critical(args) -> int:
-    bc = BoundaryKind(args.bc)
+    bc = args.bc
     out_dir = _optional_out_dir(args.out)
     if out_dir is not None:
         _echo_config(out_dir, args)
@@ -417,7 +429,6 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    bc = BoundaryKind(args.bc)
     if args.lambdas is not None and args.lambda_range is not None:
         raise UsageError("give exactly one of --lambdas / --lambda-range")
     if args.lambdas is None and args.lambda_range is None:
@@ -427,66 +438,42 @@ def _cmd_sweep(args) -> int:
         args.lambdas, args.lambda_range = args.lambda_range, None
     out_dir = _resolve_out_dir(args.out)
     _echo_config(out_dir, args)
-    tasks = [(lam, bc, args.n_iter, args.a_window) for lam in args.lambdas]
+    tasks = [(lam, args.bc, args.n_iter, args.a_window) for lam in args.lambdas]
     records = _run_pool(_sweep_worker, tasks, args.jobs)
+    path = out_dir / f"sweep_{args.bc.value}.{args.format}"
     if args.format == "json":
-        payload = [
-            {
-                "lambda": rec.lam,
-                "branch_count": rec.branch_count,
-                "branches": [
-                    {"a_star": b.a_star, "band": b.band,
-                     "sup_norm_phi": recover._sup_norm(b.phi),
-                     "label": b.label.value}
-                    for b in rec.branches
-                ],
-            }
-            for rec in records
-        ]
-        path = out_dir / f"sweep_{bc.value}.json"
-        _write_json(path, payload)
+        _write_json(path, [{"lambda": rec.lam, "branch_count": rec.branch_count,
+                            "branches": [_branch_record(b) for b in rec.branches]}
+                           for rec in records])
     else:
         rows = []
         for rec in records:
+            head = [rec.lam, str(rec.branch_count)]
             if not rec.branches:
-                rows.append((_fmt(rec.lam), "0", "", "", "", ""))
-            for b in rec.branches:
-                rows.append((_fmt(rec.lam), str(rec.branch_count),
-                             b.label.value, _fmt(b.a_star), _fmt(b.band),
-                             _fmt(recover._sup_norm(b.phi))))
-        path = out_dir / f"sweep_{bc.value}.csv"
-        _write_csv(path, ("lambda", "branch_count", "label", "a_star",
-                          "band", "sup_norm_phi"), rows)
+                rows.append(head + [""] * len(_BRANCH_COLUMNS))
+            rows.extend(head + list(_branch_record(b).values()) for b in rec.branches)
+        _write_csv(path, ("lambda", "branch_count") + _BRANCH_COLUMNS, rows)
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_linear(args) -> int:
-    bc = BoundaryKind(args.bc)
-    lam = args.lam
     out_dir = _resolve_out_dir(args.out)
     grid = _profile_grid(args.grid_step)
     _echo_config(out_dir, args)
-    profile = recover.linear_approximation(bc, lam)
-    w_vals = evaluate(profile.w, grid)
-    phi_vals = evaluate(profile.phi, grid)
-    stem = f"linear_{bc.value}_{_lambda_tag(lam)}"
-    rows = [
-        (_fmt(g), _fmt(wv), _fmt(pv))
-        for g, wv, pv in zip(grid, w_vals, phi_vals)
-    ]
-    _write_csv(out_dir / f"{stem}.csv", ("r", "w", "phi"), rows)
-    _write_json(out_dir / f"{stem}_coefficients.json", {
-        "w": [float(c) for c in profile.w.coeffs],
-        "phi": [float(c) for c in profile.phi.coeffs],
-    })
-    print(f"wrote {out_dir / (stem + '.csv')}")
+    profile = recover.linear_approximation(args.bc, args.lam)
+    stem = f"linear_{args.bc.value}_{_lambda_tag(args.lam)}"
+    path = out_dir / f"{stem}.csv"
+    _write_columns(path, "csv", [("r", grid), ("w", evaluate(profile.w, grid)),
+                                 ("phi", evaluate(profile.phi, grid))])
+    _write_columns(out_dir / f"{stem}_coefficients.json", "json",
+                   [("w", profile.w.coeffs), ("phi", profile.phi.coeffs)])
+    print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_oracle_check(args) -> int:
-    bc = BoundaryKind(args.bc)
-    lam = args.lam
+    bc, lam = args.bc, args.lam
     out_dir = _optional_out_dir(args.out)
     if out_dir is not None:
         _echo_config(out_dir, args)
@@ -530,13 +517,15 @@ def _cmd_oracle_check(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--bc", type=_canonical(BoundaryKind), required=True,
+def _add_common(sub, iterates=True):
+    sub.add_argument("--bc", type=_member(BoundaryKind), required=True,
                      help="boundary condition: dirichlet | navier1 | navier2")
-    sub.add_argument("--n-iter", type=int, default=None,
-                     help="iteration depth (default: 7, or 6 for dirichlet)")
-    sub.add_argument("--a-window", type=_parse_window, default=shooting.DEFAULT_WINDOW,
-                     help="shooting window lo:hi (default -120:20)")
+    if iterates:
+        sub.add_argument("--n-iter", type=int, default=None,
+                         help="iteration depth (default: 7, or 6 for dirichlet)")
+        sub.add_argument("--a-window", type=_parse_window,
+                         default=shooting.DEFAULT_WINDOW,
+                         help="shooting window lo:hi (default -120:20)")
     sub.add_argument("--out", default=None,
                      help=f"output directory (default ${_OUT_DIR_ENV} or ./epibvp_out)")
     sub.add_argument("--config", default=None,
@@ -557,7 +546,7 @@ def _build_parser() -> _Parser:
     table = commands.add_parser("residual-table",
                                 help="defect table for one branch over several rates")
     _add_common(table)
-    table.add_argument("--branch", type=_canonical(BranchLabel), required=True,
+    table.add_argument("--branch", type=_member(BranchLabel), required=True,
                        help="lower | upper | positive | negative")
     table.add_argument("--lambdas", type=_parse_lambda_list, default=None,
                        help="comma-separated rates")
@@ -579,7 +568,7 @@ def _build_parser() -> _Parser:
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     lin = commands.add_parser("linear", help="closed-form small-rate approximation")
-    _add_common(lin)
+    _add_common(lin, iterates=False)
     lin.add_argument("--lambda", dest="lam", type=_rate, required=True)
     lin.add_argument("--grid-step", type=_grid_step, default=0.01)
 
@@ -606,14 +595,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = _parse_args(parser, argv)
+        # a bad depth fails before any output is written
+        if vars(args).get("n_iter") is not None:
+            _check_depth(args.n_iter)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except IterationOverflow as exc:
-        print(f"error: {exc}; narrow --a-window", file=sys.stderr)
+        print(f"error: {exc}; narrow --a-window or take a rate of smaller "
+              f"magnitude", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

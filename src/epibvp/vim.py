@@ -221,7 +221,7 @@ def _step_rows(s: np.ndarray, lam: float, spacing: int,
 def _overflow(depth: int) -> IterationOverflow:
     return IterationOverflow(
         f"the iterates overflow float64 at depth {depth}: the start "
-        f"values are too large in magnitude"
+        f"values or the rate are too large in magnitude"
     )
 
 

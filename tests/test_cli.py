@@ -75,6 +75,33 @@ def test_solve_depth_above_maximum_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--bc", "navier1", "--lambda", "15"],
+    ["sweep", "--bc", "navier1", "--lambdas", "1", "--jobs", "1"],
+    ["residual-table", "--bc", "navier1", "--branch", "upper", "--lambdas", "1",
+     "--jobs", "1"],
+    ["critical", "--bc", "navier2", "--lo", "5", "--hi", "20"],
+    ["oracle-check", "--bc", "navier1", "--lambda", "15"],
+])
+@pytest.mark.parametrize("depth,message", [
+    ("0", "iteration depth 0 is below the minimum of 1"),
+    ("11", "iteration depth 11 exceeds the maximum of 10"),
+])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_bad_depth_writes_nothing(tmp_path, capsys, command, depth, message,
+                                  from_config):
+    out = tmp_path / "out"
+    if from_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_iter": int(depth)}))
+        argv = command + ["--config", str(config)]
+    else:
+        argv = command + ["--n-iter", depth]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_solve_trivial_branch_profile_is_zero(tmp_path):
     code = run(["solve", "--bc", "navier2", "--lambda", "0",
                 "--out", str(tmp_path), "--grid-step", "0.1"])
@@ -95,6 +122,36 @@ def test_solve_outputs_are_deterministic(tmp_path):
                     "--out", str(out)]) == 0
     name = "profile_navier2_8p0_upper.csv"
     assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def _csv_cells(path):
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bc", "navier1", "--lambda", "15", "--grid-step", "0.1"],
+    ["solve", "--bc", "navier2", "--lambda", "-50", "--grid-step", "0.25"],
+])
+def test_solve_csv_and_json_carry_the_same_floats(tmp_path, argv):
+    for fmt in ("csv", "json"):
+        assert run(argv + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    profiles = sorted((tmp_path / "csv").glob("profile_*.csv"))
+    summaries = list((tmp_path / "csv").glob("summary_*.csv"))
+    assert len(profiles) == 2 and len(summaries) == 1
+    for path in profiles:
+        header, rows = _csv_cells(path)
+        payload = json.loads((tmp_path / "json" / f"{path.stem}.json").read_text())
+        assert set(payload) == set(header)
+        for j, name in enumerate(header):
+            assert [row[j] for row in rows] == [repr(v) for v in payload[name]]
+    header, rows = _csv_cells(summaries[0])
+    payload = json.loads(
+        (tmp_path / "json" / f"{summaries[0].stem}.json").read_text())
+    assert payload["branch_count"] == len(rows) == 2
+    for row, branch in zip(rows, payload["branches"]):
+        assert row[0] == branch["label"]
+        assert row[1:] == [repr(branch[name]) for name in header[1:]]
 
 
 def test_solve_json_format(tmp_path):
@@ -257,6 +314,36 @@ def test_sweep_jobs_write_the_same_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_sweep_csv_and_json_carry_the_same_floats(tmp_path):
+    argv = ["sweep", "--bc", "navier1", "--lambdas", "0,40,-20", "--jobs", "1"]
+    for fmt in ("csv", "json"):
+        assert run(argv + ["--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    header, rows = _csv_cells(tmp_path / "csv" / "sweep_navier1.csv")
+    payload = json.loads((tmp_path / "json" / "sweep_navier1.json").read_text())
+    expected = []
+    for entry in payload:
+        head = [repr(entry["lambda"]), str(entry["branch_count"])]
+        expected += [head + [branch["label"]] + [repr(branch[name])
+                                                 for name in header[3:]]
+                     for branch in entry["branches"]] or [head + [""] * 4]
+    assert rows == expected
+    assert [row[0] for row in rows] == ["0.0", "0.0", "40.0", "-20.0", "-20.0"]
+
+
+@pytest.mark.parametrize("step", ["0.03", "0.5"])
+def test_solve_and_sweep_take_the_same_sup_norm(tmp_path, step):
+    # the summary's sup_norm_phi is taken on the 101-point grid, whatever
+    # --grid-step the profiles use
+    assert run(["solve", "--bc", "navier1", "--lambda", "15", "--grid-step", step,
+                "--out", str(tmp_path)]) == 0
+    assert run(["sweep", "--bc", "navier1", "--lambdas", "15", "--jobs", "1",
+                "--out", str(tmp_path)]) == 0
+    _, summary = _csv_cells(tmp_path / "summary_navier1_15p0.csv")
+    _, sweep = _csv_cells(tmp_path / "sweep_navier1.csv")
+    assert len(summary) == 2
+    assert summary == [row[2:] for row in sweep]
+
+
 def test_sweep_lambda_range(tmp_path):
     code = run(["sweep", "--bc", "navier2", "--lambda-range", "0:10:5",
                 "--out", str(tmp_path), "--jobs", "1", "--format", "json"])
@@ -335,14 +422,18 @@ def test_solve_window_whose_width_overflows_is_usage_error(tmp_path, capsys):
     ["--a-window=-1e200:0"],
     ["--n-iter", "8", "--a-window=-1e5:0"],
     ["--a-window=-2e5:0"],
+    # no window helps here: the rate alone overflows the iterates
+    ["--lambda", "1e9", "--a-window=-0.001:0.001"],
+    ["--bc", "dirichlet", "--lambda", "1e15", "--a-window=-0.001:0.001"],
 ])
 def test_solve_window_that_overflows_the_iteration(tmp_path, capsys, extra):
     code = run(["solve", "--bc", "navier1", "--lambda", "1", "--out",
                 str(tmp_path)] + extra)
     assert code == 1
     err = capsys.readouterr().err
-    assert "overflow" in err and "--a-window" in err
+    assert "overflow" in err and "--a-window" in err and "the rate" in err
     assert "r**0" not in err
+    assert err.count("\n") == 1
 
 
 def test_sweep_window_that_overflows_the_iteration(tmp_path, capsys):
@@ -350,7 +441,7 @@ def test_sweep_window_that_overflows_the_iteration(tmp_path, capsys):
                 "--a-window=-1e200:0", "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "overflow" in err and "--a-window" in err
+    assert "overflow" in err and "--a-window" in err and "the rate" in err
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +500,16 @@ def test_grid_step_that_does_not_divide_one(tmp_path):
     r = [line.split(",")[0] for line in lines[1:]]
     assert len(r) == 35
     assert r[:2] == ["0.0", "0.03"] and r[-2:] == ["0.99", "1.0"]
+
+
+@pytest.mark.parametrize("flag", [["--n-iter", "7"], ["--a-window=-1:1"]])
+def test_linear_takes_no_iteration_flags(tmp_path, capsys, flag):
+    # the closed form neither iterates nor shoots
+    out = tmp_path / "out"
+    assert run(["linear", "--bc", "navier1", "--lambda", "1", "--out", str(out)]
+               + flag) == 1
+    assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
@@ -560,9 +661,11 @@ _LINEAR = ["linear", "--bc", "dirichlet", "--lambda", "1"]
     (_SWEEP, {"jobs": True}),
     (_SWEEP, {"jobs": 1.5}),
     (_SWEEP, {"format": "xml"}),
-    (["sweep", "--bc", "navier1"], {"lambdas": [0, 15]}),
-    (_LINEAR, {"n_iter": "seven"}),
+    (["sweep", "--bc", "navier1"], {"lambdas": [0, True]}),
+    (["solve", "--bc", "navier1", "--lambda", "1"], {"n_iter": "seven"}),
     (_LINEAR, {"grid_step": [0.5]}),
+    (_SWEEP, {"a_window": [-1, 0, 1]}),
+    (_SWEEP, {"jobs": [1]}),
 ])
 def test_config_values_are_type_checked(tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
@@ -638,6 +741,36 @@ def test_config_strings_convert_like_flags(tmp_path):
     assert code == 0
     lines = (tmp_path / "linear_dirichlet_1p0.csv").read_text().splitlines()
     assert len(lines) == 4
+    # linear has no --n-iter, so the key is not one of its flags
+    assert "n_iter" not in _echo(tmp_path)
+
+
+@pytest.mark.parametrize("required, optional", [
+    (["solve", "--bc", "navier2", "--lambda", "8"],
+     ["--grid-step", "0.1", "--format", "json", "--n-iter", "6",
+      "--a-window=-10:0"]),
+    (["residual-table", "--bc", "navier2", "--branch", "lower"],
+     ["--lambdas", "0,8", "--jobs", "1"]),
+    (["sweep", "--bc", "navier2"],
+     ["--lambda-range", "0:8:8", "--jobs", "1", "--a-window=-10:0"]),
+    (["linear", "--bc", "navier1", "--lambda", "1"], ["--grid-step", "0.25"]),
+    (["critical", "--bc", "navier2", "--lo", "11.31", "--hi", "12"],
+     ["--tol", "0.05", "--a-window=-4.7:-4.1"]),
+    (["oracle-check", "--bc", "navier1", "--lambda", "40"], ["--tol", "0.01"]),
+])
+def test_rerun_from_the_echo_writes_the_same_files(tmp_path, capsys, required,
+                                                   optional):
+    # the echo writes the window and the rates as JSON lists
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = run(required + optional + ["--out", str(first)])
+    assert code in (0, 3)
+    echo = first / "effective_config.json"
+    assert run(required + ["--config", str(echo), "--out", str(second)]) == code
+    names = sorted(path.name for path in first.iterdir())
+    assert len(names) > 1 or required[0] == "oracle-check"
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
