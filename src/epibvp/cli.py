@@ -188,29 +188,6 @@ def _profile_grid(step: float) -> np.ndarray:
     return np.asarray(pts)
 
 
-def _resolve_out_dir(flag_value) -> Path:
-    if flag_value:
-        out = Path(flag_value)
-    elif os.environ.get(_OUT_DIR_ENV):
-        out = Path(os.environ[_OUT_DIR_ENV])
-    else:
-        out = Path("epibvp_out")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(
-            f"cannot use --out {str(out)!r}: {exc.strerror or exc}")
-    return out
-
-
-def _optional_out_dir(flag_value):
-    """The output directory of a command whose files are optional: the one
-    that --out or $EPIBVP_OUT_DIR names, else None (write nothing)."""
-    if flag_value or os.environ.get(_OUT_DIR_ENV):
-        return _resolve_out_dir(flag_value)
-    return None
-
-
 def _write_text(path: Path, text: str):
     try:
         with open(path, "w", newline="") as handle:
@@ -252,13 +229,26 @@ def _branch_record(root) -> dict:
                                       recover._sup_norm(root.phi))))
 
 
-def _echo_config(out_dir: Path, args: argparse.Namespace):
-    # every flag of the command with the value the run used, an enum by
-    # its name
-    payload = {("lambda" if key == "lam" else key):
-               (value.value if isinstance(value, Enum) else value)
-               for key, value in vars(args).items() if key not in ("out", "config")}
-    _write_json(out_dir / "effective_config.json", payload)
+def _open_out(args: argparse.Namespace, optional: bool = False):
+    """Make the command's output directory, --out, else $EPIBVP_OUT_DIR,
+    else ./epibvp_out, and write the echo ``effective_config.json`` in it:
+    every flag but --out and --config with the value the run used, an enum
+    by its name.  With ``optional``, write nothing and return None unless
+    --out or the variable names a directory."""
+    named = args.out or os.environ.get(_OUT_DIR_ENV)
+    if optional and not named:
+        return None
+    out = Path(named or "epibvp_out")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot use --out {str(out)!r}: {exc.strerror or exc}")
+    _write_json(out / "effective_config.json", {
+        ("lambda" if key == "lam" else key):
+        (value.value if isinstance(value, Enum) else value)
+        for key, value in vars(args).items() if key not in ("out", "config")})
+    return out
 
 
 def _lambda_tag(lam: float) -> str:
@@ -350,9 +340,8 @@ def _run_pool(worker, tasks, jobs: int):
 
 def _cmd_solve(args) -> int:
     lam = args.lam
-    out_dir = _resolve_out_dir(args.out)
+    out_dir = _open_out(args)
     grid = _profile_grid(args.grid_step)
-    _echo_config(out_dir, args)
     roots = shooting.find_branches(lam, args.bc, args.a_window, n_iter=args.n_iter)
     stem = f"{args.bc.value}_{_lambda_tag(lam)}"
     for root in roots:
@@ -376,8 +365,7 @@ def _cmd_residual_table(args) -> int:
     bc, label = args.bc, args.branch
     if args.lambdas is None:
         raise UsageError("residual-table requires --lambdas")
-    out_dir = _resolve_out_dir(args.out)
-    _echo_config(out_dir, args)
+    out_dir = _open_out(args)
     tasks = [(lam, bc, args.n_iter, args.a_window) for lam in args.lambdas]
     records = _run_pool(_sweep_worker, tasks, args.jobs)
     tables = {}
@@ -400,10 +388,10 @@ def _cmd_residual_table(args) -> int:
 
 def _cmd_critical(args) -> int:
     bc = args.bc
-    out_dir = _optional_out_dir(args.out)
-    if out_dir is not None:
-        _echo_config(out_dir, args)
     try:
+        # a bracket that cannot be searched writes nothing
+        critical._check_bracket(args.lo, args.hi, args.tol)
+        out_dir = _open_out(args, optional=True)
         estimate = critical.find_critical_lambda(
             bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
         sensitivity = critical.depth_sensitivity(
@@ -436,8 +424,7 @@ def _cmd_sweep(args) -> int:
     if args.lambda_range is not None:
         # the echo lists the rates a range expands to
         args.lambdas, args.lambda_range = args.lambda_range, None
-    out_dir = _resolve_out_dir(args.out)
-    _echo_config(out_dir, args)
+    out_dir = _open_out(args)
     tasks = [(lam, args.bc, args.n_iter, args.a_window) for lam in args.lambdas]
     records = _run_pool(_sweep_worker, tasks, args.jobs)
     path = out_dir / f"sweep_{args.bc.value}.{args.format}"
@@ -458,9 +445,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_linear(args) -> int:
-    out_dir = _resolve_out_dir(args.out)
+    out_dir = _open_out(args)
     grid = _profile_grid(args.grid_step)
-    _echo_config(out_dir, args)
     profile = recover.linear_approximation(args.bc, args.lam)
     stem = f"linear_{args.bc.value}_{_lambda_tag(args.lam)}"
     path = out_dir / f"{stem}.csv"
@@ -474,9 +460,7 @@ def _cmd_linear(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     bc, lam = args.bc, args.lam
-    out_dir = _optional_out_dir(args.out)
-    if out_dir is not None:
-        _echo_config(out_dir, args)
+    _open_out(args, optional=True)
     roots = shooting.find_branches(lam, bc, args.a_window, n_iter=args.n_iter)
     ivp_roots = oracle.oracle_branches(lam, bc, args.a_window)
     if not roots and not ivp_roots:

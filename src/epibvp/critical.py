@@ -141,13 +141,18 @@ def _fold(bc: BoundaryKind, n: int, a: float, lam: float,
     return None
 
 
-def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
-                window, grid_points: int):
-    """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
-    InvalidBracket unless lo < hi, tol > 0 are finite and lo has a pair."""
+def _check_bracket(lo: float, hi: float, tol: float):
+    """Raise InvalidBracket unless lo < hi and tol > 0 are finite."""
     if not (all(math.isfinite(x) for x in (lo, hi, tol))
             and lo < hi and tol > 0.0):
         raise InvalidBracket("need finite lo < hi and tol > 0")
+
+
+def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
+                window, grid_points: int):
+    """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
+    InvalidBracket unless :func:`_check_bracket` passes and lo has a pair."""
+    _check_bracket(lo, hi, tol)
     roots = shooting.find_branches(lo, bc, window, grid_points, n_iter=n)
     if len(roots) < 2:
         raise InvalidBracket(f"fewer than two branches at lo = {lo}")

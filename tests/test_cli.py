@@ -275,14 +275,20 @@ def test_critical_writes_to_the_environment_directory(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("flag,value", [
     ("--lo", "nan"), ("--hi", "inf"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--tol", "0"), ("--tol", "-1"), ("--lo", "40"),
 ])
-def test_critical_non_finite_bracket_exit_code(flag, value, capsys):
+def test_critical_non_finite_bracket_exit_code(tmp_path, flag, value, capsys):
+    # the bracket is checked before the output directory or the echo
+    # (which would hold a NaN, not valid JSON) is made
+    out = tmp_path / "out"
     bracket = {"--lo": "5", "--hi": "20", "--tol": "0.5", flag: value}
-    argv = ["critical", "--bc", "navier2"]
+    argv = ["critical", "--bc", "navier2", "--out", str(out)]
     for name, text in bracket.items():
         argv += [name, text]
     assert run(argv) == 2
-    assert "invalid bracket" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "invalid bracket: need finite lo < hi and tol > 0\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +709,13 @@ def test_malformed_numbers_name_their_type(tmp_path, capsys, argv, config,
 
 @pytest.mark.parametrize("command", [
     ["solve", "--bc", "navier1", "--lambda", "15"],
+    ["residual-table", "--bc", "navier1", "--branch", "upper",
+     "--lambdas", "15", "--jobs", "1"],
     ["critical", "--bc", "navier2", "--lo", "11.31", "--hi", "12",
      "--tol", "0.05", "--a-window=-4.7:-4.1"],
+    ["sweep", "--bc", "navier1", "--lambdas", "15", "--jobs", "1"],
+    ["linear", "--bc", "navier1", "--lambda", "1"],
+    ["oracle-check", "--bc", "navier1", "--lambda", "15"],
 ])
 @pytest.mark.parametrize("below", [False, True])
 def test_unusable_out_is_usage_error(tmp_path, capsys, command, below):
@@ -714,7 +725,8 @@ def test_unusable_out_is_usage_error(tmp_path, capsys, command, below):
     assert run(command + ["--out", str(out)]) == 1
     printed = capsys.readouterr()
     assert printed.err.startswith(f"error: cannot use --out {str(out)!r}: ")
-    # critical checks the directory before its search prints anything
+    # every command checks the directory before it computes or prints
+    # anything
     assert printed.out == ""
     assert blocker.read_text() == ""
 
