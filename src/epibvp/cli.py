@@ -389,11 +389,10 @@ def _cmd_residual_table(args) -> int:
 def _cmd_critical(args) -> int:
     bc = args.bc
     try:
-        # a bracket that cannot be searched writes nothing
-        critical._check_bracket(args.lo, args.hi, args.tol)
-        out_dir = _open_out(args, optional=True)
+        # a bracket that fails its checks or its counts writes nothing
         estimate = critical.find_critical_lambda(
             bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
+        out_dir = _open_out(args, optional=True)
         sensitivity = critical.depth_sensitivity(
             bc, args.lo, args.hi, args.tol, n_iter=args.n_iter,
             window=args.a_window)

@@ -101,8 +101,10 @@ def branch_gap(record: SweepRecord) -> float:
 
 def _branch_count(lam: float, bc: BoundaryKind, n_iter: int | None,
                   window, grid_points: int) -> int:
-    return len(shooting.find_branches(lam, bc, window, grid_points,
-                                      n_iter=n_iter))
+    """The branch count at lam, read only up to 2: the scan stops at the
+    second accepted root from the window's upper end."""
+    return min(len(shooting._accepted(lam, bc, window, grid_points, n_iter,
+                                      limit=2)), 2)
 
 
 # Newton on the fold system: step budget and converged relative step size
@@ -153,10 +155,10 @@ def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
     """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
     InvalidBracket unless :func:`_check_bracket` passes and lo has a pair."""
     _check_bracket(lo, hi, tol)
-    roots = shooting.find_branches(lo, bc, window, grid_points, n_iter=n)
-    if len(roots) < 2:
+    a_star = [root["a_star"]
+              for root in shooting._accepted(lo, bc, window, grid_points, n)]
+    if len(a_star) < 2:
         raise InvalidBracket(f"fewer than two branches at lo = {lo}")
-    a_star = [root.a_star for root in roots]
     i = min(range(len(a_star) - 1), key=lambda j: a_star[j + 1] - a_star[j])
     return _fold(bc, n, 0.5 * (a_star[i] + a_star[i + 1]), lo, lo, hi)
 

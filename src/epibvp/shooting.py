@@ -368,6 +368,88 @@ def _labels(a_star, phis, lam: float) -> list:
     return labels
 
 
+def _accepted(lam: float, bc: BoundaryKind, window, grid_points: int,
+              n_iter: int | None = None, limit: int | None = None) -> list:
+    """The roots :func:`find_branches` accepts, sorted by a, as dicts of
+    a_star, bracket, band, iterate w and residual table.  With a limit,
+    blocks of :func:`_block_rows` rows are scanned from the window's upper
+    end, each bracket is decided once a resolved reading bounds it on the
+    left, and the scan stops at ``limit`` roots: the top ones of the list.
+    A bracket's fate depends only on the readings between the resolved
+    readings around it, whose signs and resolution do not depend on the
+    block, so both schedules decide alike."""
+    if not math.isfinite(lam):
+        raise ValueError(f"the rate must be finite, got {lam!r}")
+    lo, hi = float(window[0]), float(window[1])
+    # a width that overflows would fill the grid with inf and NaN
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise ValueError(f"window must be finite with lo < hi, got {window!r}")
+    if grid_points < 100:
+        raise ValueError("grid_points must be at least 100")
+    n = bc.default_iterations if n_iter is None else n_iter
+
+    xs = np.linspace(lo, hi, grid_points)
+    index = np.arange(grid_points)
+    # only the signs of the readings and whether they clear their floor
+    # count, which is what the scan certifies; a reading not taken is NaN
+    fs = np.full(grid_points, np.nan)
+    resolved = np.zeros(grid_points, dtype=bool)
+    block = grid_points if limit is None else _block_rows(n)
+    found, decided = [], grid_points
+    for stop in range(grid_points, 0, -block):
+        start = max(stop - block, 0)
+        fs[start:stop], resolved[start:stop] = _scan(xs[start:stop], lam,
+                                                     bc, n)
+        sign = np.append(np.sign(fs), 0.0)  # the slot for "no such reading"
+
+        # a bracket is a grid interval with a sign change, or a grid point
+        # where the functional vanishes
+        zero = fs == 0.0
+        b_lo = np.flatnonzero(zero | (sign[:-1] * sign[1:] < 0.0))
+        b_hi = np.where(zero[b_lo], b_lo, b_lo + 1)
+
+        # a sign change between readings below the noise floor is rounding
+        # noise unless the resolved readings around it change sign as well;
+        # those prove a root between them but not which crossing it is, so
+        # they vouch for a bracket only when it is the only one between them
+        last = np.maximum.accumulate(np.where(resolved, index, -1))
+        first = np.minimum.accumulate(
+            np.where(resolved, index, grid_points)[::-1])[::-1]
+        left = last[b_lo]
+        _, shared, count = np.unique(left, return_inverse=True,
+                                     return_counts=True)
+        # decide the brackets from the first resolved reading up, which no
+        # reading below can change, or all that are left at the lower end
+        edge = first[start] if start else 0
+        kept = ((sign[left] * sign[first[b_hi]] < 0.0) & (count[shared] == 1)
+                & (edge <= b_lo) & (b_lo < decided))
+        decided, b_lo, b_hi = edge, b_lo[kept], b_hi[kept]
+
+        a_star, achieved, floor, band, rows = _polish(
+            xs[b_lo], xs[b_hi], sign[b_lo], lam, bc, n)
+        # each bracket is its own grid cell and its root stays inside it, so
+        # the roots are distinct and already sorted by a
+        batch = []
+        for i, row in enumerate(rows):
+            bracket = (float(xs[b_lo[i]]), float(xs[b_hi[i]]))
+            if achieved[i] > floor[i]:
+                warnings.warn(
+                    f"bracket [{bracket[0]:.6g}, {bracket[1]:.6g}] did not "
+                    f"resolve below tolerance (|B| = {achieved[i]:.3e}); "
+                    "dropping", RuntimeWarning, stacklevel=3)
+                continue
+            w = RPoly(_r_powers(row))
+            table = recover.residual_table(w, lam)
+            # a NaN maximum fails the comparison and rejects the root
+            if table.max_abs() <= DEFAULT_RESIDUAL_CAP:
+                batch.append(dict(a_star=float(a_star[i]), bracket=bracket,
+                                  band=float(band[i]), w=w, table=table))
+        found = batch + found
+        if limit is not None and len(found) >= limit:
+            break
+    return found
+
+
 def find_branches(lam: float, bc: BoundaryKind,
                   window: tuple = DEFAULT_WINDOW,
                   grid_points: int = DEFAULT_GRID_POINTS,
@@ -398,65 +480,8 @@ def find_branches(lam: float, bc: BoundaryKind,
     they equal :func:`recover.solve_profile` and
     :func:`recover.residual_table` at its a_star bit for bit.
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"the rate must be finite, got {lam!r}")
-    lo, hi = float(window[0]), float(window[1])
-    # a width that overflows would fill the grid with inf and NaN
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise ValueError(f"window must be finite with lo < hi, got {window!r}")
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    n = bc.default_iterations if n_iter is None else n_iter
-
-    xs = np.linspace(lo, hi, grid_points)
-    # only the signs of the readings and whether they clear their floor
-    # count, which is what the scan certifies
-    fs, resolved = _scan(xs, lam, bc, n)
-    sign = np.append(np.sign(fs), 0.0)  # the slot for "no such reading"
-
-    # a bracket is a grid interval with a sign change, or a grid point
-    # where the functional vanishes
-    zero = fs == 0.0
-    b_lo = np.flatnonzero(zero | (sign[:-1] * sign[1:] < 0.0))
-    b_hi = np.where(zero[b_lo], b_lo, b_lo + 1)
-
-    # a sign change between readings below the noise floor is rounding
-    # noise unless the resolved readings around it change sign as well;
-    # those prove a root between them but not which crossing it is, so
-    # they vouch for a bracket only when it is the only one between them
-    index = np.arange(grid_points)
-    last = np.maximum.accumulate(np.where(resolved, index, -1))
-    first = np.minimum.accumulate(
-        np.where(resolved, index, grid_points)[::-1])[::-1]
-    left = last[b_lo]
-    _, shared, count = np.unique(left, return_inverse=True, return_counts=True)
-    kept = np.flatnonzero((sign[left] * sign[first[b_hi]] < 0.0)
-                          & (count[shared] == 1))
-
-    a_star, achieved, floor, band, rows = _polish(
-        xs[b_lo[kept]], xs[b_hi[kept]], sign[b_lo[kept]], lam, bc, n)
-    unresolved = achieved > floor
-    for i in np.flatnonzero(unresolved):
-        warnings.warn(
-            f"bracket [{xs[b_lo[kept[i]]]:.6g}, {xs[b_hi[kept[i]]]:.6g}] did "
-            f"not resolve below tolerance (|B| = {achieved[i]:.3e}); dropping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    keep = ~unresolved
-    kept, a_star, band, rows = kept[keep], a_star[keep], band[keep], rows[keep]
-
-    # each bracket is its own grid cell and its root stays inside it, so
-    # the roots are distinct and already sorted by a
-    found = []
-    for a, i, width, row in zip(a_star.tolist(), kept, band.tolist(), rows):
-        w = RPoly(_r_powers(row))
-        table = recover.residual_table(w, lam)
-        # a NaN maximum fails the comparison and rejects the root
-        if table.max_abs() <= DEFAULT_RESIDUAL_CAP:
-            found.append(dict(
-                a_star=a, bracket=(float(xs[b_lo[i]]), float(xs[b_hi[i]])),
-                band=width, w=w, phi=recover.recover_phi(w), table=table))
+    found = [dict(f, phi=recover.recover_phi(f["w"]))
+             for f in _accepted(lam, bc, window, grid_points, n_iter)]
     labels = _labels([f["a_star"] for f in found],
                      [f["phi"] for f in found], lam)
     return [BranchRoot(bc=bc, lam=lam, label=label, **f)

@@ -291,6 +291,21 @@ def test_critical_non_finite_bracket_exit_code(tmp_path, flag, value, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lo,hi,message", [
+    ("20", "21", "branches persist at hi = 21.0"),
+    ("33", "40", "fewer than two branches at lo = 33.0"),
+])
+def test_critical_failed_count_writes_nothing(tmp_path, lo, hi, message,
+                                              capsys):
+    # the output directory and its echo are made only once the counts at
+    # the bracket ends hold
+    out = tmp_path / "out"
+    assert run(["critical", "--bc", "navier1", "--lo", lo, "--hi", hi,
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"invalid bracket: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -725,8 +740,9 @@ def test_unusable_out_is_usage_error(tmp_path, capsys, command, below):
     assert run(command + ["--out", str(out)]) == 1
     printed = capsys.readouterr()
     assert printed.err.startswith(f"error: cannot use --out {str(out)!r}: ")
-    # every command checks the directory before it computes or prints
-    # anything
+    # every command checks the directory before it prints anything;
+    # critical does so after its fold search, every other command before
+    # it computes
     assert printed.out == ""
     assert blocker.read_text() == ""
 

@@ -233,9 +233,11 @@ def _independent_fold(bc, lo, hi, n, points=1001):
 
 
 def _scan_counter(monkeypatch, limit=None):
-    """Count find_branches calls (the rates they scan), raising past limit."""
+    """Count the branch searches (the rates they scan), raising past limit:
+    the calls of shooting._accepted, which the fold scan and the count
+    probes call and find_branches goes through."""
     rates = []
-    scan = shooting.find_branches
+    scan = shooting._accepted
 
     def counted(lam, *args, **kwargs):
         rates.append(lam)
@@ -243,7 +245,7 @@ def _scan_counter(monkeypatch, limit=None):
             raise AssertionError(f"more than {limit} scans")
         return scan(lam, *args, **kwargs)
 
-    monkeypatch.setattr(shooting, "find_branches", counted)
+    monkeypatch.setattr(shooting, "_accepted", counted)
     return rates
 
 
@@ -338,6 +340,28 @@ def test_benchmark_searches_take_four_scans(bc, shift, monkeypatch):
         assert len(rates) == 4, rates
         b_lo, b_hi = estimate.bracket
         assert b_hi - b_lo <= tol
+
+
+def test_two_branch_probe_stops_at_the_second_root(monkeypatch):
+    # the probe below the fold finds the pair at a = -27 ... -4 in the top
+    # blocks of the window (-120, 20) and scans no further
+    bc = BoundaryKind.NAVIER_ONE
+    lo, hi, tol = BRACKETS[bc]
+    estimate = find_critical_lambda(bc, lo, hi, tol)
+    scanned = []
+    scan = shooting._scan
+
+    def counted(a, *args):
+        scanned.append(a.size)
+        return scan(a, *args)
+
+    monkeypatch.setattr(shooting, "_scan", counted)
+    probe = estimate.lambda_star - critical._PROBE_OFFSET * tol
+    assert critical._branch_count(probe, bc, None, shooting.DEFAULT_WINDOW,
+                                  critical._BISECTION_GRID_POINTS) == 2
+    assert 0 < sum(scanned) <= critical._BISECTION_GRID_POINTS // 2
+    # the count of the full search is the same
+    assert _count(probe, bc) == 2
 
 
 @pytest.mark.parametrize("bc", list(BRACKETS))

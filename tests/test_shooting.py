@@ -379,6 +379,63 @@ def test_certified_scan_gives_the_exact_scans_branches(
     assert certified == _branch_record(lam, bc, window, grid_points, n_iter)
 
 
+# the folds of the benchmark's fold brackets at depths base-1 ... base+1,
+# and the tolerance whose probes sit 0.45 tol to either side of them
+_FOLDS = {
+    _DIRICHLET: ((168.4576, 168.6749, 168.7394), 0.1),
+    _NAVIER_ONE: ((31.9402, 31.9460, 31.9479), 0.01),
+    _NAVIER_TWO: ((11.3463, 11.3426, 11.3414), 0.01),
+}
+
+
+@pytest.mark.parametrize("lam,bc,window,grid_points,n_iter", [
+    *[(fold + side * 0.45 * tol, bc, _DEFAULT, points, bc.default_iterations
+       + k - 1) for bc, (folds, tol) in _FOLDS.items()
+      for k, fold in enumerate(folds) for side in (-1, 1)
+      for points in (1500, 4000)],
+    # noise, unresolved and spurious brackets
+    *[(lam, bc, _DEFAULT, points, None) for bc in ALL_BCS
+      for lam in (-130.0, -100.0, -50.0, 0.0, 15.0) for points in (1500, 4000)],
+    *[(lam, _NAVIER_TWO, (-4.7, -4.1), 200, None)
+      for lam in (11.33, 11.3426, 11.35)],
+])
+def test_a_root_limit_accepts_the_top_roots(lam, bc, window, grid_points,
+                                            n_iter):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        roots = [root.a_star for root in
+                 find_branches(lam, bc, window, grid_points, n_iter=n_iter)]
+
+        def accepted(limit=None):
+            return [root["a_star"] for root in shooting._accepted(
+                lam, bc, window, grid_points, n_iter, limit)]
+
+        assert accepted() == roots
+        for limit in (1, 2):
+            top = accepted(limit)
+            assert len(top) >= min(len(roots), limit)
+            assert top == roots[len(roots) - len(top):]
+
+
+def test_a_bracket_waits_for_the_resolved_reading_below_it(monkeypatch):
+    # with the readings from a = -10 up to the root near -2.22 taken as
+    # unresolved, the resolved reading below that root lies in the second
+    # block of 254 rows from the top, which starts below a = -3.63
+    scan = shooting._scan
+
+    def blurred(a, *args):
+        b, resolved = scan(a, *args)
+        return b, resolved & ~((a > -10.0) & (a < -2.2208))
+
+    monkeypatch.setattr(shooting, "_scan", blurred)
+    roots = [root["a_star"] for root in shooting._accepted(
+        15.0, _NAVIER_ONE, _DEFAULT, 1500)]
+    assert roots == [pytest.approx(-17.2387, abs=1e-4),
+                     pytest.approx(-2.2209, abs=1e-4)]
+    top = shooting._accepted(15.0, _NAVIER_ONE, _DEFAULT, 1500, limit=1)
+    assert [root["a_star"] for root in top] == roots
+
+
 def test_kernel_calls_per_search(monkeypatch):
     calls = {"_iterate_coeffs": 0, "_iterate_tangents": 0}
     for name in calls:
