@@ -102,33 +102,6 @@ def _euler_symbol(n: int, spacing: int) -> np.ndarray:
     return out
 
 
-# Inside :func:`_run` a block of iterates is held coefficients by rows:
-# entry (j, i) is coefficient j of row i, so that the rows are the
-# contiguous axis, and the convolution sums each output in a contiguous
-# multiply-add across the rows.  Below this many rows that inner loop is
-# too short to pay, and such a block is convolved by :func:`_convolve_rows`,
-# whose inner loop runs over the coefficients of one row.  On blocks of 9
-# to 129 coefficients the layout took 0.9 to 1.4 times as long as that
-# loop at 8 rows, 0.85 to 0.96 times at 16 and 0.7 to 0.8 times at 32.
-_FEW_ROWS = 16
-
-
-def _convolve_rows(c: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
-    """The convolution of :func:`_convolve` on blocks laid out rows by
-    coefficients: row i of out[x] is the convolution of row i of c with row
-    i of d[x], summed over the coefficients of one row at a time."""
-    blocks, m, n = d.shape
-    padded = np.zeros((blocks, m, 3 * n - 2))
-    padded[:, :, n - 1:2 * n - 1] = d
-    step = padded.itemsize
-    # window k of a row starts at column k; built directly on the buffer,
-    # as as_strided would, without its per-call overhead
-    windows = np.ndarray((blocks, m, 2 * n - 1, n), padded.dtype, padded, 0,
-                         (*padded.strides[:2], step, step))
-    windows.flags.writeable = False
-    np.einsum("mi,xmki->xmk", c[:, ::-1], windows, out=out)
-
-
 def _convolve(c: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
     """Write the convolution of each column of c with the same column of
     each block d[x] into the columns of out[x]: c holds n coefficients by
@@ -137,14 +110,12 @@ def _convolve(c: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
     Entry (k, i) of out[x] is sum_j c[j, i] * d[x, k - j, i], summed over a
     read-only window view of the zero-padded blocks, so no (2 n - 1, n, m)
     array is formed.  Each entry adds its products in order of descending
-    j from +0, one rounding per product and per sum, on either side of
-    :data:`_FEW_ROWS`, so a row's result does not depend on its
-    neighbours, on the size of its block or on the other blocks in d.
+    j from +0, one rounding per product and per sum, so a row's result
+    does not depend on its neighbours, on the size of its block or on the
+    other blocks in d.  The rows are the contiguous axis, so the sum for
+    each entry is a contiguous multiply-add across the rows.
     """
     blocks, n, m = d.shape
-    if m < _FEW_ROWS:
-        _convolve_rows(c.T, d.transpose(0, 2, 1), out.transpose(0, 2, 1))
-        return
     padded = np.zeros((blocks, 3 * n - 2, m))
     padded[:, n - 1:2 * n - 1] = d
     stride = padded.strides[1]
@@ -240,8 +211,9 @@ def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
     """Run steps start + 1 to stop (by default n_iter) of an n_iter-step
     run from the rows c; return the rows and their derivatives d, stepped
     along with them (None without), both row-major and C-contiguous.  The
-    steps hold c and d as one stack of blocks, coefficients by rows (see
-    :data:`_FEW_ROWS`).  An overflow names depth n_iter."""
+    steps hold c and d as one stack of blocks, coefficients by rows, with
+    the rows on the contiguous axis (see :func:`_convolve`).  An overflow
+    names depth n_iter."""
     _check_depth(n_iter)
     stop = n_iter if stop is None else stop
     s = c[None] if d is None else np.concatenate((c[None], d))

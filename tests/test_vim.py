@@ -28,7 +28,6 @@ from epibvp import (
 )
 from epibvp.polyring import _kernel_weights
 from epibvp.vim import (
-    _FEW_ROWS,
     MAX_DEPTH,
     _convolve,
     _euler_symbol,
@@ -164,6 +163,12 @@ def test_kernel_rows_do_not_depend_on_their_block():
         assert np.array_equal(_iterate_coeffs(a[i:i + 1], 15.0, 7)[0], together[i])
     assert np.array_equal(np.vstack([_iterate_coeffs(a[i:i + 10], 15.0, 7)
                                      for i in range(0, a.size, 10)]), together)
+    # the fold search's Newton step runs the kernel on one row at a time
+    tangents = _iterate_tangents(a, 15.0, 7, second=True)
+    for i in (0, 48, 96):
+        for alone, inside in zip(_iterate_tangents(a[i], 15.0, 7, second=True),
+                                 tangents):
+            assert alone.tobytes() == inside[i:i + 1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +257,8 @@ def _same_bytes(actual, expected):
         assert x.tobytes() == y.tobytes()
 
 
-# one side of the few-rows rule of the convolution, and the other
-BLOCK_SIZES = (1, 2, 3, _FEW_ROWS - 1, _FEW_ROWS, 64, 254)
+# small blocks and large ones
+BLOCK_SIZES = (1, 2, 3, 15, 16, 64, 254)
 
 
 @pytest.mark.parametrize("rows", BLOCK_SIZES)
@@ -343,7 +348,7 @@ def test_scan_readings_equal_the_frozen_row_major_steps(bc, monkeypatch):
 
 def test_convolution_with_itself_is_the_old_square():
     seeded = np.random.default_rng(7)
-    for rows in (1, 5, _FEW_ROWS, 40):
+    for rows in (1, 5, 16, 40):
         for n in (2, 3, 17, 129):
             c = (seeded.normal(size=(rows, n))
                  * 10.0 ** seeded.integers(-8, 9, (rows, 1)))
@@ -356,9 +361,9 @@ def test_convolution_with_itself_is_the_old_square():
 
 
 def test_convolution_of_two_rows():
-    # columns of the blocks are the rows, on either side of the rule; the
-    # second block of the stack is the first reversed
-    for rows in (2, _FEW_ROWS + 2):
+    # columns of the blocks are the rows, of a small block and a large
+    # one; the second block of the stack is the first reversed
+    for rows in (2, 18):
         c = np.tile([[1.0, 0.0], [2.0, -1.0], [0.0, 3.0]], rows // 2)
         d = np.tile([[4.0, 2.0], [0.0, 1.0], [5.0, 0.0]], rows // 2)
         out = np.empty((2, 5, rows))
