@@ -13,114 +13,14 @@ locates the critical deposition rate where they merge, and cross-checks
 everything against an independent Runge-Kutta integrator.
 """
 
-from .critical import (
-    CriticalEstimate,
-    InvalidBracket,
-    NotTwoBranches,
-    SweepRecord,
-    branch_gap,
-    depth_sensitivity,
-    find_critical_lambda,
-    sweep,
-)
-from .oracle import (
-    IvpConfig,
-    IvpOverflow,
-    ivp_integrate,
-    ivp_trajectory,
-    oracle_branches,
-    profile_from_trajectory,
-    series_start,
-    step_halving_order,
-)
-from .polyring import (
-    NonIntegrableDefect,
-    RPoly,
-    add,
-    apply_vim_kernel,
-    differentiate,
-    evaluate,
-    mul,
-)
-from .recover import (
-    NonRecoverable,
-    Profile,
-    ResidualTable,
-    linear_approximation,
-    recover_phi,
-    residual_table,
-    solve_profile,
-)
-from .shooting import (
-    BoundaryKind,
-    BranchLabel,
-    BranchRoot,
-    boundary_residual,
-    find_branches,
-)
-from .vim import (
-    APoly,
-    DomainError,
-    IterationBudgetExceeded,
-    IterationOverflow,
-    VimProblem,
-    iterate,
-    iterate_from,
-    multiplier,
-    multiplier_residuals,
-    ode_defect,
-    symbolic_iterate,
-    vim_step,
-)
+from .critical import *
+from .oracle import *
+from .polyring import *
+from .recover import *
+from .shooting import *
+from .vim import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APoly",
-    "BoundaryKind",
-    "BranchLabel",
-    "BranchRoot",
-    "CriticalEstimate",
-    "DomainError",
-    "InvalidBracket",
-    "IterationBudgetExceeded",
-    "IterationOverflow",
-    "IvpConfig",
-    "IvpOverflow",
-    "NonIntegrableDefect",
-    "NonRecoverable",
-    "NotTwoBranches",
-    "Profile",
-    "RPoly",
-    "ResidualTable",
-    "SweepRecord",
-    "VimProblem",
-    "add",
-    "apply_vim_kernel",
-    "boundary_residual",
-    "branch_gap",
-    "depth_sensitivity",
-    "differentiate",
-    "evaluate",
-    "find_branches",
-    "find_critical_lambda",
-    "iterate",
-    "iterate_from",
-    "ivp_integrate",
-    "ivp_trajectory",
-    "linear_approximation",
-    "mul",
-    "multiplier",
-    "multiplier_residuals",
-    "ode_defect",
-    "oracle_branches",
-    "profile_from_trajectory",
-    "recover_phi",
-    "residual_table",
-    "series_start",
-    "solve_profile",
-    "step_halving_order",
-    "sweep",
-    "symbolic_iterate",
-    "vim_step",
-]
+__all__ = (critical.__all__ + oracle.__all__ + polyring.__all__
+           + recover.__all__ + shooting.__all__ + vim.__all__)
