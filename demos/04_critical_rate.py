@@ -35,8 +35,7 @@ print(f"  count bracket {estimate.bracket[0]:.4f}..{estimate.bracket[1]:.4f}"
       f", critical rate ~ {estimate.lambda_crit:.4f}")
 
 print("\nthe fold depends mildly on the truncation depth:")
-for depth, value in depth_sensitivity(bc, 5.0, 20.0, 0.01,
-                                      grid_points=800).items():
+for depth, value in depth_sensitivity(bc, 5.0, 20.0, 0.01).items():
     print(f"  depth {depth}: {value if value is not None else 'not resolved'}")
 
 print("\nnegative rates never fold; both branches persist and separate:")

@@ -132,7 +132,7 @@ def _parse_window(text: str):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"bad --a-window (want lo:hi): {text!r}")
-    # a width that overflows would fill the scan grid with inf and NaN
+    # a width that overflows would put the search's points at inf and NaN
     if not math.isfinite(hi - lo):
         raise UsageError(f"--a-window bounds and width must be finite: {text!r}")
     if not lo < hi:

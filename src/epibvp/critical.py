@@ -6,10 +6,13 @@ functional has a double root that sign-change bracketing cannot see, so
 the critical rate is reported as a bracket of the branch *count* (two
 branches below, none above).  Newton's method on the fold system
 B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with the exact
-derivatives that the kernel carries, finds the fold first; the count
-bisection probes either side of it, so that it usually closes the bracket
-in two scans.  The same fold at the neighbouring depths, checked by the
-count on either side, is the depth sensitivity.
+derivatives that the monomial kernel carries, finds the fold first; the
+count bisection probes either side of it, so that it usually closes the
+bracket in two counts.  A count is one root search of
+:func:`shooting._accepted`, on the Chebyshev proxy, without profiles or
+labels; it has no grid, so it sees the pair up to the fold itself.  The
+same fold at the neighbouring depths, checked by the count on either
+side, is the depth sensitivity.
 """
 
 from __future__ import annotations
@@ -37,11 +40,6 @@ __all__ = [
     "find_critical_lambda",
     "depth_sensitivity",
 ]
-
-# the count scans: coarser than the default scan, they miss pairs closer
-# than their spacing, so they see the fold up to 7.2e-4 low (navier2)
-_BISECTION_GRID_POINTS = 1500
-
 
 class InvalidBracket(ValueError):
     """Bracket endpoints do not satisfy the two-branches/no-branches predicate."""
@@ -75,13 +73,11 @@ class CriticalEstimate:
 
 
 def sweep(lambdas, bc: BoundaryKind, *, n_iter: int | None = None,
-          window=shooting.DEFAULT_WINDOW,
-          grid_points: int = shooting.DEFAULT_GRID_POINTS) -> list:
+          window=shooting.DEFAULT_WINDOW) -> list:
     """Census the branches at each deposition rate."""
     records = []
     for lam in lambdas:
-        roots = shooting.find_branches(float(lam), bc, window, grid_points,
-                                       n_iter=n_iter)
+        roots = shooting.find_branches(float(lam), bc, window, n_iter=n_iter)
         records.append(SweepRecord(lam=float(lam), bc=bc,
                                    branch_count=len(roots),
                                    branches=tuple(roots)))
@@ -97,14 +93,6 @@ def branch_gap(record: SweepRecord) -> float:
     first, second = (evaluate(root.phi, PROFILE_GRID)
                      for root in record.branches)
     return float(np.max(np.abs(first - second)))
-
-
-def _branch_count(lam: float, bc: BoundaryKind, n_iter: int | None,
-                  window, grid_points: int) -> int:
-    """The branch count at lam, read only up to 2: the scan stops at the
-    second accepted root from the window's upper end."""
-    return min(len(shooting._accepted(lam, bc, window, grid_points, n_iter,
-                                      limit=2)), 2)
 
 
 # Newton on the fold system: step budget and converged relative step size
@@ -128,7 +116,7 @@ def _fold(bc: BoundaryKind, n: int, a: float, lam: float,
         except IterationOverflow:
             return None
         b, b_a, b_lam, b_aa, b_alam = shooting._boundary_rows(
-            np.vstack(rows), bc)[0].tolist()
+            np.vstack(rows), bc).tolist()
         det = b_a * b_alam - b_lam * b_aa
         if det == 0.0 or not math.isfinite(det):
             return None
@@ -151,12 +139,12 @@ def _check_bracket(lo: float, hi: float, tol: float):
 
 
 def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
-                window, grid_points: int):
+                window):
     """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
     InvalidBracket unless :func:`_check_bracket` passes and lo has a pair."""
     _check_bracket(lo, hi, tol)
     a_star = [root["a_star"]
-              for root in shooting._accepted(lo, bc, window, grid_points, n)]
+              for root in shooting._accepted(lo, bc, window, n)]
     if len(a_star) < 2:
         raise InvalidBracket(f"fewer than two branches at lo = {lo}")
     i = min(range(len(a_star) - 1), key=lambda j: a_star[j + 1] - a_star[j])
@@ -165,14 +153,12 @@ def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
 
 def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
                          *, n_iter: int | None = None,
-                         window=shooting.DEFAULT_WINDOW,
-                         grid_points: int = _BISECTION_GRID_POINTS
-                         ) -> CriticalEstimate:
+                         window=shooting.DEFAULT_WINDOW) -> CriticalEstimate:
     """Bisect on the predicate "two branches exist" until hi - lo <= tol.
 
     Requires finite lo < hi and tol > 0, at least two branches at lo and
     none at hi; anything else raises :class:`InvalidBracket` (the bounds
-    before any scan).  The first two probes sit 0.45 tol below and above
+    before any count).  The first two probes sit 0.45 tol below and above
     the Newton fold when they lie inside the bracket; every later probe is
     the midpoint.  Each probe keeps the predicate at the bracket ends.
     The search also stops when the midpoint rounds to an end, so a tol
@@ -180,8 +166,8 @@ def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
     of looping.
     """
     n = bc.default_iterations if n_iter is None else n_iter
-    fold = _fold_at_lo(bc, n, lo, hi, tol, window, grid_points)
-    if _branch_count(hi, bc, n, window, grid_points) != 0:
+    fold = _fold_at_lo(bc, n, lo, hi, tol, window)
+    if shooting._accepted(hi, bc, window, n):
         raise InvalidBracket(f"branches persist at hi = {hi}")
     a_fold, lambda_star = fold or (None, None)
     probes = [] if fold is None else [lambda_star - _PROBE_OFFSET * tol,
@@ -191,7 +177,7 @@ def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
         mid = probes.pop(0) if probes else 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _branch_count(mid, bc, n, window, grid_points) >= 2:
+        if len(shooting._accepted(mid, bc, window, n)) >= 2:
             lo = mid
         else:
             hi = mid
@@ -202,20 +188,21 @@ def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
 
 def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
                       *, n_iter: int | None = None,
-                      window=shooting.DEFAULT_WINDOW,
-                      grid_points: int = _BISECTION_GRID_POINTS) -> dict:
+                      window=shooting.DEFAULT_WINDOW) -> dict:
     """Fold rates one iteration depth below and one above n_iter (the
     default depth when None), for disclosure.
 
     Newton's method at each neighbouring depth starts from the depth-n
-    fold found from the scan at lo, and may end beyond hi.  A value is
+    fold found from the roots at lo, and may end beyond hi.  A value is
     kept when the count at its depth shows two branches 0.45 tol below it
-    and none 0.45 tol above, so none passes below tol of about 2e-3; else,
-    and for a depth outside 1..MAX_DEPTH, it is None.  lo, hi and tol are
-    checked as in :func:`find_critical_lambda`, except hi's count.
+    and none 0.45 tol above; else, and for a depth outside 1..MAX_DEPTH,
+    it is None.  The count merges a pair only where the rounding count of
+    its readings covers the gap, about 1e-11 below a fold, so the check
+    passes at any tol well above that.  lo, hi and tol are checked as in
+    :func:`find_critical_lambda`, except hi's count.
     """
     n = bc.default_iterations if n_iter is None else n_iter
-    seed = _fold_at_lo(bc, n, lo, hi, tol, window, grid_points)
+    seed = _fold_at_lo(bc, n, lo, hi, tol, window)
     out = dict.fromkeys((n - 1, n + 1))
     for depth in out:
         fold = (_fold(bc, depth, *seed)
@@ -223,9 +210,8 @@ def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
         if fold is None:
             continue
         lam = fold[1]
-        if (_branch_count(lam - _PROBE_OFFSET * tol, bc, depth, window,
-                          grid_points) >= 2
-                and _branch_count(lam + _PROBE_OFFSET * tol, bc, depth,
-                                  window, grid_points) == 0):
+        offset = _PROBE_OFFSET * tol
+        if (len(shooting._accepted(lam - offset, bc, window, depth)) >= 2
+                and not shooting._accepted(lam + offset, bc, window, depth)):
             out[depth] = lam
     return out

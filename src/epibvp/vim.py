@@ -18,7 +18,8 @@ has exactly zero odd coefficients, so the numeric kernel
 (:func:`_iterate_coeffs`) stores it as a polynomial in s = r**2 and runs
 many start coefficients at once, one row each.  The public functions on
 :class:`~epibvp.polyring.RPoly` call the same step arithmetic with every
-power of r stored.
+power of r stored.  The collocation kernel (:func:`_collocation_readings`)
+runs the same step on values at Chebyshev points in s instead.
 
 A symbolic mode keeps the initial coefficient ``a`` and the parameter
 ``lam`` as formal symbols and reproduces the low-order iterates in closed
@@ -206,23 +207,20 @@ def _check_depth(n_iter: int) -> None:
 
 
 def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
-         nonlinear: bool = True, d: np.ndarray | None = None, *,
-         start: int = 0, stop: int | None = None):
-    """Run steps start + 1 to stop (by default n_iter) of an n_iter-step
-    run from the rows c; return the rows and their derivatives d, stepped
-    along with them (None without), both row-major and C-contiguous.  The
-    steps hold c and d as one stack of blocks, coefficients by rows, with
-    the rows on the contiguous axis (see :func:`_convolve`).  An overflow
-    names depth n_iter."""
+         nonlinear: bool = True, d: np.ndarray | None = None):
+    """Run n_iter steps from the rows c; return the rows and their
+    derivatives d, stepped along with them (None without), both row-major
+    and C-contiguous.  The steps hold c and d as one stack of blocks,
+    coefficients by rows, with the rows on the contiguous axis (see
+    :func:`_convolve`).  An overflow names depth n_iter."""
     _check_depth(n_iter)
-    stop = n_iter if stop is None else stop
     s = c[None] if d is None else np.concatenate((c[None], d))
     s = np.ascontiguousarray(s.transpose(0, 2, 1))
-    for _ in range(start, stop):
+    for _ in range(n_iter):
         s = _step_rows(s, lam, spacing, nonlinear, n_iter)
     # an overflow in an earlier step trips the check in _step_rows; one in
     # the last step shows only here
-    if stop == n_iter and not np.isfinite(s[0]).all():
+    if not np.isfinite(s[0]).all():
         raise _overflow(n_iter)
     s = np.ascontiguousarray(s.transpose(0, 2, 1))
     return s[0], (None if d is None else s[1:])
@@ -255,6 +253,141 @@ def _iterate_tangents(a, lam: float, n_iter: int, *, second: bool = False):
     d[0, :, 1] = 1.0
     c, d = _run(c, lam, n_iter, 2, d=d)
     return (c, *d)
+
+
+# ---------------------------------------------------------------------------
+# collocation path
+# ---------------------------------------------------------------------------
+
+# Chebyshev points in s of the collocation kernel; with 2**n <= P the
+# depth-n collocation iterate is the exact one up to rounding
+COLLOCATION_POINTS = 64
+
+# stack rows per product of the collocation kernel on 64 points, and on
+# p > 64 points the same count of multiply-adds: on a 2-CPU host a product
+# of 32 x 64 by 64 x 64 (5 to 7 us) or 128 x 64 by 64 x 64 ran on one BLAS
+# thread, one of 256 x 64 by 64 x 64 on two (144 us, against 44 us on
+# one); the root search of a fold probe ran fastest with 32
+_COLLOCATION_ROWS = 32
+
+
+@lru_cache(maxsize=None)
+def _collocation(p: int):
+    """The step and reading matrices of the collocation kernel on the p
+    first-kind Chebyshev points s_j of [0, 1]: (L^T, N^T, R_v, R_q).
+
+    With w = s v, one correction step is v <- L v + N q, q = v**2 + lam,
+
+        (L v)(s) = int_0^1 v(s u**2) du,
+        (N q)(s) = s / 2 int_0^1 (1 - u) u**2 q(s u**2) du,
+
+    so L s**j = s**j / (2 j + 1) and N s**j = s**(j + 1) / (4 (j + 2)
+    (2 j + 3)).  The step after v gives w(1) = (L v)(1) + (N q)(1) and,
+    from s (L v)' = (v - L v) / 2, w'(1) = (L v)(1) + v(1) + 1/2
+    int_0^1 u**2 q(u**2) du: the columns of v R_v + q R_q.  Every integral
+    is a (p + 2)-point Gauss-Legendre rule over the barycentric interpolant
+    of the values (weights (-1)**j sin theta_j; Berrut & Trefethen 2004),
+    exact for the degrees involved.  The matrices are read-only.
+    """
+    theta = (2.0 * np.arange(p) + 1.0) * np.pi / (2.0 * p)
+    nodes = 0.5 * (1.0 + np.cos(theta))
+    weights = (-1.0) ** np.arange(p) * np.sin(theta)
+
+    def basis(x):
+        # the p Lagrange basis polynomials at the points x, on a new last axis
+        diff = x[..., None] - nodes
+        hit = diff == 0.0
+        terms = weights / np.where(hit, 1.0, diff)
+        out = terms / terms.sum(axis=-1, keepdims=True)
+        rows = hit.any(axis=-1)
+        out[rows] = hit[rows]
+        return out
+
+    u, g = np.polynomial.legendre.leggauss(p + 2)
+    u, g = 0.5 * (u + 1.0), 0.5 * g
+    kernel = 0.5 * g * (1.0 - u) * u * u
+    # one node at a time keeps the basis values at p (p + 2) entries
+    rows = [np.stack((g, kernel)) @ basis(s * u * u) for s in nodes]
+    step_v, step_q = np.stack(rows, axis=2)
+    step_q = step_q * nodes
+    edge = basis(u * u)
+    at_one = basis(np.ones(1))[0]
+    read_v = np.stack((g @ edge, g @ edge + at_one), axis=1)
+    read_q = np.stack((kernel @ edge, 0.5 * (g * u * u) @ edge), axis=1)
+    out = tuple(np.ascontiguousarray(x)
+                for x in (step_v, step_q, read_v, read_q))
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _collocate(v: np.ndarray, d: np.ndarray, lam: float, n_iter: int,
+               p: int):
+    """(w(1), w'(1)) of the n_iter-step collocation iterate from the values
+    v and, below, their derivatives along the values d (0 or m rows),
+    stepped in the same stack: d <- L d + N (2 v d); and the absolute sums
+    |v| |R_v| + |q| |R_q| of those readings.  Each is (1 + k, m, 2)."""
+    step_v, step_q, read_v, read_q = _collocation(p)
+    m = v.shape[0]
+    s = np.vstack((v, d))
+    for k in range(n_iter):
+        # d has m rows or none, so s[:len(d)] is v or empty like it
+        q = np.vstack((s[:m] * s[:m] + lam, 2.0 * s[:len(d)] * s[m:]))
+        if k < n_iter - 1:
+            s = s @ step_v + q @ step_q
+    out = s @ read_v + q @ read_q
+    size = np.abs(s) @ np.abs(read_v) + np.abs(q) @ np.abs(read_q)
+    return out.reshape(-1, m, 2), size.reshape(-1, m, 2)
+
+
+def _collocation_readings(a, lam: float, n_iter: int,
+                          p: int = COLLOCATION_POINTS, *,
+                          tangent: bool = False):
+    """(w(1), w'(1)) of the depth-n_iter collocation iterate on p points,
+    started at v = a, for each a: an array (1, m, 2), or (2, m, 2) with
+    the a-derivatives (w_a(1), w_a'(1)) below; and the absolute sums of
+    their last quadrature sums (see :func:`_rounding_gamma`), shaped
+    alike.
+
+    B at depth n is a polynomial of degree 2**n in a, as in the monomial
+    kernel; with 2**n <= p the readings are those of the exact iterate up
+    to rounding.  On p points every product takes a stack of the same
+    number of rows (``_COLLOCATION_ROWS`` up to p = 64), the last block
+    padded with zeros: the BLAS kernel chosen, and so the rounding of a
+    row, can depend on the number of rows, and a reading must not depend
+    on the call it came from.  A reading that is not finite raises
+    :class:`IterationOverflow`.
+    """
+    _check_depth(n_iter)
+    a = np.asarray(a, dtype=float).reshape(-1)
+    k = 2 if tangent else 1
+    out, size = np.empty((2, k, a.size, 2))
+    # the stack of values and derivatives holds k rows per start value
+    scale = max(p, COLLOCATION_POINTS) ** 2 // COLLOCATION_POINTS ** 2
+    block = max(1, _COLLOCATION_ROWS // scale // k)
+    v = np.empty((block, p))
+    d = np.ones(((k - 1) * block, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, a.size, block):
+            rows = a[start:start + block]
+            v[:rows.size] = rows[:, None]
+            v[rows.size:] = 0.0
+            got, sums = _collocate(v, d, lam, n_iter, p)
+            out[:, start:start + rows.size] = got[:, :rows.size]
+            size[:, start:start + rows.size] = sums[:, :rows.size]
+    if not np.isfinite(out[0]).all():
+        raise _overflow(n_iter)
+    return out, size
+
+
+def _rounding_gamma(p: int, n_iter: int) -> float:
+    """Higham's gamma_K for K = n_iter (2 p + 8), the roundings a
+    collocation reading counts: per step p + 3 (p in each product, one in
+    their sum, two in q) and p + 5 in a matrix entry (its quadrature sum
+    and barycentric quotient).  gamma_K times the absolute sums of the
+    last quadrature sums is the reading's rounding count."""
+    nu = n_iter * (2 * p + 8) * 0.5 * np.finfo(float).eps
+    return nu / (1.0 - nu)
 
 
 def _r_powers(row: np.ndarray) -> np.ndarray:

@@ -204,7 +204,7 @@ def test_05_critical_rate_reproduction():
     ok = True
     for bc, (target, width, lo, hi, tol) in REFERENCE_CRITICAL.items():
         estimate = find_critical_lambda(bc, lo, hi, tol)
-        sensitivity = depth_sensitivity(bc, lo, hi, tol, grid_points=800)
+        sensitivity = depth_sensitivity(bc, lo, hi, tol)
         hit = abs(estimate.lambda_crit - target) <= width
         ok = ok and hit
         details.append(
@@ -302,7 +302,7 @@ def test_08_linear_regime_check():
     worst_c = 0.0
     for bc in BoundaryKind:
         for lam in (0.1, -0.1, 0.05, -0.05, 0.01):
-            roots = find_branches(lam, bc, window=(-2.5, 2.5), grid_points=400)
+            roots = find_branches(lam, bc, window=(-2.5, 2.5))
             root = min(roots, key=lambda r: abs(r.a_star))
             solved = solve_profile(root.a_star, lam, bc)
             linear = linear_approximation(bc, lam)

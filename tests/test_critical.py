@@ -123,10 +123,9 @@ def test_gap_is_small_just_below_the_fold():
     # rate where both branches were still seen
     bc = BoundaryKind.NAVIER_TWO
     window = (-4.7, -4.1)
-    estimate = find_critical_lambda(bc, 11.33, 11.35, 2e-7, window=window,
-                                    grid_points=1500)
+    estimate = find_critical_lambda(bc, 11.33, 11.35, 2e-7, window=window)
     lo, _ = estimate.bracket
-    (record,) = sweep([lo], bc, window=window, grid_points=1500)
+    (record,) = sweep([lo], bc, window=window)
     assert record.branch_count == 2
     assert branch_gap(record) <= 1e-3
 
@@ -144,7 +143,7 @@ def test_invalid_brackets():
 
 def test_depth_sensitivity_reports_neighbouring_depths():
     bc = BoundaryKind.NAVIER_TWO
-    values = depth_sensitivity(bc, 5.0, 20.0, 0.5, grid_points=800)
+    values = depth_sensitivity(bc, 5.0, 20.0, 0.5)
     assert set(values) == {6, 8}
     assert values[6] == pytest.approx(11.34, abs=0.8)
     assert values[8] == pytest.approx(_independent_fold(bc, 5.0, 20.0, 8),
@@ -157,19 +156,22 @@ NAVIER_TWO_FOLD = (-4.435041378889438, 11.342555130624106)
 
 
 def test_closest_resolved_pair_is_wider_than_its_bands():
-    # a rate 1e-12 below the fold, on a window a few gaps wide: the pair is
-    # 2.8e-6 apart and each band grows like 1/gap, but stays below a sixth
-    # of the gap.  The scan keeps a pair only with a reading above the noise
-    # floor between the roots, so no scanned pair has bands that cover its gap
+    # a rate 1e-10 below the fold, on a window a few gaps wide: the pair is
+    # 2.8e-5 apart and each band grows like 1/gap.  Points closer than
+    # their bands are one root, so no pair found has bands that cover its
+    # gap; at 1e-12 below the fold (2.6e-6 apart) the rounding count of the
+    # readings, 2.3e-12 against a peak B of 1.4e-13, merges the pair
     bc = BoundaryKind.NAVIER_TWO
     a, lam = NAVIER_TWO_FOLD
-    window = (a - 1.2e-5, a + 1.2e-5)
-    (record,) = sweep([lam - 1e-12], bc, window=window)
+    window = (a - 1.2e-4, a + 1.2e-4)
+    (record,) = sweep([lam - 1e-10], bc, window=window)
     assert record.branch_count == 2
     roots = record.branches
     gap = roots[1].a_star - roots[0].a_star
-    assert 1e-6 < gap < 1e-5
+    assert 1e-5 < gap < 1e-4
     assert 1e-8 < roots[0].band + roots[1].band < gap / 2.0
+    (record,) = sweep([lam - 1e-12], bc, window=(a - 1.2e-5, a + 1.2e-5))
+    assert record.branch_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +194,7 @@ MIDPOINT_RESULTS = {
 
 
 def _count(lam, bc):
-    return len(find_branches(lam, bc, shooting.DEFAULT_WINDOW,
-                             critical._BISECTION_GRID_POINTS))
+    return len(find_branches(lam, bc))
 
 
 def _midpoint_bisection(bc, lo, hi, tol):
@@ -215,9 +216,9 @@ def _independent_fold(bc, lo, hi, n, points=1001):
     grid = np.linspace(a[i], a[i + 1], points)
 
     def reading(lam):
-        # the full kernel, so that the reference shares no shortcut with
-        # the scan
-        return shooting._boundary_rows(_iterate_coeffs(grid, lam, n), bc)[0]
+        # the monomial kernel, so that the reference shares nothing with
+        # the proxy the searches count on
+        return shooting._boundary_rows(_iterate_coeffs(grid, lam, n), bc)
 
     sign = np.sign(reading(lo)[points // 2])
 
@@ -277,8 +278,7 @@ def test_without_an_estimate_the_bisection_is_unchanged(bc, monkeypatch):
 def test_fold_estimate_matches_independent_fold(bc, offset):
     lo, hi, tol = BRACKETS[bc]
     n = bc.default_iterations + offset
-    fold = critical._fold_at_lo(bc, n, lo, hi, tol, shooting.DEFAULT_WINDOW,
-                                critical._BISECTION_GRID_POINTS)
+    fold = critical._fold_at_lo(bc, n, lo, hi, tol, shooting.DEFAULT_WINDOW)
     assert fold is not None
     assert fold[1] == pytest.approx(_independent_fold(bc, lo, hi, n),
                                     abs=1e-5)
@@ -314,7 +314,7 @@ def test_fold_estimate_gives_up_when_the_iterates_overflow():
 def test_fold_estimate_gives_up_on_a_bad_newton_step(monkeypatch, reading):
     # every kernel call reads the same functional and derivatives
     monkeypatch.setattr(shooting, "_boundary_rows",
-                        lambda rows, bc: (np.array(reading), None))
+                        lambda rows, bc: np.array(reading))
     assert critical._fold(BoundaryKind.NAVIER_ONE, 5, -5.0, 10.0) is None
 
 
@@ -342,28 +342,6 @@ def test_benchmark_searches_take_four_scans(bc, shift, monkeypatch):
         assert b_hi - b_lo <= tol
 
 
-def test_two_branch_probe_stops_at_the_second_root(monkeypatch):
-    # the probe below the fold finds the pair at a = -27 ... -4 in the top
-    # blocks of the window (-120, 20) and scans no further
-    bc = BoundaryKind.NAVIER_ONE
-    lo, hi, tol = BRACKETS[bc]
-    estimate = find_critical_lambda(bc, lo, hi, tol)
-    scanned = []
-    scan = shooting._scan
-
-    def counted(a, *args):
-        scanned.append(a.size)
-        return scan(a, *args)
-
-    monkeypatch.setattr(shooting, "_scan", counted)
-    probe = estimate.lambda_star - critical._PROBE_OFFSET * tol
-    assert critical._branch_count(probe, bc, None, shooting.DEFAULT_WINDOW,
-                                  critical._BISECTION_GRID_POINTS) == 2
-    assert 0 < sum(scanned) <= critical._BISECTION_GRID_POINTS // 2
-    # the count of the full search is the same
-    assert _count(probe, bc) == 2
-
-
 @pytest.mark.parametrize("bc", list(BRACKETS))
 def test_critical_estimate_reports_the_newton_fold(bc):
     # the exact fold of the default depth, next to the count bracket that
@@ -371,8 +349,7 @@ def test_critical_estimate_reports_the_newton_fold(bc):
     lo, hi, tol = BRACKETS[bc]
     estimate = find_critical_lambda(bc, lo, hi, tol)
     fold = critical._fold_at_lo(bc, bc.default_iterations, lo, hi, tol,
-                                shooting.DEFAULT_WINDOW,
-                                critical._BISECTION_GRID_POINTS)
+                                shooting.DEFAULT_WINDOW)
     assert (estimate.a_fold, estimate.lambda_star) == fold
     if bc is BoundaryKind.NAVIER_TWO:
         assert estimate.a_fold == pytest.approx(NAVIER_TWO_FOLD[0], abs=1e-9)
@@ -415,11 +392,26 @@ def test_depth_sensitivity_around_the_depth_used():
     assert values[0] is None and set(values) == {0, 2}
 
 
-def test_depth_sensitivity_is_none_where_the_count_cannot_certify():
-    # 0.45 tol below either neighbouring fold the 1500-point scan no longer
-    # sees the pair, so the count check fails and no value is reported
+def test_depth_sensitivity_is_certified_below_tol_2e_3():
+    # the 1500-point count scan missed the pair 0.45 tol below either
+    # neighbouring fold here and reported None; the proxy count sees it
     values = depth_sensitivity(BoundaryKind.NAVIER_TWO, 5.0, 20.0, 1e-3)
-    assert values == {6: None, 8: None}
+    assert values == {6: pytest.approx(11.346251707, abs=1e-8),
+                      8: pytest.approx(11.341378061, abs=1e-8)}
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_count_bracket_holds_the_fold_at_tol_1e_4(bc):
+    # the count scans left the bracket up to 7.2e-4 below lambda_star and
+    # the sensitivities None below tol 2e-3; the proxy count flips at the
+    # fold itself
+    lo, hi, _ = BRACKETS[bc]
+    estimate = find_critical_lambda(bc, lo, hi, 1e-4)
+    b_lo, b_hi = estimate.bracket
+    assert b_lo <= estimate.lambda_star <= b_hi and b_hi - b_lo <= 1e-4
+    values = depth_sensitivity(bc, lo, hi, 1e-4)
+    assert all(isinstance(v, float) and math.isfinite(v)
+               for v in values.values())
 
 
 @pytest.mark.parametrize("with_estimate", [True, False])
@@ -430,8 +422,7 @@ def test_tol_below_float_spacing_stops(with_estimate, monkeypatch):
         monkeypatch.setattr(critical, "_fold", lambda *args: None)
     rates = _scan_counter(monkeypatch, limit=200)
     estimate = find_critical_lambda(BoundaryKind.NAVIER_TWO, 11.33, 11.35,
-                                    1e-300, window=(-4.7, -4.1),
-                                    grid_points=200)
+                                    1e-300, window=(-4.7, -4.1))
     lo, hi = estimate.bracket
     assert np.nextafter(lo, math.inf) == hi
     assert len(set(rates)) == len(rates)

@@ -23,7 +23,8 @@ from epibvp import (
 )
 from epibvp.recover import TABLE_GRID
 
-from _util import ALL_BCS, GRID_101, exact_defect, lower_branch_root
+from _util import (ALL_BCS, GRID_101, exact_defect, exact_readings,
+                   lower_branch_root)
 
 rng = np.random.default_rng(7)
 
@@ -160,16 +161,20 @@ def test_residual_table_maximum(values, expected):
 def test_residual_table_is_exact_on_steep_branch():
     # the steep Dirichlet root has coefficients near 1e11 and a defect of
     # order one at r = 0.9, where a float-formed defect reads 21.1.  The
-    # boundary functional reads below its noise floor within about 2e-2 of
-    # the root (its band), so the pinned maximum holds for this root solve
-    # only: the Newton polish stops at a = -87.2843211, and the table
-    # maximum there is 0.71035904
+    # root lies at a = -87.28214668 (the exact depth-6 functional changes
+    # sign across its bracket).  The table maximum moves by up to 5e-4 of
+    # itself from one float of a to the next, so it is pinned at one float
+    # a near the root, which the search's root lies within 1e-9 of
     lam = -25.0
     roots = find_branches(lam, BoundaryKind.DIRICHLET)
     steep = min(roots, key=lambda r: r.a_star)
-    profile = solve_profile(steep.a_star, lam, steep.bc)
+    a = -87.28214667753512
+    assert steep.a_star == pytest.approx(a, abs=1e-9)
+    lo, hi = steep.bracket
+    assert exact_readings(lo, lam, 6)[0] > 0 > exact_readings(hi, lam, 6)[0]
+    profile = solve_profile(a, lam, steep.bc)
     table = residual_table(profile.w, lam)
-    assert table.max_abs() == pytest.approx(0.7103590435968146, rel=1e-9)
+    assert table.max_abs() == pytest.approx(0.7103438418588265, rel=1e-9)
     # every entry is the exact defect of the float coefficients, rounded once
     for r, value in zip(table.grid, table.values):
         assert value == float(exact_defect(profile.w, lam, r))

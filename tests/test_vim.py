@@ -29,19 +29,21 @@ from epibvp import (
 from epibvp.polyring import _kernel_weights
 from epibvp.vim import (
     MAX_DEPTH,
+    _collocation_readings,
     _convolve,
     _euler_symbol,
     _iterate_coeffs,
     _iterate_tangents,
     _overflow,
     _r_powers,
+    _rounding_gamma,
     _run,
     _start_rows,
     multiplier_dt,
     multiplier_dtt,
 )
 
-from _util import GRID_101, lower_branch_root, sup_on_grid
+from _util import GRID_101, exact_readings, lower_branch_root, sup_on_grid
 
 rng = np.random.default_rng(42)
 
@@ -186,8 +188,7 @@ def _frozen_convolve(c, d, out):
     np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
 
 
-def _frozen_run(c, lam, n_iter, spacing, nonlinear=True, d=None, *,
-                start=0, stop=None):
+def _frozen_run(c, lam, n_iter, spacing, nonlinear=True, d=None):
     """The step loop on row-major blocks, one iterate per row, with the
     signature of vim._run.  Kept frozen; the kernel must equal it bit for
     bit."""
@@ -232,12 +233,11 @@ def _frozen_run(c, lam, n_iter, spacing, nonlinear=True, d=None, *,
         out[:, :, :n] += d
         return out
 
-    stop = n_iter if stop is None else stop
-    for _ in range(start, stop):
+    for _ in range(n_iter):
         if d is not None:
             d = tangent(c, d)
         c = step(c)
-    if stop == n_iter and not np.isfinite(c).all():
+    if not np.isfinite(c).all():
         raise _overflow(n_iter)
     return c, d
 
@@ -288,7 +288,7 @@ def test_r_power_steps_equal_the_frozen_row_major_steps(nonlinear):
             assert actual.coeffs.tobytes() == RPoly(expected).coeffs.tobytes()
 
 
-def _outcome(run, a, depth, stop):
+def _outcome(run, a, depth):
     # the rows and derivatives of a run, or the message it raised, and the
     # floating-point warnings it gave
     d = np.zeros((4, a.size, 2))
@@ -296,7 +296,7 @@ def _outcome(run, a, depth, stop):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            c, d = run(_start_rows(a), 1.0, depth, 2, d=d, stop=stop)
+            c, d = run(_start_rows(a), 1.0, depth, 2, d=d)
             result = [c, *d]
         except IterationOverflow as exc:
             result = str(exc)
@@ -305,16 +305,17 @@ def _outcome(run, a, depth, stop):
 
 @pytest.mark.parametrize("rows", BLOCK_SIZES)
 def test_overflowing_rows_equal_the_frozen_row_major_steps(rows):
-    # a row that overflows passes through the steps of a partial run as
-    # inf and NaN until a step or the end of the full run raises
+    # a row that overflows passes through the steps as inf and NaN until
+    # a step or the end of the run raises; the shallower runs finish or
+    # raise at every depth on the way
     seeded = np.random.default_rng(rows)
     for depth, big in ((4, -1e200), (6, -1e12), (7, -1e5), (8, -1e5),
                        (9, 1e4)):
         a = seeded.uniform(-120.0, 20.0, rows)
         a[seeded.integers(0, rows, 1 + rows // 8)] = big
-        for stop in range(1, depth + 1):
-            actual, actual_warnings = _outcome(_run, a, depth, stop)
-            expected, expected_warnings = _outcome(_frozen_run, a, depth, stop)
+        for n in range(1, depth + 1):
+            actual, actual_warnings = _outcome(_run, a, n)
+            expected, expected_warnings = _outcome(_frozen_run, a, n)
             assert actual_warnings == expected_warnings
             if isinstance(expected, str):
                 assert actual == expected
@@ -324,26 +325,94 @@ def test_overflowing_rows_equal_the_frozen_row_major_steps(rows):
 
 
 @pytest.mark.parametrize("bc", list(BoundaryKind))
-def test_scan_readings_equal_the_frozen_row_major_steps(bc, monkeypatch):
-    # the scan and boundary_residual read the kernel through shooting._run
-    # and shooting._iterate_coeffs; both are swapped for the frozen steps
+def test_boundary_readings_equal_the_frozen_row_major_steps(bc, monkeypatch):
+    # boundary_residual reads the kernel through shooting._iterate_coeffs,
+    # which is swapped for the frozen steps
     from epibvp import shooting
 
-    xs = np.linspace(-120.0, 20.0, 400)
     cases = [(lam, n) for lam in (-50.0, 0.0, 15.0) for n in (5, 6, 7, 8)]
 
     def readings():
-        return [(*shooting._scan(xs, lam, bc, n),
-                 np.array([boundary_residual(a, lam, bc, n)
-                           for a in (-97.3, -33.3, 0.0, 4.1)]))
+        return [(np.array([boundary_residual(a, lam, bc, n)
+                           for a in (-97.3, -33.3, 0.0, 4.1)]),)
                 for lam, n in cases]
 
     actual = readings()
-    monkeypatch.setattr(shooting, "_run", _frozen_run)
     monkeypatch.setattr(shooting, "_iterate_coeffs",
                         lambda a, lam, n: _frozen_iterate(a, lam, n)[0])
     for got, want in zip(actual, readings()):
         _same_bytes(got, want)
+
+
+# ---------------------------------------------------------------------------
+# collocation kernel
+# ---------------------------------------------------------------------------
+
+def test_exact_readings_match_the_monomial_kernel():
+    c = _iterate_coeffs(-3.0, 15.0, 5)[0]
+    w1, w1_prime = exact_readings(-3.0, 15.0, 5)[:2]
+    k = 2.0 * np.arange(c.size)
+    assert float(w1) == pytest.approx(c.sum(), rel=1e-14)
+    assert float(w1_prime) == pytest.approx((k * c).sum(), rel=1e-14)
+
+
+@pytest.mark.parametrize("a,lam", [(-3.0, 15.0), (-17.24, 15.0), (0.5, -3.0),
+                                   (-87.28, -25.0), (-99.36, -70.0),
+                                   (-60.0, 100.0)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_collocation_readings_equal_the_exact_iterate(a, lam, n):
+    # with 2**n <= p the collocation iterate is the exact one, so the
+    # readings differ from it by rounding alone: within the rounding count
+    # of their last sums plus their change from p to 2 p points
+    exact = np.array([float(x) for x in exact_readings(a, lam, n)])
+    for p in sorted({max(2 ** n, 2), 64}):
+        readings, sums = _collocation_readings(a, lam, n, p, tangent=True)
+        fine, _ = _collocation_readings(a, lam, n, 2 * p, tangent=True)
+        bound = (_rounding_gamma(p, n) * sums + np.abs(readings - fine)).ravel()
+        assert (np.abs(readings.ravel() - exact) <= bound).all()
+        for bc in BoundaryKind:
+            alpha, beta = bc.functional
+            b, b_a = bc.residual(readings[:, 0, 0], readings[:, 0, 1])
+            b_exact = bc.residual(exact[0::2], exact[1::2])
+            b_bound = abs(alpha) * bound[0::2] + abs(beta) * bound[1::2]
+            assert abs(b - b_exact[0]) <= b_bound[0]
+            assert abs(b_a - b_exact[1]) <= b_bound[1]
+
+
+def test_collocation_matrices_are_built_once_per_size():
+    from epibvp.vim import _collocation
+
+    assert _collocation(16) is _collocation(16)
+    assert all(not m.flags.writeable for m in _collocation(16))
+    # L averages and N of a constant is s / 24
+    step_v, step_q, _, _ = _collocation(16)
+    assert np.allclose(step_v.sum(axis=0), 1.0, rtol=0.0, atol=1e-14)
+    nodes = 0.5 * (1.0 + np.cos((2.0 * np.arange(16) + 1.0) * np.pi / 32))
+    assert np.allclose(step_q.sum(axis=0), nodes / 24.0, rtol=0.0,
+                       atol=1e-15)
+
+
+def test_collocation_overflow_is_named():
+    with pytest.raises(IterationOverflow, match="at depth 7"):
+        _collocation_readings([-2e5, 1.0], 1.0, 7)
+
+
+@pytest.mark.parametrize("p", [64, 128])
+def test_collocation_rows_do_not_change_across_blocks(p):
+    # a reading is the same bit for bit whatever the other rows of its
+    # call, their number and its own position among them
+    a = np.linspace(-120.0, 20.0, 300)
+    for tangent in (False, True):
+        whole = _collocation_readings(a, 15.0, 7, p, tangent=tangent)
+        for parts in (np.split(a, [50, 100, 150, 200, 250]),
+                      np.split(a[::-1], [1, 3, 70, 197]),
+                      [a[i:i + 1] for i in (0, 77, 299)]):
+            got = [_collocation_readings(x, 15.0, 7, p, tangent=tangent)
+                   for x in parts]
+            for i, x in enumerate((whole[0], whole[1])):
+                joined = np.concatenate([g[i] for g in got], axis=1)
+                index = np.searchsorted(a, np.concatenate(parts))
+                assert np.array_equal(x[:, index], joined)
 
 
 def test_convolution_with_itself_is_the_old_square():
