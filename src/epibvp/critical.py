@@ -5,8 +5,8 @@ increases and disappear past a fold.  Exactly at the fold the boundary
 functional has a double root that sign-change bracketing cannot see, so
 the critical rate is reported as a bracket of the branch *count* (two
 branches below, none above).  Newton's method on the fold system
-B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with the exact
-derivatives that the monomial kernel carries, finds the fold first; the
+B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with the derivatives
+that the collocation kernel steps along with B, finds the fold first; the
 count bisection probes either side of it, so that it usually closes the
 bracket in two counts.  A count is one root search of
 :func:`shooting._accepted`, on the Chebyshev proxy, without profiles or
@@ -28,7 +28,7 @@ from .polyring import evaluate
 # name a caller module bound by import is traced, on this binding
 from .recover import PROFILE_GRID, solve_profile  # noqa: F401
 from .shooting import BoundaryKind
-from .vim import MAX_DEPTH, IterationOverflow, _iterate_tangents
+from .vim import MAX_DEPTH, IterationOverflow
 
 __all__ = [
     "InvalidBracket",
@@ -107,16 +107,15 @@ _PROBE_OFFSET = 0.45
 def _fold(bc: BoundaryKind, n: int, a: float, lam: float,
           lo: float = -math.inf, hi: float = math.inf):
     """The fold (a, lam) of the n-step functional by Newton on B = 0, B_a = 0
-    from (a, lam), with the exact Jacobian of one kernel call per step; None
+    from (a, lam), with the Jacobian of one collocation reading per step; None
     when a step is singular or not finite, the iterates overflow, the steps
     do not settle in ``_NEWTON_STEPS``, or lam ends outside (lo, hi)."""
     for _ in range(_NEWTON_STEPS):
         try:
-            rows = _iterate_tangents(a, lam, n, second=True)
+            readings, _ = shooting._readings(a, lam, bc, n, order=2)
         except IterationOverflow:
             return None
-        b, b_a, b_lam, b_aa, b_alam = shooting._boundary_rows(
-            np.vstack(rows), bc).tolist()
+        b, b_a, b_lam, b_aa, b_alam = readings[:, 0].tolist()
         det = b_a * b_alam - b_lam * b_aa
         if det == 0.0 or not math.isfinite(det):
             return None

@@ -126,30 +126,29 @@ class BranchRoot:
     table: recover.ResidualTable = field(repr=False)
 
 
-def _boundary_rows(c: np.ndarray, bc: BoundaryKind) -> np.ndarray:
-    """Boundary functional of each row of monomial iterate coefficients:
-    w(1) and w'(1) are plain coefficient sums."""
-    # the power of r in each column of an iterate stored in s = r**2
-    k = 2.0 * np.arange(c.shape[1])
-    return bc.residual(c.sum(axis=1), (c * k).sum(axis=1))
+def _readings(a, lam: float, bc: BoundaryKind, n: int,
+              p: int = COLLOCATION_POINTS, *, order: int = 0):
+    """B of the depth-n collocation iterate at each a, with ``order`` 1
+    B_a below it and with ``order`` 2 B_a, B_lam, B_aa and B_alam (see
+    :func:`vim._collocation_readings`); and the absolute sums of B's last
+    quadrature sums."""
+    readings, size = _collocation_readings(a, lam, n, p, order=order)
+    b = bc.residual(readings[..., 0], readings[..., 1])
+    alpha, beta = bc.functional
+    size = abs(alpha) * size[0, :, 0] + abs(beta) * size[0, :, 1]
+    return (b if order else b[0]), size
 
 
 def boundary_residual(a: float, lam: float, bc: BoundaryKind,
                       n_iter: int | None = None) -> float:
-    """Right-boundary functional of the n_iter-step iterate started at a r**2."""
+    """Right-boundary functional of the n_iter-step iterate started at
+    a r**2, read from the collocation kernel: exact up to rounding for
+    2**n_iter <= ``COLLOCATION_POINTS``, an estimate beyond."""
+    for name, value in (("a", a), ("the rate", lam)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     n = bc.default_iterations if n_iter is None else n_iter
-    return float(_boundary_rows(_iterate_coeffs(a, lam, n), bc)[0])
-
-
-def _readings(a, lam: float, bc: BoundaryKind, n: int,
-              p: int = COLLOCATION_POINTS, *, tangent: bool = False):
-    """B (and B_a below it with ``tangent``) of the depth-n collocation
-    iterate at each a, and the absolute sums of B's last quadrature sums."""
-    readings, size = _collocation_readings(a, lam, n, p, tangent=tangent)
-    b = bc.residual(readings[..., 0], readings[..., 1])
-    alpha, beta = bc.functional
-    size = abs(alpha) * size[0, :, 0] + abs(beta) * size[0, :, 1]
-    return (b if tangent else b[0]), size
+    return float(_readings(a, lam, bc, n)[0][0])
 
 
 # the proxy of B on the window: pieces at the start, most splits of a
@@ -288,7 +287,7 @@ def _accepted(lam: float, bc: BoundaryKind, window,
     start = _proxy_roots(lo, hi, lam, bc, n)
     if lo <= 0.0 <= hi and _readings(0.0, lam, bc, n)[0][0] == 0.0:
         start = np.append(start, 0.0)
-    (b, b_a), _ = _readings(start, lam, bc, n, tangent=True)
+    (b, b_a), _ = _readings(start, lam, bc, n, order=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(b == 0.0, start, start - b / b_a)
     inside = np.isfinite(a) & (lo <= a) & (a <= hi)
@@ -296,7 +295,7 @@ def _accepted(lam: float, bc: BoundaryKind, window,
     step = np.abs(a - start[inside][first])
     if not a.size:
         return []
-    (b, b_a), size = _readings(a, lam, bc, n, tangent=True)
+    (b, b_a), size = _readings(a, lam, bc, n, order=1)
     fine, _ = _readings(a, lam, bc, n, 2 * COLLOCATION_POINTS)
     error = _rounding_gamma(COLLOCATION_POINTS, n) * size
     with np.errstate(divide="ignore", invalid="ignore"):

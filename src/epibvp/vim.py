@@ -19,7 +19,8 @@ has exactly zero odd coefficients, so the numeric kernel
 many start coefficients at once, one row each.  The public functions on
 :class:`~epibvp.polyring.RPoly` call the same step arithmetic with every
 power of r stored.  The collocation kernel (:func:`_collocation_readings`)
-runs the same step on values at Chebyshev points in s instead.
+runs the same step on values at Chebyshev points in s instead, with the
+derivatives in a and lam, and gives every boundary reading.
 
 A symbolic mode keeps the initial coefficient ``a`` and the parameter
 ``lam`` as formal symbols and reproduces the low-order iterates in closed
@@ -103,90 +104,62 @@ def _euler_symbol(n: int, spacing: int) -> np.ndarray:
     return out
 
 
-def _convolve(c: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
-    """Write the convolution of each column of c with the same column of
-    each block d[x] into the columns of out[x]: c holds n coefficients by
-    m rows, d a stack of such blocks, out one of 2 n - 1 by m.
+def _convolve(c: np.ndarray, out: np.ndarray) -> None:
+    """Write the convolution of each column of c with itself into the
+    columns of out: c holds n coefficients by m rows, out 2 n - 1 by m.
 
-    Entry (k, i) of out[x] is sum_j c[j, i] * d[x, k - j, i], summed over a
-    read-only window view of the zero-padded blocks, so no (2 n - 1, n, m)
+    Entry (k, i) of out is sum_j c[j, i] * c[k - j, i], summed over a
+    read-only window view of the zero-padded columns, so no (2 n - 1, n, m)
     array is formed.  Each entry adds its products in order of descending
     j from +0, one rounding per product and per sum, so a row's result
-    does not depend on its neighbours, on the size of its block or on the
-    other blocks in d.  The rows are the contiguous axis, so the sum for
-    each entry is a contiguous multiply-add across the rows.
+    does not depend on its neighbours or on the size of its block.  The
+    rows are the contiguous axis, so the sum for each entry is a
+    contiguous multiply-add across the rows.
     """
-    blocks, n, m = d.shape
-    padded = np.zeros((blocks, 3 * n - 2, m))
-    padded[:, n - 1:2 * n - 1] = d
-    stride = padded.strides[1]
+    n, m = c.shape
+    padded = np.zeros((3 * n - 2, m))
+    padded[n - 1:2 * n - 1] = c
+    stride = padded.strides[0]
     # window k starts at padded coefficient k
-    windows = np.ndarray((blocks, 2 * n - 1, n, m), padded.dtype, padded, 0,
-                         (padded.strides[0], stride, stride, padded.itemsize))
+    windows = np.ndarray((2 * n - 1, n, m), padded.dtype, padded, 0,
+                         (stride, stride, padded.itemsize))
     windows.flags.writeable = False
-    np.einsum("im,xkim->xkm", c[::-1], windows, out=out)
+    np.einsum("im,kim->km", c[::-1], windows, out=out)
 
 
-def _defect_width(n: int, spacing: int, nonlinear: bool) -> int:
-    # the square doubles the degree; the forcing column r**4 may lie beyond
-    return max(2 * n - 1 if nonlinear else n, 4 // spacing + 1)
-
-
-def _defect_rows(s: np.ndarray, lam: float, spacing: int,
+def _defect_rows(c: np.ndarray, lam: float, spacing: int,
                  nonlinear: bool) -> np.ndarray:
-    """Defect coefficients of the block c = s[0] and, below them, the
-    derivative of the defect along each block d of s[1:] (c_a, then c_lam,
-    c_aa and c_alam when there are four).
+    """Defect coefficients -c*c/2 + E c - lam/2 e_4 of the rows c, with
+    Euler symbol E and forcing column e_4.
 
     Coefficient j of a column is that of r**(spacing * j); products of
     such powers stay on the same lattice, so squaring is a plain
-    convolution of the coefficients whatever the spacing.  The defect
-    -c*c/2 + E c - lam/2 e_4, with Euler symbol E and forcing column e_4,
-    has the derivative -c*d - cross + E d - f e_4 along d, with
-    cross = c_a*c_a for c_aa and c_a*c_lam for c_alam, f = 1/2 for c_lam,
-    and both otherwise 0.  All products with c come from one convolution.
+    convolution of the coefficients whatever the spacing.
     """
-    blocks, n, m = s.shape
-    out = np.zeros((blocks, _defect_width(n, spacing, nonlinear), m))
-    value, derivatives = out[0], out[1:]
+    n, m = c.shape
+    # the square doubles the degree; the forcing column r**4 may lie beyond
+    out = np.zeros((max(2 * n - 1 if nonlinear else n, 4 // spacing + 1), m))
     if nonlinear:
-        _convolve(s[0], s, out[:, :2 * n - 1])
-        if blocks > 3:
-            cross = np.empty((2, 2 * n - 1, m))
-            _convolve(s[1], s[1:3], cross)
-            derivatives[2:, :2 * n - 1] += cross
-        value *= -0.5
-        if blocks > 1:
-            derivatives *= -1.0
-    out[:, :n] += _euler_symbol(n, spacing)[:, None] * s
-    value[4 // spacing] -= 0.5 * lam
-    if blocks > 2:
-        derivatives[1, 4 // spacing] -= 0.5
+        _convolve(c, out[:2 * n - 1])
+        out *= -0.5
+    out[:n] += _euler_symbol(n, spacing)[:, None] * c
+    out[4 // spacing] -= 0.5 * lam
     return out
 
 
-def _step_rows(s: np.ndarray, lam: float, spacing: int,
+def _step_rows(c: np.ndarray, lam: float, spacing: int,
                nonlinear: bool, depth: int = 1) -> np.ndarray:
-    """One step of the block c = s[0], c + W (defect) with the kernel
-    weights W, and of its derivatives s[1:] (see :func:`_defect_rows`)."""
-    out = _defect_rows(s, lam, spacing, nonlinear)
-    weights = _kernel_weights(out.shape[1], spacing)[:, None]
-    n = s.shape[1]
-    value, derivatives = out[0], out[1:]
-    # the derivatives finish their step before c is checked: a step that
-    # raises has stepped them, with any floating-point warning that gives
-    if derivatives.size:
-        derivatives *= weights
-        derivatives[:, :n] += s[1:]
+    """One step of the rows c, c + W (defect) with the kernel weights W."""
+    out = _defect_rows(c, lam, spacing, nonlinear)
     # the coefficients of r**0 and r**1; an overflowed row has NaN in all
-    if value[:1 // spacing + 1].any():
-        if not np.isfinite(value).all():
+    if out[:1 // spacing + 1].any():
+        if not np.isfinite(out).all():
             raise _overflow(depth)
         raise NonIntegrableDefect(
             "defect has a nonzero r**0 or r**1 coefficient"
         )
-    value *= weights
-    value[:n] += s[0]
+    out *= _kernel_weights(out.shape[0], spacing)[:, None]
+    out[:c.shape[0]] += c
     return out
 
 
@@ -207,23 +180,20 @@ def _check_depth(n_iter: int) -> None:
 
 
 def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
-         nonlinear: bool = True, d: np.ndarray | None = None):
-    """Run n_iter steps from the rows c; return the rows and their
-    derivatives d, stepped along with them (None without), both row-major
-    and C-contiguous.  The steps hold c and d as one stack of blocks,
-    coefficients by rows, with the rows on the contiguous axis (see
-    :func:`_convolve`).  An overflow names depth n_iter."""
+         nonlinear: bool = True) -> np.ndarray:
+    """Run n_iter steps from the rows c; return the rows, row-major and
+    C-contiguous.  The steps hold them as coefficients by rows, with the
+    rows on the contiguous axis (see :func:`_convolve`).  An overflow
+    names depth n_iter."""
     _check_depth(n_iter)
-    s = c[None] if d is None else np.concatenate((c[None], d))
-    s = np.ascontiguousarray(s.transpose(0, 2, 1))
+    s = np.ascontiguousarray(c.T)
     for _ in range(n_iter):
         s = _step_rows(s, lam, spacing, nonlinear, n_iter)
     # an overflow in an earlier step trips the check in _step_rows; one in
     # the last step shows only here
-    if not np.isfinite(s[0]).all():
+    if not np.isfinite(s).all():
         raise _overflow(n_iter)
-    s = np.ascontiguousarray(s.transpose(0, 2, 1))
-    return s[0], (None if d is None else s[1:])
+    return np.ascontiguousarray(s.T)
 
 
 def _start_rows(a) -> np.ndarray:
@@ -241,18 +211,7 @@ def _iterate_coeffs(a, lam: float, n_iter: int) -> np.ndarray:
     r**(2 j).  Depths outside 1..:data:`MAX_DEPTH` raise ``ValueError``
     before the first step.
     """
-    return _run(_start_rows(a), lam, n_iter, 2)[0]
-
-
-def _iterate_tangents(a, lam: float, n_iter: int, *, second: bool = False):
-    """The rows c of :func:`_iterate_coeffs` (bit for bit) and their exact
-    derivatives c_a, stored the same way; with ``second`` also c_lam, c_aa
-    and c_alam.  c and c_a do not depend on ``second``."""
-    c = _start_rows(a)
-    d = np.zeros((4 if second else 1, *c.shape))
-    d[0, :, 1] = 1.0
-    c, d = _run(c, lam, n_iter, 2, d=d)
-    return (c, *d)
+    return _run(_start_rows(a), lam, n_iter, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -321,58 +280,71 @@ def _collocation(p: int):
     return out
 
 
-def _collocate(v: np.ndarray, d: np.ndarray, lam: float, n_iter: int,
-               p: int):
-    """(w(1), w'(1)) of the n_iter-step collocation iterate from the values
-    v and, below, their derivatives along the values d (0 or m rows),
-    stepped in the same stack: d <- L d + N (2 v d); and the absolute sums
-    |v| |R_v| + |q| |R_q| of those readings.  Each is (1 + k, m, 2)."""
+def _collocate(s: np.ndarray, lam: float, n_iter: int, p: int):
+    """(w(1), w'(1)) of the n_iter-step collocation iterate from the stack
+    s of k blocks of m rows, the values v and the first k - 1 of v_a,
+    v_lam, v_aa and v_alam, each stepped by the derivative of the step:
+    v_a <- L v_a + N (2 v v_a), v_lam <- L v_lam + N (2 v v_lam + 1),
+    v_aa <- L v_aa + N (2 v_a**2 + 2 v v_aa) and v_alam <- L v_alam
+    + N (2 v_a v_lam + 2 v v_alam); and the absolute sums |v| |R_v|
+    + |q| |R_q| of those readings.  Each is (k, m, 2)."""
     step_v, step_q, read_v, read_q = _collocation(p)
-    m = v.shape[0]
-    s = np.vstack((v, d))
-    for k in range(n_iter):
-        # d has m rows or none, so s[:len(d)] is v or empty like it
-        q = np.vstack((s[:m] * s[:m] + lam, 2.0 * s[:len(d)] * s[m:]))
-        if k < n_iter - 1:
+    k, m, _ = s.shape
+    s = s.reshape(k * m, p)
+    for i in range(n_iter):
+        v = s.reshape(k, m, p)
+        q = np.empty_like(v)
+        q[0] = v[0] * v[0] + lam
+        q[1:] = 2.0 * v[0] * v[1:]
+        if k > 2:
+            q[2] += 1.0
+            q[3:] += 2.0 * v[1] * v[1:3]
+        q = q.reshape(k * m, p)
+        if i < n_iter - 1:
             s = s @ step_v + q @ step_q
     out = s @ read_v + q @ read_q
     size = np.abs(s) @ np.abs(read_v) + np.abs(q) @ np.abs(read_q)
-    return out.reshape(-1, m, 2), size.reshape(-1, m, 2)
+    return out.reshape(k, m, 2), size.reshape(k, m, 2)
 
 
 def _collocation_readings(a, lam: float, n_iter: int,
-                          p: int = COLLOCATION_POINTS, *,
-                          tangent: bool = False):
+                          p: int = COLLOCATION_POINTS, *, order: int = 0):
     """(w(1), w'(1)) of the depth-n_iter collocation iterate on p points,
-    started at v = a, for each a: an array (1, m, 2), or (2, m, 2) with
-    the a-derivatives (w_a(1), w_a'(1)) below; and the absolute sums of
-    their last quadrature sums (see :func:`_rounding_gamma`), shaped
-    alike.
+    started at v = a, for each a: an array (1, m, 2); with ``order`` 1 the
+    a-derivatives (w_a(1), w_a'(1)) below, (2, m, 2); with ``order`` 2
+    the readings of v_a, v_lam, v_aa and v_alam below, (5, m, 2) (see
+    :func:`_collocate`); and the absolute sums of their last quadrature
+    sums (see :func:`_rounding_gamma`), shaped alike.
 
     B at depth n is a polynomial of degree 2**n in a, as in the monomial
     kernel; with 2**n <= p the readings are those of the exact iterate up
     to rounding.  On p points every product takes a stack of the same
-    number of rows (``_COLLOCATION_ROWS`` up to p = 64), the last block
-    padded with zeros: the BLAS kernel chosen, and so the rounding of a
-    row, can depend on the number of rows, and a reading must not depend
-    on the call it came from.  A reading that is not finite raises
-    :class:`IterationOverflow`.
+    number of rows (``_COLLOCATION_ROWS`` up to p = 64, 20 for five
+    blocks), the last block padded with zeros: the BLAS kernel
+    chosen, and so the rounding of a row, can depend on the number of
+    rows, and a reading must not depend on the call it came from.  A
+    reading of w that is not finite raises :class:`IterationOverflow`.
     """
     _check_depth(n_iter)
     a = np.asarray(a, dtype=float).reshape(-1)
-    k = 2 if tangent else 1
+    # the blocks by order: v; v and v_a; v, v_a, v_lam, v_aa and v_alam
+    k = (1, 2, 5)[order]
     out, size = np.empty((2, k, a.size, 2))
-    # the stack of values and derivatives holds k rows per start value
+    # k blocks of a power of two of rows: the BLAS kernels tile the rows by
+    # powers of two, so no block straddles two tiles and a row rounds alike
+    # wherever it sits in its block (in 5 blocks of 6 rows it did not)
     scale = max(p, COLLOCATION_POINTS) ** 2 // COLLOCATION_POINTS ** 2
     block = max(1, _COLLOCATION_ROWS // scale // k)
-    v = np.empty((block, p))
-    d = np.ones(((k - 1) * block, p))
+    block = 1 << block.bit_length() - 1
+    s = np.zeros((k, block, p))
+    # v_a starts at 1, the other derivatives at 0
+    s[1:2] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, a.size, block):
             rows = a[start:start + block]
-            v[:rows.size] = rows[:, None]
-            v[rows.size:] = 0.0
-            got, sums = _collocate(v, d, lam, n_iter, p)
+            s[0, :rows.size] = rows[:, None]
+            s[0, rows.size:] = 0.0
+            got, sums = _collocate(s, lam, n_iter, p)
             out[:, start:start + rows.size] = got[:, :rows.size]
             size[:, start:start + rows.size] = sums[:, :rows.size]
     if not np.isfinite(out[0]).all():
@@ -405,8 +377,7 @@ def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     identically exactly when w solves the equation.  ``nonlinear=False``
     drops the w**2/2 term (the small-|lam| linearisation used in tests).
     """
-    return RPoly(_defect_rows(w.coeffs[None, :, None], lam, 1,
-                              nonlinear)[0, :, 0])
+    return RPoly(_defect_rows(w.coeffs[:, None], lam, 1, nonlinear)[:, 0])
 
 
 # Digits of the decimal arithmetic in _defect_at.  Each of the 2n roundings
@@ -456,8 +427,7 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
 
 def vim_step(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     """One correction step: w + K[defect(w)].  Doubles the degree at most."""
-    return RPoly(_step_rows(w.coeffs[None, :, None], lam, 1,
-                            nonlinear)[0, :, 0])
+    return RPoly(_step_rows(w.coeffs[:, None], lam, 1, nonlinear)[:, 0])
 
 
 def iterate(prob: VimProblem) -> RPoly:
@@ -469,7 +439,7 @@ def iterate(prob: VimProblem) -> RPoly:
 def iterate_from(w0: RPoly, lam: float, n_iter: int, *,
                  nonlinear: bool = True) -> RPoly:
     """Run n_iter correction steps from an arbitrary start polynomial."""
-    return RPoly(_run(w0.coeffs[None], lam, n_iter, 1, nonlinear)[0][0])
+    return RPoly(_run(w0.coeffs[None], lam, n_iter, 1, nonlinear)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,18 @@ def exact_readings(a, lam, n, tangent=True, number=Fraction):
     a r**2, in exact rationals from the float a and lam; without
     ``tangent`` only (w(1), w'(1)).  With ``number=Decimal`` the same sums
     are rounded to the precision of the current decimal context, which is
-    much faster than exact rationals from depth 8 on.
+    much faster than exact rationals from depth 8 on; an a or lam that is
+    already a ``number`` enters as it is, not rounded to float.
 
     With w = s v, s = r**2, a step is v <- L v + N (v**2 + lam) with
     L s**j = s**j / (2 j + 1) and N s**j = s**(j + 1) / (4 (j + 2) (2 j + 3));
     v_a steps along as L v_a + N (2 v v_a).
     """
-    v, v_a = [number(float(a))], [number(1)]
-    lam = number(float(lam))
+    def enter(x):
+        return x if isinstance(x, number) else number(float(x))
+
+    v, v_a = [enter(a)], [number(1)]
+    lam = enter(lam)
     for _ in range(n):
         q = [number(0)] * (2 * len(v) - 1)
         q_a = list(q)

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from epibvp import (
     shooting,
     sweep,
 )
-from epibvp.vim import IterationOverflow, _iterate_coeffs, _iterate_tangents
+from epibvp.vim import IterationOverflow, _iterate_coeffs
+
+from _util import exact_readings
 
 
 def test_sweep_positive_rates_navier_one():
@@ -216,9 +219,11 @@ def _independent_fold(bc, lo, hi, n, points=1001):
     grid = np.linspace(a[i], a[i + 1], points)
 
     def reading(lam):
-        # the monomial kernel, so that the reference shares nothing with
-        # the proxy the searches count on
-        return shooting._boundary_rows(_iterate_coeffs(grid, lam, n), bc)
+        # the coefficient sums w(1) and w'(1) of the monomial kernel's rows,
+        # so that the reference shares no kernel with the fold or the count
+        c = _iterate_coeffs(grid, lam, n)
+        return bc.residual(c.sum(axis=1),
+                           (c * 2.0 * np.arange(c.shape[1])).sum(axis=1))
 
     sign = np.sign(reading(lo)[points // 2])
 
@@ -301,7 +306,7 @@ def test_fold_estimate_gives_up_outside_the_bracket():
 def test_fold_estimate_gives_up_when_the_iterates_overflow():
     bc = BoundaryKind.NAVIER_ONE
     with pytest.raises(IterationOverflow):
-        _iterate_tangents(-1e10, 0.0, 7, second=True)
+        shooting._readings(-1e10, 0.0, bc, 7, order=2)
     assert critical._fold(bc, 7, -1e10, 0.0) is None
 
 
@@ -312,10 +317,64 @@ def test_fold_estimate_gives_up_when_the_iterates_overflow():
     (1.0, 0.0, 1.0, 1.0, 0.0),      # a step of -1 in lam, forever
 ])
 def test_fold_estimate_gives_up_on_a_bad_newton_step(monkeypatch, reading):
-    # every kernel call reads the same functional and derivatives
-    monkeypatch.setattr(shooting, "_boundary_rows",
-                        lambda rows, bc: np.array(reading))
+    # every reading gives the same functional and derivatives
+    monkeypatch.setattr(shooting, "_readings",
+                        lambda *args, **kwargs: (np.array(reading)[:, None],
+                                                 None))
     assert critical._fold(BoundaryKind.NAVIER_ONE, 5, -5.0, 10.0) is None
+
+
+# the folds of the exact default-depth functionals, to 20 digits
+EXACT_FOLDS = {
+    BoundaryKind.NAVIER_ONE: ("-8.858528655674031851", "31.945962294477911303"),
+    BoundaryKind.NAVIER_TWO: ("-4.435041378889439474", "11.342555130624107854"),
+    BoundaryKind.DIRICHLET: ("-26.152327024186080230",
+                             "168.674949497522217023"),
+}
+
+
+def _exact_fold(bc, n, a, lam):
+    """The fold of the exact depth-n functional by Newton on (B, B_a) in
+    60-digit decimal arithmetic from (a, lam), with a forward-difference
+    Jacobian at step 1e-25: its error slows the convergence but does not
+    move the fixed point."""
+    with localcontext(Context(prec=60)):
+        h = Decimal("1e-25")
+        a, lam = Decimal(a), Decimal(lam)
+
+        def reading(a, lam):
+            w1, w1_prime, w1_a, w1_a_prime = exact_readings(a, lam, n,
+                                                            number=Decimal)
+            return bc.residual(w1, w1_prime), bc.residual(w1_a, w1_a_prime)
+
+        for _ in range(20):
+            b, b_a = reading(a, lam)
+            (b_1, b_a1), (b_2, b_a2) = reading(a + h, lam), reading(a, lam + h)
+            j_aa, j_al = (b_1 - b) / h, (b_2 - b) / h
+            j_la, j_ll = (b_a1 - b_a) / h, (b_a2 - b_a) / h
+            det = j_aa * j_ll - j_al * j_la
+            step_a = (b * j_ll - j_al * b_a) / det
+            step_lam = (j_aa * b_a - j_la * b) / det
+            a, lam = a - step_a, lam - step_lam
+            if abs(step_a) + abs(step_lam) < Decimal("1e-40"):
+                return a, lam
+    raise AssertionError("the decimal Newton did not settle")
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fold_equals_the_exact_fold(bc, offset):
+    # the fold of the collocation readings lies within 1e-13 of the exact
+    # one; within 1.2e-14 on these nine
+    lo, hi, tol = BRACKETS[bc]
+    n = bc.default_iterations + offset
+    exact = _exact_fold(bc, n, *EXACT_FOLDS[bc])
+    if offset == 0:
+        for x, digits in zip(exact, EXACT_FOLDS[bc]):
+            assert abs(x - Decimal(digits)) <= Decimal("1e-18")
+    fold = critical._fold_at_lo(bc, n, lo, hi, tol, shooting.DEFAULT_WINDOW)
+    for x, y in zip(fold, exact):
+        assert abs(Decimal(x) - y) <= Decimal("1e-13") * abs(y)
 
 
 # the benchmark's fold searches: lo between 2w and w below the reference

@@ -53,6 +53,33 @@ def test_residual_is_continuous_in_a():
     assert np.max(jumps) < 0.5
 
 
+@pytest.mark.parametrize("bc,lam,a,n", [
+    (BoundaryKind.NAVIER_ONE, 15.0, -120.0, 7),
+    (BoundaryKind.DIRICHLET, -25.0, -110.0, 6),
+])
+def test_residual_at_a_steep_start(bc, lam, a, n):
+    # the coefficient sums of the monomial iterate cancelled here, to
+    # 2.9e16 against an exact 122.05 (navier1) and 5.08 against 4.58
+    # (dirichlet); the collocation reading lies within its rounding count
+    # plus its change from 64 to 128 points, the band rule of the roots
+    (b,), size = shooting._readings(a, lam, bc, n)
+    (fine,), _ = shooting._readings(a, lam, bc, n, 128)
+    bound = _rounding_gamma(64, n) * size[0] + abs(b - fine)
+    value = boundary_residual(a, lam, bc, n)
+    assert value == b
+    assert abs(decimal.Decimal(value) - _decimal_functional(a, lam, bc, n)) \
+        <= bound
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["a", "the rate"])
+def test_non_finite_input_to_the_residual_is_named(name, value):
+    a, lam = (value, 1.0) if name == "a" else (1.0, value)
+    with pytest.raises(ValueError) as caught:
+        boundary_residual(a, lam, BoundaryKind.NAVIER_ONE)
+    assert str(caught.value) == f"{name} must be finite, got {value!r}"
+
+
 # ---------------------------------------------------------------------------
 # find_branches
 # ---------------------------------------------------------------------------
@@ -121,9 +148,9 @@ def test_roots_sorted_and_brackets_valid():
 
 def test_root_residuals_below_tolerance():
     # one Newton step from the proxy root brings the collocation reading
-    # within the root's band times |dB/da|, and the public functional, a
-    # coefficient sum of the monomial iterate, within 1e-11 or its rounding
-    # floor: 8 eps times the absolute coefficient mass of B
+    # within the root's band times |dB/da|, and the public functional, the
+    # same reading, within 1e-11 or a rounding floor of 8 eps times the
+    # absolute coefficient mass of the monomial B
     cases = [
         (0.0, BoundaryKind.NAVIER_ONE),
         (15.0, BoundaryKind.NAVIER_ONE),
@@ -136,7 +163,7 @@ def test_root_residuals_below_tolerance():
         for root in find_branches(lam, bc):
             (b, b_a), _ = shooting._readings(root.a_star, lam, bc,
                                              bc.default_iterations,
-                                             tangent=True)
+                                             order=1)
             assert abs(b[0]) <= root.band * abs(b_a[0])
             c = np.abs(_iterate_coeffs(root.a_star, lam,
                                        bc.default_iterations)[0])
@@ -265,7 +292,7 @@ def _decimal_functional(a, lam, bc, n):
     depth-8 sums at a = -120 cancel by about 45 digits)."""
     previous = None
     for digits in (60, 120, 240, 480, 960):
-        with decimal.localcontext(prec=digits):
+        with decimal.localcontext(decimal.Context(prec=digits)):
             value = bc.residual(*exact_readings(a, lam, n, tangent=False,
                                                 number=decimal.Decimal))
             if previous is not None and abs(value - previous) <= (
@@ -476,7 +503,7 @@ def test_roots_carry_their_noise_band():
         n = bc.default_iterations
         for root in find_branches(lam, bc):
             (b, b_a), size = shooting._readings(root.a_star, lam, bc, n,
-                                                tangent=True)
+                                                order=1)
             fine, _ = shooting._readings(root.a_star, lam, bc, n, 128)
             error = _rounding_gamma(64, n) * size[0]
             expected = (error + abs(b[0] - fine[0])) / abs(b_a[0])

@@ -33,7 +33,6 @@ from epibvp.vim import (
     _convolve,
     _euler_symbol,
     _iterate_coeffs,
-    _iterate_tangents,
     _overflow,
     _r_powers,
     _rounding_gamma,
@@ -165,12 +164,15 @@ def test_kernel_rows_do_not_depend_on_their_block():
         assert np.array_equal(_iterate_coeffs(a[i:i + 1], 15.0, 7)[0], together[i])
     assert np.array_equal(np.vstack([_iterate_coeffs(a[i:i + 10], 15.0, 7)
                                      for i in range(0, a.size, 10)]), together)
-    # the fold search's Newton step runs the kernel on one row at a time
-    tangents = _iterate_tangents(a, 15.0, 7, second=True)
-    for i in (0, 48, 96):
-        for alone, inside in zip(_iterate_tangents(a[i], 15.0, 7, second=True),
-                                 tangents):
-            assert alone.tobytes() == inside[i:i + 1].tobytes()
+    # the fold search's Newton step reads the five blocks of one row
+    readings = _collocation_readings(a, 15.0, 7, order=2)
+    for parts in ([a[i:i + 1] for i in (0, 48, 96)],
+                  np.split(a, [1, 10, 48, 49, 90])):
+        got = [_collocation_readings(x, 15.0, 7, order=2) for x in parts]
+        index = np.searchsorted(a, np.concatenate(parts))
+        for i, whole in enumerate(readings):
+            assert np.array_equal(np.concatenate([g[i] for g in got], axis=1),
+                                  whole[:, index])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def _frozen_convolve(c, d, out):
     np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
 
 
-def _frozen_run(c, lam, n_iter, spacing, nonlinear=True, d=None):
+def _frozen_run(c, lam, n_iter, spacing, nonlinear=True):
     """The step loop on row-major blocks, one iterate per row, with the
     signature of vim._run.  Kept frozen; the kernel must equal it bit for
     bit."""
@@ -214,40 +216,15 @@ def _frozen_run(c, lam, n_iter, spacing, nonlinear=True, d=None):
         d[:, :c.shape[1]] += c
         return d
 
-    def tangent(c, d):
-        k, m, n = d.shape
-        size = max(2 * n - 1 if nonlinear else n, 4 // spacing + 1)
-        out = np.zeros((k, m, size))
-        if nonlinear:
-            for i in range(k):
-                _frozen_convolve(c, d[i], out[i, :, :2 * n - 1])
-                if i >= 2:
-                    cross = np.empty((m, 2 * n - 1))
-                    _frozen_convolve(d[0], d[i - 2], cross)
-                    out[i, :, :2 * n - 1] += cross
-            out *= -1.0
-        out[:, :, :n] += _euler_symbol(n, spacing) * d
-        if k > 1:
-            out[1, :, 4 // spacing] -= 0.5
-        out *= _kernel_weights(size, spacing)
-        out[:, :, :n] += d
-        return out
-
     for _ in range(n_iter):
-        if d is not None:
-            d = tangent(c, d)
         c = step(c)
     if not np.isfinite(c).all():
         raise _overflow(n_iter)
-    return c, d
+    return c
 
 
-def _frozen_iterate(a, lam, n_iter, second=False):
-    c = _start_rows(a)
-    d = np.zeros((4 if second else 1, *c.shape))
-    d[0, :, 1] = 1.0
-    c, d = _frozen_run(c, lam, n_iter, 2, d=d)
-    return (c, *d)
+def _frozen_iterate(a, lam, n_iter):
+    return _frozen_run(_start_rows(a), lam, n_iter, 2)
 
 
 def _same_bytes(actual, expected):
@@ -267,10 +244,8 @@ def test_kernel_equals_the_frozen_row_major_steps(depth, rows):
     seeded = np.random.default_rng(100 * depth + rows)
     a = seeded.uniform(-120.0, 20.0, rows)
     lam = float(seeded.choice([-300.0, -50.0, 0.0, 15.0, 31.9, 168.7]))
-    expected = _frozen_iterate(a, lam, depth, second=True)
-    _same_bytes([_iterate_coeffs(a, lam, depth)], expected[:1])
-    _same_bytes(_iterate_tangents(a, lam, depth), expected[:2])
-    _same_bytes(_iterate_tangents(a, lam, depth, second=True), expected)
+    _same_bytes([_iterate_coeffs(a, lam, depth)],
+                [_frozen_iterate(a, lam, depth)])
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -284,20 +259,17 @@ def test_r_power_steps_equal_the_frozen_row_major_steps(nonlinear):
                               (4, iterate_from(w0, lam, 4,
                                                nonlinear=nonlinear))):
             expected = _frozen_run(w0.coeffs[None], lam, depth, 1,
-                                   nonlinear)[0][0]
+                                   nonlinear)[0]
             assert actual.coeffs.tobytes() == RPoly(expected).coeffs.tobytes()
 
 
 def _outcome(run, a, depth):
-    # the rows and derivatives of a run, or the message it raised, and the
-    # floating-point warnings it gave
-    d = np.zeros((4, a.size, 2))
-    d[0, :, 1] = 1.0
+    # the rows of a run, or the message it raised, and the floating-point
+    # warnings it gave
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            c, d = run(_start_rows(a), 1.0, depth, 2, d=d)
-            result = [c, *d]
+            result = [run(_start_rows(a), 1.0, depth, 2)]
         except IterationOverflow as exc:
             result = str(exc)
     return result, {str(w.message) for w in caught}
@@ -325,23 +297,17 @@ def test_overflowing_rows_equal_the_frozen_row_major_steps(rows):
 
 
 @pytest.mark.parametrize("bc", list(BoundaryKind))
-def test_boundary_readings_equal_the_frozen_row_major_steps(bc, monkeypatch):
-    # boundary_residual reads the kernel through shooting._iterate_coeffs,
-    # which is swapped for the frozen steps
-    from epibvp import shooting
-
-    cases = [(lam, n) for lam in (-50.0, 0.0, 15.0) for n in (5, 6, 7, 8)]
-
-    def readings():
-        return [(np.array([boundary_residual(a, lam, bc, n)
-                           for a in (-97.3, -33.3, 0.0, 4.1)]),)
-                for lam, n in cases]
-
-    actual = readings()
-    monkeypatch.setattr(shooting, "_iterate_coeffs",
-                        lambda a, lam, n: _frozen_iterate(a, lam, n)[0])
-    for got, want in zip(actual, readings()):
-        _same_bytes(got, want)
+def test_boundary_readings_equal_the_frozen_row_major_steps(bc):
+    # B of the kernel's rows from the coefficient sums w(1) and w'(1),
+    # each column of a row stored in s = r**2 holding the power 2 j
+    a = np.array([-97.3, -33.3, 0.0, 4.1])
+    for lam in (-50.0, 0.0, 15.0):
+        for n in (5, 6, 7, 8):
+            k = 2.0 * np.arange(2 ** n + 1)
+            got, want = (bc.residual(c.sum(axis=1), (c * k).sum(axis=1))
+                         for c in (_iterate_coeffs(a, lam, n),
+                                   _frozen_iterate(a, lam, n)))
+            _same_bytes([got], [want])
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +332,8 @@ def test_collocation_readings_equal_the_exact_iterate(a, lam, n):
     # of their last sums plus their change from p to 2 p points
     exact = np.array([float(x) for x in exact_readings(a, lam, n)])
     for p in sorted({max(2 ** n, 2), 64}):
-        readings, sums = _collocation_readings(a, lam, n, p, tangent=True)
-        fine, _ = _collocation_readings(a, lam, n, 2 * p, tangent=True)
+        readings, sums = _collocation_readings(a, lam, n, p, order=1)
+        fine, _ = _collocation_readings(a, lam, n, 2 * p, order=1)
         bound = (_rounding_gamma(p, n) * sums + np.abs(readings - fine)).ravel()
         assert (np.abs(readings.ravel() - exact) <= bound).all()
         for bc in BoundaryKind:
@@ -402,12 +368,12 @@ def test_collocation_rows_do_not_change_across_blocks(p):
     # a reading is the same bit for bit whatever the other rows of its
     # call, their number and its own position among them
     a = np.linspace(-120.0, 20.0, 300)
-    for tangent in (False, True):
-        whole = _collocation_readings(a, 15.0, 7, p, tangent=tangent)
+    for order in (0, 1, 2):
+        whole = _collocation_readings(a, 15.0, 7, p, order=order)
         for parts in (np.split(a, [50, 100, 150, 200, 250]),
                       np.split(a[::-1], [1, 3, 70, 197]),
                       [a[i:i + 1] for i in (0, 77, 299)]):
-            got = [_collocation_readings(x, 15.0, 7, p, tangent=tangent)
+            got = [_collocation_readings(x, 15.0, 7, p, order=order)
                    for x in parts]
             for i, x in enumerate((whole[0], whole[1])):
                 joined = np.concatenate([g[i] for g in got], axis=1)
@@ -422,124 +388,126 @@ def test_convolution_with_itself_is_the_old_square():
             c = (seeded.normal(size=(rows, n))
                  * 10.0 ** seeded.integers(-8, 9, (rows, 1)))
             expected = np.empty((rows, 2 * n - 1))
-            actual = np.empty((1, 2 * n - 1, rows))
+            actual = np.empty((2 * n - 1, rows))
             _frozen_convolve(c, c, expected)
-            block = np.ascontiguousarray(c.T)
-            _convolve(block, block[None], actual)
-            assert np.array_equal(actual[0].T, expected)
+            _convolve(np.ascontiguousarray(c.T), actual)
+            assert np.array_equal(actual.T, expected)
 
 
-def test_convolution_of_two_rows():
-    # columns of the blocks are the rows, of a small block and a large
-    # one; the second block of the stack is the first reversed
+def test_convolution_of_small_integer_rows():
+    # columns of the block are the rows, of a small block and a large one;
+    # the products and sums of small integers are exact
     for rows in (2, 18):
         c = np.tile([[1.0, 0.0], [2.0, -1.0], [0.0, 3.0]], rows // 2)
-        d = np.tile([[4.0, 2.0], [0.0, 1.0], [5.0, 0.0]], rows // 2)
-        out = np.empty((2, 5, rows))
-        _convolve(c, np.stack([d, d[::-1]]), out)
+        out = np.empty((5, rows))
+        _convolve(c, out)
         for i in range(rows):
-            assert np.array_equal(out[0, :, i], np.convolve(c[:, i], d[:, i]))
-            assert np.array_equal(out[1, :, i],
-                                  np.convolve(c[:, i], d[::-1, i]))
+            assert np.array_equal(out[:, i], np.convolve(c[:, i], c[:, i]))
 
 
 A_SAMPLES = np.array([-17.2, -2.2, -0.3, 0.0, 1.5])
 
 
-def test_tangent_value_rows_equal_the_kernel_rows():
+def test_derivative_blocks_leave_the_value_readings():
+    # the first-order stack steps v on the same rows as v alone; the
+    # five-block stack has fewer rows per product, so its B may round
+    # apart, within the rounding count of the readings
     a = np.linspace(-120.0, 20.0, 97)
     for lam, depth in ((15.0, 7), (-25.0, 6), (0.0, 1)):
-        c, _ = _iterate_tangents(a, lam, depth)
-        assert np.array_equal(c, _iterate_coeffs(a, lam, depth))
+        value, size = _collocation_readings(a, lam, depth)
+        first, _ = _collocation_readings(a, lam, depth, order=1)
+        assert np.array_equal(first[0], value[0])
+        second, _ = _collocation_readings(a, lam, depth, order=2)
+        bound = 2.0 * _rounding_gamma(64, depth) * size[0]
+        assert np.all(np.abs(second[0] - value[0]) <= bound)
 
 
-def test_second_order_rows_leave_the_first_ones_byte_equal():
+def test_second_order_blocks_leave_the_first_order_ones():
     a = np.linspace(-120.0, 20.0, 97)
     for lam, depth in ((15.0, 7), (-25.0, 6), (0.0, 1), (11.3, 8)):
-        c, c_a = _iterate_tangents(a, lam, depth)
-        rows = _iterate_tangents(a, lam, depth, second=True)
-        assert len(rows) == 5
-        assert rows[0].tobytes() == _iterate_coeffs(a, lam, depth).tobytes()
-        assert rows[0].tobytes() == c.tobytes()
-        assert rows[1].tobytes() == c_a.tobytes()
+        first, _ = _collocation_readings(a, lam, depth, order=1)
+        second, sums = _collocation_readings(a, lam, depth, order=2)
+        assert second.shape == sums.shape == (5, a.size, 2)
+        bound = 2.0 * _rounding_gamma(64, depth) * sums[:2]
+        assert np.all(np.abs(second[:2] - first) <= bound)
 
 
-def _symbolic_derivative(sym, a, lam, da, dlam, size):
-    """The (da, dlam)-th partial derivative of the symbolic iterate at
-    (a, lam), by powers of r below size, and the absolute mass of its
+def _symbolic_readings(sym, a, lam, da, dlam):
+    """(w(1), w'(1)) of the (da, dlam)-th partial derivative of the
+    symbolic iterate at (a, lam), and the absolute masses of their
     terms."""
-    exact = np.zeros(size)
-    mass = np.zeros_like(exact)
+    exact, mass = np.zeros(2), np.zeros(2)
     for (i, j, k), value in sym.terms.items():
         if i >= da and j >= dlam:
             term = (math.perm(i, da) * math.perm(j, dlam) * value
                     * a ** (i - da) * lam ** (j - dlam))
-            exact[k] += term
-            mass[k] += abs(term)
+            # w(1) sums the terms, w'(1) the terms times their power of r
+            exact += term, k * term
+            mass += abs(term), k * abs(term)
     return exact, mass
 
 
-# the derivative rows of _iterate_tangents(..., second=True) by the orders
-# (da, dlam) they take
+# the derivative blocks of _collocation_readings(..., order=2) by the
+# orders (da, dlam) they take
 DERIVATIVE_ORDERS = {1: (1, 0), 2: (0, 1), 3: (2, 0), 4: (1, 1)}
+
+
+def _assert_symbolic_derivatives(depth, lam, order):
+    # with 2**depth <= p the collocation iterate is the exact one, so each
+    # reading differs from the symbolic one by rounding: the rounding count
+    # of the reading and of the symbolic terms' absolute mass
+    sym = symbolic_iterate(depth)
+    for p in sorted({max(2 ** depth, 2), 64}):
+        readings, sums = _collocation_readings(A_SAMPLES, lam, depth, p,
+                                               order=order)
+        for index in range(1, len(readings)):
+            for a, got, size in zip(A_SAMPLES, readings[index], sums[index]):
+                exact, mass = _symbolic_readings(sym, a, lam,
+                                                 *DERIVATIVE_ORDERS[index])
+                bound = _rounding_gamma(p, depth) * size + 1e-14 * mass
+                assert np.all(np.abs(got - exact) <= bound), (p, index, a)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 15.0, -25.0])
 def test_tangents_equal_the_symbolic_derivative(depth, lam):
-    # d/da of sum c_ijk a**i lam**j r**k is sum i c_ijk a**(i-1) lam**j r**k;
-    # each entry may differ by rounding relative to its absolute term mass
-    sym = symbolic_iterate(depth)
-    _, c_a = _iterate_tangents(A_SAMPLES, lam, depth)
-    for a, row in zip(A_SAMPLES, c_a):
-        exact, mass = _symbolic_derivative(sym, a, lam, 1, 0,
-                                           2 * row.size - 1)
-        assert not exact[1::2].any()
-        assert np.all(np.abs(row - exact[::2]) <= 1e-14 * mass[::2])
+    # d/da of sum c_ijk a**i lam**j r**k is sum i c_ijk a**(i-1) lam**j r**k
+    _assert_symbolic_derivatives(depth, lam, 1)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 @pytest.mark.parametrize("lam", [0.0, 15.0, -25.0])
 def test_second_order_rows_equal_the_symbolic_derivatives(depth, lam):
-    sym = symbolic_iterate(depth)
-    rows = _iterate_tangents(A_SAMPLES, lam, depth, second=True)
-    for index, (da, dlam) in DERIVATIVE_ORDERS.items():
-        for a, row in zip(A_SAMPLES, rows[index]):
-            exact, mass = _symbolic_derivative(sym, a, lam, da, dlam,
-                                               2 * row.size - 1)
-            assert not exact[1::2].any()
-            assert np.all(np.abs(row - exact[::2]) <= 1e-14 * mass[::2]), \
-                (index, a)
+    _assert_symbolic_derivatives(depth, lam, 2)
+
+
+def _assert_central_differences(block, derivatives):
+    # the derivative blocks in a and in lam of the block, at depth 7,
+    # against its central differences
+    lam = 15.0
+    h = 1e-5 * np.maximum(1.0, np.abs(A_SAMPLES))
+    d = 1e-5 * lam
+
+    def read(a, lam):
+        return _collocation_readings(a, lam, 7, order=block)[0][block]
+
+    diffs = ((read(A_SAMPLES + h, lam) - read(A_SAMPLES - h, lam))
+             / (2.0 * h[:, None]),
+             (read(A_SAMPLES, lam + d) - read(A_SAMPLES, lam - d)) / (2.0 * d))
+    readings, _ = _collocation_readings(A_SAMPLES, lam, 7, order=2)
+    for exact, diff in zip(readings[derivatives], diffs):
+        assert np.all(np.abs(exact - diff)
+                      <= 1e-7 * np.maximum(1.0, np.abs(exact)))
 
 
 def test_tangents_match_central_differences_at_depth_seven():
-    lam = 15.0
-    _, c_a = _iterate_tangents(A_SAMPLES, lam, 7)
-    h = 1e-5 * np.maximum(1.0, np.abs(A_SAMPLES))[:, None]
-    diff = (_iterate_coeffs(A_SAMPLES + h[:, 0], lam, 7)
-            - _iterate_coeffs(A_SAMPLES - h[:, 0], lam, 7)) / (2.0 * h)
-    assert np.all(np.abs(c_a - diff) <= 1e-7 * np.maximum(1.0, np.abs(c_a)))
+    # w_a and w_lam from w
+    _assert_central_differences(0, [1, 2])
 
 
 def test_second_order_rows_match_central_differences_at_depth_seven():
-    # c_lam from the value rows, c_aa and c_alam from the exact c_a rows
-    lam = 15.0
-    _, _, c_lam, c_aa, c_alam = _iterate_tangents(A_SAMPLES, lam, 7,
-                                                  second=True)
-    h = 1e-5 * np.maximum(1.0, np.abs(A_SAMPLES))
-    d = 1e-5 * lam
-    diffs = (
-        (c_lam, _iterate_coeffs(A_SAMPLES, lam + d, 7),
-         _iterate_coeffs(A_SAMPLES, lam - d, 7), d),
-        (c_aa, _iterate_tangents(A_SAMPLES + h, lam, 7)[1],
-         _iterate_tangents(A_SAMPLES - h, lam, 7)[1], h[:, None]),
-        (c_alam, _iterate_tangents(A_SAMPLES, lam + d, 7)[1],
-         _iterate_tangents(A_SAMPLES, lam - d, 7)[1], d),
-    )
-    for exact, above, below, step in diffs:
-        diff = (above - below) / (2.0 * step)
-        assert np.all(np.abs(exact - diff)
-                      <= 1e-7 * np.maximum(1.0, np.abs(exact)))
+    # w_aa and w_alam from w_a
+    _assert_central_differences(1, [3, 4])
 
 
 def test_depth_above_maximum_is_rejected():
