@@ -52,10 +52,9 @@ def _trimmed(values) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernel_weights(n: int, spacing: int = 1) -> np.ndarray:
-    # -1/(k(k-1)) for the exponents k = spacing * j >= 2, zero slots below;
-    # cached per length and spacing
-    k = spacing * np.arange(n, dtype=float)
+def _kernel_weights(n: int) -> np.ndarray:
+    # -1/(k(k-1)) for the exponents k >= 2, zero slots below; cached per length
+    k = np.arange(n, dtype=float)
     out = np.zeros(n)
     big = k >= 2.0
     out[big] = -1.0 / (k[big] * (k[big] - 1.0))

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import recover
 from .polyring import RPoly, evaluate
-from .vim import (COLLOCATION_POINTS, _check_depth, _collocation_readings,
-                  _iterate_coeffs, _r_powers, _rounding_gamma)
+from .vim import (COLLOCATION_POINTS, VimProblem, _check_depth,
+                  _collocation_readings, _rounding_gamma, iterate)
 
 __all__ = [
     "BoundaryKind",
@@ -316,8 +316,8 @@ def _accepted(lam: float, bc: BoundaryKind, window,
                           < 0.0)
 
     found = []
-    for i, row in zip(kept, _iterate_coeffs(a[kept], lam, n)):
-        w = RPoly(_r_powers(row))
+    for i in kept:
+        w = iterate(VimProblem(lam=lam, a=a[i], n_iter=n))
         table = recover.residual_table(w, lam)
         # a NaN maximum fails the comparison and rejects the root
         if table.max_abs() <= DEFAULT_RESIDUAL_CAP:

@@ -13,14 +13,13 @@ with K the closed-form kernel of :func:`epibvp.polyring.apply_vim_kernel`
 (weight (t - r)/t**2, obtained from the stationarity conditions of the
 correction functional).  Starting from w0 = a r**2 every iterate is a
 polynomial with no constant or linear term, so the scheme stays exactly
-representable in :class:`~epibvp.polyring.RPoly`.  Such an iterate also
-has exactly zero odd coefficients, so the numeric kernel
-(:func:`_iterate_coeffs`) stores it as a polynomial in s = r**2 and runs
-many start coefficients at once, one row each.  The public functions on
-:class:`~epibvp.polyring.RPoly` call the same step arithmetic with every
-power of r stored.  The collocation kernel (:func:`_collocation_readings`)
-runs the same step on values at Chebyshev points in s instead, with the
-derivatives in a and lam, and gives every boundary reading.
+representable in :class:`~epibvp.polyring.RPoly`.  The numeric kernel
+(:func:`_run`) steps one such polynomial per call, its coefficients in
+powers of r, for :func:`iterate`, :func:`iterate_from`, :func:`vim_step`
+and :func:`ode_defect` alike.  The collocation kernel
+(:func:`_collocation_readings`) runs the same step on values at Chebyshev
+points in s = r**2 instead, with the derivatives in a and lam, and gives
+every boundary reading.
 
 A symbolic mode keeps the initial coefficient ``a`` and the parameter
 ``lam`` as formal symbols and reproduces the low-order iterates in closed
@@ -30,9 +29,11 @@ numeric iteration per candidate ``a``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -76,7 +77,9 @@ class IterationOverflow(ValueError):
 
 @dataclass(frozen=True)
 class VimProblem:
-    """One numeric iteration run: w0 = a r**2 driven n_iter steps at fixed lam."""
+    """One numeric iteration run: w0 = a r**2 driven n_iter steps at fixed
+    lam.  A depth outside 1..:data:`MAX_DEPTH` or not an integer, and an a
+    that is not finite, raise ``ValueError``."""
 
     lam: float
     a: float
@@ -84,82 +87,69 @@ class VimProblem:
 
     def __post_init__(self):
         _check_depth(self.n_iter)
+        if not math.isfinite(self.a):
+            raise ValueError(f"a must be finite, got {self.a!r}")
 
 
 # ---------------------------------------------------------------------------
 # numeric path
 # ---------------------------------------------------------------------------
 
-# each step doubles the degree, so a row of a depth-d iterate holds 2**d + 1
-# coefficients and the squaring costs about 4**d products per row
+# each step doubles the degree, so a depth-d iterate holds 2**(d + 1) + 1
+# coefficients in r and its squaring costs about 4**(d + 1) products
 MAX_DEPTH = 10
 
 
-@lru_cache(maxsize=None)
-def _euler_symbol(n: int, spacing: int) -> np.ndarray:
-    # the linear operator r^2 d^2 - r d acts on r^k as multiplication by k(k-2)
-    k = spacing * np.arange(n, dtype=float)
-    out = k * (k - 2.0)
-    out.setflags(write=False)
-    return out
+def _square(c: np.ndarray) -> np.ndarray:
+    """The 2 n - 1 coefficients of the square of the n coefficients c.
 
-
-def _convolve(c: np.ndarray, out: np.ndarray) -> None:
-    """Write the convolution of each column of c with itself into the
-    columns of out: c holds n coefficients by m rows, out 2 n - 1 by m.
-
-    Entry (k, i) of out is sum_j c[j, i] * c[k - j, i], summed over a
-    read-only window view of the zero-padded columns, so no (2 n - 1, n, m)
-    array is formed.  Each entry adds its products in order of descending
-    j from +0, one rounding per product and per sum, so a row's result
-    does not depend on its neighbours or on the size of its block.  The
-    rows are the contiguous axis, so the sum for each entry is a
-    contiguous multiply-add across the rows.
+    Entry k is sum_j c[j] * c[k - j], summed over a read-only window view
+    of the zero-padded coefficients, so no (2 n - 1, n) array is formed.
+    Each entry adds its products in order of descending j from +0, one
+    rounding per product and per sum.
     """
-    n, m = c.shape
-    padded = np.zeros((3 * n - 2, m))
+    n = c.size
+    padded = np.zeros(3 * n - 2)
     padded[n - 1:2 * n - 1] = c
     stride = padded.strides[0]
     # window k starts at padded coefficient k
-    windows = np.ndarray((2 * n - 1, n, m), padded.dtype, padded, 0,
-                         (stride, stride, padded.itemsize))
+    windows = np.ndarray((2 * n - 1, n), padded.dtype, padded, 0,
+                         (stride, stride))
     windows.flags.writeable = False
-    np.einsum("im,kim->km", c[::-1], windows, out=out)
+    return np.einsum("i,ki->k", c[::-1], windows)
 
 
-def _defect_rows(c: np.ndarray, lam: float, spacing: int,
-                 nonlinear: bool) -> np.ndarray:
-    """Defect coefficients -c*c/2 + E c - lam/2 e_4 of the rows c, with
-    Euler symbol E and forcing column e_4.
-
-    Coefficient j of a column is that of r**(spacing * j); products of
-    such powers stay on the same lattice, so squaring is a plain
-    convolution of the coefficients whatever the spacing.
-    """
-    n, m = c.shape
-    # the square doubles the degree; the forcing column r**4 may lie beyond
-    out = np.zeros((max(2 * n - 1 if nonlinear else n, 4 // spacing + 1), m))
+def _defect(c: np.ndarray, lam: float, nonlinear: bool) -> np.ndarray:
+    """Defect coefficients -c*c/2 + k (k - 2) c_k - lam/2 r**4 of the
+    polynomial with coefficients c of r**0, r**1, ...; the linear operator
+    r**2 d**2 - r d maps r**k to k (k - 2) r**k."""
+    if not math.isfinite(lam):
+        raise ValueError(f"the rate must be finite, got {lam!r}")
+    n = c.size
+    # the square doubles the degree; the forcing r**4 may lie beyond
+    out = np.zeros(max(2 * n - 1 if nonlinear else n, 5))
     if nonlinear:
-        _convolve(c, out[:2 * n - 1])
+        out[:2 * n - 1] = _square(c)
         out *= -0.5
-    out[:n] += _euler_symbol(n, spacing)[:, None] * c
-    out[4 // spacing] -= 0.5 * lam
+    k = np.arange(n, dtype=float)
+    out[:n] += k * (k - 2.0) * c
+    out[4] -= 0.5 * lam
     return out
 
 
-def _step_rows(c: np.ndarray, lam: float, spacing: int,
-               nonlinear: bool, depth: int = 1) -> np.ndarray:
-    """One step of the rows c, c + W (defect) with the kernel weights W."""
-    out = _defect_rows(c, lam, spacing, nonlinear)
-    # the coefficients of r**0 and r**1; an overflowed row has NaN in all
-    if out[:1 // spacing + 1].any():
+def _step(c: np.ndarray, lam: float, nonlinear: bool,
+          depth: int = 1) -> np.ndarray:
+    """One step of the polynomial c: c + W (defect), W the kernel weights."""
+    out = _defect(c, lam, nonlinear)
+    # the coefficients of r**0 and r**1; an overflowed iterate has NaN in all
+    if out[:2].any():
         if not np.isfinite(out).all():
             raise _overflow(depth)
         raise NonIntegrableDefect(
             "defect has a nonzero r**0 or r**1 coefficient"
         )
-    out *= _kernel_weights(out.shape[0], spacing)[:, None]
-    out[:c.shape[0]] += c
+    out *= _kernel_weights(out.size)
+    out[:c.size] += c
     return out
 
 
@@ -171,6 +161,9 @@ def _overflow(depth: int) -> IterationOverflow:
 
 
 def _check_depth(n_iter: int) -> None:
+    # numpy integers are integral; a bool or a float is not a depth
+    if isinstance(n_iter, bool) or not isinstance(n_iter, Integral):
+        raise ValueError(f"iteration depth must be an integer, got {n_iter!r}")
     if n_iter < 1:
         raise ValueError(f"iteration depth {n_iter} is below the minimum of 1")
     if n_iter > MAX_DEPTH:
@@ -179,39 +172,17 @@ def _check_depth(n_iter: int) -> None:
         )
 
 
-def _run(c: np.ndarray, lam: float, n_iter: int, spacing: int,
+def _run(c: np.ndarray, lam: float, n_iter: int,
          nonlinear: bool = True) -> np.ndarray:
-    """Run n_iter steps from the rows c; return the rows, row-major and
-    C-contiguous.  The steps hold them as coefficients by rows, with the
-    rows on the contiguous axis (see :func:`_convolve`).  An overflow
-    names depth n_iter."""
+    """Run n_iter steps from the polynomial c; an overflow names n_iter."""
     _check_depth(n_iter)
-    s = np.ascontiguousarray(c.T)
     for _ in range(n_iter):
-        s = _step_rows(s, lam, spacing, nonlinear, n_iter)
-    # an overflow in an earlier step trips the check in _step_rows; one in
-    # the last step shows only here
-    if not np.isfinite(s).all():
+        c = _step(c, lam, nonlinear, n_iter)
+    # an overflow in an earlier step trips the check in _step; one in the
+    # last step shows only here
+    if not np.isfinite(c).all():
         raise _overflow(n_iter)
-    return np.ascontiguousarray(s.T)
-
-
-def _start_rows(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float).reshape(-1)
-    c = np.zeros((a.size, 2))
-    c[:, 1] = a
     return c
-
-
-def _iterate_coeffs(a, lam: float, n_iter: int) -> np.ndarray:
-    """The n_iter-step iterates started at a r**2, one row per value of a.
-
-    Every such iterate has exactly zero odd coefficients, so a row stores
-    it as a polynomial in s = r**2: column j holds the coefficient of
-    r**(2 j).  Depths outside 1..:data:`MAX_DEPTH` raise ``ValueError``
-    before the first step.
-    """
-    return _run(_start_rows(a), lam, n_iter, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +333,6 @@ def _rounding_gamma(p: int, n_iter: int) -> float:
     return nu / (1.0 - nu)
 
 
-def _r_powers(row: np.ndarray) -> np.ndarray:
-    """Coefficients of r**0, r**1, ... of a row stored in s = r**2."""
-    out = np.zeros(2 * row.size - 1)
-    out[::2] = row
-    return out
-
-
 def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     """Pointwise defect r**2 w'' - r w' - w**2/2 - lam r**4/2 of w.
 
@@ -377,7 +341,7 @@ def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     identically exactly when w solves the equation.  ``nonlinear=False``
     drops the w**2/2 term (the small-|lam| linearisation used in tests).
     """
-    return RPoly(_defect_rows(w.coeffs[:, None], lam, 1, nonlinear)[:, 0])
+    return RPoly(_defect(w.coeffs, lam, nonlinear))
 
 
 # Digits of the decimal arithmetic in _defect_at.  Each of the 2n roundings
@@ -427,19 +391,18 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
 
 def vim_step(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     """One correction step: w + K[defect(w)].  Doubles the degree at most."""
-    return RPoly(_step_rows(w.coeffs[:, None], lam, 1, nonlinear)[:, 0])
+    return RPoly(_step(w.coeffs, lam, nonlinear))
 
 
 def iterate(prob: VimProblem) -> RPoly:
     """Run n_iter correction steps from w0 = a r**2."""
-    row = _iterate_coeffs(prob.a, prob.lam, prob.n_iter)[0]
-    return RPoly(_r_powers(row))
+    return RPoly(_run(np.array([0.0, 0.0, prob.a]), prob.lam, prob.n_iter))
 
 
 def iterate_from(w0: RPoly, lam: float, n_iter: int, *,
                  nonlinear: bool = True) -> RPoly:
     """Run n_iter correction steps from an arbitrary start polynomial."""
-    return RPoly(_run(w0.coeffs[None], lam, n_iter, 1, nonlinear)[0])
+    return RPoly(_run(w0.coeffs, lam, n_iter, nonlinear))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from epibvp import BoundaryKind, find_branches
+from epibvp import BoundaryKind, NonIntegrableDefect, find_branches
+from epibvp.vim import _overflow
 
 GRID_101 = np.linspace(0.0, 1.0, 101)
 
@@ -84,3 +87,80 @@ def exact_readings(a, lam, n, tangent=True, number=Fraction):
     return tuple(total for c in values
                  for total in (sum(c), sum((2 * j + 2) * x
                                            for j, x in enumerate(c))))
+
+
+# ---------------------------------------------------------------------------
+# a frozen copy of the monomial kernel's row-major steps
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _euler_symbol(n, spacing):
+    # k (k - 2) for the exponents k = spacing * j
+    k = spacing * np.arange(n, dtype=float)
+    out = k * (k - 2.0)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _kernel_weights(n, spacing):
+    # -1/(k(k-1)) for the exponents k = spacing * j >= 2, zero slots below
+    k = spacing * np.arange(n, dtype=float)
+    out = np.zeros(n)
+    big = k >= 2.0
+    out[big] = -1.0 / (k[big] * (k[big] - 1.0))
+    out.setflags(write=False)
+    return out
+
+
+def _frozen_convolve(c, d, out):
+    # row i of out is the convolution of row i of c with row i of d
+    m, n = d.shape
+    padded = np.zeros((m, 3 * n - 2))
+    padded[:, n - 1:2 * n - 1] = d
+    step = padded.itemsize
+    windows = as_strided(padded, (m, 2 * n - 1, n),
+                         (padded.strides[0], step, step), writeable=False)
+    np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
+
+
+def _frozen_run(c, lam, n_iter, spacing, nonlinear=True):
+    """The step loop on row-major blocks, one iterate per row, with the
+    signature of vim._run.  Kept frozen; the kernel must equal it bit for
+    bit."""
+
+    def defect(c):
+        m, n = c.shape
+        out = np.zeros((m, max(2 * n - 1 if nonlinear else n,
+                               4 // spacing + 1)))
+        if nonlinear:
+            _frozen_convolve(c, c, out[:, :2 * n - 1])
+            out *= -0.5
+        out[:, :n] += _euler_symbol(n, spacing) * c
+        out[:, 4 // spacing] -= 0.5 * lam
+        return out
+
+    def step(c):
+        d = defect(c)
+        if d[:, :1 // spacing + 1].any():
+            if not np.isfinite(d).all():
+                raise _overflow(n_iter)
+            raise NonIntegrableDefect("nonzero r**0 or r**1 coefficient")
+        d *= _kernel_weights(d.shape[1], spacing)
+        d[:, :c.shape[1]] += c
+        return d
+
+    for _ in range(n_iter):
+        c = step(c)
+    if not np.isfinite(c).all():
+        raise _overflow(n_iter)
+    return c
+
+
+def frozen_iterates(a, lam, n_iter):
+    """The depth-n_iter iterates started at a r**2, one row per value of a,
+    each holding the coefficients of r**0, r**1, ... (:func:`_frozen_run`
+    with spacing 1)."""
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    start = np.hstack((np.zeros((a.size, 2)), a))
+    return _frozen_run(start, lam, n_iter, 1)

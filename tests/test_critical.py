@@ -23,9 +23,9 @@ from epibvp import (
     shooting,
     sweep,
 )
-from epibvp.vim import IterationOverflow, _iterate_coeffs
+from epibvp.vim import IterationOverflow
 
-from _util import exact_readings
+from _util import exact_readings, frozen_iterates
 
 
 def test_sweep_positive_rates_navier_one():
@@ -219,11 +219,12 @@ def _independent_fold(bc, lo, hi, n, points=1001):
     grid = np.linspace(a[i], a[i + 1], points)
 
     def reading(lam):
-        # the coefficient sums w(1) and w'(1) of the monomial kernel's rows,
-        # so that the reference shares no kernel with the fold or the count
-        c = _iterate_coeffs(grid, lam, n)
+        # the coefficient sums w(1) and w'(1) of the frozen monomial steps'
+        # rows, so that the reference shares no kernel with the fold or the
+        # count
+        c = frozen_iterates(grid, lam, n)
         return bc.residual(c.sum(axis=1),
-                           (c * 2.0 * np.arange(c.shape[1])).sum(axis=1))
+                           (c * np.arange(c.shape[1])).sum(axis=1))
 
     sign = np.sign(reading(lo)[points // 2])
 
@@ -498,3 +499,13 @@ def test_non_finite_bracket_is_rejected_before_any_scan(lo, hi, tol,
         find_critical_lambda(BoundaryKind.NAVIER_TWO, lo, hi, tol)
     with pytest.raises(InvalidBracket):
         depth_sensitivity(BoundaryKind.NAVIER_TWO, lo, hi, tol)
+
+
+@pytest.mark.parametrize("depth", [7.5, 7.0, True])
+def test_depth_that_is_not_an_integer_is_rejected(depth):
+    with pytest.raises(ValueError, match="iteration depth must be an integer"):
+        find_critical_lambda(BoundaryKind.NAVIER_ONE, 20.0, 40.0, 0.01,
+                             n_iter=depth)
+    with pytest.raises(ValueError, match="iteration depth must be an integer"):
+        depth_sensitivity(BoundaryKind.NAVIER_ONE, 20.0, 40.0, 0.01,
+                          n_iter=depth)

@@ -1,11 +1,11 @@
 """Defect, correction steps, symbolic mode and the multiplier conditions."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import as_strided
 
 from epibvp import (
     BoundaryKind,
@@ -23,26 +23,28 @@ from epibvp import (
     multiplier,
     multiplier_residuals,
     ode_defect,
+    solve_profile,
     symbolic_iterate,
     vim_step,
 )
-from epibvp.polyring import _kernel_weights
 from epibvp.vim import (
     MAX_DEPTH,
     _collocation_readings,
-    _convolve,
-    _euler_symbol,
-    _iterate_coeffs,
-    _overflow,
-    _r_powers,
     _rounding_gamma,
-    _run,
-    _start_rows,
+    _square,
     multiplier_dt,
     multiplier_dtt,
 )
 
-from _util import GRID_101, exact_readings, lower_branch_root, sup_on_grid
+from _util import (
+    GRID_101,
+    _frozen_convolve,
+    _frozen_run,
+    exact_readings,
+    frozen_iterates,
+    lower_branch_root,
+    sup_on_grid,
+)
 
 rng = np.random.default_rng(42)
 
@@ -140,31 +142,9 @@ def test_iterate_validates_depth():
             VimProblem(lam=0.0, a=1.0, n_iter=depth)
 
 
-def test_even_power_storage_matches_r_power_chain():
-    # the kernel stores iterates in s = r**2; the public step keeps every
-    # power of r and runs the same arithmetic on the wider lattice
-    seeded = np.random.default_rng(2024)
-    for a, lam in zip(seeded.uniform(-120.0, 20.0, 200),
-                      seeded.uniform(-100.0, 200.0, 200)):
-        row = _iterate_coeffs(np.array([a]), lam, 7)[0]
-        expanded = _r_powers(row)
-        assert not expanded[1::2].any()
-        w = RPoly([0.0, 0.0, a])
-        for _ in range(7):
-            w = vim_step(w, lam)
-        chain = np.zeros_like(expanded)
-        chain[:w.coeffs.size] = w.coeffs
-        assert np.all(np.abs(expanded - chain) <= 4.0 * np.spacing(np.abs(chain)))
-
-
 def test_kernel_rows_do_not_depend_on_their_block():
-    a = np.linspace(-120.0, 20.0, 97)
-    together = _iterate_coeffs(a, 15.0, 7)
-    for i in (0, 48, 96):
-        assert np.array_equal(_iterate_coeffs(a[i:i + 1], 15.0, 7)[0], together[i])
-    assert np.array_equal(np.vstack([_iterate_coeffs(a[i:i + 10], 15.0, 7)
-                                     for i in range(0, a.size, 10)]), together)
     # the fold search's Newton step reads the five blocks of one row
+    a = np.linspace(-120.0, 20.0, 97)
     readings = _collocation_readings(a, 15.0, 7, order=2)
     for parts in ([a[i:i + 1] for i in (0, 48, 96)],
                   np.split(a, [1, 10, 48, 49, 90])):
@@ -179,54 +159,6 @@ def test_kernel_rows_do_not_depend_on_their_block():
 # the kernel against a frozen copy of its row-major steps
 # ---------------------------------------------------------------------------
 
-def _frozen_convolve(c, d, out):
-    # row i of out is the convolution of row i of c with row i of d
-    m, n = d.shape
-    padded = np.zeros((m, 3 * n - 2))
-    padded[:, n - 1:2 * n - 1] = d
-    step = padded.itemsize
-    windows = as_strided(padded, (m, 2 * n - 1, n),
-                         (padded.strides[0], step, step), writeable=False)
-    np.einsum("mi,mki->mk", c[:, ::-1], windows, out=out)
-
-
-def _frozen_run(c, lam, n_iter, spacing, nonlinear=True):
-    """The step loop on row-major blocks, one iterate per row, with the
-    signature of vim._run.  Kept frozen; the kernel must equal it bit for
-    bit."""
-
-    def defect(c):
-        m, n = c.shape
-        out = np.zeros((m, max(2 * n - 1 if nonlinear else n,
-                               4 // spacing + 1)))
-        if nonlinear:
-            _frozen_convolve(c, c, out[:, :2 * n - 1])
-            out *= -0.5
-        out[:, :n] += _euler_symbol(n, spacing) * c
-        out[:, 4 // spacing] -= 0.5 * lam
-        return out
-
-    def step(c):
-        d = defect(c)
-        if d[:, :1 // spacing + 1].any():
-            if not np.isfinite(d).all():
-                raise _overflow(n_iter)
-            raise NonIntegrableDefect("nonzero r**0 or r**1 coefficient")
-        d *= _kernel_weights(d.shape[1], spacing)
-        d[:, :c.shape[1]] += c
-        return d
-
-    for _ in range(n_iter):
-        c = step(c)
-    if not np.isfinite(c).all():
-        raise _overflow(n_iter)
-    return c
-
-
-def _frozen_iterate(a, lam, n_iter):
-    return _frozen_run(_start_rows(a), lam, n_iter, 2)
-
-
 def _same_bytes(actual, expected):
     assert len(actual) == len(expected)
     for x, y in zip(actual, expected):
@@ -234,7 +166,13 @@ def _same_bytes(actual, expected):
         assert x.tobytes() == y.tobytes()
 
 
-# small blocks and large ones
+def _iterates(a, lam, depth):
+    # the kernel's iterate and the frozen steps' one from a r**2
+    return (iterate(VimProblem(lam=lam, a=a, n_iter=depth)).coeffs,
+            RPoly(frozen_iterates(a, lam, depth)[0]).coeffs)
+
+
+# counts of start values: few and many
 BLOCK_SIZES = (1, 2, 3, 15, 16, 64, 254)
 
 
@@ -244,13 +182,14 @@ def test_kernel_equals_the_frozen_row_major_steps(depth, rows):
     seeded = np.random.default_rng(100 * depth + rows)
     a = seeded.uniform(-120.0, 20.0, rows)
     lam = float(seeded.choice([-300.0, -50.0, 0.0, 15.0, 31.9, 168.7]))
-    _same_bytes([_iterate_coeffs(a, lam, depth)],
-                [_frozen_iterate(a, lam, depth)])
+    for x in a:
+        got, want = _iterates(x, lam, depth)
+        _same_bytes([got], [want])
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
 def test_r_power_steps_equal_the_frozen_row_major_steps(nonlinear):
-    # vim_step and iterate_from keep every power of r
+    # vim_step and iterate_from from start polynomials other than a r**2
     seeded = np.random.default_rng(11)
     for _ in range(20):
         w0 = RPoly(np.concatenate([[0.0, 0.0], seeded.uniform(-3.0, 3.0, 5)]))
@@ -263,13 +202,13 @@ def test_r_power_steps_equal_the_frozen_row_major_steps(nonlinear):
             assert actual.coeffs.tobytes() == RPoly(expected).coeffs.tobytes()
 
 
-def _outcome(run, a, depth):
-    # the rows of a run, or the message it raised, and the floating-point
-    # warnings it gave
+def _outcome(run):
+    # the coefficients of a run, or the message it raised, and the
+    # floating-point warnings it gave
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = [run(_start_rows(a), 1.0, depth, 2)]
+            result = [run()]
         except IterationOverflow as exc:
             result = str(exc)
     return result, {str(w.message) for w in caught}
@@ -277,37 +216,39 @@ def _outcome(run, a, depth):
 
 @pytest.mark.parametrize("rows", BLOCK_SIZES)
 def test_overflowing_rows_equal_the_frozen_row_major_steps(rows):
-    # a row that overflows passes through the steps as inf and NaN until
-    # a step or the end of the run raises; the shallower runs finish or
-    # raise at every depth on the way
+    # an iterate that overflows passes through the steps as inf and NaN
+    # until a step or the end of the run raises; the shallower runs finish
+    # or raise at every depth on the way
     seeded = np.random.default_rng(rows)
     for depth, big in ((4, -1e200), (6, -1e12), (7, -1e5), (8, -1e5),
                        (9, 1e4)):
         a = seeded.uniform(-120.0, 20.0, rows)
         a[seeded.integers(0, rows, 1 + rows // 8)] = big
-        for n in range(1, depth + 1):
-            actual, actual_warnings = _outcome(_run, a, n)
-            expected, expected_warnings = _outcome(_frozen_run, a, n)
-            assert actual_warnings == expected_warnings
-            if isinstance(expected, str):
-                assert actual == expected
-            else:
-                _same_bytes(actual, expected)
-        assert isinstance(expected, str)
+        for x in a:
+            for n in range(1, depth + 1):
+                actual, actual_warnings = _outcome(
+                    lambda: iterate(VimProblem(lam=1.0, a=x, n_iter=n)).coeffs)
+                expected, expected_warnings = _outcome(
+                    lambda: RPoly(frozen_iterates(x, 1.0, n)[0]).coeffs)
+                assert actual_warnings == expected_warnings
+                if isinstance(expected, str):
+                    assert actual == expected
+                else:
+                    _same_bytes(actual, expected)
+            if x == big:
+                assert isinstance(expected, str)
 
 
 @pytest.mark.parametrize("bc", list(BoundaryKind))
 def test_boundary_readings_equal_the_frozen_row_major_steps(bc):
-    # B of the kernel's rows from the coefficient sums w(1) and w'(1),
-    # each column of a row stored in s = r**2 holding the power 2 j
-    a = np.array([-97.3, -33.3, 0.0, 4.1])
+    # B of the kernel's iterates from the coefficient sums w(1) and w'(1),
+    # coefficient k holding the power k
     for lam in (-50.0, 0.0, 15.0):
         for n in (5, 6, 7, 8):
-            k = 2.0 * np.arange(2 ** n + 1)
-            got, want = (bc.residual(c.sum(axis=1), (c * k).sum(axis=1))
-                         for c in (_iterate_coeffs(a, lam, n),
-                                   _frozen_iterate(a, lam, n)))
-            _same_bytes([got], [want])
+            for a in (-97.3, -33.3, 0.0, 4.1):
+                got, want = (bc.residual(c.sum(), (c * np.arange(c.size)).sum())
+                             for c in _iterates(a, lam, n))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +256,9 @@ def test_boundary_readings_equal_the_frozen_row_major_steps(bc):
 # ---------------------------------------------------------------------------
 
 def test_exact_readings_match_the_monomial_kernel():
-    c = _iterate_coeffs(-3.0, 15.0, 5)[0]
+    c = iterate(VimProblem(lam=15.0, a=-3.0, n_iter=5)).coeffs
     w1, w1_prime = exact_readings(-3.0, 15.0, 5)[:2]
-    k = 2.0 * np.arange(c.size)
+    k = np.arange(c.size)
     assert float(w1) == pytest.approx(c.sum(), rel=1e-14)
     assert float(w1_prime) == pytest.approx((k * c).sum(), rel=1e-14)
 
@@ -388,21 +329,16 @@ def test_convolution_with_itself_is_the_old_square():
             c = (seeded.normal(size=(rows, n))
                  * 10.0 ** seeded.integers(-8, 9, (rows, 1)))
             expected = np.empty((rows, 2 * n - 1))
-            actual = np.empty((2 * n - 1, rows))
             _frozen_convolve(c, c, expected)
-            _convolve(np.ascontiguousarray(c.T), actual)
-            assert np.array_equal(actual.T, expected)
+            for x, y in zip(c, expected):
+                assert _square(x).tobytes() == y.tobytes()
 
 
 def test_convolution_of_small_integer_rows():
-    # columns of the block are the rows, of a small block and a large one;
     # the products and sums of small integers are exact
-    for rows in (2, 18):
-        c = np.tile([[1.0, 0.0], [2.0, -1.0], [0.0, 3.0]], rows // 2)
-        out = np.empty((5, rows))
-        _convolve(c, out)
-        for i in range(rows):
-            assert np.array_equal(out[:, i], np.convolve(c[:, i], c[:, i]))
+    for c in ([1.0], [1.0, 0.0], [2.0, -1.0, 0.0, 3.0], np.arange(-4.0, 5.0)):
+        c = np.array(c)
+        assert np.array_equal(_square(c), np.convolve(c, c))
 
 
 A_SAMPLES = np.array([-17.2, -2.2, -0.3, 0.0, 1.5])
@@ -521,16 +457,63 @@ def test_depth_above_maximum_is_rejected():
         find_branches(1.0, BoundaryKind.NAVIER_ONE, n_iter=deep)
 
 
+@pytest.mark.parametrize("depth", [7.5, 7.0, np.float64(7.0), True, False,
+                                   "7"])
+def test_depth_that_is_not_an_integer_is_rejected(depth):
+    bc = BoundaryKind.NAVIER_ONE
+    message = f"iteration depth must be an integer, got {depth!r}"
+    for call in (lambda: iterate(VimProblem(lam=1.0, a=-1.0, n_iter=depth)),
+                 lambda: iterate_from(RPoly([0.0, 0.0, 1.0]), 1.0, depth),
+                 lambda: find_branches(1.0, bc, n_iter=depth),
+                 lambda: boundary_residual(-1.0, 1.0, bc, depth)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_numpy_integer_depths_are_depths():
+    bc = BoundaryKind.NAVIER_ONE
+    depth = np.int64(7)
+    assert (iterate(VimProblem(lam=15.0, a=-17.2, n_iter=depth))
+            == iterate(VimProblem(lam=15.0, a=-17.2, n_iter=7)))
+    assert boundary_residual(-17.2, 15.0, bc, depth) == boundary_residual(
+        -17.2, 15.0, bc, 7)
+    assert ([r.a_star for r in find_branches(15.0, bc, n_iter=depth)]
+            == [r.a_star for r in find_branches(15.0, bc, n_iter=7)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_is_rejected(value):
+    w0 = RPoly([0.0, 0.0, 1.0])
+    message = f"the rate must be finite, got {value!r}"
+    for call in (lambda: iterate(VimProblem(lam=value, a=1.0)),
+                 lambda: iterate_from(w0, value, 3),
+                 lambda: iterate_from(w0, value, 3, nonlinear=False),
+                 lambda: vim_step(w0, value),
+                 lambda: ode_defect(w0, value),
+                 lambda: ode_defect(w0, value, nonlinear=False),
+                 lambda: solve_profile(1.0, value, BoundaryKind.NAVIER_ONE)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_value_is_rejected(value):
+    message = f"a must be finite, got {value!r}"
+    for call in (lambda: VimProblem(lam=1.0, a=value),
+                 lambda: iterate(VimProblem(lam=1.0, a=value, n_iter=3)),
+                 lambda: solve_profile(value, 1.0, BoundaryKind.DIRICHLET)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 @pytest.mark.parametrize("a,depth", [(-1e200, 7), (-1e5, 8), (-1e12, 6),
                                      (-1e5, 7)])
 def test_overflowing_start_values_are_named(a, depth):
-    # the rows overflow to inf and then to NaN in every column, which is
-    # what trips the r**0 / r**1 check; at a = -1e5, depth 7 they overflow
-    # only in the last step
+    # the coefficients overflow to inf and then to NaN, which is what trips
+    # the r**0 / r**1 check; at a = -1e5, depth 7 they overflow only in the
+    # last step
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IterationOverflow, match=f"overflow.*depth {depth}"):
-            _iterate_coeffs(np.array([1.0, a]), 1.0, depth)
-        with pytest.raises(IterationOverflow):
             iterate(VimProblem(lam=1.0, a=a, n_iter=depth))
 
 
