@@ -396,7 +396,8 @@ def vim_step(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
 
 def iterate(prob: VimProblem) -> RPoly:
     """Run n_iter correction steps from w0 = a r**2."""
-    return RPoly(_run(np.array([0.0, 0.0, prob.a]), prob.lam, prob.n_iter))
+    return RPoly(_run(np.array([0.0, 0.0, prob.a], dtype=float), prob.lam,
+                      prob.n_iter))
 
 
 def iterate_from(w0: RPoly, lam: float, n_iter: int, *,

@@ -3,6 +3,8 @@
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,18 +175,20 @@ def _iterates(a, lam, depth):
 
 
 # counts of start values: few and many
-BLOCK_SIZES = (1, 2, 3, 15, 16, 64, 254)
+START_COUNTS = (1, 2, 3, 15, 16, 64, 254)
 
 
-@pytest.mark.parametrize("rows", BLOCK_SIZES)
+@pytest.mark.parametrize("rows", START_COUNTS)
 @pytest.mark.parametrize("depth", range(1, MAX_DEPTH + 1))
 def test_kernel_equals_the_frozen_row_major_steps(depth, rows):
+    # one kernel call per start value against one row of a frozen block,
+    # whose rows do not depend on each other
     seeded = np.random.default_rng(100 * depth + rows)
     a = seeded.uniform(-120.0, 20.0, rows)
     lam = float(seeded.choice([-300.0, -50.0, 0.0, 15.0, 31.9, 168.7]))
-    for x in a:
-        got, want = _iterates(x, lam, depth)
-        _same_bytes([got], [want])
+    for x, want in zip(a, frozen_iterates(a, lam, depth)):
+        got = iterate(VimProblem(lam=lam, a=x, n_iter=depth)).coeffs
+        _same_bytes([got], [RPoly(want).coeffs])
 
 
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -214,7 +218,7 @@ def _outcome(run):
     return result, {str(w.message) for w in caught}
 
 
-@pytest.mark.parametrize("rows", BLOCK_SIZES)
+@pytest.mark.parametrize("rows", START_COUNTS)
 def test_overflowing_rows_equal_the_frozen_row_major_steps(rows):
     # an iterate that overflows passes through the steps as inf and NaN
     # until a step or the end of the run raises; the shallower runs finish
@@ -479,6 +483,15 @@ def test_numpy_integer_depths_are_depths():
         -17.2, 15.0, bc, 7)
     assert ([r.a_star for r in find_branches(15.0, bc, n_iter=depth)]
             == [r.a_star for r in find_branches(15.0, bc, n_iter=7)])
+
+
+@pytest.mark.parametrize("a", [Decimal("-17.2"), Fraction(-86, 5),
+                               np.float32(-17.2), -17])
+def test_start_values_that_are_not_floats_are_coerced(a):
+    # the iterate from a is the one from float(a), in float arithmetic
+    got = iterate(VimProblem(lam=15.0, a=a, n_iter=5)).coeffs
+    want = iterate(VimProblem(lam=15.0, a=float(a), n_iter=5)).coeffs
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
