@@ -106,14 +106,14 @@ def residual_table(w: RPoly, lam: float, grid=None) -> ResidualTable:
     The defect is formed from the coefficients (never by finite
     differences), so an exact solution would produce an identically zero
     table and the r = 0 entry vanishes structurally.  Each value is the
-    defect of the float coefficients at the float grid point, carried by
-    Horner's rule in 40-digit decimal arithmetic and rounded once to float,
-    so cancellation among large coefficients on steep branches cannot turn
-    it into rounding noise.  Before that rounding it is off by less than
-    1e-36 of the term mass; on 640 sampled points of depth-5 to depth-8
-    iterates, with coefficient masses from 3 to 2e55, it was the correctly
-    rounded exact defect.  A coefficient or rate that is not finite gives
-    NaN entries, and a defect beyond the float range reads as -inf or inf.
+    exact defect of the float coefficients at the float grid point,
+    correctly rounded to float, so cancellation among large coefficients
+    on steep branches cannot turn it into rounding noise: the sums run in
+    fixed-point integers with a bound on their truncation, raising the
+    precision wherever the bound leaves the rounding open
+    (:func:`epibvp.vim._defect_at`).  A coefficient or rate that is not
+    finite gives NaN entries, as does a grid point that is not finite, and
+    a defect beyond the float range reads as -inf or inf.
     """
     pts = TABLE_GRID if grid is None else tuple(float(g) for g in grid)
     values = tuple(_defect_at(w.coeffs, lam, pts).tolist())

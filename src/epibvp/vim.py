@@ -30,8 +30,8 @@ numeric iteration per candidate ``a``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from numbers import Integral
 
@@ -106,9 +106,17 @@ def _square(c: np.ndarray) -> np.ndarray:
     Entry k is sum_j c[j] * c[k - j], summed over a read-only window view
     of the zero-padded coefficients, so no (2 n - 1, n) array is formed.
     Each entry adds its products in order of descending j from +0, one
-    rounding per product and per sum.
+    rounding per product and per sum.  When the odd coefficients are all
+    zero, as in every iterate started at a r**2, the even ones are squared
+    alone and interleaved with zeros: each sum then skips only its zero
+    products, so its value is the same, from about a quarter of the
+    products.
     """
     n = c.size
+    if n > 2 and not c[1::2].any():
+        out = np.zeros(2 * n - 1)
+        out[::2] = _square(np.ascontiguousarray(c[::2]))
+        return out
     padded = np.zeros(3 * n - 2)
     padded[n - 1:2 * n - 1] = c
     stride = padded.strides[0]
@@ -344,49 +352,208 @@ def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
     return RPoly(_defect(w.coeffs, lam, nonlinear))
 
 
-# Digits of the decimal arithmetic in _defect_at.  Each of the 2n roundings
-# of a Horner loop over n terms costs at most 10**(1 - _DIGITS) / 2 of the
-# term mass sum |c_k| r**k (Higham 2002, section 5.1), so before the one
-# rounding to float a value is off by below 1e-36 of the mass for the
-# n <= 2**MAX_DEPTH + 1 terms of an iterate.  On 640 sampled points of
-# depth-5 to depth-8 iterates, 30 digits missed the correctly rounded
-# value 65 times, 35 and 40 digits never.
-_DIGITS = 40
+# Start precision in bits of _defect_at; a point whose rounding it leaves
+# open is evaluated again at twice the precision.  On the branch roots of
+# the benchmark's census and oracle seeds no table entry needed a second
+# precision, and at 128 bits 75 of 22 866 sampled entries did
+_PRECISION = 160
+
+# points per packed block, and the grids of at most _CACHED_POINTS points
+# (recover.TABLE_GRID, the 101 points of ``solve``) whose packed powers at
+# the start precision are kept
+_BLOCK_POINTS = 16
+_CACHED_POINTS = 101
+
+# guard bits of the power recursion in _pack: its error grows by below one
+# unit of 2**-(p + _GUARD) per step, so it stays below 2**-p for up to
+# 2**32 steps (an iterate's powers take at most 2**10 + 1)
+_GUARD = 32
+
+
+def _truncate(m: int, shift: int):
+    """trunc(m * 2**shift) and whether it is exact."""
+    if shift >= 0:
+        return m << shift, True
+    t = abs(m) >> -shift
+    return (t if m >= 0 else -t), t << -shift == abs(m)
+
+
+def _pack(points: list, top: int, step: int, p: int):
+    """The powers k = 0, step, ..., top of the points at precision p.
+
+    X_k approximates x**k 2**p from below in magnitude.  With x = num /
+    2**q, num odd, it is the exact integer x**k 2**p for q k <= p;
+    otherwise it is off by below 2: a recursion at p + :data:`_GUARD` bits
+    truncates once per step, and it is exact up to q k <= p + _GUARD, and
+    at every k when |x| > 1.  The X_k of all points go into one int per
+    power, a signed slot of G bits per point, so that sum_k C_k X_k for
+    every point is one dot product; G holds any sum_k k (k - 2) C_k X_k
+    with |C_k| < 2**p.  Per point the block keeps the last k with an exact
+    X_k, num**4, q and the bit lengths of the |X_k|.  Returns (packed
+    powers, G, per-point rows).
+    """
+    rows, powers = [], []
+    for x in points:
+        num, den = x.as_integer_ratio()
+        q = den.bit_length() - 1
+        guarded = p + _GUARD if abs(num) <= den else max(p + _GUARD, q * top)
+        factor, shift, drop = abs(num) ** step, q * step, guarded - p
+        y, xs = 1 << guarded, []
+        for _ in range(0, top + 1, step):
+            xs.append(y >> drop)
+            y = y * factor >> shift
+        if num < 0 and step == 1:
+            xs[1::2] = map(operator.neg, xs[1::2])
+        bits = tuple(map(int.bit_length, xs))
+        rows.append((p // q if q else top, num ** 4, q, bits))
+        powers.append(xs)
+    # |X_k| is largest at k = 0 for |x| <= 1 and at the top above
+    size = max(max(row[3][0], row[3][-1]) for row in rows)
+    weights = sum(max(1, abs(k * (k - 2))) for k in range(0, top + 1, step))
+    slot = p + size + weights.bit_length() + 1
+    shifts = [slot * j for j in range(len(points))]
+    packed = tuple(sum(map(operator.lshift, column, shifts))
+                   for column in zip(*powers))
+    return packed, slot, tuple(rows)
+
+
+def _blocks(points: np.ndarray, top: int, step: int, p: int):
+    """:func:`_pack` block by block, one block at a time."""
+    return (_pack(points[i:i + _BLOCK_POINTS].tolist(), top, step, p)
+            for i in range(0, points.size, _BLOCK_POINTS))
+
+
+@lru_cache(maxsize=8)
+def _packed_grid(points: tuple, top: int, step: int, p: int) -> tuple:
+    """All blocks of :func:`_blocks`, kept."""
+    return tuple(_blocks(np.array(points), top, step, p))
+
+
+def _unpack(total: int, slot: int, count: int) -> list:
+    """The count signed slot-bit values that make up total."""
+    mask, out = (1 << slot) - 1, []
+    for _ in range(count):
+        v = total & mask
+        if v >> slot - 1:
+            v -= mask + 1
+        out.append(v)
+        total = (total - v) >> slot
+    return out
+
+
+def _fixed_point(c: np.ndarray, ks: np.ndarray, lam: float, e: int, p: int,
+                 step: int, blocks) -> list:
+    """The defect at the points of the packed blocks at precision p, each
+    the correctly rounded float or None where p leaves the rounding open.
+
+    With C_k = trunc(c_k 2**(p - e)), the X_k of :func:`_pack` and s =
+    2 p - e, the sums W of C_k X_k and L of k (k - 2) C_k X_k are 2**s w(x)
+    and 2**s times the linear part, and N = 2 L 2**s - W**2 - trunc(lam
+    x**4 2**(2 s)) is the defect times 2**(2 s + 1).  A truncated C_k or
+    forcing term is off by below 1 and an inexact X_k by below 2, and
+    none where it is exact, so the exact value lies within B of N, B
+    summed from those errors; it is certain when N - B and N + B round to
+    the same float, and B is 0 once every input is exact.
+    """
+    ks_list = ks.tolist()
+    highest = ks_list[-1] if ks_list else 0
+    # C_k = trunc(m 2**shift) for c_k = m 2**(exp - 53), |m| < 2**53
+    mant, exp = np.frexp(c[ks])
+    m = (mant * 2.0 ** 53).astype(np.int64)
+    shift = exp - 53 + p - e
+    cut = np.clip(-shift, 0, 63)
+    kept = np.abs(m) >> cut
+    loose = ks[kept << cut != np.abs(m)].tolist()
+    c_int = list(map(operator.lshift, np.where(m < 0, -kept, kept).tolist(),
+                     np.maximum(shift, 0).tolist()))
+    l_int = list(map(operator.mul, (ks * (ks - 2)).tolist(), c_int))
+    loose_k = sum(abs(k * (k - 2)) for k in loose)
+    # the C_k that meet an inexact X_k, those of the k above a point's last
+    # exact power, are bounded by all of them
+    mass_c, mass_l = sum(map(abs, c_int)), sum(map(abs, l_int))
+    num_lam, den_lam = lam.as_integer_ratio()
+    t = den_lam.bit_length() - 1
+    s = 2 * p - e
+    den = 1 << 2 * s + 1
+
+    def to_float(n):
+        try:
+            return n / den
+        except OverflowError:
+            return math.inf if n > 0 else -math.inf
+
+    out = []
+    for packed, slot, rows in blocks:
+        picked = [packed[k // step] for k in ks_list]
+        ws = _unpack(sum(map(operator.mul, c_int, picked)), slot, len(rows))
+        lins = _unpack(sum(map(operator.mul, l_int, picked)), slot, len(rows))
+        for w, lin, (last, num4, q, bits) in zip(ws, lins, rows):
+            # |x**k| 2**p over the truncated k, monotone in k: at most that
+            # at the first or the last, |X_k| + 2 where X_k is inexact
+            big = 0
+            if loose:
+                ends = max(bits[loose[0] // step], bits[loose[-1] // step])
+                big = (1 << ends) - 1 + 2 * (loose[-1] > last)
+            inexact = 2 * (highest > last)
+            b_w = len(loose) * big + inexact * mass_c
+            b_l = loose_k * big + inexact * mass_l
+            forcing, exact_forcing = _truncate(num_lam * num4,
+                                               2 * s - t - 4 * q)
+            n = (lin << s + 1) - w * w - forcing
+            b = (b_l << s + 1) + (2 * abs(w) + b_w) * b_w + (not exact_forcing)
+            lo = to_float(n - b)
+            hi = to_float(n + b) if b else lo
+            # the sign of a zero counts
+            same = lo == hi and math.copysign(1, lo) == math.copysign(1, hi)
+            out.append(lo if same else None)
+    return out
 
 
 def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     """Defect of the polynomial with coefficients c at the points r.
 
-    Each value is the defect of the float coefficients at the float point,
-    carried in :data:`_DIGITS`-digit decimal arithmetic and rounded once to
-    float.  :func:`ode_defect` forms w**2 by float convolution, and on the
-    steep Dirichlet branch (coefficients near 1e11, defect of order one)
-    its rounding errors exceed the defect itself.  Here the floats enter
-    exactly, and one Horner loop from the top nonzero power down carries
-    both w(r) and the linear part sum k(k-2) c_k r**k, multiplying by
-    r**gap between nonzero powers (for an iterate the gap is always 2).
-    A value beyond the float range reads as +-inf; a coefficient or rate
-    that is not finite makes every value NaN.
+    Each value is the exact defect of the float coefficients at the float
+    point, correctly rounded to float.  :func:`ode_defect` forms w**2 by
+    float convolution, and on the steep Dirichlet branch (coefficients
+    near 1e11, defect of order one) its rounding errors exceed the defect
+    itself.  Here the sums are exact integer sums at a fixed-point
+    precision of :data:`_PRECISION` bits, with a bound on what the
+    truncation to that precision can move (:func:`_fixed_point`); a point
+    whose rounding the bound leaves open is evaluated again at twice the
+    precision (Ziv 1991), and at a high enough precision every input is
+    exact and the bound is zero.  Blocks of points share their powers in
+    packed ints (:func:`_pack`), kept for grids of at most
+    :data:`_CACHED_POINTS` points.  A value beyond the float range reads
+    as +-inf; a coefficient or rate that is not finite makes every value
+    NaN, and a point that is not finite its value.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
+    out = np.full(r.size, np.nan)
     if not (np.isfinite(c).all() and np.isfinite(lam)):
-        return np.full(r.size, np.nan)
-    powers = np.flatnonzero(c)[::-1].tolist()
-    gaps = [k - j for k, j in zip(powers, powers[1:] + [0])]
-    out = []
-    with localcontext(Context(prec=_DIGITS, traps=[])):
-        cs = [Decimal(ck) for ck in c[powers].tolist()]
-        terms = list(zip(cs, [k * (k - 2) * ck for k, ck in zip(powers, cs)],
-                         gaps))
-        half_lam = Decimal(lam) / 2
-        for x in map(Decimal, r.tolist()):
-            x_gap = {g: x ** g for g in set(gaps)}
-            w = lin = Decimal(0)
-            for ck, lk, g in terms:
-                w = (w + ck) * x_gap[g]
-                lin = (lin + lk) * x_gap[g]
-            out.append(float(lin - w * w / 2 - half_lam * x ** 4))
-    return np.array(out)
+        return out
+    ks = np.flatnonzero(c)
+    top = int(ks[-1]) if ks.size else 0
+    # iterates hold even powers only, and so do their packed powers
+    step = 1 if (ks % 2).any() else 2
+    e = math.frexp(np.abs(c).max())[1] if ks.size else 0
+    # s = 2 p - e stays nonnegative, and |C_k| < 2**p
+    p = max(_PRECISION, -(-e // 2))
+    todo = np.flatnonzero(np.isfinite(r))
+    while todo.size:
+        points = r[todo]
+        if p == _PRECISION and points.size <= _CACHED_POINTS:
+            # kept up to the next power of two, the top of an iterate
+            blocks = _packed_grid(tuple(points.tolist()),
+                                  1 << (top - 1).bit_length(), step, p)
+        else:
+            blocks = _blocks(points, top, step, p)
+        # an open rounding reads NaN, which no certain value is
+        got = np.array(_fixed_point(c, ks, float(lam), e, p, step, blocks),
+                       dtype=float)
+        out[todo] = got
+        todo = todo[np.isnan(got)]
+        p *= 2
+    return out
 
 
 def vim_step(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:

@@ -1,5 +1,6 @@
 """Profile recovery, residual tables and the closed-form approximations."""
 
+import math
 import sys
 
 import numpy as np
@@ -17,10 +18,12 @@ from epibvp import (
     find_branches,
     iterate,
     linear_approximation,
+    ode_defect,
     recover_phi,
     residual_table,
     solve_profile,
 )
+from epibvp import vim
 from epibvp.recover import TABLE_GRID
 
 from _util import (ALL_BCS, GRID_101, exact_defect, exact_readings,
@@ -210,6 +213,114 @@ def test_residual_table_past_the_float_range():
     # a value past the float range reads as -inf
     table = residual_table(RPoly([0.0, 0.0, 1e200]), 1.0)
     assert table.values == (0.0,) + (-np.inf,) * 9
+
+
+def test_residual_table_at_the_origin():
+    # r**0 enters as 1, so the defect at r = 0 is -c_0**2 / 2
+    table = residual_table(RPoly([1.0, 0.0, 1.0]), 2.0, grid=(0.0, 0.5))
+    assert table.values == (-0.5, -0.84375)
+    assert float(ode_defect(RPoly([1.0, 0.0, 1.0]), 2.0).coeffs[0]) == -0.5
+    # an exact zero reads +0.0
+    values = residual_table(RPoly([0.0, 3.0, 1.0]), 2.0, grid=(0.0, -0.0))
+    assert values.values == (0.0, 0.0)
+    assert [math.copysign(1.0, x) for x in values.values] == [1.0, 1.0]
+
+
+def test_residual_table_of_non_finite_points_is_nan():
+    w = RPoly([0.0, 0.0, 1.0])
+    values = residual_table(w, 1.0, grid=(0.5, np.nan, np.inf, -np.inf)).values
+    assert values[0] == float(exact_defect(w, 1.0, 0.5))
+    assert np.isnan(values[1:]).all()
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point evaluator against exact rationals, bit for bit
+# ---------------------------------------------------------------------------
+
+EDGE_POINTS = (0.0, -0.0, 1e-80, 1e-320, -0.7, -1.5, 0.3, 0.9, 1.0, 2.5)
+
+
+def _rounded(value):
+    """The exact rational value rounded to float; +-inf past the range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _assert_exact(w, lam, grid, values):
+    want = [_rounded(exact_defect(w, lam, r)) for r in grid]
+    assert np.array(values).tobytes() == np.array(want).tobytes(), \
+        [(r, x, y) for r, x, y in zip(grid, values, want) if x != y]
+
+
+def test_residual_table_is_exact_on_random_polynomials():
+    # mixed signs, magnitudes 1e-300 to 1e308 and some zero coefficients;
+    # the largest values overflow to -inf or inf
+    seeded = np.random.default_rng(29)
+    infinite = 0
+    for _ in range(40):
+        n = int(seeded.integers(1, 9))
+        signs = seeded.choice([-1.0, 1.0], n + 1)
+        c = signs[:n] * 10.0 ** seeded.uniform(-300, 308, n)
+        c[seeded.random(n) < 0.3] = 0.0
+        lam = float(signs[n] * 10.0 ** seeded.uniform(-300, 300))
+        w = RPoly(c)
+        values = residual_table(w, lam, grid=EDGE_POINTS).values
+        _assert_exact(w, lam, EDGE_POINTS, values)
+        infinite += int(np.isinf(values).sum())
+    assert infinite > 0
+
+
+@pytest.mark.parametrize("lam,a,grid", [
+    (15.0, -3.0, (0.0, 1e-80, 0.9, 1.0)),
+    # coefficients up to 6e117: the start precision is raised to keep
+    # the scale s = 2 p - e nonnegative
+    (-25.0, -87.28214667753512, (0.5, 0.9)),
+])
+def test_residual_table_is_exact_on_depth_ten_iterates(lam, a, grid):
+    w = iterate(VimProblem(lam=lam, a=a, n_iter=10))
+    _assert_exact(w, lam, grid, residual_table(w, lam, grid=grid).values)
+
+
+def test_residual_table_doubles_the_precision_at_a_near_tie(monkeypatch):
+    # at r = 1 the defect is -(1 + 2**-53), a tie, minus 1e-60 from the
+    # last coefficient, which the start precision truncates to zero: its
+    # rounding is left open there and settled at twice the precision
+    precisions = []
+    fixed_point = vim._fixed_point
+
+    def spy(c, ks, lam, e, p, step, blocks):
+        precisions.append(p)
+        return fixed_point(c, ks, lam, e, p, step, blocks)
+
+    monkeypatch.setattr(vim, "_fixed_point", spy)
+    w, lam = RPoly([1.0, 0.0, 1e-60]), 1.0 + 2.0 ** -52
+    value = residual_table(w, lam, grid=(1.0,)).values[0]
+    assert precisions == [vim._PRECISION, 2 * vim._PRECISION]
+    assert value == float(exact_defect(w, lam, 1.0)) == -1.0000000000000002
+
+
+@pytest.mark.parametrize("w,lam", [
+    (iterate(VimProblem(lam=15.0, a=-3.0, n_iter=6)), 15.0),
+    # exact coefficients and no linear part: only the truncated powers in
+    # w leave the rounding open
+    (RPoly([1.0, 0.0, 1.0]), 1.0),
+])
+def test_residual_table_from_a_low_start_precision(monkeypatch, w, lam):
+    # 8 bits leave the roundings open; the doubled precisions settle each
+    monkeypatch.setattr(vim, "_PRECISION", 8)
+    _assert_exact(w, lam, TABLE_GRID, residual_table(w, lam).values)
+
+
+def test_residual_table_kept_powers_equal_fresh_blocks():
+    # 101 points keep their packed powers; among 202 points the same ones
+    # are packed afresh, 16 to a block
+    lam = -25.0
+    w = iterate(VimProblem(lam=lam, a=-87.28214667753512, n_iter=6))
+    kept = residual_table(w, lam, grid=GRID_101).values
+    fresh = residual_table(w, lam, grid=np.append(GRID_101, GRID_101 + 1e-3))
+    assert np.array(kept).tobytes() == np.array(fresh.values[:101]).tobytes()
 
 
 # ---------------------------------------------------------------------------

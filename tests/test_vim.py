@@ -338,6 +338,21 @@ def test_convolution_with_itself_is_the_old_square():
                 assert _square(x).tobytes() == y.tobytes()
 
 
+def test_square_of_even_powers_is_the_old_square():
+    # with the odd coefficients zero only the even ones are squared; the
+    # sums skip zero products only, so every bit stays
+    seeded = np.random.default_rng(8)
+    for rows in (1, 5, 16):
+        for n in (3, 17, 129, 513):
+            c = (seeded.normal(size=(rows, n))
+                 * 10.0 ** seeded.integers(-8, 9, (rows, 1)))
+            c[:, 1::2] = 0.0
+            expected = np.empty((rows, 2 * n - 1))
+            _frozen_convolve(c, c, expected)
+            for x, y in zip(c, expected):
+                assert _square(x).tobytes() == y.tobytes()
+
+
 def test_convolution_of_small_integer_rows():
     # the products and sums of small integers are exact
     for c in ([1.0], [1.0, 0.0], [2.0, -1.0, 0.0, 3.0], np.arange(-4.0, 5.0)):
