@@ -16,6 +16,7 @@ singular endpoint, which is reported as :class:`NonIntegrableDefect`.
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -165,18 +166,25 @@ def differentiate(p: RPoly) -> RPoly:
 
 
 def evaluate(p: RPoly, r):
-    """Horner evaluation at a scalar or ndarray of points."""
+    """Horner evaluation at a scalar or ndarray of points.
+
+    A real scalar is taken as a float and runs on Python floats, an array
+    in place; both make the float64 operations acc * r + c_k, one
+    rounding each, from acc = 0.
+    """
     c = p.coeffs
-    if np.isscalar(r) or isinstance(r, float):
-        acc = 0.0
-        for ck in c[::-1]:
-            acc = acc * r + ck
-        return float(acc)
+    if isinstance(r, Real):
+        x, acc = float(r), 0.0
+        for ck in c[::-1].tolist():
+            acc = acc * x + ck
+        return acc
     r = np.asarray(r, dtype=float)
     acc = np.zeros_like(r)
-    for ck in c[::-1]:
-        acc = acc * r + ck
-    return acc
+    for ck in c[::-1].tolist():
+        acc *= r
+        acc += ck
+    # a 0-d point gives a numpy scalar
+    return acc if acc.ndim else acc[()]
 
 
 def apply_vim_kernel(f: RPoly) -> RPoly:

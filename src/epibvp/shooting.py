@@ -168,6 +168,22 @@ def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     return c
 
 
+def _piece_roots(c: np.ndarray) -> np.ndarray:
+    """Real roots in [-1, 1] of the Chebyshev series c: the real
+    eigenvalues there of its colleague matrix (``chebroots``), and none
+    without it when c_0 dominates.  Since |T_k| <= 1 on [-1, 1], the
+    series has no root there when |c_0| - sum_{k>=1} |c_k| is positive;
+    it must exceed d eps sum_k |c_k| for degree d, a margin for the
+    eigensolver's backward error, so that a skipped piece is one whose
+    eigenvalues it would not have put in [-1, 1] either."""
+    mass = np.abs(c).sum()
+    if 2.0 * abs(c[0]) - mass > (c.size - 1) * np.finfo(float).eps * mass:
+        return np.empty(0)
+    r = np.polynomial.chebyshev.chebroots(c)
+    # LAPACK returns a real eigenvalue with imaginary part 0
+    return r.real[(r.imag == 0.0) & (np.abs(r) <= 1.0)]
+
+
 def _proxy_roots(lo: float, hi: float, lam: float, bc: BoundaryKind,
                  n: int) -> np.ndarray:
     """Real roots in [lo, hi] of piecewise Chebyshev interpolants of the
@@ -207,9 +223,7 @@ def _proxy_roots(lo: float, hi: float, lam: float, bc: BoundaryKind,
             # a constant, or a piece that reads noise alone, has no roots
             top = np.flatnonzero(~small[i])[-1:]
             if top.any():
-                r = np.polynomial.chebyshev.chebroots(coeffs[i, :top[0] + 1])
-                # LAPACK returns a real eigenvalue with imaginary part 0
-                r = r.real[(r.imag == 0.0) & (np.abs(r) <= 1.0)]
+                r = _piece_roots(coeffs[i, :top[0] + 1])
                 roots.append(mid[i] + half[i] * r)
         mid, half = mid[split], 0.5 * half[split]
         mid, half = np.concatenate((mid - half, mid + half)), np.tile(half, 2)
@@ -260,6 +274,22 @@ def _labels(a_star, phis, lam: float) -> list:
     return labels
 
 
+def _starts(lo: float, hi: float, lam: float, bc: BoundaryKind,
+            n: int) -> tuple:
+    """The roots of :func:`_proxy_roots` and, where B(0) reads exactly 0,
+    a = 0, with B and B_a at each.  0 is read in the same call as the
+    roots: the order-1 value rows equal the order-0 ones bit for bit, so
+    B(0) reads as it would alone."""
+    start = _proxy_roots(lo, hi, lam, bc, n)
+    zero = lo <= 0.0 <= hi
+    if zero:
+        start = np.append(start, 0.0)
+    (b, b_a), _ = _readings(start, lam, bc, n, order=1)
+    if zero and b[-1] != 0.0:
+        start, b, b_a = start[:-1], b[:-1], b_a[:-1]
+    return start, b, b_a
+
+
 def _accepted(lam: float, bc: BoundaryKind, window,
               n_iter: int | None = None) -> list:
     """The roots :func:`find_branches` accepts, sorted by a, as dicts of
@@ -284,10 +314,7 @@ def _accepted(lam: float, bc: BoundaryKind, window,
     n = bc.default_iterations if n_iter is None else n_iter
     _check_depth(n)
 
-    start = _proxy_roots(lo, hi, lam, bc, n)
-    if lo <= 0.0 <= hi and _readings(0.0, lam, bc, n)[0][0] == 0.0:
-        start = np.append(start, 0.0)
-    (b, b_a), _ = _readings(start, lam, bc, n, order=1)
+    start, b, b_a = _starts(lo, hi, lam, bc, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(b == 0.0, start, start - b / b_a)
     inside = np.isfinite(a) & (lo <= a) & (a <= hi)

@@ -18,8 +18,9 @@ representable in :class:`~epibvp.polyring.RPoly`.  The numeric kernel
 powers of r, for :func:`iterate`, :func:`iterate_from`, :func:`vim_step`
 and :func:`ode_defect` alike.  The collocation kernel
 (:func:`_collocation_readings`) runs the same step on values at Chebyshev
-points in s = r**2 instead, with the derivatives in a and lam, and gives
-every boundary reading.
+points in s = r**2 instead, each iterate on as many points as its degree
+needs, with the derivatives in a and lam, and gives every boundary
+reading.
 
 A symbolic mode keeps the initial coefficient ``a`` and the parameter
 ``lam`` as formal symbols and reproduces the low-order iterates in closed
@@ -202,11 +203,81 @@ def _run(c: np.ndarray, lam: float, n_iter: int,
 COLLOCATION_POINTS = 64
 
 # stack rows per product of the collocation kernel on 64 points, and on
-# p > 64 points the same count of multiply-adds: on a 2-CPU host a product
-# of 32 x 64 by 64 x 64 (5 to 7 us) or 128 x 64 by 64 x 64 ran on one BLAS
-# thread, one of 256 x 64 by 64 x 64 on two (144 us, against 44 us on
-# one); the root search of a fold probe ran fastest with 32
-_COLLOCATION_ROWS = 32
+# p > 64 points the same count of multiply-adds per step on p points; on
+# one pinned CPU of a 2-CPU host fold rounds took a median 100 ms with 64
+# rows against 120 ms with 32 and 111 ms with 128, and a census pass
+# 41 ms against 45 and 50 ms
+_COLLOCATION_ROWS = 64
+
+# quadrature terms per vectorised pass of a matrix build, 128 KB for each
+# temporary: the levels up to 16 points take one pass each, 64 points 22
+# and 128 points one per point
+_BUILD_ENTRIES = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _gauss(n: int):
+    """The n-point Gauss-Legendre rule on [0, 1]: (points, weights),
+    read-only.
+
+    The roots of P_n are the eigenvalues of its Jacobi matrix (Golub &
+    Welsch 1969) after one Newton step, with P_n and P_n' from the
+    three-term recurrence; P_n' at the stepped roots takes one Taylor term
+    with P_n'' from Legendre's equation, and the weights are 2 / ((1 -
+    x**2) P_n'(x)**2).  numpy's ``leggauss`` takes P_n' at the roots
+    before its Newton step: its moments of degree below 2 n erred by up
+    to 4e-13 relative at n = 66, these by 3.5e-15 up to n = 130.
+    """
+    j = np.arange(1.0, n)
+    off = j / np.sqrt(4.0 * j * j - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    before, value = np.ones(n), x
+    for k in range(2, n + 1):
+        before, value = value, ((2 * k - 1) * x * value - (k - 1) * before) / k
+    slope = n * (before - x * value) / (1.0 - x * x)
+    step = value / slope
+    x = x - step
+    slope -= step * (2.0 * x * slope - n * (n + 1) * value) / (1.0 - x * x)
+    out = 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope * slope)
+    for y in out:
+        y.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _chebyshev(p: int):
+    """The p first-kind Chebyshev points of [0, 1] and their barycentric
+    weights (-1)**j sin theta_j (Berrut & Trefethen 2004)."""
+    theta = (2.0 * np.arange(p) + 1.0) * np.pi / (2.0 * p)
+    out = 0.5 * (1.0 + np.cos(theta)), (-1.0) ** np.arange(p) * np.sin(theta)
+    for x in out:
+        x.setflags(write=False)
+    return out
+
+
+def _quadratures(p: int, x: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """sum_k sums[w, k] l_j(x[..., k]), shape (..., w, p), for the p
+    Lagrange basis polynomials l_j on the p first-kind Chebyshev points
+    s_j, without forming the basis values: with c_j = 1 / (x - s_j) and
+    d = sum_j weight_j c_j, l_j(x) = weight_j c_j / d, so the sums are
+    weight_j ((sums / d) @ c), two products over c.  A point on a node
+    takes the basis values 1 there and 0 elsewhere."""
+    nodes, weights = _chebyshev(p)
+    with np.errstate(divide="ignore"):
+        inverse = 1.0 / (x[..., None] - nodes)
+    scale = inverse @ weights
+    if not np.isfinite(scale).all():
+        hit = np.isinf(inverse)
+        rows = hit.any(axis=-1)
+        inverse[rows] = hit[rows] / weights
+        scale = inverse @ weights
+    return weights * ((sums / scale[..., None, :]) @ inverse)
+
+
+def _basis(p: int, x: np.ndarray) -> np.ndarray:
+    """The p Lagrange basis polynomials on the p first-kind Chebyshev
+    points at the points x, on a new last axis."""
+    return _quadratures(p, x[..., None], np.ones((1, 1)))[..., 0, :]
 
 
 @lru_cache(maxsize=None)
@@ -223,35 +294,26 @@ def _collocation(p: int):
     (2 j + 3)).  The step after v gives w(1) = (L v)(1) + (N q)(1) and,
     from s (L v)' = (v - L v) / 2, w'(1) = (L v)(1) + v(1) + 1/2
     int_0^1 u**2 q(u**2) du: the columns of v R_v + q R_q.  Every integral
-    is a (p + 2)-point Gauss-Legendre rule over the barycentric interpolant
-    of the values (weights (-1)**j sin theta_j; Berrut & Trefethen 2004),
-    exact for the degrees involved.  The matrices are read-only.
+    is the Gauss-Legendre rule of max(p, 32) + 2 points (:func:`_gauss`),
+    one rule for all p <= 32, over the barycentric interpolant of the
+    values, exact for the degrees involved; the nodes go in passes of at
+    most ``_BUILD_ENTRIES`` quadrature terms (:func:`_quadratures`).  The
+    matrices are read-only.
     """
-    theta = (2.0 * np.arange(p) + 1.0) * np.pi / (2.0 * p)
-    nodes = 0.5 * (1.0 + np.cos(theta))
-    weights = (-1.0) ** np.arange(p) * np.sin(theta)
-
-    def basis(x):
-        # the p Lagrange basis polynomials at the points x, on a new last axis
-        diff = x[..., None] - nodes
-        hit = diff == 0.0
-        terms = weights / np.where(hit, 1.0, diff)
-        out = terms / terms.sum(axis=-1, keepdims=True)
-        rows = hit.any(axis=-1)
-        out[rows] = hit[rows]
-        return out
-
-    u, g = np.polynomial.legendre.leggauss(p + 2)
-    u, g = 0.5 * (u + 1.0), 0.5 * g
+    nodes, _ = _chebyshev(p)
+    u, g = _gauss(max(p, 32) + 2)
     kernel = 0.5 * g * (1.0 - u) * u * u
-    # one node at a time keeps the basis values at p (p + 2) entries
-    rows = [np.stack((g, kernel)) @ basis(s * u * u) for s in nodes]
-    step_v, step_q = np.stack(rows, axis=2)
+    sums = np.stack((g, kernel))
+    chunk = max(1, _BUILD_ENTRIES // (u.size * p))
+    # (node, sum, basis) per pass, the nodes last in the matrices
+    step = np.concatenate([_quadratures(p, s[:, None] * u * u, sums)
+                           for s in np.split(nodes, range(chunk, p, chunk))])
+    step_v, step_q = step.transpose(1, 2, 0)
     step_q = step_q * nodes
-    edge = basis(u * u)
-    at_one = basis(np.ones(1))[0]
-    read_v = np.stack((g @ edge, g @ edge + at_one), axis=1)
-    read_q = np.stack((kernel @ edge, 0.5 * (g * u * u) @ edge), axis=1)
+    edge = _quadratures(p, u * u, np.stack((g, kernel, 0.5 * g * u * u)))
+    at_one = _basis(p, np.ones(1))[0]
+    read_v = np.stack((edge[0], edge[0] + at_one), axis=1)
+    read_q = np.stack(edge[1:], axis=1)
     out = tuple(np.ascontiguousarray(x)
                 for x in (step_v, step_q, read_v, read_q))
     for x in out:
@@ -259,31 +321,71 @@ def _collocation(p: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def _prolongation(m: int, size: int) -> np.ndarray:
+    """[E | E L^T], (m, 2 size): E the barycentric interpolant from the m
+    first-kind Chebyshev points to the size ones, so v E holds on the size
+    points the polynomial of degree below m that v holds on the m, and
+    v E L^T is its L (:func:`_collocation`) there.  Read-only, one per
+    pair (m, size) whatever the depth and the finest level."""
+    up = _basis(m, _chebyshev(size)[0]).T
+    out = np.hstack((up, up @ _collocation(size)[0]))
+    out.setflags(write=False)
+    return out
+
+
 def _collocate(s: np.ndarray, lam: float, n_iter: int, p: int):
     """(w(1), w'(1)) of the n_iter-step collocation iterate from the stack
-    s of k blocks of m rows, the values v and the first k - 1 of v_a,
-    v_lam, v_aa and v_alam, each stepped by the derivative of the step:
-    v_a <- L v_a + N (2 v v_a), v_lam <- L v_lam + N (2 v v_lam + 1),
-    v_aa <- L v_aa + N (2 v_a**2 + 2 v v_aa) and v_alam <- L v_alam
-    + N (2 v_a v_lam + 2 v v_alam); and the absolute sums |v| |R_v|
-    + |q| |R_q| of those readings.  Each is (k, m, 2)."""
-    step_v, step_q, read_v, read_q = _collocation(p)
+    s of k blocks of m rows of start values on one point, the values v
+    and the first k - 1 of v_a, v_lam, v_aa and v_alam, each stepped by
+    the derivative of the step: v_a <- L v_a + N (2 v v_a), v_lam <- L
+    v_lam + N (2 v v_lam + 1), v_aa <- L v_aa + N (2 v_a**2 + 2 v v_aa)
+    and v_alam <- L v_alam + N (2 v_a v_lam + 2 v v_alam); and the
+    absolute sums |v| |R_v| + |q| |R_q| of those readings.  Each is
+    (k, m, 2).
+
+    The i-th iterate is a polynomial of degree 2**i - 1 in s, and so is
+    each of its derivatives, so it is held on min(2**i, p) points.  Step
+    i prolongs it to the M = min(2**(i + 1), p) points that hold the next
+    one (:func:`_prolongation`), forms q there and applies N of those
+    points; the reading prolongs the last iterate to the p points and
+    reads it with R_v and R_q of p points.  Up to the step on p points
+    every iterate is the exact one up to rounding; from there each step
+    drops the Chebyshev terms that the one on p points drops.
+    """
+    step_v, _, read_v, read_q = _collocation(p)
     k, m, _ = s.shape
-    s = s.reshape(k * m, p)
+    s = s.reshape(k * m, -1)
     for i in range(n_iter):
-        v = s.reshape(k, m, p)
-        q = np.empty_like(v)
-        q[0] = v[0] * v[0] + lam
-        q[1:] = 2.0 * v[0] * v[1:]
-        if k > 2:
-            q[2] += 1.0
-            q[3:] += 2.0 * v[1] * v[1:3]
-        q = q.reshape(k * m, p)
-        if i < n_iter - 1:
-            s = s @ step_v + q @ step_q
-    out = s @ read_v + q @ read_q
-    size = np.abs(s) @ np.abs(read_v) + np.abs(q) @ np.abs(read_q)
-    return out.reshape(k, m, 2), size.reshape(k, m, 2)
+        last = i == n_iter - 1
+        width = s.shape[1]
+        size = p if last else min(2 * width, p)
+        if width < size:
+            up = _prolongation(width, size)
+            # the reading needs v alone, not its L
+            prolonged = s @ (up[:, :size] if last else up)
+            v, lv = prolonged[:, :size], prolonged[:, size:]
+        else:
+            v, lv = s, None
+        if k == 1:
+            q = v * v
+            q += lam
+        else:
+            v = v.reshape(k, m, size)
+            q = np.empty_like(v)
+            q[0] = v[0] * v[0] + lam
+            q[1:] = 2.0 * v[0] * v[1:]
+            if k > 2:
+                q[2] += 1.0
+                q[3:] += 2.0 * v[1] * v[1:3]
+            q = q.reshape(k * m, size)
+        if not last:
+            s = ((s @ step_v if lv is None else lv)
+                 + q @ _collocation(size)[1])
+    v = v.reshape(k * m, p)
+    out = v @ read_v + q @ read_q
+    sums = np.abs(v) @ np.abs(read_v) + np.abs(q) @ np.abs(read_q)
+    return out.reshape(k, m, 2), sums.reshape(k, m, 2)
 
 
 def _collocation_readings(a, lam: float, n_iter: int,
@@ -298,7 +400,7 @@ def _collocation_readings(a, lam: float, n_iter: int,
     B at depth n is a polynomial of degree 2**n in a, as in the monomial
     kernel; with 2**n <= p the readings are those of the exact iterate up
     to rounding.  On p points every product takes a stack of the same
-    number of rows (``_COLLOCATION_ROWS`` up to p = 64, 20 for five
+    number of rows (``_COLLOCATION_ROWS`` up to p = 64, 40 for five
     blocks), the last block padded with zeros: the BLAS kernel
     chosen, and so the rounding of a row, can depend on the number of
     rows, and a reading must not depend on the call it came from.  A
@@ -315,7 +417,8 @@ def _collocation_readings(a, lam: float, n_iter: int,
     scale = max(p, COLLOCATION_POINTS) ** 2 // COLLOCATION_POINTS ** 2
     block = max(1, _COLLOCATION_ROWS // scale // k)
     block = 1 << block.bit_length() - 1
-    s = np.zeros((k, block, p))
+    # every start value is a constant, held on one point
+    s = np.zeros((k, block, 1))
     # v_a starts at 1, the other derivatives at 0
     s[1:2] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,12 +435,33 @@ def _collocation_readings(a, lam: float, n_iter: int,
 
 
 def _rounding_gamma(p: int, n_iter: int) -> float:
-    """Higham's gamma_K for K = n_iter (2 p + 8), the roundings a
-    collocation reading counts: per step p + 3 (p in each product, one in
-    their sum, two in q) and p + 5 in a matrix entry (its quadrature sum
-    and barycentric quotient).  gamma_K times the absolute sums of the
-    last quadrature sums is the reading's rounding count."""
-    nu = n_iter * (2 * p + 8) * 0.5 * np.finfo(float).eps
+    """Higham's gamma_K for the K roundings a collocation reading on p
+    points counts along its longest chain of operations, and so the
+    rounding count of the reading when it multiplies the absolute sums of
+    its last quadrature sums (:func:`_collocate`).
+
+    A basis value l_j(x) is formed as weight_j ((1 / d) c_j) from c_j =
+    1 / (x - s_j) (:func:`_quadratures`; 5 roundings, the sum d not
+    counted), and a matrix entry of N sums G of them times rule weights
+    and takes the factor s (G + 5, G = max(M, 32) + 2 the points of the
+    Gauss-Legendre rule).  Step i maps the iterate on m = min(2**i, p)
+    points to M = min(2**(i + 1), p) points, the reading to M = p.  Its
+    longest chain runs through q: the prolongation v E sums m products of
+    basis values (m + 5), q = v**2 + lam adds 2, q N^T sums M products
+    (M + G + 5), and its sum with v E L^T adds 1; the chain through v E
+    L^T is three shorter.  So step i counts M + G + m + 13, a step on p
+    points with nothing to prolong M + G + 8 = 2 p + 10, and the reading,
+    whose rows take no factor s, one less, counted as a step.  K sums the
+    counts of the n_iter steps.  Against exact rational iterates (depths
+    1 to 6, 2**n <= p) the largest reading error was 0.10 gamma_K times
+    its sums.
+    """
+    count = 0
+    for i in range(n_iter):
+        m = min(2 ** i, p)
+        size = p if i == n_iter - 1 else min(2 * m, p)
+        count += size + max(size, 32) + 2 + (m + 13 if m < size else 8)
+    nu = count * 0.5 * np.finfo(float).eps
     return nu / (1.0 - nu)
 
 

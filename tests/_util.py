@@ -7,7 +7,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from epibvp import BoundaryKind, NonIntegrableDefect, find_branches
-from epibvp.vim import _overflow
+from epibvp.vim import _collocation, _overflow
 
 GRID_101 = np.linspace(0.0, 1.0, 101)
 
@@ -164,3 +164,56 @@ def frozen_iterates(a, lam, n_iter):
     a = np.asarray(a, dtype=float).reshape(-1, 1)
     start = np.hstack((np.zeros((a.size, 2)), a))
     return _frozen_run(start, lam, n_iter, 1)
+
+
+# ---------------------------------------------------------------------------
+# a frozen copy of the one-grid collocation kernel
+# ---------------------------------------------------------------------------
+
+def frozen_collocation_readings(a, lam, n_iter, p, order=0):
+    """The readings and absolute sums of vim._collocation_readings from the
+    kernel that ran every step on all p points, one iterate per row, with
+    the matrices of vim._collocation(p).  Kept frozen; the multilevel
+    kernel equals it in exact arithmetic at every depth."""
+    step_v, step_q, read_v, read_q = _collocation(p)
+    a = np.asarray(a, dtype=float).reshape(-1)
+    k = (1, 2, 5)[order]
+    s = np.zeros((k, a.size, p))
+    s[0] = a[:, None]
+    s[1:2] = 1.0
+    s = s.reshape(k * a.size, p)
+    for i in range(n_iter):
+        v = s.reshape(k, a.size, p)
+        q = np.empty_like(v)
+        q[0] = v[0] * v[0] + lam
+        q[1:] = 2.0 * v[0] * v[1:]
+        if k > 2:
+            q[2] += 1.0
+            q[3:] += 2.0 * v[1] * v[1:3]
+        q = q.reshape(k * a.size, p)
+        if i < n_iter - 1:
+            s = s @ step_v + q @ step_q
+    out = s @ read_v + q @ read_q
+    size = np.abs(s) @ np.abs(read_v) + np.abs(q) @ np.abs(read_q)
+    return out.reshape(k, a.size, 2), size.reshape(k, a.size, 2)
+
+
+def frozen_rounding_gamma(p, n_iter):
+    """gamma_K of the one-grid kernel: K = n_iter (2 p + 8)."""
+    nu = n_iter * (2 * p + 8) * 0.5 * np.finfo(float).eps
+    return nu / (1.0 - nu)
+
+
+def frozen_evaluate(c, r):
+    """Horner's rule as polyring.evaluate ran it on numpy scalars and
+    arrays, on the coefficients c of r**0, r**1, ...  Kept frozen."""
+    if np.isscalar(r) or isinstance(r, float):
+        acc = 0.0
+        for ck in c[::-1]:
+            acc = acc * r + ck
+        return float(acc)
+    r = np.asarray(r, dtype=float)
+    acc = np.zeros_like(r)
+    for ck in c[::-1]:
+        acc = acc * r + ck
+    return acc

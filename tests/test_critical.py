@@ -366,7 +366,7 @@ def _exact_fold(bc, n, a, lam):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_fold_equals_the_exact_fold(bc, offset):
     # the fold of the collocation readings lies within 1e-13 of the exact
-    # one; within 1.2e-14 on these nine
+    # one; within 9.1e-16 on these nine
     lo, hi, tol = BRACKETS[bc]
     n = bc.default_iterations + offset
     exact = _exact_fold(bc, n, *EXACT_FOLDS[bc])

@@ -16,6 +16,8 @@ from epibvp import (
     mul,
 )
 
+from _util import frozen_evaluate
+
 rng = np.random.default_rng(20260810)
 
 
@@ -87,6 +89,33 @@ def test_differentiate_matches_central_differences():
     for r in np.linspace(0.1, 0.9, 9):
         fd = (evaluate(p, r + h) - evaluate(p, r - h)) / (2.0 * h)
         assert abs(evaluate(dp, r) - fd) <= 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_evaluate_is_the_frozen_horner_bit_for_bit():
+    # the Python-float scalar path and the in-place array path make the
+    # operations of the numpy-scalar Horner loop, signed zeros, infinities
+    # and NaNs included
+    seeded = np.random.default_rng(11)
+    points = [0.0, -0.0, 0.5, -0.7, 1.0, -3.5, 1e3, np.inf, -np.inf, np.nan,
+              np.float64(-0.25), np.float32(0.3), 2, -1]
+    grid = np.array(points, dtype=float)
+    for size in (1, 2, 5, 129):
+        for _ in range(6):
+            c = seeded.normal(size=size) * 10.0 ** seeded.integers(-5, 6, size)
+            c[seeded.random(size) < 0.3] = 0.0
+            c[seeded.random(size) < 0.3] = -0.0
+            poly = RPoly(c)
+            for r in points:
+                got, want = evaluate(poly, r), frozen_evaluate(poly.coeffs, r)
+                assert type(got) is type(want) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            for r in (grid, grid.reshape(2, 7), np.array(-0.0), grid[:0]):
+                got, want = evaluate(poly, r), frozen_evaluate(poly.coeffs, r)
+                assert type(got) is type(want)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_evaluate_root_at_one():

@@ -20,7 +20,7 @@ from epibvp import (
     residual_table,
     solve_profile,
 )
-from epibvp import recover, shooting
+from epibvp import recover, shooting, vim
 from epibvp.vim import _rounding_gamma
 
 from _util import ALL_BCS, GRID_101, exact_readings, frozen_iterates
@@ -391,6 +391,76 @@ def test_fold_probes_count_the_pair_on_either_side(lam, bc, n_iter, count):
     assert len(roots) == count
     assert [root.label for root in roots] == [BranchLabel.UPPER,
                                               BranchLabel.LOWER][:count]
+
+
+def _counting(monkeypatch, module, name):
+    # replace module.name by a wrapper that records its arguments
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_a_dominant_piece_skips_the_eigenproblem(monkeypatch):
+    # |c_0| > sum_k |c_k| leaves no root on [-1, 1], where |T_k| <= 1
+    calls = _counting(monkeypatch, np.polynomial.chebyshev, "chebroots")
+    for c in ([1.0, 0.5, -0.3, 0.1], [-2.0, 1.0, -0.999], [3.0]):
+        assert shooting._piece_roots(np.array(c)).size == 0
+    assert calls == []
+    # near-dominant series with a root: 1 - (1 + 1e-9) x at 1 / (1 + 1e-9),
+    # and 1 + T_1 / 2 - (1/2 + 1e-9) T_2 just inside -1
+    for c, root in (([1.0, -(1.0 + 1e-9)], 1.0),
+                    ([1.0, 0.5, -0.5 - 1e-9], -1.0)):
+        got = shooting._piece_roots(np.array(c))
+        assert got.size == 1 and abs(got[0] - root) <= 1e-8
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lam,bc,n", [
+    (15.0, BoundaryKind.NAVIER_ONE, 7), (31.9, BoundaryKind.NAVIER_ONE, 7),
+    (-25.0, BoundaryKind.DIRICHLET, 6), (11.34, BoundaryKind.NAVIER_TWO, 7),
+    (150.0, BoundaryKind.DIRICHLET, 5)])
+def test_skipped_pieces_have_no_eigenvalue_in_the_piece(monkeypatch, lam, bc,
+                                                         n):
+    # on the pieces of real searches the eigenproblem that a dominant c_0
+    # skips would have found no real eigenvalue in [-1, 1] either
+    calls = _counting(monkeypatch, shooting, "_piece_roots")
+    shooting._proxy_roots(*shooting.DEFAULT_WINDOW, lam, bc, n)
+    skipped = [c for c, in calls
+               if 2.0 * abs(c[0]) - np.abs(c).sum()
+               > (c.size - 1) * np.finfo(float).eps * np.abs(c).sum()]
+    assert skipped
+    for c in skipped:
+        r = np.polynomial.chebyshev.chebroots(c)
+        assert not np.any((r.imag == 0.0) & (np.abs(r.real) <= 1.0))
+
+
+@pytest.mark.parametrize("lam,window", [(0.0, shooting.DEFAULT_WINDOW),
+                                        (15.0, shooting.DEFAULT_WINDOW),
+                                        (15.0, (-120.0, -1.0)),
+                                        (0.0, (0.5, 20.0))])
+def test_b_at_zero_comes_with_the_newton_readings(monkeypatch, lam, window):
+    # B(0) is read in the order-1 call of the proxy roots, one kernel call
+    # fewer than reading it alone, with the same start points and readings
+    bc, n = BoundaryKind.NAVIER_ONE, 7
+    lo, hi = window
+    calls = _counting(monkeypatch, vim, "_collocate")
+    start, b, b_a = shooting._starts(lo, hi, lam, bc, n)
+    merged = len(calls)
+    calls.clear()
+    want = shooting._proxy_roots(lo, hi, lam, bc, n)
+    if lo <= 0.0 <= hi and shooting._readings(0.0, lam, bc, n)[0][0] == 0.0:
+        want = np.append(want, 0.0)
+    (want_b, want_b_a), _ = shooting._readings(want, lam, bc, n, order=1)
+    assert merged == len(calls) - (lo <= 0.0 <= hi)
+    for x, y in ((start, want), (b, want_b), (b_a, want_b_a)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert (0.0 in start) == (lam == 0.0 and lo <= 0.0 <= hi)
 
 
 def _bisect(f, lo, hi):

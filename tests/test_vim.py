@@ -31,7 +31,13 @@ from epibvp import (
 )
 from epibvp.vim import (
     MAX_DEPTH,
+    _basis,
+    _chebyshev,
+    _collocation,
     _collocation_readings,
+    _gauss,
+    _prolongation,
+    _quadratures,
     _rounding_gamma,
     _square,
     multiplier_dt,
@@ -43,7 +49,9 @@ from _util import (
     _frozen_convolve,
     _frozen_run,
     exact_readings,
+    frozen_collocation_readings,
     frozen_iterates,
+    frozen_rounding_gamma,
     lower_branch_root,
     sup_on_grid,
 )
@@ -301,6 +309,85 @@ def test_collocation_matrices_are_built_once_per_size():
     nodes = 0.5 * (1.0 + np.cos((2.0 * np.arange(16) + 1.0) * np.pi / 32))
     assert np.allclose(step_q.sum(axis=0), nodes / 24.0, rtol=0.0,
                        atol=1e-15)
+
+
+def test_gauss_rules_integrate_their_degrees():
+    # the moments of degree below 2 n, in exact rationals from the float
+    # points and weights, within what rounding the points to float leaves
+    for n in (34, 66, 130):
+        u, g = _gauss(n)
+        assert u.size == g.size == n and np.all(np.diff(u) > 0.0)
+        points = [Fraction(x) for x in u.tolist()]
+        weights = [Fraction(x) for x in g.tolist()]
+        for k in (0, 1, 2, n, 2 * n - 2, 2 * n - 1):
+            moment = sum(w * x ** k for w, x in zip(weights, points))
+            assert abs(float(moment * (k + 1)) - 1.0) <= 3e-14, (n, k)
+
+
+def test_basis_values_are_the_lagrange_products():
+    nodes = _chebyshev(16)[0]
+    x = np.array([0.1, 0.5, 0.93, 1.0])
+    want = np.array([[np.prod([(t - nodes[k]) / (nodes[j] - nodes[k])
+                               for k in range(16) if k != j])
+                      for j in range(16)] for t in x])
+    assert np.allclose(_basis(16, x), want, rtol=0.0, atol=1e-14)
+    sums = np.array([[1.0, 2.0, -0.5, 0.0], [0.3, 0.0, 1.0, 1.0]])
+    assert np.allclose(_quadratures(16, x, sums), sums @ want, rtol=0.0,
+                       atol=1e-14)
+    # a point on a node takes the basis values 1 there and 0 elsewhere
+    got = _basis(16, nodes[[3, 0]])
+    assert np.allclose(got, np.eye(16)[[3, 0]], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("m,size", [(1, 2), (2, 4), (8, 16), (32, 64),
+                                    (4, 64), (64, 128)])
+def test_prolongation_holds_the_polynomial_and_its_integral(m, size):
+    # v E holds on the size points the polynomial of degree below m that
+    # v holds on the m points, and v E L^T its L: L s**j = s**j / (2 j + 1)
+    up = _prolongation(m, size)
+    assert up.shape == (m, 2 * size) and not up.flags.writeable
+    nodes, targets = _chebyshev(m)[0], _chebyshev(size)[0]
+    for j in range(m):
+        got = nodes ** j @ up
+        assert np.allclose(got[:size], targets ** j, rtol=0.0, atol=1e-14)
+        assert np.allclose(got[size:], targets ** j / (2 * j + 1), rtol=0.0,
+                           atol=1e-14)
+
+
+def test_levels_are_built_once_per_pair_of_sizes():
+    # the levels up to 64 points are shared by the finest levels 64 and 128
+    # and by every depth; each pair (m, M) is built once and is read-only
+    _prolongation.cache_clear()
+    for p in (64, 128):
+        for depth in (3, 8, 3, 8):
+            _collocation_readings([-1.0, 2.0], 1.0, depth, p, order=1)
+    pairs = [(1, 2), (2, 4), (4, 8), (8, 16), (16, 32), (32, 64), (4, 64),
+             (4, 128), (64, 128)]
+    assert _prolongation.cache_info().misses == len(pairs)
+    for m, size in pairs:
+        assert _prolongation(m, size) is _prolongation(m, size)
+        assert not _prolongation(m, size).flags.writeable
+    assert _prolongation.cache_info().misses == len(pairs)
+    for size in (2, 4, 8, 16, 32, 64, 128):
+        assert all(not x.flags.writeable for x in _collocation(size))
+
+
+@pytest.mark.parametrize("p", [64, 128])
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_multilevel_readings_equal_the_one_grid_kernel(p, depth):
+    # in exact arithmetic the two kernels hold the same iterate at every
+    # depth: the exact one up to p points, and beyond that both drop the
+    # same Chebyshev terms on p points; so the readings differ by rounding,
+    # within the sum of the two rounding counts
+    a = np.concatenate((np.linspace(-120.0, 20.0, 29), [-0.3, 0.0, 1.5]))
+    for lam in (-70.0, 0.0, 15.0, 150.0):
+        for order in (0, 1, 2):
+            want, want_sums = frozen_collocation_readings(a, lam, depth, p,
+                                                          order)
+            got, sums = _collocation_readings(a, lam, depth, p, order=order)
+            bound = (_rounding_gamma(p, depth) * sums
+                     + frozen_rounding_gamma(p, depth) * want_sums)
+            assert np.all(np.abs(got - want) <= bound), (lam, order)
 
 
 def test_collocation_overflow_is_named():
