@@ -367,18 +367,14 @@ def _collocate(s: np.ndarray, lam: float, n_iter: int, p: int):
             v, lv = prolonged[:, :size], prolonged[:, size:]
         else:
             v, lv = s, None
-        if k == 1:
-            q = v * v
-            q += lam
-        else:
-            v = v.reshape(k, m, size)
-            q = np.empty_like(v)
-            q[0] = v[0] * v[0] + lam
-            q[1:] = 2.0 * v[0] * v[1:]
-            if k > 2:
-                q[2] += 1.0
-                q[3:] += 2.0 * v[1] * v[1:3]
-            q = q.reshape(k * m, size)
+        v = v.reshape(k, m, size)
+        q = np.empty_like(v)
+        q[0] = v[0] * v[0] + lam
+        q[1:] = 2.0 * v[0] * v[1:]
+        if k > 2:
+            q[2] += 1.0
+            q[3:] += 2.0 * v[1] * v[1:3]
+        q = q.reshape(k * m, size)
         if not last:
             s = ((s @ step_v if lv is None else lv)
                  + q @ _collocation(size)[1])
@@ -435,32 +431,38 @@ def _collocation_readings(a, lam: float, n_iter: int,
 
 
 def _rounding_gamma(p: int, n_iter: int) -> float:
-    """Higham's gamma_K for the K roundings a collocation reading on p
-    points counts along its longest chain of operations, and so the
-    rounding count of the reading when it multiplies the absolute sums of
-    its last quadrature sums (:func:`_collocate`).
+    """gamma_K = K u / (1 - K u), u the unit roundoff, for the chain depth
+    K of a collocation reading on p points: the reading's rounding count
+    when it multiplies the absolute sums of its last quadrature sums
+    (:func:`_collocate`).
 
-    A basis value l_j(x) is formed as weight_j ((1 / d) c_j) from c_j =
-    1 / (x - s_j) (:func:`_quadratures`; 5 roundings, the sum d not
-    counted), and a matrix entry of N sums G of them times rule weights
-    and takes the factor s (G + 5, G = max(M, 32) + 2 the points of the
-    Gauss-Legendre rule).  Step i maps the iterate on m = min(2**i, p)
-    points to M = min(2**(i + 1), p) points, the reading to M = p.  Its
+    Each step counts the roundings along its own longest chain as Higham
+    counts them.  A basis value l_j(x) is formed as weight_j ((1 / d) c_j)
+    from c_j = 1 / (x - s_j) (:func:`_quadratures`; 5 roundings, the sum d
+    not counted), and a matrix entry of N sums G of them times rule
+    weights and takes the factor s (G + 5, G = max(M, 32) + 2 the points
+    of the Gauss-Legendre rule).  Step i maps the iterate on m = min(2**i,
+    p) points to M = min(2**(i + 1), p) points, the reading to M = p.  Its
     longest chain runs through q: the prolongation v E sums m products of
-    basis values (m + 5), q = v**2 + lam adds 2, q N^T sums M products
-    (M + G + 5), and its sum with v E L^T adds 1; the chain through v E
-    L^T is three shorter.  So step i counts M + G + m + 13, a step on p
-    points with nothing to prolong M + G + 8 = 2 p + 10, and the reading,
-    whose rows take no factor s, one less, counted as a step.  K sums the
-    counts of the n_iter steps.  Against exact rational iterates (depths
-    1 to 6, 2**n <= p) the largest reading error was 0.10 gamma_K times
-    its sums.
+    basis values (m + 5), the square doubles that and adds 1, and lam
+    adds 1 (2 m + 12); q N^T sums M products (M + G + 5), and its sum with
+    v E L^T adds 1.  The chain through v E L^T is shorter (m + M + G +
+    10).  So step i counts M + G + 2 m + 18, a step on p points with
+    nothing to prolong M + G + 8 = 2 p + 10, and the reading, whose rows
+    take no factor s, one less, counted as a step.
+
+    K adds the counts of the n_iter steps, so it is a heuristic depth, not
+    Higham's bound: the error a step inherits enters K once, where the
+    square doubles it and L and N scale it, and the sums it is measured
+    against are those of the last step alone.  Against exact rational
+    iterates (depths 1 to 6, 2**n <= p) the largest reading error was
+    0.09 gamma_K times its sums.
     """
     count = 0
     for i in range(n_iter):
         m = min(2 ** i, p)
         size = p if i == n_iter - 1 else min(2 * m, p)
-        count += size + max(size, 32) + 2 + (m + 13 if m < size else 8)
+        count += size + max(size, 32) + 2 + (2 * m + 18 if m < size else 8)
     nu = count * 0.5 * np.finfo(float).eps
     return nu / (1.0 - nu)
 
