@@ -209,11 +209,6 @@ COLLOCATION_POINTS = 64
 # 41 ms against 45 and 50 ms
 _COLLOCATION_ROWS = 64
 
-# quadrature terms per vectorised pass of a matrix build, 128 KB for each
-# temporary: the levels up to 16 points take one pass each, 64 points 22
-# and 128 points one per point
-_BUILD_ENTRIES = 1 << 14
-
 
 @lru_cache(maxsize=None)
 def _gauss(n: int):
@@ -296,18 +291,15 @@ def _collocation(p: int):
     int_0^1 u**2 q(u**2) du: the columns of v R_v + q R_q.  Every integral
     is the Gauss-Legendre rule of max(p, 32) + 2 points (:func:`_gauss`),
     one rule for all p <= 32, over the barycentric interpolant of the
-    values, exact for the degrees involved; the nodes go in passes of at
-    most ``_BUILD_ENTRIES`` quadrature terms (:func:`_quadratures`).  The
-    matrices are read-only.
+    values, exact for the degrees involved; the rows of L and N are built
+    one node at a time (:func:`_quadratures`).  The matrices are read-only.
     """
     nodes, _ = _chebyshev(p)
     u, g = _gauss(max(p, 32) + 2)
     kernel = 0.5 * g * (1.0 - u) * u * u
     sums = np.stack((g, kernel))
-    chunk = max(1, _BUILD_ENTRIES // (u.size * p))
-    # (node, sum, basis) per pass, the nodes last in the matrices
-    step = np.concatenate([_quadratures(p, s[:, None] * u * u, sums)
-                           for s in np.split(nodes, range(chunk, p, chunk))])
+    # (node, sum, basis), the nodes last in the matrices
+    step = np.stack([_quadratures(p, s * u * u, sums) for s in nodes])
     step_v, step_q = step.transpose(1, 2, 0)
     step_q = step_q * nodes
     edge = _quadratures(p, u * u, np.stack((g, kernel, 0.5 * g * u * u)))
@@ -395,12 +387,12 @@ def _collocation_readings(a, lam: float, n_iter: int,
 
     B at depth n is a polynomial of degree 2**n in a, as in the monomial
     kernel; with 2**n <= p the readings are those of the exact iterate up
-    to rounding.  On p points every product takes a stack of the same
-    number of rows (``_COLLOCATION_ROWS`` up to p = 64, 40 for five
-    blocks), the last block padded with zeros: the BLAS kernel
-    chosen, and so the rounding of a row, can depend on the number of
-    rows, and a reading must not depend on the call it came from.  A
-    reading of w that is not finite raises :class:`IterationOverflow`.
+    to rounding.  A product takes at most ``_COLLOCATION_ROWS`` rows up to
+    p = 64 (40 for five blocks), and a short last block whole tiles of 4
+    rows padded with zeros: the BLAS kernel, and so the rounding of a row,
+    can depend on the number of rows, and a reading must not depend on the
+    call it came from.  A reading of w that is not finite raises
+    :class:`IterationOverflow`.
     """
     _check_depth(n_iter)
     a = np.asarray(a, dtype=float).reshape(-1)
@@ -413,15 +405,15 @@ def _collocation_readings(a, lam: float, n_iter: int,
     scale = max(p, COLLOCATION_POINTS) ** 2 // COLLOCATION_POINTS ** 2
     block = max(1, _COLLOCATION_ROWS // scale // k)
     block = 1 << block.bit_length() - 1
-    # every start value is a constant, held on one point
-    s = np.zeros((k, block, 1))
-    # v_a starts at 1, the other derivatives at 0
-    s[1:2] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, a.size, block):
             rows = a[start:start + block]
-            s[0, :rows.size] = rows[:, None]
-            s[0, rows.size:] = 0.0
+            # OpenBLAS rounds a row alike in its tiles of 4 and 8 rows, not
+            # in its tails of 1 and 2; every start value is a constant, held
+            # on one point, and v_a starts at 1, the other derivatives at 0
+            s = np.zeros((k, min(block, -(-rows.size // 4) * 4), 1))
+            s[0, :rows.size, 0] = rows
+            s[1:2] = 1.0
             got, sums = _collocate(s, lam, n_iter, p)
             out[:, start:start + rows.size] = got[:, :rows.size]
             size[:, start:start + rows.size] = sums[:, :rows.size]
@@ -484,11 +476,8 @@ def ode_defect(w: RPoly, lam: float, *, nonlinear: bool = True) -> RPoly:
 # precision, and at 128 bits 75 of 22 866 sampled entries did
 _PRECISION = 160
 
-# points per packed block, and the grids of at most _CACHED_POINTS points
-# (recover.TABLE_GRID, the 101 points of ``solve``) whose packed powers at
-# the start precision are kept
+# points per packed block
 _BLOCK_POINTS = 16
-_CACHED_POINTS = 101
 
 # guard bits of the power recursion in _pack: its error grows by below one
 # unit of 2**-(p + _GUARD) per step, so it stays below 2**-p for up to
@@ -504,8 +493,12 @@ def _truncate(m: int, shift: int):
     return (t if m >= 0 else -t), t << -shift == abs(m)
 
 
-def _pack(points: list, top: int, step: int, p: int):
-    """The powers k = 0, step, ..., top of the points at precision p.
+# the kept blocks hold recover.TABLE_GRID and the 101 points of ``solve``
+# (1 and 7 blocks) at the tops 128 and 256 of the default depths 6 and 7
+@lru_cache(maxsize=16)
+def _pack(points: tuple, top: int, step: int, p: int):
+    """The powers k = 0, step, ..., top of at most :data:`_BLOCK_POINTS`
+    points at precision p.
 
     X_k approximates x**k 2**p from below in magnitude.  With x = num /
     2**q, num odd, it is the exact integer x**k 2**p for q k <= p;
@@ -516,7 +509,7 @@ def _pack(points: list, top: int, step: int, p: int):
     every point is one dot product; G holds any sum_k k (k - 2) C_k X_k
     with |C_k| < 2**p.  Per point the block keeps the last k with an exact
     X_k, num**4, q and the bit lengths of the |X_k|.  Returns (packed
-    powers, G, per-point rows).
+    powers, G, per-point rows); the last blocks packed are kept.
     """
     rows, powers = [], []
     for x in points:
@@ -541,18 +534,6 @@ def _pack(points: list, top: int, step: int, p: int):
     packed = tuple(sum(map(operator.lshift, column, shifts))
                    for column in zip(*powers))
     return packed, slot, tuple(rows)
-
-
-def _blocks(points: np.ndarray, top: int, step: int, p: int):
-    """:func:`_pack` block by block, one block at a time."""
-    return (_pack(points[i:i + _BLOCK_POINTS].tolist(), top, step, p)
-            for i in range(0, points.size, _BLOCK_POINTS))
-
-
-@lru_cache(maxsize=8)
-def _packed_grid(points: tuple, top: int, step: int, p: int) -> tuple:
-    """All blocks of :func:`_blocks`, kept."""
-    return tuple(_blocks(np.array(points), top, step, p))
 
 
 def _unpack(total: int, slot: int, count: int) -> list:
@@ -647,11 +628,11 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     truncation to that precision can move (:func:`_fixed_point`); a point
     whose rounding the bound leaves open is evaluated again at twice the
     precision (Ziv 1991), and at a high enough precision every input is
-    exact and the bound is zero.  Blocks of points share their powers in
-    packed ints (:func:`_pack`), kept for grids of at most
-    :data:`_CACHED_POINTS` points.  A value beyond the float range reads
-    as +-inf; a coefficient or rate that is not finite makes every value
-    NaN, and a point that is not finite its value.
+    exact and the bound is zero.  Blocks of :data:`_BLOCK_POINTS` points
+    share their powers in packed ints (:func:`_pack`), and the last blocks
+    packed are kept.  A value beyond the float range reads as +-inf; a
+    coefficient or rate that is not finite makes every value NaN, and a
+    point that is not finite its value.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
     out = np.full(r.size, np.nan)
@@ -666,13 +647,9 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     p = max(_PRECISION, -(-e // 2))
     todo = np.flatnonzero(np.isfinite(r))
     while todo.size:
-        points = r[todo]
-        if p == _PRECISION and points.size <= _CACHED_POINTS:
-            # kept up to the next power of two, the top of an iterate
-            blocks = _packed_grid(tuple(points.tolist()),
-                                  1 << (top - 1).bit_length(), step, p)
-        else:
-            blocks = _blocks(points, top, step, p)
+        points = tuple(r[todo].tolist())
+        blocks = (_pack(points[i:i + _BLOCK_POINTS], top, step, p)
+                  for i in range(0, len(points), _BLOCK_POINTS))
         # an open rounding reads NaN, which no certain value is
         got = np.array(_fixed_point(c, ks, float(lam), e, p, step, blocks),
                        dtype=float)

@@ -7,7 +7,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from epibvp import BoundaryKind, NonIntegrableDefect, find_branches
-from epibvp.vim import _collocation, _overflow
+from epibvp.vim import (_basis, _chebyshev, _collocation, _gauss,
+                        _overflow, _quadratures)
 
 GRID_101 = np.linspace(0.0, 1.0, 101)
 
@@ -196,6 +197,27 @@ def frozen_collocation_readings(a, lam, n_iter, p, order=0):
     out = s @ read_v + q @ read_q
     size = np.abs(s) @ np.abs(read_v) + np.abs(q) @ np.abs(read_q)
     return out.reshape(k, a.size, 2), size.reshape(k, a.size, 2)
+
+
+def frozen_collocation_matrices(p):
+    """The matrices of vim._collocation(p) as its vectorised build formed
+    them, the nodes in passes of at most 2**14 quadrature terms.  Kept
+    frozen; the build one node at a time equals it bit for bit."""
+    nodes, _ = _chebyshev(p)
+    u, g = _gauss(max(p, 32) + 2)
+    kernel = 0.5 * g * (1.0 - u) * u * u
+    sums = np.stack((g, kernel))
+    chunk = max(1, (1 << 14) // (u.size * p))
+    step = np.concatenate([_quadratures(p, s[:, None] * u * u, sums)
+                           for s in np.split(nodes, range(chunk, p, chunk))])
+    step_v, step_q = step.transpose(1, 2, 0)
+    step_q = step_q * nodes
+    edge = _quadratures(p, u * u, np.stack((g, kernel, 0.5 * g * u * u)))
+    at_one = _basis(p, np.ones(1))[0]
+    read_v = np.stack((edge[0], edge[0] + at_one), axis=1)
+    read_q = np.stack(edge[1:], axis=1)
+    return tuple(np.ascontiguousarray(x)
+                 for x in (step_v, step_q, read_v, read_q))
 
 
 def frozen_rounding_gamma(p, n_iter):

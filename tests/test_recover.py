@@ -314,13 +314,41 @@ def test_residual_table_from_a_low_start_precision(monkeypatch, w, lam):
 
 
 def test_residual_table_kept_powers_equal_fresh_blocks():
-    # 101 points keep their packed powers; among 202 points the same ones
-    # are packed afresh, 16 to a block
+    # the 101 points pack 16 to a block; among 202 points their last five
+    # share a block with eleven others, and each value is its point's
     lam = -25.0
     w = iterate(VimProblem(lam=lam, a=-87.28214667753512, n_iter=6))
     kept = residual_table(w, lam, grid=GRID_101).values
     fresh = residual_table(w, lam, grid=np.append(GRID_101, GRID_101 + 1e-3))
     assert np.array(kept).tobytes() == np.array(fresh.values[:101]).tobytes()
+
+
+def test_packed_blocks_are_kept_for_the_default_grids():
+    # every grid packs through _pack's cache, which keeps the last 16
+    # blocks: a 1001-point table takes 63, so its repeat packs them again
+    # and must equal it
+    lam = -25.0
+    w = iterate(VimProblem(lam=lam, a=-87.28214667753512, n_iter=6))
+    grid = np.linspace(0.0, 1.0, 1001)
+    vim._pack.cache_clear()
+    first = residual_table(w, lam, grid=grid).values
+    assert vim._pack.cache_info().misses == 63
+    again = residual_table(w, lam, grid=grid).values
+    assert np.array(again).tobytes() == np.array(first).tobytes()
+    assert vim._pack.cache_info().currsize == 16
+
+    def solve_pair():
+        # TABLE_GRID of each root and the 101 points of ``solve``, at the
+        # tops 256 (navier1, depth 7) and 128 (dirichlet, depth 6)
+        for lam, bc in ((15.0, BoundaryKind.NAVIER_ONE),
+                        (-25.0, BoundaryKind.DIRICHLET)):
+            for root in find_branches(lam, bc):
+                residual_table(root.w, lam, grid=GRID_101)
+        return vim._pack.cache_info().misses
+
+    vim._pack.cache_clear()
+    assert solve_pair() == 16
+    assert solve_pair() == 16
 
 
 # ---------------------------------------------------------------------------

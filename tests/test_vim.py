@@ -29,6 +29,7 @@ from epibvp import (
     symbolic_iterate,
     vim_step,
 )
+from epibvp import vim
 from epibvp.vim import (
     MAX_DEPTH,
     _basis,
@@ -49,6 +50,7 @@ from _util import (
     _frozen_convolve,
     _frozen_run,
     exact_readings,
+    frozen_collocation_matrices,
     frozen_collocation_readings,
     frozen_iterates,
     frozen_rounding_gamma,
@@ -152,12 +154,17 @@ def test_iterate_validates_depth():
             VimProblem(lam=0.0, a=1.0, n_iter=depth)
 
 
+# start counts per call around the row tiles and one block of 64 rows
+SHORT_COUNTS = (*range(1, 10), 63, 64, 65)
+
+
 def test_kernel_rows_do_not_depend_on_their_block():
     # the fold search's Newton step reads the five blocks of one row
     a = np.linspace(-120.0, 20.0, 97)
     readings = _collocation_readings(a, 15.0, 7, order=2)
     for parts in ([a[i:i + 1] for i in (0, 48, 96)],
-                  np.split(a, [1, 10, 48, 49, 90])):
+                  np.split(a, [1, 10, 48, 49, 90]),
+                  [a[-n:] for n in SHORT_COUNTS]):
         got = [_collocation_readings(x, 15.0, 7, order=2) for x in parts]
         index = np.searchsorted(a, np.concatenate(parts))
         for i, whole in enumerate(readings):
@@ -311,6 +318,12 @@ def test_collocation_matrices_are_built_once_per_size():
                        atol=1e-15)
 
 
+@pytest.mark.parametrize("p", [2 ** i for i in range(1, 8)])
+def test_collocation_matrices_equal_the_frozen_chunked_build(p):
+    # one node at a time, every matrix is the vectorised build bit for bit
+    _same_bytes(_collocation(p), frozen_collocation_matrices(p))
+
+
 def test_gauss_rules_integrate_their_degrees():
     # the moments of degree below 2 n, in exact rationals from the float
     # points and weights, within what rounding the points to float leaves
@@ -404,13 +417,41 @@ def test_collocation_rows_do_not_change_across_blocks(p):
         whole = _collocation_readings(a, 15.0, 7, p, order=order)
         for parts in (np.split(a, [50, 100, 150, 200, 250]),
                       np.split(a[::-1], [1, 3, 70, 197]),
-                      [a[i:i + 1] for i in (0, 77, 299)]):
+                      [a[i:i + 1] for i in (0, 77, 299)],
+                      [a[-n:] for n in SHORT_COUNTS]):
             got = [_collocation_readings(x, 15.0, 7, p, order=order)
                    for x in parts]
             for i, x in enumerate((whole[0], whole[1])):
                 joined = np.concatenate([g[i] for g in got], axis=1)
                 index = np.searchsorted(a, np.concatenate(parts))
                 assert np.array_equal(x[:, index], joined)
+
+
+@pytest.mark.parametrize("p,count,rows", [
+    (64, 1, ([4], [8], [20])),
+    (64, 9, ([12], [24], [40, 20])),
+    (64, 65, ([64, 4], [64, 64, 8], [40] * 8 + [20])),
+    (128, 1, ([4], [8], [10])),
+    (128, 17, ([16, 4], [16, 16, 8], [10] * 9)),
+])
+def test_short_readings_take_whole_tiles_of_rows(monkeypatch, p, count, rows):
+    # a short last block stacks whole tiles of 4 rows, and no block more
+    # rows than a full one: 64 on 64 points and 16 on 128, 40 and 10 for
+    # the five blocks of the fold's readings
+    stacks = []
+    collocate = vim._collocate
+
+    def spy(s, *args):
+        k, m, _ = s.shape
+        stacks.append(k * m)
+        return collocate(s, *args)
+
+    monkeypatch.setattr(vim, "_collocate", spy)
+    for order, want in enumerate(rows):
+        stacks.clear()
+        _collocation_readings(np.linspace(-3.0, 1.0, count), 15.0, 7, p,
+                              order=order)
+        assert stacks == want, order
 
 
 def test_convolution_with_itself_is_the_old_square():
