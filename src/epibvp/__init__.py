@@ -10,7 +10,7 @@ package solves it by a polynomial correction-functional iteration plus
 shooting on the quadratic start coefficient, recovers phi, tabulates
 pointwise residuals, tracks the two coexisting solution branches and
 locates the critical deposition rate where they merge, and cross-checks
-everything against an independent Runge-Kutta integrator.
+everything against an independent Taylor-series integrator.
 """
 
 from .critical import *

@@ -533,7 +533,7 @@ def _build_parser() -> _Parser:
                        help="lower | upper | positive | negative")
     table.add_argument("--lambdas", type=_parse_lambda_list, default=None,
                        help="comma-separated rates")
-    table.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    table.add_argument("--jobs", type=_jobs, default=1)
 
     crit = commands.add_parser("critical", help="bisect for the fold rate")
     _add_common(crit)
@@ -547,7 +547,7 @@ def _build_parser() -> _Parser:
                      help="comma-separated rates")
     swp.add_argument("--lambda-range", type=_parse_lambda_range, default=None,
                      help="lo:hi:step")
-    swp.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    swp.add_argument("--jobs", type=_jobs, default=1)
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     lin = commands.add_parser("linear", help="closed-form small-rate approximation")
@@ -556,7 +556,7 @@ def _build_parser() -> _Parser:
     lin.add_argument("--grid-step", type=_grid_step, default=0.01)
 
     check = commands.add_parser("oracle-check",
-                                help="cross-validate against the RK4 integrator")
+                                help="cross-validate against the Taylor-series integrator")
     _add_common(check)
     check.add_argument("--lambda", dest="lam", type=_rate, required=True)
     check.add_argument("--tol", type=_tolerance, default=5e-2)

@@ -6,9 +6,22 @@ r**2 w'' - r w' = w**2 / 2 + lam r**4 / 2 reads
     w_t = u,      u_t = 2 u + w**2 / 2 + lam exp(4 t) / 2,
 
 which is regular on [ln r0, 0]: the singular Euler operator becomes one
-with constant coefficients.  It is integrated by classic fourth-order
-Runge-Kutta on a fixed number of uniform steps in t, and the endpoint
-pair (w(1), w'(1)) is (w, u) at t = 0.  The origin is singular, so
+with constant coefficients.  It is integrated by Taylor series steps in t
+(Corliss & Chang, ACM TOMS 8, 1982; Jorba & Zou, Exp. Math. 14, 2005).
+At t0 the coefficients of w(t0 + s) = sum W_k s**k and u(t0 + s) =
+sum U_k s**k follow, to the order K of the configuration, from
+
+    W_{k+1} = U_k / (k + 1),
+    U_{k+1} = (2 U_k + (W*W)_k / 2 + lam exp(4 t0) 4**k / (2 k!)) / (k + 1),
+
+with (W*W)_k = sum_j W_j W_{k-j}.  Over the upper half of the
+coefficients, the largest (max(|W_k|, |U_k|) / m)**(1/k), with
+m = max(1, |w|, |u|) at t0, estimates the inverse radius of convergence
+g, and the step is h = min(0.35 / g, 1, -t0): the last term kept is
+about 0.35**K times m.  Measured against m rather than 1, a column that
+blows up passes the guard in tens of steps, not hundreds.  The endpoint
+pair
+(w(1), w'(1)) is (w, u) at t = 0.  The origin is singular, so
 integration starts from a small handoff radius r0 where the two-term
 series
 
@@ -17,17 +30,19 @@ series
 supplies the state; the series truncation enters only at O(r0**6).
 
 Nothing here shares code with the polynomial solver: profiles are
-recovered by trapezoidal quadrature of w / r over the stored trajectory,
-and branch roots are re-derived from the endpoint state by an Illinois
-solve (regula falsi with the retained end's value halved; Dowell &
-Jarratt, BIT 11, 1971) inside the sign changes of a scan.  Agreement
-with the iterative solver is therefore genuine two-method validation.
+recovered by trapezoidal quadrature of w / r over the trajectory, sampled
+from each step's polynomial, and branch roots are re-derived from the
+endpoint state by an Illinois solve (regula falsi with the retained end's
+value halved; Dowell & Jarratt, BIT 11, 1971) inside the sign changes of
+a scan.  Agreement with the iterative solver is therefore genuine
+two-method validation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,15 +55,22 @@ __all__ = [
     "ivp_trajectory",
     "profile_from_trajectory",
     "oracle_branches",
-    "step_halving_order",
 ]
 
 BLOWUP_GUARD = 1e12
 
-# bounds on the step count: fewer steps resolve nothing, and at the upper
-# bound one oracle_branches call already takes about a minute
-_MIN_STEPS = 16
-_MAX_STEPS = 10 ** 6
+# bounds on the Taylor order: below 8 a step's truncation, about
+# 0.35**K, exceeds 1e-4; the work per step grows as K**2
+_MIN_ORDER = 8
+_MAX_ORDER = 64
+# each step goes this fraction of the estimated radius of convergence
+_STEP_FRACTION = 0.35
+# a column still short of r = 1 after this many steps counts as blown up;
+# a column that reaches r = 1 takes 11 to 30 steps, one that passes the
+# guard about 60
+_STEP_BUDGET = 400
+# geometric nodes of ivp_trajectory, from r0 to 1
+_TRAJECTORY_NODES = 2001
 
 
 class IvpOverflow(ArithmeticError):
@@ -61,20 +83,20 @@ class IvpOverflow(ArithmeticError):
 
 @dataclass(frozen=True)
 class IvpConfig:
-    """Integrator settings: series handoff radius and the number of uniform
-    steps in t = ln r from ln r0 to 0."""
+    """Integrator settings: series handoff radius and the order of the
+    Taylor steps in t = ln r from ln r0 to 0."""
 
     r0: float = 1e-4
-    steps: int = 2000
+    order: int = 24
 
     def __post_init__(self):
         if not 0.0 < self.r0 < 1.0:
             raise ValueError("handoff radius must lie in (0, 1)")
-        if (isinstance(self.steps, bool) or not isinstance(self.steps, int)
-                or not _MIN_STEPS <= self.steps <= _MAX_STEPS):
+        if (isinstance(self.order, bool) or not isinstance(self.order, int)
+                or not _MIN_ORDER <= self.order <= _MAX_ORDER):
             raise ValueError(
-                f"steps must be an int in [{_MIN_STEPS}, {_MAX_STEPS}], "
-                f"got {self.steps!r}"
+                f"order must be an int in [{_MIN_ORDER}, {_MAX_ORDER}], "
+                f"got {self.order!r}"
             )
 
 
@@ -84,82 +106,112 @@ def series_start(a, lam: float, r0: float):
     return a * r0 * r0 + c4 * r0 ** 4, 2.0 * a * r0 + 4.0 * c4 * r0 ** 3
 
 
-def _grid(lam: float, cfg: IvpConfig):
-    """Step length in t, and the forcing lam exp(4 t) / 2 at the 2 steps + 1
-    stage points ln r0, ln r0 + h/2, ..., 0 as a list of floats.
+@lru_cache(maxsize=None)
+def _constants(order: int):
+    """Per-order factors of the recurrence and the step rule: for
+    k = 0..order-1, (1, 2) / (k + 1), 1 / (2 (k + 1)) and 4**k / (k + 1)!;
+    the exponents 1/k of the upper half, and the powers 0..order."""
+    k = np.arange(order, dtype=float)
+    rates = np.stack((1.0 / (k + 1.0), 2.0 / (k + 1.0)), axis=1)
+    forcing = np.array([4.0 ** j / math.factorial(j + 1)
+                        for j in range(order)])
+    upper = 1.0 / np.arange(order // 2, order + 1, dtype=float)
+    return rates, 0.5 / (k + 1.0), forcing, upper, np.arange(order + 1.0)
 
-    Raises ValueError for a rate that is not finite: its forcing is NaN at
-    every stage, which would read as blow-up everywhere.
+
+def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
+    """Endpoint states (w, u) at t = 0 for many shooting parameters at once,
+    and the t each column reached.
+
+    Each column steps on its own; a column reads NaN once |w| passes the
+    blow-up guard, a value leaves the finite range or the step budget runs
+    out.  The coefficients are stored one row per column and (W*W)_k is
+    summed along the row, so a column reads the same bits whatever other
+    columns share the call.  Given ``dense`` = (ts, out) for one column,
+    with ts sorted from ln r0 to 0, each step also writes (w, u) at the
+    nodes ts[j] it covers into out[:, j], the last node excepted.
+
+    Raises ValueError for a rate that is not finite: its forcing is NaN
+    from the first step, which would read as blow-up everywhere.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
-    t0 = math.log(cfg.r0)
-    stages = np.linspace(t0, 0.0, 2 * cfg.steps + 1)
-    return -t0 / cfg.steps, (0.5 * lam * np.exp(4.0 * stages)).tolist()
+    order = cfg.order
+    rates, halves, forcing, upper, powers = _constants(order)
+    w, v = series_start(np.asarray(a_values, dtype=float).reshape(-1), lam,
+                        cfg.r0)
+    state = np.stack((w, cfg.r0 * v), axis=1)
+    t = np.full(w.size, math.log(cfg.r0))
+    live = np.arange(w.size)
+    blown = np.zeros(w.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_STEP_BUDGET):
+            if not live.size:
+                break
+            t0 = t[live]
+            c = np.empty((live.size, 2, order + 1))
+            c[:, :, 0] = state[live]
+            w_coeffs = c[:, 0]
+            force = np.multiply.outer(0.5 * lam * np.exp(4.0 * t0), forcing)
+            for k in range(order):
+                np.multiply(c[:, 1:, k], rates[k], out=c[:, :, k + 1])
+                square = np.einsum("ij,ij->i", w_coeffs[:, :k + 1],
+                                   w_coeffs[:, k::-1])
+                c[:, 1, k + 1] += square * halves[k] + force[:, k]
+            size = np.abs(c[:, :, order // 2:]).max(axis=1)
+            size /= np.maximum(1.0, np.abs(c[:, :, 0]).max(axis=1))[:, None]
+            g = np.max(size ** upper, axis=1)
+            h = np.minimum(_STEP_FRACTION / np.maximum(g, _STEP_FRACTION),
+                           -t0)
+            t1 = t0 + h
+            if dense is not None:
+                ts, out = dense
+                nodes = slice(*np.searchsorted(ts, (t0[0], t1[0])))
+                out[:, nodes] = c[0] @ ((ts[nodes] - t0[0]) ** powers[:, None])
+            # the terms W_k h**k and U_k h**k, formed in place
+            c *= (h[:, None] ** powers)[:, None, :]
+            new = c.sum(axis=2)
+            state[live], t[live] = new, t1
+            ok = (np.abs(new[:, 0]) <= BLOWUP_GUARD) & np.isfinite(new[:, 1])
+            blown[live[~ok]] = True
+            live = live[ok & (t1 < 0.0)]
+    blown[live] = True
+    state[blown] = np.nan
+    return state[:, 0], state[:, 1], t
 
 
-def _march(a: float, lam: float, cfg: IvpConfig, nodes=None, grid=None):
-    """Integrate one trajectory to r = 1 by classic RK4; returns the
-    endpoint (w, w').
-
-    Raises :class:`IvpOverflow` when |w| passes the blow-up guard.  Given
-    ``nodes``, two preallocated arrays (w, u) of one more entry than there
-    are steps, it also stores the state at every node.  ``grid`` is
-    :func:`_grid` of (lam, cfg), built here when not given.  The step is
-    written out on floats; :func:`_integrate_batch` does the same
-    operations in the same order on arrays, so both read the same bits.
-    """
-    h, f = _grid(lam, cfg) if grid is None else grid
-    half = 0.5 * h
-    w, v = series_start(a, lam, cfg.r0)
-    u = cfg.r0 * v
-    if nodes is not None:
-        ws, us = nodes
-        ws[0], us[0] = w, u
-    for i, f0, fm, f1 in zip(range(1, cfg.steps + 1),
-                              f[0:-1:2], f[1::2], f[2::2]):
-        k1 = 2.0 * u + 0.5 * w * w + f0
-        w2 = w + half * u
-        u2 = u + half * k1
-        k2 = 2.0 * u2 + 0.5 * w2 * w2 + fm
-        w3 = w + half * u2
-        u3 = u + half * k2
-        k3 = 2.0 * u3 + 0.5 * w3 * w3 + fm
-        w4 = w + h * u3
-        u4 = u + h * k3
-        k4 = 2.0 * u4 + 0.5 * w4 * w4 + f1
-        w = w + h * (u + 2.0 * u2 + 2.0 * u3 + u4) / 6.0
-        u = u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not abs(w) <= BLOWUP_GUARD:
-            r = cfg.r0 ** (1.0 - i / cfg.steps)
-            raise IvpOverflow(f"|w| exceeded {BLOWUP_GUARD:g} at r = {r:.6f}")
-        if nodes is not None:
-            ws[i], us[i] = w, u
-    return w, u
+def _endpoint(a: float, lam: float, cfg: IvpConfig, dense=None):
+    w, u, t = _taylor(a, lam, cfg, dense)
+    if np.isnan(w[0]):
+        raise IvpOverflow(f"|w| passed {BLOWUP_GUARD:g} or the step budget "
+                          f"before r = 1, at r = {math.exp(t[0]):.6f}")
+    return float(w[0]), float(u[0])
 
 
 def ivp_integrate(a: float, lam: float, cfg: IvpConfig | None = None):
     """Integrate to r = 1; returns the endpoint pair (w(1), w'(1)).
 
-    Raises :class:`IvpOverflow` if |w| passes the blow-up guard on the way,
+    Raises :class:`IvpOverflow` if the trajectory blows up on the way,
     and ValueError for a rate that is not finite.
     """
-    return _march(a, lam, cfg or IvpConfig())
+    return _endpoint(a, lam, cfg or IvpConfig())
 
 
 def ivp_trajectory(a: float, lam: float, cfg: IvpConfig | None = None):
-    """Integrate to r = 1 storing the state at every node.
+    """Integrate to r = 1 sampling the state on the way.
 
-    Returns arrays (r, w, w') on the geometric nodes r = exp(t), from
-    exactly r0 to exactly 1; dense output feeds the quadrature-based
-    profile recovery.
+    Returns arrays (r, w, w') on 2001 geometric nodes r = exp(t), from
+    exactly r0 to exactly 1, read from each step's polynomial; the last
+    node is :func:`ivp_integrate`'s endpoint.  Dense output feeds the
+    quadrature-based profile recovery.
     """
     cfg = cfg or IvpConfig()
-    ws, us = np.empty(cfg.steps + 1), np.empty(cfg.steps + 1)
-    _march(a, lam, cfg, (ws, us))
-    rs = np.exp(np.linspace(math.log(cfg.r0), 0.0, cfg.steps + 1))
+    ts = np.linspace(math.log(cfg.r0), 0.0, _TRAJECTORY_NODES)
+    states = np.empty((2, _TRAJECTORY_NODES))
+    states[:, -1] = _endpoint(a, lam, cfg, (ts, states))
+    rs = np.exp(ts)
     rs[0] = cfg.r0
-    return rs, ws, us / rs
+    return rs, states[0], states[1] / rs
 
 
 def profile_from_trajectory(rs: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -174,122 +226,53 @@ def profile_from_trajectory(rs: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return -tail
 
 
-def _integrate_batch(a_values: np.ndarray, lam: float, cfg: IvpConfig,
-                     grid=None):
-    """Endpoint states for many shooting parameters at once.
-
-    Columns whose trajectory blows up (or leaves the finite range) are
-    reported as NaN instead of raising.  Columns are independent, so a
-    blown-up column integrates on and is masked once at the end: the
-    running peak of |w| (NaN once w is) tells which.
-
-    Each step does :func:`_march`'s floating-point operations in the same
-    order, as ``out=`` calls into one buffer of shape (4 stages, 3, ...):
-    stage j = 1..4 holds the rows (w_j, u_j, k_j), and stage 1's (w, u) is
-    the state, so the stage update (w, u) + c (u_j, k_j) is one multiply
-    and one add on stacked rows.  Every view is built before the loop:
-    per-call dispatch, not arithmetic, dominates at a few hundred columns.
-    ``grid`` is as for :func:`_march`.
-    """
-    h, f = _grid(lam, cfg) if grid is None else grid
-    half = 0.5 * h
-    w0, v0 = series_start(np.asarray(a_values, dtype=float), lam, cfg.r0)
-    stages = np.empty((4, 3) + w0.shape)
-    stages[0, 0] = w0
-    np.multiply(cfg.r0, v0, out=stages[0, 1])
-    w1, w2, w3, w4 = stages[:, 0]
-    u1, u2, u3, u4 = stages[:, 1]
-    k1, k2, k3, k4 = stages[:, 2]
-    rates1, rates2, rates3, rates4 = stages[:, 1:]
-    state, start2, start3, start4 = stages[:, :2]
-    middle = stages[1:3, 1:]
-    doubled = np.empty((2, 2) + w0.shape)
-    doubled2, doubled3 = doubled
-    total = np.empty((2,) + w0.shape)
-    # one call forms (0.5 w_j, 2 u_j) of a stage; the factors fill whole
-    # rows, as a broadcast column costs more than the call it saves
-    factors = np.empty((2,) + w0.shape)
-    factors[0], factors[1] = 0.5, 2.0
-    pair = np.empty((2,) + w0.shape)
-    half_w, twice_u = pair
-    scratch = np.empty_like(w0)
-    peak = np.zeros_like(w0)
-    mul, add = np.multiply, np.add
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f0, fm, f1 in zip(f[0:-1:2], f[1::2], f[2::2]):
-            # k_j = 2 u_j + 0.5 w_j w_j + forcing, and stage j + 1 starts
-            # at (w, u) + c (u_j, k_j)
-            mul(state, factors, out=pair)
-            mul(half_w, w1, out=k1)
-            add(twice_u, k1, out=k1)
-            add(k1, f0, out=k1)
-            mul(rates1, half, out=start2)
-            add(state, start2, out=start2)
-            mul(start2, factors, out=pair)
-            mul(half_w, w2, out=k2)
-            add(twice_u, k2, out=k2)
-            add(k2, fm, out=k2)
-            mul(rates2, half, out=start3)
-            add(state, start3, out=start3)
-            mul(start3, factors, out=pair)
-            mul(half_w, w3, out=k3)
-            add(twice_u, k3, out=k3)
-            add(k3, fm, out=k3)
-            mul(rates3, h, out=start4)
-            add(state, start4, out=start4)
-            mul(start4, factors, out=pair)
-            mul(half_w, w4, out=k4)
-            add(twice_u, k4, out=k4)
-            add(k4, f1, out=k4)
-            # (w, u) += h ((u, k1) + 2 (u2, k2) + 2 (u3, k3) + (u4, k4)) / 6
-            mul(middle, 2.0, out=doubled)
-            add(rates1, doubled2, out=total)
-            add(total, doubled3, out=total)
-            add(total, rates4, out=total)
-            mul(total, h, out=total)
-            np.divide(total, 6.0, out=total)
-            add(state, total, out=state)
-            np.abs(w1, out=scratch)
-            np.maximum(peak, scratch, out=peak)
-    bad = ~(peak <= BLOWUP_GUARD)
-    return np.where(bad, np.nan, w1), np.where(bad, np.nan, u1)
-
-
 # scan points and root tolerance in the shooting parameter
 _GRID_POINTS = 320
 _ROOT_TOL = 1e-10
 
 
-def _illinois(residual, lo: float, hi: float, f_lo: float, f_hi: float):
-    """Root of residual in [lo, hi], where f_lo and f_hi differ in sign.
+def _illinois(residual, lo, hi, f_lo, f_hi):
+    """Roots of residual in the brackets [lo, hi], where f_lo and f_hi
+    differ in sign, solved in lockstep.
 
-    Regula falsi keeps the sign change bracketed; when the same end is
-    kept twice in a row its value is halved (the Illinois rule), so both
-    ends close in.  A point that falls outside the open bracket is
-    replaced by the midpoint.  Stops at an exact zero, at a bracket no
-    wider than ``_ROOT_TOL``, or when the midpoint rounds to an end, and
-    returns the bracket's midpoint.
+    ``residual`` maps an array of points to their values; each iteration
+    calls it once, on the points of the brackets still open.  Each bracket
+    follows the scalar rule: regula falsi keeps the sign change bracketed;
+    when the same end is kept twice in a row its value is halved (the
+    Illinois rule), so both ends close in.  A point that falls outside the
+    open bracket is replaced by the midpoint.  A bracket stops at an exact
+    zero, at a width no more than ``_ROOT_TOL``, or when the midpoint
+    rounds to an end, and yields its midpoint.
     """
-    side = 0
-    while hi - lo > _ROOT_TOL:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-        f_x = residual(x)
-        if f_x == 0.0:
-            return x
-        if (f_x < 0.0) == (f_hi < 0.0):
-            hi, f_hi = x, f_x
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = x, f_x
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
+    lo, hi, f_lo, f_hi = (np.array(x, dtype=float, ndmin=1)
+                          for x in (lo, hi, f_lo, f_hi))
+    # 1 after a point replaced hi, -1 after one replaced lo, 0 before any
+    side = np.zeros(lo.shape)
+    live = np.flatnonzero(hi - lo > _ROOT_TOL)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size:
+            a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+            x = b - fb * (b - a) / (fb - fa)
+            inside = (a < x) & (x < b)
+            mid = 0.5 * (a + b)
+            x = np.where(inside, x, mid)
+            go = inside | ((mid != a) & (mid != b))
+            live, x, fa, fb = live[go], x[go], fa[go], fb[go]
+            fx = np.asarray(residual(x), dtype=float)
+            # an exact zero closes its bracket on the point
+            zero = fx == 0.0
+            lo[live[zero]] = hi[live[zero]] = x[zero]
+            keep_lo = ((fx < 0.0) == (fb < 0.0)) & ~zero
+            moved = live[keep_lo]
+            hi[moved], f_hi[moved] = x[keep_lo], fx[keep_lo]
+            f_lo[moved] = np.where(side[moved] == 1.0, 0.5, 1.0) * fa[keep_lo]
+            side[moved] = 1.0
+            keep_hi = ~keep_lo & ~zero
+            moved = live[keep_hi]
+            lo[moved], f_lo[moved] = x[keep_hi], fx[keep_hi]
+            f_hi[moved] = np.where(side[moved] == -1.0, 0.5, 1.0) * fb[keep_hi]
+            side[moved] = -1.0
+            live = live[hi[live] - lo[live] > _ROOT_TOL]
     return 0.5 * (lo + hi)
 
 
@@ -297,8 +280,8 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
                     cfg: IvpConfig | None = None) -> list:
     """Roots of the boundary functional built from the integrator.
 
-    Scans the window, skips blown-up stretches, and solves each
-    sign-change bracket to ``_ROOT_TOL`` in the shooting parameter.  An
+    Scans the window, skips blown-up stretches, and solves all sign-change
+    brackets together to ``_ROOT_TOL`` in the shooting parameter.  An
     empty list mirrors branch non-existence above the critical rate; a
     rate that is not finite raises ValueError.
     """
@@ -307,46 +290,20 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {window!r}")
     cfg = cfg or IvpConfig()
-    # the scan and every Illinois march share one forcing grid
-    grid = _grid(lam, cfg)
+
+    def residual(a):
+        w, u, _ = _taylor(a, lam, cfg)
+        return bc.residual(w, u)
+
     xs = np.linspace(lo, hi, _GRID_POINTS)
-    w1, v1 = _integrate_batch(xs, lam, cfg, grid)
-    finite = np.isfinite(w1) & np.isfinite(v1)
-    with np.errstate(invalid="ignore"):
-        fs = np.where(finite, bc.residual(w1, v1), np.nan)
-
-    def residual(a: float) -> float:
-        w, v = _march(a, lam, cfg, grid=grid)
-        return bc.residual(w, v)
-
-    roots = []
-    for i in range(_GRID_POINTS - 1):
-        f_lo, f_hi = float(fs[i]), float(fs[i + 1])
-        if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
-            continue
-        if f_lo == 0.0:
-            roots.append(float(xs[i]))
-            continue
-        if f_hi == 0.0 or f_lo * f_hi > 0.0:
-            continue
-        roots.append(_illinois(residual, float(xs[i]), float(xs[i + 1]),
-                               f_lo, f_hi))
-    if fs.size and fs[-1] == 0.0:
+    fs = residual(xs)
+    f_lo, f_hi = fs[:-1], fs[1:]
+    both = np.isfinite(f_lo) & np.isfinite(f_hi)
+    with np.errstate(over="ignore"):
+        change = both & (f_lo != 0.0) & (f_hi != 0.0) & ~(f_lo * f_hi > 0.0)
+    roots = xs[:-1][both & (f_lo == 0.0)].tolist()
+    roots += _illinois(residual, xs[:-1][change], xs[1:][change],
+                       f_lo[change], f_hi[change]).tolist()
+    if fs[-1] == 0.0:
         roots.append(float(xs[-1]))
     return sorted(roots)
-
-
-def step_halving_order(a: float, lam: float, cfg: IvpConfig | None = None):
-    """Empirical convergence order from endpoints at n, 2n and 4n steps.
-
-    Returns (order, coarse difference, fine difference); for a fourth-order
-    scheme the coarse difference is about sixteen times the fine one.
-    """
-    cfg = cfg or IvpConfig(r0=1e-2, steps=1000)
-    w_h = ivp_integrate(a, lam, cfg)[0]
-    w_h2 = ivp_integrate(a, lam, IvpConfig(cfg.r0, 2 * cfg.steps))[0]
-    w_h4 = ivp_integrate(a, lam, IvpConfig(cfg.r0, 4 * cfg.steps))[0]
-    d1 = abs(w_h - w_h2)
-    d2 = abs(w_h2 - w_h4)
-    order = math.log2(d1 / d2) if d2 > 0.0 else math.inf
-    return order, d1, d2

@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from epibvp import BoundaryKind, NonIntegrableDefect, find_branches
+from epibvp import (BLOWUP_GUARD, BoundaryKind, IvpOverflow,
+                    NonIntegrableDefect, find_branches, series_start)
 from epibvp.vim import (_basis, _chebyshev, _collocation, _gauss,
                         _overflow, _quadratures)
 
@@ -239,3 +241,66 @@ def frozen_evaluate(c, r):
     for ck in c[::-1]:
         acc = acc * r + ck
     return acc
+
+
+# ---------------------------------------------------------------------------
+# a frozen copy of the oracle's classic RK4 march
+# ---------------------------------------------------------------------------
+
+def _rk4_step(w, u, h, f0, fm, f1):
+    half = 0.5 * h
+    k1 = 2.0 * u + 0.5 * w * w + f0
+    w2 = w + half * u
+    u2 = u + half * k1
+    k2 = 2.0 * u2 + 0.5 * w2 * w2 + fm
+    w3 = w + half * u2
+    u3 = u + half * k2
+    k3 = 2.0 * u3 + 0.5 * w3 * w3 + fm
+    w4 = w + h * u3
+    u4 = u + h * k3
+    k4 = 2.0 * u4 + 0.5 * w4 * w4 + f1
+    return (w + h * (u + 2.0 * u2 + 2.0 * u3 + u4) / 6.0,
+            u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+def _rk4_grid(lam, r0, steps):
+    # the step in t and the forcing lam exp(4 t) / 2 at the stage points
+    # ln r0, ln r0 + h/2, ..., 0
+    t0 = math.log(r0)
+    stages = np.linspace(t0, 0.0, 2 * steps + 1)
+    return -t0 / steps, (0.5 * lam * np.exp(4.0 * stages)).tolist()
+
+
+def frozen_rk4(a, lam, r0=1e-4, steps=2000):
+    """Endpoint (w, u) at r = 1 of classic RK4 on ``steps`` uniform steps
+    in t = ln r from the series start at r0, one call of a float RK4 step
+    per step; raises IvpOverflow when |w| passes the blow-up guard.  The
+    oracle integrated this way until it took Taylor steps.  Kept frozen."""
+    h, f = _rk4_grid(lam, r0, steps)
+    w, v = series_start(a, lam, r0)
+    u = r0 * v
+    for i in range(1, steps + 1):
+        w, u = _rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
+        if not abs(w) <= BLOWUP_GUARD:
+            r = r0 ** (1.0 - i / steps)
+            raise IvpOverflow(f"|w| exceeded {BLOWUP_GUARD:g} at r = {r:.6f}")
+    return w, u
+
+
+@lru_cache(maxsize=None)
+def frozen_rk4_endpoints(a_values, lam, r0=1e-4, steps=2000):
+    """:func:`frozen_rk4` on every value of the tuple ``a_values`` at once,
+    as arrays (w, u) that read NaN where |w| passed the blow-up guard.  The
+    step does the scalar march's operations elementwise, so each column
+    equals it bit for bit; the reference for the oracle's accuracy."""
+    h, f = _rk4_grid(lam, r0, steps)
+    w, v = series_start(np.array(a_values), lam, r0)
+    u = r0 * v
+    peak = np.zeros_like(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            w, u = _rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
+            peak = np.fmax(peak, np.abs(w))
+            peak[np.isnan(w)] = np.inf
+    bad = ~(peak <= BLOWUP_GUARD)
+    return np.where(bad, np.nan, w), np.where(bad, np.nan, u)

@@ -27,6 +27,7 @@ from epibvp import (
     find_critical_lambda,
     iterate,
     iterate_from,
+    ivp_integrate,
     ivp_trajectory,
     linear_approximation,
     multiplier_residuals,
@@ -34,13 +35,12 @@ from epibvp import (
     profile_from_trajectory,
     residual_table,
     solve_profile,
-    step_halving_order,
     symbolic_iterate,
 )
 from epibvp.recover import TABLE_GRID
 from epibvp.vim import NonIntegrableDefect
 
-from _util import exact_defect
+from _util import exact_defect, frozen_rk4
 
 GRID_101 = np.linspace(0.0, 1.0, 101)
 
@@ -332,7 +332,7 @@ def test_08_linear_regime_check():
 
 def test_09_cross_method_validation():
     t0 = time.perf_counter()
-    cfg = IvpConfig(steps=640)
+    cfg = IvpConfig(order=16)
     worst_root = 0.0
     worst_profile = 0.0
     checked = 0
@@ -352,15 +352,27 @@ def test_09_cross_method_validation():
                     evaluate(profile.phi, rs[sample]) - phi_ivp[sample])))
                 worst_profile = max(worst_profile, gap)
                 checked += 1
-    order, _, _ = step_halving_order(-0.126, 1.0, IvpConfig(r0=1e-2, steps=1000))
-    ok = worst_root <= 5e-2 and worst_profile <= 5e-2 and order >= 3.8
+    # order doubling: the endpoints at orders 24 and 48 agree to 1e-9, and
+    # both lie nearer 8000-step RK4 than 2000-step RK4 does
+    def distance(x, reference):
+        return max(abs(p - q) / max(1.0, abs(q)) for p, q in zip(x, reference))
+
+    reference = frozen_rk4(-0.126, 1.0, 1e-2, 8000)
+    bound = distance(frozen_rk4(-0.126, 1.0, 1e-2, 2000), reference)
+    ends = [ivp_integrate(-0.126, 1.0, IvpConfig(r0=1e-2, order=order))
+            for order in (24, 48)]
+    doubling = distance(*ends)
+    order_ok = (doubling <= 1e-9
+                and all(distance(end, reference) <= bound for end in ends))
+    ok = worst_root <= 5e-2 and worst_profile <= 5e-2 and order_ok
     elapsed = time.perf_counter() - t0
     _verdict(9, "cross-method validation", ok and elapsed < 120.0, t0,
              f"{checked} branches: worst root diff {worst_root:.2e}, worst "
-             f"profile diff {worst_profile:.2e}, RK4 order {order:.2f}")
+             f"profile diff {worst_profile:.2e}, order doubling "
+             f"{doubling:.1e}")
     assert worst_root <= 5e-2
     assert worst_profile <= 5e-2
-    assert order >= 3.8
+    assert order_ok
     assert elapsed < 120.0
 
 

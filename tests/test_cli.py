@@ -854,6 +854,23 @@ def test_jobs_below_one_is_usage_error(tmp_path, command, jobs):
     assert run(command + ["--out", str(tmp_path), "--jobs", jobs]) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--bc", "navier1", "--lambdas", "0,5,10"],
+    ["residual-table", "--bc", "navier1", "--branch", "upper",
+     "--lambdas", "0,5"],
+])
+def test_default_jobs_start_no_pool(tmp_path, monkeypatch, command):
+    # one job by default: a few rates run faster in the calling process
+    # than a pool of two can start, even on a machine with many processors
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert run(command + ["--out", str(tmp_path)]) == 0
+    assert _echo(tmp_path)["jobs"] == 1
+
+
 def test_pool_size_is_clamped(monkeypatch):
     # pure arithmetic: no process is started
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
