@@ -3,10 +3,10 @@
 As the deposition rate grows the branch profiles move toward each other;
 past a critical rate the boundary condition has no real solution and the
 branch pair disappears.  Newton's method on B = 0, dB/da = 0, with the
-derivatives the iteration steps along with B, locates the fold lambda*, and a
-bisection on the branch count, which stays robust where a double root
-defeats sign bracketing, probes either side of it to return a bracket
-with two branches below and none above.
+derivatives the iteration steps along with B, locates the fold lambda*, and
+the branch count, which stays robust where a double root defeats sign
+bracketing, certifies it: two branches 0.45 tol below it and none 0.45 tol
+above give the bracket.
 """
 
 from epibvp import (

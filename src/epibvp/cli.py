@@ -95,11 +95,8 @@ _MAX_RATES = 100_000
 
 
 def _parse_lambda_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"bad --lambda-range (want lo:hi:step): {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        lo, hi, step = map(float, text.split(":"))
     except ValueError:
         raise UsageError(f"bad --lambda-range (want lo:hi:step): {text!r}")
     if not all(math.isfinite(x) for x in (lo, hi, step)):
@@ -108,28 +105,20 @@ def _parse_lambda_range(text: str):
         raise UsageError("--lambda-range needs lo <= hi and step > 0")
     if lo + step == lo:
         raise UsageError(f"--lambda-range step {step!r} does not advance lo")
+    # the rates are lo + k * step while they do not pass the limit
     limit = hi + 1e-12 * max(1.0, abs(hi))
-    span = (limit - lo) / step
-    if not span < _MAX_RATES:
-        raise UsageError(f"--lambda-range gives more than {_MAX_RATES} rates")
-    # the rates are lo + k * step while they do not pass the limit; the
-    # quotient can round either way, so settle the count on the rates
-    count = int(span) + 1
-    while count > 1 and lo + (count - 1) * step > limit:
-        count -= 1
+    count = 0
     while lo + count * step <= limit:
+        if count == _MAX_RATES:
+            raise UsageError(
+                f"--lambda-range gives more than {_MAX_RATES} rates")
         count += 1
-    if count > _MAX_RATES:
-        raise UsageError(f"--lambda-range gives more than {_MAX_RATES} rates")
     return [lo + k * step for k in range(count)]
 
 
 def _parse_window(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"bad --a-window (want lo:hi): {text!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = map(float, text.split(":"))
     except ValueError:
         raise UsageError(f"bad --a-window (want lo:hi): {text!r}")
     # a width that overflows would put the search's points at inf and NaN
@@ -535,7 +524,7 @@ def _build_parser() -> _Parser:
                        help="comma-separated rates")
     table.add_argument("--jobs", type=_jobs, default=1)
 
-    crit = commands.add_parser("critical", help="bisect for the fold rate")
+    crit = commands.add_parser("critical", help="count bracket of the fold rate")
     _add_common(crit)
     crit.add_argument("--lo", type=float, required=True)
     crit.add_argument("--hi", type=float, required=True)

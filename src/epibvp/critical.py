@@ -6,13 +6,13 @@ functional has a double root that sign-change bracketing cannot see, so
 the critical rate is reported as a bracket of the branch *count* (two
 branches below, none above).  Newton's method on the fold system
 B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with the derivatives
-that the collocation kernel steps along with B, finds the fold first; the
-count bisection probes either side of it, so that it usually closes the
-bracket in two counts.  A count is one root search of
+that the collocation kernel steps along with B, finds the fold, and
+the count 0.45 tol to either side of it certifies it (:func:`_certified`);
+only a search without a fold bisects.  A count is one root search of
 :func:`shooting._accepted`, on the Chebyshev proxy, without profiles or
-labels; it has no grid, so it sees the pair up to the fold itself.  The
-same fold at the neighbouring depths, checked by the count on either
-side, is the depth sensitivity.
+labels; it sees the pair until about 1e-11 below the fold.  The same fold
+at the neighbouring depths, under the same certificate, is the depth
+sensitivity.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def branch_gap(record: SweepRecord) -> float:
 _NEWTON_STEPS = 20
 _NEWTON_RTOL = 1e-8
 
-# the count probes sit this many tolerances to either side of the fold, so
-# that two resolving probes leave a bracket inside tol
+# the certificate counts this many tolerances to either side of the fold
 _PROBE_OFFSET = 0.45
 
 
@@ -130,18 +129,14 @@ def _fold(bc: BoundaryKind, n: int, a: float, lam: float,
     return None
 
 
-def _check_bracket(lo: float, hi: float, tol: float):
-    """Raise InvalidBracket unless lo < hi and tol > 0 are finite."""
-    if not (all(math.isfinite(x) for x in (lo, hi, tol))
-            and lo < hi and tol > 0.0):
-        raise InvalidBracket("need finite lo < hi and tol > 0")
-
-
 def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
                 window):
     """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
-    InvalidBracket unless :func:`_check_bracket` passes and lo has a pair."""
-    _check_bracket(lo, hi, tol)
+    InvalidBracket unless lo < hi and tol > 0 are finite and lo has a
+    pair."""
+    if not (all(math.isfinite(x) for x in (lo, hi, tol))
+            and lo < hi and tol > 0.0):
+        raise InvalidBracket("need finite lo < hi and tol > 0")
     a_star = [root["a_star"]
               for root in shooting._accepted(lo, bc, window, n)]
     if len(a_star) < 2:
@@ -150,30 +145,46 @@ def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
     return _fold(bc, n, 0.5 * (a_star[i] + a_star[i + 1]), lo, lo, hi)
 
 
+def _certified(bc: BoundaryKind, depth: int, lam: float, tol: float, window,
+               lo: float = -math.inf, hi: float = math.inf):
+    """(lam - 0.45 tol, lam + 0.45 tol) cut to (lo, hi) if the depth-
+    ``depth`` count shows two branches or more at its lower end and none at
+    its upper end, else None; an end cut to lo or hi keeps its known count."""
+    offset = _PROBE_OFFSET * tol
+    lower, upper = max(lo, lam - offset), min(hi, lam + offset)
+    if lower > lo and len(shooting._accepted(lower, bc, window, depth)) < 2:
+        return None
+    if upper < hi and shooting._accepted(upper, bc, window, depth):
+        return None
+    return lower, upper
+
+
 def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
                          *, n_iter: int | None = None,
                          window=shooting.DEFAULT_WINDOW) -> CriticalEstimate:
-    """Bisect on the predicate "two branches exist" until hi - lo <= tol.
+    """A count bracket of the critical rate at most tol wide: at least two
+    branches at its lower end and none at its upper end.
 
     Requires finite lo < hi and tol > 0, at least two branches at lo and
     none at hi; anything else raises :class:`InvalidBracket` (the bounds
-    before any count).  The first two probes sit 0.45 tol below and above
-    the Newton fold when they lie inside the bracket; every later probe is
-    the midpoint.  Each probe keeps the predicate at the bracket ends.
-    The search also stops when the midpoint rounds to an end, so a tol
-    below the floating-point spacing returns the tightest bracket instead
-    of looping.
+    before any count).  When Newton gives a fold, the bracket is the one
+    :func:`_certified` returns around it, else InvalidBracket: the count
+    merges a pair about 1e-11 below the fold, so a tol near that can be
+    refused.  Without a fold the search bisects on the count until hi - lo
+    <= tol, or until the midpoint rounds to an end.
     """
     n = bc.default_iterations if n_iter is None else n_iter
     fold = _fold_at_lo(bc, n, lo, hi, tol, window)
     if shooting._accepted(hi, bc, window, n):
         raise InvalidBracket(f"branches persist at hi = {hi}")
     a_fold, lambda_star = fold or (None, None)
-    probes = [] if fold is None else [lambda_star - _PROBE_OFFSET * tol,
-                                      lambda_star + _PROBE_OFFSET * tol]
+    if fold is not None:
+        bracket = _certified(bc, n, lambda_star, tol, window, lo, hi)
+        if bracket is None:
+            raise InvalidBracket(f"the count does not certify tol = {tol!r}")
+        lo, hi = bracket
     while hi - lo > tol:
-        probes = [p for p in probes if lo < p < hi]
-        mid = probes.pop(0) if probes else 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         if len(shooting._accepted(mid, bc, window, n)) >= 2:
@@ -193,12 +204,10 @@ def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
 
     Newton's method at each neighbouring depth starts from the depth-n
     fold found from the roots at lo, and may end beyond hi.  A value is
-    kept when the count at its depth shows two branches 0.45 tol below it
-    and none 0.45 tol above; else, and for a depth outside 1..MAX_DEPTH,
-    it is None.  The count merges a pair only where the rounding count of
-    its readings covers the gap, about 1e-11 below a fold, so the check
-    passes at any tol well above that.  lo, hi and tol are checked as in
-    :func:`find_critical_lambda`, except hi's count.
+    kept when the count at its depth certifies it (:func:`_certified`;
+    the count sees a pair until about 1e-11 below its fold); else, and for
+    a depth outside 1..MAX_DEPTH, it is None.  lo, hi and tol are checked
+    as in :func:`find_critical_lambda`, except hi's count.
     """
     n = bc.default_iterations if n_iter is None else n_iter
     seed = _fold_at_lo(bc, n, lo, hi, tol, window)
@@ -206,11 +215,6 @@ def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
     for depth in out:
         fold = (_fold(bc, depth, *seed)
                 if seed is not None and 1 <= depth <= MAX_DEPTH else None)
-        if fold is None:
-            continue
-        lam = fold[1]
-        offset = _PROBE_OFFSET * tol
-        if (len(shooting._accepted(lam - offset, bc, window, depth)) >= 2
-                and not shooting._accepted(lam + offset, bc, window, depth)):
-            out[depth] = lam
+        if fold is not None and _certified(bc, depth, fold[1], tol, window):
+            out[depth] = fold[1]
     return out

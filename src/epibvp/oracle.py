@@ -244,36 +244,34 @@ def _illinois(residual, lo, hi, f_lo, f_hi):
     zero, at a width no more than ``_ROOT_TOL``, or when the midpoint
     rounds to an end, and yields its midpoint.
     """
-    lo, hi, f_lo, f_hi = (np.array(x, dtype=float, ndmin=1)
-                          for x in (lo, hi, f_lo, f_hi))
-    # 1 after a point replaced hi, -1 after one replaced lo, 0 before any
-    side = np.zeros(lo.shape)
-    live = np.flatnonzero(hi - lo > _ROOT_TOL)
+    # the ends (lo, hi) and their values, one row each
+    ends, vals = (np.stack([np.array(x, dtype=float, ndmin=1) for x in pair])
+                  for pair in ((lo, hi), (f_lo, f_hi)))
+    # the row of the end each bracket's last point replaced, -1 before any
+    last = np.full(ends.shape[1], -1)
+    live = np.flatnonzero(ends[1] - ends[0] > _ROOT_TOL)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
-            a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+            (a, b), (fa, fb) = ends[:, live], vals[:, live]
             x = b - fb * (b - a) / (fb - fa)
             inside = (a < x) & (x < b)
             mid = 0.5 * (a + b)
             x = np.where(inside, x, mid)
             go = inside | ((mid != a) & (mid != b))
-            live, x, fa, fb = live[go], x[go], fa[go], fb[go]
+            live, x = live[go], x[go]
             fx = np.asarray(residual(x), dtype=float)
             # an exact zero closes its bracket on the point
             zero = fx == 0.0
-            lo[live[zero]] = hi[live[zero]] = x[zero]
-            keep_lo = ((fx < 0.0) == (fb < 0.0)) & ~zero
-            moved = live[keep_lo]
-            hi[moved], f_hi[moved] = x[keep_lo], fx[keep_lo]
-            f_lo[moved] = np.where(side[moved] == 1.0, 0.5, 1.0) * fa[keep_lo]
-            side[moved] = 1.0
-            keep_hi = ~keep_lo & ~zero
-            moved = live[keep_hi]
-            lo[moved], f_lo[moved] = x[keep_hi], fx[keep_hi]
-            f_hi[moved] = np.where(side[moved] == -1.0, 0.5, 1.0) * fb[keep_hi]
-            side[moved] = -1.0
-            live = live[hi[live] - lo[live] > _ROOT_TOL]
-    return 0.5 * (lo + hi)
+            ends[:, live[zero]] = x[zero]
+            moved, x, fx = live[~zero], x[~zero], fx[~zero]
+            # x replaces the end whose value has its sign, and the kept
+            # end's value halves when the same end was replaced last
+            row = ((fx < 0.0) == (vals[1, moved] < 0.0)).astype(int)
+            vals[1 - row, moved] *= np.where(last[moved] == row, 0.5, 1.0)
+            ends[row, moved], vals[row, moved] = x, fx
+            last[moved] = row
+            live = live[ends[1, live] - ends[0, live] > _ROOT_TOL]
+    return 0.5 * (ends[0] + ends[1])
 
 
 def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,

@@ -326,6 +326,15 @@ def _prolongation(m: int, size: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _levels(p: int, n_iter: int) -> tuple:
+    """(m, M) of each step of the depth-n_iter collocation kernel on p
+    points: step i maps the iterate on m = min(2**i, p) points to the M =
+    min(2**(i + 1), p) that hold the next one, and the reading to p."""
+    m = [min(2 ** i, p) for i in range(n_iter)]
+    return tuple(zip(m, m[1:] + [p]))
+
+
 def _collocate(s: np.ndarray, lam: float, n_iter: int, p: int):
     """(w(1), w'(1)) of the n_iter-step collocation iterate from the stack
     s of k blocks of m rows of start values on one point, the values v
@@ -339,19 +348,17 @@ def _collocate(s: np.ndarray, lam: float, n_iter: int, p: int):
     The i-th iterate is a polynomial of degree 2**i - 1 in s, and so is
     each of its derivatives, so it is held on min(2**i, p) points.  Step
     i prolongs it to the M = min(2**(i + 1), p) points that hold the next
-    one (:func:`_prolongation`), forms q there and applies N of those
-    points; the reading prolongs the last iterate to the p points and
-    reads it with R_v and R_q of p points.  Up to the step on p points
-    every iterate is the exact one up to rounding; from there each step
-    drops the Chebyshev terms that the one on p points drops.
+    one (:func:`_levels`, :func:`_prolongation`), forms q there and
+    applies N of those points; the reading prolongs the last iterate to the
+    p points and reads it with R_v and R_q of p points.  Up to the step on
+    p points every iterate is the exact one up to rounding; from there
+    each step drops the Chebyshev terms that the one on p points drops.
     """
     step_v, _, read_v, read_q = _collocation(p)
     k, m, _ = s.shape
     s = s.reshape(k * m, -1)
-    for i in range(n_iter):
+    for i, (width, size) in enumerate(_levels(p, n_iter)):
         last = i == n_iter - 1
-        width = s.shape[1]
-        size = p if last else min(2 * width, p)
         if width < size:
             up = _prolongation(width, size)
             # the reading needs v alone, not its L
@@ -433,8 +440,8 @@ def _rounding_gamma(p: int, n_iter: int) -> float:
     from c_j = 1 / (x - s_j) (:func:`_quadratures`; 5 roundings, the sum d
     not counted), and a matrix entry of N sums G of them times rule
     weights and takes the factor s (G + 5, G = max(M, 32) + 2 the points
-    of the Gauss-Legendre rule).  Step i maps the iterate on m = min(2**i,
-    p) points to M = min(2**(i + 1), p) points, the reading to M = p.  Its
+    of the Gauss-Legendre rule).  Step i maps the iterate on m points to M
+    points, the pairs (m, M) of :func:`_levels` that the kernel runs.  Its
     longest chain runs through q: the prolongation v E sums m products of
     basis values (m + 5), the square doubles that and adds 1, and lam
     adds 1 (2 m + 12); q N^T sums M products (M + G + 5), and its sum with
@@ -450,11 +457,8 @@ def _rounding_gamma(p: int, n_iter: int) -> float:
     iterates (depths 1 to 6, 2**n <= p) the largest reading error was
     0.09 gamma_K times its sums.
     """
-    count = 0
-    for i in range(n_iter):
-        m = min(2 ** i, p)
-        size = p if i == n_iter - 1 else min(2 * m, p)
-        count += size + max(size, 32) + 2 + (2 * m + 18 if m < size else 8)
+    count = sum(size + max(size, 32) + 2 + (2 * m + 18 if m < size else 8)
+                for m, size in _levels(p, n_iter))
     nu = count * 0.5 * np.finfo(float).eps
     return nu / (1.0 - nu)
 
@@ -629,10 +633,10 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     whose rounding the bound leaves open is evaluated again at twice the
     precision (Ziv 1991), and at a high enough precision every input is
     exact and the bound is zero.  Blocks of :data:`_BLOCK_POINTS` points
-    share their powers in packed ints (:func:`_pack`), and the last blocks
-    packed are kept.  A value beyond the float range reads as +-inf; a
-    coefficient or rate that is not finite makes every value NaN, and a
-    point that is not finite its value.
+    share their powers in packed ints (:func:`_pack`), which keeps the
+    last 16 blocks of grids of at most 16.  A value beyond the float range
+    reads as +-inf; a coefficient or rate that is not finite makes every
+    value NaN, and a point that is not finite its value.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
     out = np.full(r.size, np.nan)
@@ -648,7 +652,11 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     todo = np.flatnonzero(np.isfinite(r))
     while todo.size:
         points = tuple(r[todo].tolist())
-        blocks = (_pack(points[i:i + _BLOCK_POINTS], top, step, p)
+        # a grid of more blocks than the cache keeps would evict its own
+        # blocks before a repeat reached them, and those kept for others
+        pack = (_pack.__wrapped__ if len(points) > _BLOCK_POINTS
+                * _pack.cache_parameters()["maxsize"] else _pack)
+        blocks = (pack(points[i:i + _BLOCK_POINTS], top, step, p)
                   for i in range(0, len(points), _BLOCK_POINTS))
         # an open rounding reads NaN, which no certain value is
         got = np.array(_fixed_point(c, ks, float(lam), e, p, step, blocks),

@@ -415,6 +415,21 @@ def test_lambda_range_rejects_without_building_the_list(text):
         cli._parse_lambda_range(text)
 
 
+@pytest.mark.parametrize("text", ["", "0", "0:12", "0:12:2:1", "0:x:1",
+                                  "0::1", "1e3e:2:1"])
+def test_lambda_range_with_a_bad_part_count_or_number(text):
+    with pytest.raises(cli.UsageError, match=r"^bad --lambda-range \(want "
+                                             r"lo:hi:step\): "):
+        cli._parse_lambda_range(text)
+
+
+@pytest.mark.parametrize("text", ["", "0", "0:1:2", "0:x", ":1", "a:b"])
+def test_a_window_with_a_bad_part_count_or_number(text):
+    with pytest.raises(cli.UsageError,
+                       match=r"^bad --a-window \(want lo:hi\): "):
+        cli._parse_window(text)
+
+
 @pytest.mark.parametrize("text", ["-1e400:0", "0:1e400", "nan:0", "-inf:0",
                                   "-1e308:1e308"])
 def test_a_window_bounds_must_be_finite(text):

@@ -178,7 +178,7 @@ def test_closest_resolved_pair_is_wider_than_its_bands():
 
 
 # ---------------------------------------------------------------------------
-# fold estimate and the count bisection it steers
+# fold estimate, the count certificate around it and the bisection without
 # ---------------------------------------------------------------------------
 
 # the README and acceptance brackets: (lo, hi, tol)
@@ -477,15 +477,47 @@ def test_count_bracket_holds_the_fold_at_tol_1e_4(bc):
 @pytest.mark.parametrize("with_estimate", [True, False])
 def test_tol_below_float_spacing_stops(with_estimate, monkeypatch):
     # the midpoint of adjacent floats is one of them; the search used to
-    # scan that rate forever
-    if not with_estimate:
-        monkeypatch.setattr(critical, "_fold", lambda *args: None)
+    # scan that rate forever.  With the fold, both counts of the certificate
+    # sit on the fold itself, where the count sees no pair, so the search
+    # refuses after the two bracket checks and at most two counts
+    args = (BoundaryKind.NAVIER_TWO, 11.33, 11.35, 1e-300)
+    if with_estimate:
+        _scan_counter(monkeypatch, limit=4)
+        with pytest.raises(InvalidBracket, match="does not certify"):
+            find_critical_lambda(*args, window=(-4.7, -4.1))
+        return
+    monkeypatch.setattr(critical, "_fold", lambda *args: None)
     rates = _scan_counter(monkeypatch, limit=200)
-    estimate = find_critical_lambda(BoundaryKind.NAVIER_TWO, 11.33, 11.35,
-                                    1e-300, window=(-4.7, -4.1))
+    estimate = find_critical_lambda(*args, window=(-4.7, -4.1))
     lo, hi = estimate.bracket
     assert np.nextafter(lo, math.inf) == hi
     assert len(set(rates)) == len(rates)
+
+
+@pytest.mark.parametrize("bc,lo,hi,window", [
+    (BoundaryKind.NAVIER_TWO, 5.0, 20.0, shooting.DEFAULT_WINDOW),
+    (BoundaryKind.NAVIER_ONE, 20.0, 40.0, shooting.DEFAULT_WINDOW),
+    (BoundaryKind.DIRICHLET, 60.0, 200.0, shooting.DEFAULT_WINDOW),
+    (BoundaryKind.NAVIER_TWO, 11.33, 11.35, (-4.7, -4.1)),
+])
+def test_certified_bracket_holds_the_fold_or_is_refused(bc, lo, hi, window):
+    # the count merges the pair about 1e-11 below the fold: at tol 1e-12
+    # the bracket of the old probe queue lay 1.05e-11 below lambda_star on
+    # dirichlet and 4.8e-12 on navier2 11.33:11.35, and at 1e-14 1.4e-14
+    # on navier1.  A bracket either holds the fold and is at most tol
+    # wide, or the search refuses it with InvalidBracket
+    refused = []
+    for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        try:
+            estimate = find_critical_lambda(bc, lo, hi, tol, window=window)
+        except InvalidBracket:
+            refused.append(tol)
+            continue
+        b_lo, b_hi = estimate.bracket
+        assert b_lo <= estimate.lambda_star <= b_hi, tol
+        assert b_hi - b_lo <= tol
+    # and the count resolves every tol down to 1e-10
+    assert all(tol < 1e-10 for tol in refused), refused
 
 
 @pytest.mark.parametrize("lo,hi,tol", [

@@ -324,18 +324,22 @@ def test_residual_table_kept_powers_equal_fresh_blocks():
 
 
 def test_packed_blocks_are_kept_for_the_default_grids():
-    # every grid packs through _pack's cache, which keeps the last 16
-    # blocks: a 1001-point table takes 63, so its repeat packs them again
-    # and must equal it
+    # a grid of at most 16 blocks packs through _pack's cache, which keeps
+    # the last 16 blocks; a 1001-point table takes 63, which would evict
+    # each other before a repeat reached them, so it packs past the cache
+    # and leaves the kept blocks, TABLE_GRID's among them, as they were
     lam = -25.0
     w = iterate(VimProblem(lam=lam, a=-87.28214667753512, n_iter=6))
     grid = np.linspace(0.0, 1.0, 1001)
     vim._pack.cache_clear()
+    residual_table(w, lam)
+    kept = vim._pack.cache_info()
     first = residual_table(w, lam, grid=grid).values
-    assert vim._pack.cache_info().misses == 63
     again = residual_table(w, lam, grid=grid).values
     assert np.array(again).tobytes() == np.array(first).tobytes()
-    assert vim._pack.cache_info().currsize == 16
+    assert vim._pack.cache_info() == kept
+    residual_table(w, lam)
+    assert vim._pack.cache_info().hits == kept.hits + 1
 
     def solve_pair():
         # TABLE_GRID of each root and the 101 points of ``solve``, at the

@@ -386,6 +386,34 @@ def test_levels_are_built_once_per_pair_of_sizes():
 
 
 @pytest.mark.parametrize("p", [64, 128])
+def test_kernel_and_rounding_count_walk_the_same_levels(p, monkeypatch):
+    # the kernel prolongs exactly where a level of _levels grows, and the
+    # rounding count equals the reference sum below, whose steps derive
+    # their sizes on their own
+    pairs = []
+    prolongation = vim._prolongation
+
+    def spy(m, size):
+        pairs.append((m, size))
+        return prolongation(m, size)
+
+    monkeypatch.setattr(vim, "_prolongation", spy)
+    for depth in range(1, MAX_DEPTH + 1):
+        pairs.clear()
+        _collocation_readings([-1.0, 2.0], 1.0, depth, p)
+        levels = vim._levels(p, depth)
+        assert pairs == [(m, size) for m, size in levels if m < size]
+        count = 0
+        for i in range(depth):
+            m = min(2 ** i, p)
+            size = p if i == depth - 1 else min(2 * m, p)
+            count += size + max(size, 32) + 2 + (2 * m + 18 if m < size
+                                                 else 8)
+        nu = count * 0.5 * np.finfo(float).eps
+        assert _rounding_gamma(p, depth) == nu / (1.0 - nu)
+
+
+@pytest.mark.parametrize("p", [64, 128])
 @pytest.mark.parametrize("depth", range(1, 9))
 def test_multilevel_readings_equal_the_one_grid_kernel(p, depth):
     # in exact arithmetic the two kernels hold the same iterate at every
