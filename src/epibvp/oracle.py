@@ -8,8 +8,8 @@ r**2 w'' - r w' = w**2 / 2 + lam r**4 / 2 reads
 which is regular on [ln r0, 0]: the singular Euler operator becomes one
 with constant coefficients.  It is integrated by Taylor series steps in t
 (Corliss & Chang, ACM TOMS 8, 1982; Jorba & Zou, Exp. Math. 14, 2005).
-At t0 the coefficients of w(t0 + s) = sum W_k s**k and u(t0 + s) =
-sum U_k s**k follow, to the order K of the configuration, from
+At t0 the coefficients of w(t0 + h) = sum W_k h**k and u(t0 + h) =
+sum U_k h**k follow, to the order K of the configuration, from
 
     W_{k+1} = U_k / (k + 1),
     U_{k+1} = (2 U_k + (W*W)_k / 2 + lam exp(4 t0) 4**k / (2 k!)) / (k + 1),
@@ -20,22 +20,27 @@ m = max(1, |w|, |u|) at t0, estimates the inverse radius of convergence
 g, and the step is h = min(0.35 / g, 1, -t0): the last term kept is
 about 0.35**K times m.  Measured against m rather than 1, a column that
 blows up passes the guard in tens of steps, not hundreds.  The endpoint
-pair
-(w(1), w'(1)) is (w, u) at t = 0.  The origin is singular, so
-integration starts from a small handoff radius r0 where the two-term
-series
+pair (w(1), w'(1)) is (w, u) at t = 0.
 
-    w = a r**2 + c4 r**4,      c4 = (a**2 + lam) / 16
+The origin is singular, and near it the solution is its own Frobenius
+series: with s = r**2, w = s v(s) and
 
-supplies the state; the series truncation enters only at O(r0**6).
+    v_0 = a,      v_j = ((v*v)_{j-1} + lam delta_{j1}) / (8 j (j + 1)),
+
+taken to the same order K.  Each column hands off from the series to the
+Taylor steps at r_h = max(r0, min(0.1, sqrt(0.35 / g))), where g is the
+root test's inverse radius in s over the upper half of the v_j, measured
+against m = max(|v_0|, |v_1|).  The cap 0.1 holds for |a| up to about
+1357; below it the series is the solution to rounding, so the steps only
+cover ln r_h .. 0: 4 to 9 of them on the default window at lam = 15.
 
 Nothing here shares code with the polynomial solver: profiles are
 recovered by trapezoidal quadrature of w / r over the trajectory, sampled
-from each step's polynomial, and branch roots are re-derived from the
-endpoint state by an Illinois solve (regula falsi with the retained end's
-value halved; Dowell & Jarratt, BIT 11, 1971) inside the sign changes of
-a scan.  Agreement with the iterative solver is therefore genuine
-two-method validation.
+from the series below r_h and from each step's polynomial above, and
+branch roots are re-derived from the endpoint state by an Illinois solve
+(regula falsi with the retained end's value halved; Dowell & Jarratt,
+BIT 11, 1971) inside the sign changes of a scan.  Agreement with the
+iterative solver is therefore genuine two-method validation.
 """
 
 from __future__ import annotations
@@ -63,11 +68,13 @@ BLOWUP_GUARD = 1e12
 # 0.35**K, exceeds 1e-4; the work per step grows as K**2
 _MIN_ORDER = 8
 _MAX_ORDER = 64
-# each step goes this fraction of the estimated radius of convergence
+# each step goes this fraction of the estimated radius of convergence, and
+# so does the series handoff, in s = r**2, though never past r = 0.1
 _STEP_FRACTION = 0.35
+_HANDOFF_CAP = 0.1
 # a column still short of r = 1 after this many steps counts as blown up;
-# a column that reaches r = 1 takes 11 to 30 steps, one that passes the
-# guard about 60
+# from the handoff a column that reaches r = 1 takes 4 to 27 steps, one
+# that passes the guard about 50
 _STEP_BUDGET = 400
 # geometric nodes of ivp_trajectory, from r0 to 1
 _TRAJECTORY_NODES = 2001
@@ -83,8 +90,8 @@ class IvpOverflow(ArithmeticError):
 
 @dataclass(frozen=True)
 class IvpConfig:
-    """Integrator settings: series handoff radius and the order of the
-    Taylor steps in t = ln r from ln r0 to 0."""
+    """Integrator settings: the least series handoff radius, and the order
+    of the series and of the Taylor steps in t = ln r up to 0."""
 
     r0: float = 1e-4
     order: int = 24
@@ -100,10 +107,51 @@ class IvpConfig:
             )
 
 
-def series_start(a, lam: float, r0: float):
-    """Series state (w, w') at the handoff radius; ``a`` may be an array."""
-    c4 = (a * a + lam) / 16.0
-    return a * r0 * r0 + c4 * r0 ** 4, 2.0 * a * r0 + 4.0 * c4 * r0 ** 3
+def _root_test(coeffs, scale, upper):
+    """Inverse radius of convergence per row: the largest
+    (|c_k| / scale)**(1/k) over the coefficients c_k of the upper half,
+    whose exponents 1/k are ``upper``."""
+    return np.max((np.abs(coeffs) / scale[:, None]) ** upper, axis=1)
+
+
+def _handoff(a, lam: float, cfg: IvpConfig):
+    """The Frobenius series v_0..v_K of v = w / s, one row per shooting
+    parameter in the 1-D array ``a``, each row's handoff radius, and the
+    series state (w, u) there."""
+    order = cfg.order
+    v = np.empty((a.size, order + 1))
+    v[:, 0] = a
+    v[:, 1] = (a * a + lam) / 16.0
+    for j in range(2, order + 1):
+        v[:, j] = np.einsum("ij,ij->i", v[:, :j], v[:, j - 1::-1])
+        v[:, j] /= 8 * j * (j + 1)
+    upper = _constants(order)[3]
+    # the inverse radius in s; a zero series (a = lam = 0) reads NaN, and
+    # fmin hands it off at the cap
+    g = _root_test(v[:, order // 2:],
+                   np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1])), upper)
+    r = np.maximum(cfg.r0, np.fmin(_HANDOFF_CAP,
+                                   np.sqrt(_STEP_FRACTION / g)))
+    return v, r, _series_state(v, r * r)
+
+
+def _series_state(v, s):
+    """(w, u) = (s v(s), r w') of the series with coefficients ``v`` (last
+    axis) at s = r**2, by Horner's rule; v and s broadcast."""
+    w = u = 0.0
+    for j in range(v.shape[-1] - 1, -1, -1):
+        w = w * s + v[..., j]
+        u = u * s + (2 * j + 2) * v[..., j]
+    return s * w, s * u
+
+
+def series_start(a, lam: float, cfg: IvpConfig | None = None):
+    """Handoff radius and the series state (r, w, w') there, per shooting
+    parameter; ``a`` may be an array, and each output has its shape."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, r, (w, u) = _handoff(np.asarray(a, dtype=float).reshape(-1), lam,
+                                cfg or IvpConfig())
+        return tuple(x.reshape(np.shape(a))[()] for x in (r, w, u / r))
 
 
 @lru_cache(maxsize=None)
@@ -123,13 +171,15 @@ def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
     """Endpoint states (w, u) at t = 0 for many shooting parameters at once,
     and the t each column reached.
 
-    Each column steps on its own; a column reads NaN once |w| passes the
-    blow-up guard, a value leaves the finite range or the step budget runs
-    out.  The coefficients are stored one row per column and (W*W)_k is
-    summed along the row, so a column reads the same bits whatever other
-    columns share the call.  Given ``dense`` = (ts, out) for one column,
-    with ts sorted from ln r0 to 0, each step also writes (w, u) at the
-    nodes ts[j] it covers into out[:, j], the last node excepted.
+    Each column starts from its series at its handoff radius and steps on
+    its own; a column reads NaN once |w| passes the blow-up guard, a value
+    leaves the finite range or the step budget runs out.  The coefficients
+    are stored one row per column and the convolutions are summed along
+    the row, so a column reads the same bits whatever other columns share
+    the call.  Given ``dense`` = (ts, out) for one column, with ts sorted
+    from ln r0 to 0, the series writes (w, u) at the nodes ts[j] below the
+    handoff into out[:, j], and each step at the nodes it covers, the last
+    node excepted.
 
     Raises ValueError for a rate that is not finite: its forcing is NaN
     from the first step, which would read as blow-up everywhere.
@@ -138,13 +188,16 @@ def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
         raise ValueError(f"the rate must be finite, got {lam!r}")
     order = cfg.order
     rates, halves, forcing, upper, powers = _constants(order)
-    w, v = series_start(np.asarray(a_values, dtype=float).reshape(-1), lam,
-                        cfg.r0)
-    state = np.stack((w, cfg.r0 * v), axis=1)
-    t = np.full(w.size, math.log(cfg.r0))
-    live = np.arange(w.size)
-    blown = np.zeros(w.size, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v, r, start = _handoff(np.asarray(a_values, dtype=float).reshape(-1),
+                               lam, cfg)
+        state, t = np.stack(start, axis=1), np.log(r)
+        if dense is not None:
+            ts, out = dense
+            below = slice(np.searchsorted(ts, t[0]))
+            out[:, below] = _series_state(v[0], np.exp(2.0 * ts[below]))
+        live = np.arange(t.size)
+        blown = np.zeros(t.size, dtype=bool)
         for _ in range(_STEP_BUDGET):
             if not live.size:
                 break
@@ -158,9 +211,9 @@ def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
                 square = np.einsum("ij,ij->i", w_coeffs[:, :k + 1],
                                    w_coeffs[:, k::-1])
                 c[:, 1, k + 1] += square * halves[k] + force[:, k]
-            size = np.abs(c[:, :, order // 2:]).max(axis=1)
-            size /= np.maximum(1.0, np.abs(c[:, :, 0]).max(axis=1))[:, None]
-            g = np.max(size ** upper, axis=1)
+            g = _root_test(np.abs(c[:, :, order // 2:]).max(axis=1),
+                           np.maximum(1.0, np.abs(c[:, :, 0]).max(axis=1)),
+                           upper)
             h = np.minimum(_STEP_FRACTION / np.maximum(g, _STEP_FRACTION),
                            -t0)
             t1 = t0 + h
@@ -201,8 +254,9 @@ def ivp_trajectory(a: float, lam: float, cfg: IvpConfig | None = None):
     """Integrate to r = 1 sampling the state on the way.
 
     Returns arrays (r, w, w') on 2001 geometric nodes r = exp(t), from
-    exactly r0 to exactly 1, read from each step's polynomial; the last
-    node is :func:`ivp_integrate`'s endpoint.  Dense output feeds the
+    exactly r0 to exactly 1, read from the series below the handoff radius
+    and from each step's polynomial above; the last node is
+    :func:`ivp_integrate`'s endpoint.  Dense output feeds the
     quadrature-based profile recovery.
     """
     cfg = cfg or IvpConfig()
@@ -239,10 +293,11 @@ def _illinois(residual, lo, hi, f_lo, f_hi):
     calls it once, on the points of the brackets still open.  Each bracket
     follows the scalar rule: regula falsi keeps the sign change bracketed;
     when the same end is kept twice in a row its value is halved (the
-    Illinois rule), so both ends close in.  A point that falls outside the
-    open bracket is replaced by the midpoint.  A bracket stops at an exact
-    zero, at a width no more than ``_ROOT_TOL``, or when the midpoint
-    rounds to an end, and yields its midpoint.
+    Illinois rule), so both ends close in.  A point that rounds onto an
+    end closes the bracket at that end; one that falls outside the bracket
+    is replaced by the midpoint.  A bracket stops at an exact zero, at a
+    width no more than ``_ROOT_TOL``, or when the midpoint rounds to an
+    end, and yields its midpoint.
     """
     # the ends (lo, hi) and their values, one row each
     ends, vals = (np.stack([np.array(x, dtype=float, ndmin=1) for x in pair])
@@ -254,10 +309,13 @@ def _illinois(residual, lo, hi, f_lo, f_hi):
         while live.size:
             (a, b), (fa, fb) = ends[:, live], vals[:, live]
             x = b - fb * (b - a) / (fb - fa)
+            # a point that rounds onto an end closes its bracket there
+            end = (x == a) | (x == b)
+            ends[:, live[end]] = x[end]
             inside = (a < x) & (x < b)
             mid = 0.5 * (a + b)
             x = np.where(inside, x, mid)
-            go = inside | ((mid != a) & (mid != b))
+            go = ~end & (inside | ((mid != a) & (mid != b)))
             live, x = live[go], x[go]
             fx = np.asarray(residual(x), dtype=float)
             # an exact zero closes its bracket on the point

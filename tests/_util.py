@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from epibvp import (BLOWUP_GUARD, BoundaryKind, IvpOverflow,
-                    NonIntegrableDefect, find_branches, series_start)
+                    NonIntegrableDefect, find_branches)
 from epibvp.vim import (_basis, _chebyshev, _collocation, _gauss,
                         _overflow, _quadratures)
 
@@ -263,6 +263,14 @@ def _rk4_step(w, u, h, f0, fm, f1):
             u + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
 
 
+def _rk4_start(a, lam, r0):
+    # (w, u) at r0 from the two-term series w = a r**2 + c4 r**4,
+    # c4 = (a**2 + lam) / 16, the start the march was built with
+    c4 = (a * a + lam) / 16.0
+    return (a * r0 * r0 + c4 * r0 ** 4,
+            r0 * (2.0 * a * r0 + 4.0 * c4 * r0 ** 3))
+
+
 def _rk4_grid(lam, r0, steps):
     # the step in t and the forcing lam exp(4 t) / 2 at the stage points
     # ln r0, ln r0 + h/2, ..., 0
@@ -273,12 +281,11 @@ def _rk4_grid(lam, r0, steps):
 
 def frozen_rk4(a, lam, r0=1e-4, steps=2000):
     """Endpoint (w, u) at r = 1 of classic RK4 on ``steps`` uniform steps
-    in t = ln r from the series start at r0, one call of a float RK4 step
+    in t = ln r from the two-term series start at r0, one call of a float RK4 step
     per step; raises IvpOverflow when |w| passes the blow-up guard.  The
     oracle integrated this way until it took Taylor steps.  Kept frozen."""
     h, f = _rk4_grid(lam, r0, steps)
-    w, v = series_start(a, lam, r0)
-    u = r0 * v
+    w, u = _rk4_start(a, lam, r0)
     for i in range(1, steps + 1):
         w, u = _rk4_step(w, u, h, f[2 * i - 2], f[2 * i - 1], f[2 * i])
         if not abs(w) <= BLOWUP_GUARD:
@@ -294,8 +301,7 @@ def frozen_rk4_endpoints(a_values, lam, r0=1e-4, steps=2000):
     step does the scalar march's operations elementwise, so each column
     equals it bit for bit; the reference for the oracle's accuracy."""
     h, f = _rk4_grid(lam, r0, steps)
-    w, v = series_start(np.array(a_values), lam, r0)
-    u = r0 * v
+    w, u = _rk4_start(np.array(a_values), lam, r0)
     peak = np.zeros_like(w)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, steps + 1):

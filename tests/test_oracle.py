@@ -1,5 +1,7 @@
 """The Taylor-series initial-value oracle and its cross-checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy
@@ -43,28 +45,57 @@ def test_config_validation():
 
 
 def test_series_start_trivial():
-    assert series_start(0.0, 0.0, 1e-4) == (0.0, 0.0)
+    # a zero series hands off at the cap
+    assert series_start(0.0, 0.0) == (0.1, 0.0, 0.0)
 
 
-def test_series_start_values():
-    w, wp = series_start(1.0, 0.0, 0.01)
-    assert w == pytest.approx(1e-4 + 6.25e-10, rel=1e-15)
-    assert wp == pytest.approx(0.02 + 2.5e-7, rel=1e-15)
+def test_handoff_radius_from_the_root_test():
+    # the root test sets the radius only far out on the steep side; the cap
+    # 0.1 holds on the default window, and the floor r0 at huge |a|
+    r, w, wp = series_start(np.array([[-1500.0, -17.24], [1e12, 0.5]]),
+                            -2000.0)
+    assert r.shape == w.shape == wp.shape == (2, 2)
+    assert 0.0953 <= r[0, 0] <= 0.0954
+    assert r[0, 1] == r[1, 1] == 0.1
+    assert r[1, 0] == 1e-4
+    assert 1e-8 < series_start(1e12, -2000.0, IvpConfig(r0=1e-8))[0] < 1e-4
 
 
-def test_series_coefficient_by_symbolic_substitution():
-    # substituting w = a r^2 + c r^4 into the equation forces c = (a^2+lam)/16
-    r, a, lam, c = sympy.symbols("r a lam c")
-    w = a * r ** 2 + c * r ** 4
-    defect = (
-        r ** 2 * sympy.diff(w, r, 2)
-        - r * sympy.diff(w, r)
-        - w ** 2 / 2
-        - lam * r ** 4 / 2
-    )
-    quartic_coeff = sympy.expand(defect).coeff(r, 4)
-    solved = sympy.solve(sympy.Eq(quartic_coeff, 0), c)
-    assert solved == [(a ** 2 + lam) / 16]
+def _exact_series(a, lam, order):
+    """v_0..v_order of the Frobenius series v = w / r**2 by the recurrence
+    v_j = ((v*v)_{j-1} + lam delta_{j1}) / (8 j (j + 1)), in the arithmetic
+    of a and lam: exact rationals or polynomials."""
+    v = [a]
+    for j in range(1, order + 1):
+        q = sum(v[i] * v[j - 1 - i] for i in range(j)) + (lam if j == 1 else 0)
+        v.append(q / (8 * j * (j + 1)))
+    return v
+
+
+def test_series_defect_by_symbolic_substitution():
+    # substituting the K-term series w = sum v_j r**(2 j + 2) into the
+    # equation leaves no term below r**(2 K + 4)
+    order = IvpConfig().order
+    _, r, a, lam = sympy.ring("r a lam", sympy.QQ)
+    w = sum(c * r ** (2 * j + 2)
+            for j, c in enumerate(_exact_series(a, lam, order)))
+    defect = (r ** 2 * w.diff(r).diff(r) - r * w.diff(r) - w ** 2 / 2
+              - lam * r ** 4 / 2)
+    assert min(k for k, _, _ in defect.monoms()) == 2 * order + 4
+    # the integrator's state is this series at the exact binary values of
+    # a, lam and the handoff radius, to rounding, where the root test, the
+    # cap and the floor set the radius; measured 8.5e-16 relative at most,
+    # and 2.4e-15 at the floor, where the terms grow
+    for a_value, lam_value in ((-1500.0, -2000.0), (-17.24, 15.0),
+                               (1e12, 0.0)):
+        exact = _exact_series(Fraction(a_value), Fraction(lam_value), order)
+        radius, *start = series_start(a_value, lam_value)
+        rho = Fraction(radius)
+        expected = (sum(c * rho ** (2 * j + 2) for j, c in enumerate(exact)),
+                    sum((2 * j + 2) * c * rho ** (2 * j + 1)
+                        for j, c in enumerate(exact)))
+        for got, want in zip(start, expected):
+            assert abs(Fraction(got) - want) <= Fraction(4e-15) * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +197,25 @@ def test_batch_matches_scalar_integration_bit_for_bit(lam, cfg, a_values,
     assert np.array_equal(np.isnan(reference), overflowed)
 
 
-# (lam, r0, shooting parameters): the default window at a large handoff
-# radius, and the wide window, where about 140 of 320 columns blow up
+# (lam, r0, shooting parameters): the default window at a large floor r0,
+# the wide window, where about 140 of 320 columns blow up, and a steep
+# stretch where the root test sets the handoff radius (0.0953 at -1500).
+# At 320 points the steep stretch holds a column at the guard, a = -970.22,
+# where 8000-step RK4 ends at w = 9.4e11 and 16 000-step RK4 and the
+# Taylor steps pass 1e12; at 32 points it holds none
 _ACCURACY_GRIDS = [
     pytest.param(15.0, 1e-2, np.linspace(-120.0, 20.0, 32), id="15.0"),
 ] + [
     pytest.param(lam, 1e-4, np.linspace(-300.0, 300.0, 320), id=f"wide-{lam}")
     for lam in (-130.0, -400.0, -2000.0, 150.0)
+] + [
+    pytest.param(-2000.0, 1e-4, np.linspace(-1500.0, -500.0, 32),
+                 id="steep--2000.0"),
 ]
+
+# the RK4 references start from the two-term series at this radius: at
+# r0 = 1e-2 that start errs by 6.4e-6 relative on the default window
+_RK4_R0 = 1e-4
 
 
 def _distance(w, u, reference):
@@ -193,11 +235,11 @@ def test_endpoints_closer_to_fine_rk4_than_default_rk4(lam, r0, a_values):
     # further from it than the 2000 steps RK4 the oracle used to take, and
     # blow up on the same columns
     key = tuple(a_values.tolist())
-    reference = frozen_rk4_endpoints(key, lam, r0, 8000)
+    reference = frozen_rk4_endpoints(key, lam, _RK4_R0, 8000)
     w, u, _ = _taylor(a_values, lam, IvpConfig(r0=r0))
     assert np.array_equal(np.isnan(w), np.isnan(reference[0]))
     assert _distance(w, u, reference) <= _distance(
-        *frozen_rk4_endpoints(key, lam, r0, 2000), reference)
+        *frozen_rk4_endpoints(key, lam, _RK4_R0, 2000), reference)
 
 
 @pytest.mark.parametrize("lam,r0,a_values", _ACCURACY_GRIDS)
@@ -205,8 +247,9 @@ def test_order_doubling(lam, r0, a_values):
     # the endpoints at orders 24 and 48 differ by less than 1e-9 relative,
     # and both lie within the distance of 2000-step RK4 from the reference
     key = tuple(a_values.tolist())
-    reference = frozen_rk4_endpoints(key, lam, r0, 8000)
-    coarse = _distance(*frozen_rk4_endpoints(key, lam, r0, 2000), reference)
+    reference = frozen_rk4_endpoints(key, lam, _RK4_R0, 8000)
+    coarse = _distance(*frozen_rk4_endpoints(key, lam, _RK4_R0, 2000),
+                       reference)
     w, u, _ = _taylor(a_values, lam, IvpConfig(r0=r0, order=24))
     w2, u2, _ = _taylor(a_values, lam, IvpConfig(r0=r0, order=48))
     assert np.array_equal(np.isnan(w), np.isnan(w2))
@@ -251,12 +294,35 @@ def test_blow_up_is_reported_where_rk4_passes_the_guard():
 
 
 def test_series_start_insensitivity():
+    # for every r0 up to 1e-2 the handoff lies at the cap 0.1, so the
+    # endpoints agree bit for bit; a floor past the cap moves the handoff
+    # out with it, and at 0.2 and 0.3 w(1) moves by 6.9e-14 and 9.7e-14
     root = lower_branch_root(1.0, BoundaryKind.DIRICHLET)
-    endpoints = [
-        ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0))[0]
-        for r0 in (1e-5, 1e-4, 1e-3)
-    ]
-    assert max(endpoints) - min(endpoints) <= 1e-7
+    endpoints = {ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0))
+                 for r0 in (1e-5, 1e-4, 1e-3, 1e-2)}
+    assert len(endpoints) == 1
+    (w1, _), = endpoints
+    for r0 in (0.2, 0.3):
+        assert abs(ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0))[0]
+                   - w1) <= 2e-13
+
+
+def test_scan_columns_reach_r_1_in_few_steps(monkeypatch):
+    # from the handoff each column of the default window at 15 reaches
+    # r = 1 in 4 to 9 steps; 300 take at most 7, and the last, a = 20,
+    # takes 9
+    monkeypatch.setattr(oracle, "_STEP_BUDGET", 9)
+    xs = np.linspace(-120.0, 20.0, 320)
+    w, u, t = _taylor(xs, 15.0, IvpConfig())
+    assert np.isfinite(w).all() and np.isfinite(u).all()
+    assert np.all(t == 0.0)
+    radius = series_start(xs, 15.0)[0]
+    assert np.all((1e-4 <= radius) & (radius <= 0.1))
+    # both roots in 5
+    monkeypatch.setattr(oracle, "_STEP_BUDGET", 5)
+    w, _, _ = _taylor(np.array([-17.2437906707, -2.2217801911]), 15.0,
+                      IvpConfig())
+    assert np.isfinite(w).all()
 
 
 def test_vim_root_nearly_closes_the_dirichlet_condition():
@@ -365,31 +431,31 @@ def _pinned(table):
 _HEX_ROOTS = {
     "X86_V4": {
         (BoundaryKind.DIRICHLET, -25.0):
-            ("-0x1.5d761eaf414a4p+6", "0x1.7de6a3e630848p+0"),
+            ("-0x1.5d761eaf416dep+6", "0x1.7de6a3e630caep+0"),
         (BoundaryKind.DIRICHLET, 30.0):
-            ("-0x1.2271b03c8bfdap+6", "-0x1.ff3148849136bp+0"),
+            ("-0x1.2271b03c8bffap+6", "-0x1.ff3148849111fp+0"),
         (BoundaryKind.NAVIER_ONE, -60.0):
-            ("-0x1.2228c87ad7296p+5", "0x1.529f1157652f0p+2"),
+            ("-0x1.2228c87ad7972p+5", "0x1.529f11576585ep+2"),
         (BoundaryKind.NAVIER_ONE, 15.0):
-            ("-0x1.13e6910bdd195p+4", "-0x1.1c634b15de057p+1"),
+            ("-0x1.13e6910bdd793p+4", "-0x1.1c634b15ddfcap+1"),
         (BoundaryKind.NAVIER_TWO, -100.0):
-            ("-0x1.8ede2eb66a9eap+4", "0x1.115527ac3031ap+3"),
+            ("-0x1.8ede2eb66b760p+4", "0x1.115527ac306a2p+3"),
         (BoundaryKind.NAVIER_TWO, 8.0):
-            ("-0x1.c2e1b31c5fd74p+2", "-0x1.fac0860d25ce4p+0"),
+            ("-0x1.c2e1b31c5f922p+2", "-0x1.fac0860d25be9p+0"),
     },
     "X86_V3": {
         (BoundaryKind.DIRICHLET, -25.0):
-            ("-0x1.5d761eaf414a4p+6", "0x1.7de6a3e630848p+0"),
+            ("-0x1.5d761eaf416dep+6", "0x1.7de6a3e630caep+0"),
         (BoundaryKind.DIRICHLET, 30.0):
-            ("-0x1.2271b03c8bfdap+6", "-0x1.ff3148849136bp+0"),
+            ("-0x1.2271b03c8bffap+6", "-0x1.ff31488491120p+0"),
         (BoundaryKind.NAVIER_ONE, -60.0):
-            ("-0x1.2228c87ad7292p+5", "0x1.529f1157652f0p+2"),
+            ("-0x1.2228c87ad7972p+5", "0x1.529f11576585ep+2"),
         (BoundaryKind.NAVIER_ONE, 15.0):
-            ("-0x1.13e6910bdd196p+4", "-0x1.1c634b15de057p+1"),
+            ("-0x1.13e6910bdd792p+4", "-0x1.1c634b15ddfcap+1"),
         (BoundaryKind.NAVIER_TWO, -100.0):
-            ("-0x1.8ede2eb66a9c5p+4", "0x1.115527ac3031ap+3"),
+            ("-0x1.8ede2eb66b760p+4", "0x1.115527ac306a2p+3"),
         (BoundaryKind.NAVIER_TWO, 8.0):
-            ("-0x1.c2e1b31c5fd72p+2", "-0x1.fac0860d25ce4p+0"),
+            ("-0x1.c2e1b31c5f922p+2", "-0x1.fac0860d25be8p+0"),
     },
 }
 
@@ -403,10 +469,10 @@ def test_oracle_roots_pinned_bit_for_bit(bc, lam):
 
 # w(1), w'(1), and w and w' at node 1000 of the trajectory below
 _HEX_TRAJECTORY = {
-    "X86_V4": ("-0x1.89140968b3efcp+2", "0x1.cc5743c2eb300p-28",
-               "-0x1.c3fc053eb81abp-10", "-0x1.6112a84e79550p-2"),
-    "X86_V3": ("-0x1.89140968b3efcp+2", "0x1.cc5743c2eb380p-28",
-               "-0x1.c3fc053eb81abp-10", "-0x1.6112a84e79550p-2"),
+    "X86_V4": ("-0x1.89140968b3b2cp+2", "0x1.cc269521ea000p-28",
+               "-0x1.c3fc053eb81b9p-10", "-0x1.6112a84e7955cp-2"),
+    "X86_V3": ("-0x1.89140968b3b2cp+2", "0x1.cc269521ea000p-28",
+               "-0x1.c3fc053eb81b9p-10", "-0x1.6112a84e7955cp-2"),
 }
 
 
@@ -456,9 +522,9 @@ def _bisection_roots(lam, bc):
     return roots
 
 
-@pytest.mark.parametrize("bc,lam", list(_PINNED_ROOTS))
-def test_illinois_roots(bc, lam, monkeypatch):
-    # count the columns the root solve integrates, bracket by bracket
+def _counted_root_solve(monkeypatch):
+    """The list that the root solve's residual calls append their column
+    counts to, one entry per iteration."""
     columns = []
     illinois = oracle._illinois
 
@@ -469,6 +535,13 @@ def test_illinois_roots(bc, lam, monkeypatch):
         return illinois(counted_residual, *brackets)
 
     monkeypatch.setattr(oracle, "_illinois", counted)
+    return columns
+
+
+@pytest.mark.parametrize("bc,lam", list(_PINNED_ROOTS))
+def test_illinois_roots(bc, lam, monkeypatch):
+    # count the columns the root solve integrates, bracket by bracket
+    columns = _counted_root_solve(monkeypatch)
     roots = oracle_branches(lam, bc)
     monkeypatch.undo()
     assert len(roots) == len(_PINNED_ROOTS[bc, lam])
@@ -480,6 +553,22 @@ def test_illinois_roots(bc, lam, monkeypatch):
     assert len(reference) == len(roots)
     for root, expected in zip(roots, reference):
         assert abs(root - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("bc,lam", [
+    (BoundaryKind.NAVIER_ONE, 8.0), (BoundaryKind.NAVIER_ONE, 15.0),
+    (BoundaryKind.DIRICHLET, -96.0), (BoundaryKind.NAVIER_TWO, -45.0),
+])
+def test_point_rounding_onto_an_end_closes_the_bracket(bc, lam, monkeypatch):
+    # a bracket that lands on its root to the last bit has its next regula
+    # falsi point round onto that end; closing the bracket there ends these
+    # solves in 5 to 7 iterations, where bisecting on from that point takes
+    # 17 to 25 at navier1 15, dirichlet -96 and navier2 -45; on the three
+    # bcs at lam = -100, -99, ..., 39 no solve takes more than 8
+    iterations = _counted_root_solve(monkeypatch)
+    roots = oracle_branches(lam, bc)
+    assert len(roots) == 2
+    assert len(iterations) <= 8
 
 
 def test_illinois_rule_halves_the_kept_end():
@@ -498,10 +587,13 @@ def test_illinois_rule_halves_the_kept_end():
 
 def _scalar_illinois(residual, lo, hi, f_lo, f_hi):
     """The Illinois rule on one bracket, as the oracle ran it before it
-    solved its brackets in lockstep.  Kept frozen."""
+    solved its brackets in lockstep, with one change since: a point that
+    rounds onto an end closes the bracket there.  Kept frozen."""
     side = 0
     while hi - lo > oracle._ROOT_TOL:
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if x == lo or x == hi:
+            return x
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
             if x == lo or x == hi:
