@@ -17,9 +17,10 @@ import argparse
 import json
 import math
 import os
+import pickle
 import re
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from enum import Enum
 from pathlib import Path
 
@@ -215,7 +216,7 @@ def _branch_record(root) -> dict:
     """The summary of one branch, as the CSV and JSON forms of solve and
     sweep write it; sup_norm_phi is taken on the 101-point profile grid."""
     return dict(zip(_BRANCH_COLUMNS, (root.label.value, root.a_star, root.band,
-                                      recover._sup_norm(root.phi))))
+                                      root.sup_norm)))
 
 
 def _open_out(args: argparse.Namespace, optional: bool = False):
@@ -301,8 +302,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
 
 # ---------------------------------------------------------------------------
-# workers (module level so they survive pickling into the pool)
+# jobs
 # ---------------------------------------------------------------------------
+
+class JobFailed(Exception):
+    """A forked job ended without sending its results."""
+
 
 def _sweep_worker(task):
     lam, bc, n_iter, window = task
@@ -310,17 +315,84 @@ def _sweep_worker(task):
 
 
 def _pool_size(jobs: int, n_tasks: int) -> int:
-    # a fork-based pool starts all its workers at once, so never ask for
-    # more than there are tasks or processors
-    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+    # never more processes than tasks or than processors this process may
+    # run on: a job forked onto a busy processor only slows the other down
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return max(1, min(jobs, n_tasks, usable))
+
+
+def _run_share(worker, share, write: int, pipes):
+    """In a forked job: run worker over share and send one pickle of
+    (True, results) or (False, exception) through the pipe end write.
+    Leaves through ``os._exit``, so nothing the parent registered (atexit
+    handlers, stdio buffers, a test runner's teardown) runs a second time;
+    the exit status is 0 only once the whole payload is written."""
+    status = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        try:
+            payload = (True, [worker(task) for task in share])
+        except Exception as exc:
+            payload = (False, exc)
+        data = pickle.dumps(payload)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_pool(worker, tasks, jobs: int):
-    workers = _pool_size(jobs, len(tasks))
-    if workers == 1:
+    """worker over tasks, in task order, on n = ``_pool_size`` processes:
+    the caller is job 1 and runs tasks[0::n], and job k, forked from it,
+    runs tasks[k - 1::n] and sends its results back through a pipe.
+    Forked jobs start from the caller's loaded modules and warm caches,
+    and worker and tasks need no pickling.  An exception a job raised is
+    raised again here; a job that ends without sending its results raises
+    :class:`JobFailed`.  Every job is reaped before this returns, and on
+    an exception here the jobs still running are killed first."""
+    n = _pool_size(jobs, len(tasks))
+    if n == 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+    pids, pipes = [], []
+    received = False
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(worker, tasks[i::n], write, pipes)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        own = [worker(task) for task in tasks[0::n]]
+        data = [pipe.read() for pipe in pipes]
+        received = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not received:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    results = [None] * len(tasks)
+    results[0::n] = own
+    for i, (payload, code) in enumerate(zip(data, codes), 1):
+        if code != 0:
+            raise JobFailed(f"job {i + 1} of {n} ended with exit status "
+                            f"{code} before sending its results")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results[i::n] = value
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +647,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}; narrow --a-window or take a rate of smaller "
               f"magnitude", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, JobFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

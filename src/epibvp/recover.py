@@ -75,11 +75,6 @@ class ResidualTable:
         return float(np.max(np.abs(self.values)))
 
 
-def _sup_norm(phi: RPoly) -> float:
-    """Largest |phi| on :data:`PROFILE_GRID`."""
-    return float(np.max(np.abs(evaluate(phi, PROFILE_GRID))))
-
-
 def recover_phi(w: RPoly) -> RPoly:
     """Integrate w / r from the right boundary: phi' r = w, phi(1) = 0.
 

@@ -124,6 +124,8 @@ class BranchRoot:
     w: RPoly = field(repr=False)
     phi: RPoly = field(repr=False)
     table: recover.ResidualTable = field(repr=False)
+    # largest |phi| on recover.PROFILE_GRID, which the labels compare
+    sup_norm: float = field(repr=False)
 
 
 def _readings(a, lam: float, bc: BoundaryKind, n: int,
@@ -232,9 +234,10 @@ def _proxy_roots(lo: float, hi: float, lam: float, bc: BoundaryKind,
     return np.sort(np.concatenate(roots)) if roots else np.empty(0)
 
 
-def _labels(a_star, phis, lam: float) -> list:
-    """Branch labels of the roots at a_star with profiles phis, read from
-    each profile once on :data:`recover.PROFILE_GRID`.
+def _labels(a_star, phis, lam: float) -> tuple:
+    """Branch labels of the roots at a_star with profiles phis, and the sup
+    norms of the profiles, read from each profile once on
+    :data:`recover.PROFILE_GRID`.
 
     For lam < 0 the label is the sign of phi at r = 1/2 (positive or
     negative solution); a profile that changes sign on [0, 1] triggers a
@@ -257,9 +260,9 @@ def _labels(a_star, phis, lam: float) -> list:
                 )
         # PROFILE_GRID[50] is r = 1/2 exactly
         return [BranchLabel.POSITIVE if v[50] >= 0.0 else BranchLabel.NEGATIVE
-                for v in values]
+                for v in values], sups
     if not values:
-        return []
+        return [], sups
     lowest = min(range(len(values)), key=lambda i: (sups[i], a_star[i]))
     labels = [BranchLabel.UPPER] * len(values)
     labels[lowest] = BranchLabel.LOWER
@@ -271,7 +274,7 @@ def _labels(a_star, phis, lam: float) -> list:
                 RuntimeWarning,
                 stacklevel=3,
             )
-    return labels
+    return labels, sups
 
 
 def _starts(lo: float, hi: float, lam: float, bc: BoundaryKind,
@@ -372,13 +375,14 @@ def find_branches(lam: float, bc: BoundaryKind,
     |dB/da|: a rounding bound of the collocation reading plus its change
     from p to 2 p points.  The roots are distinct and come out sorted by
     a, labelled by :func:`_labels`.  Each root carries the iterate,
-    profile and residual table that the cap and the labels read; they
-    equal :func:`recover.solve_profile` and :func:`recover.residual_table`
-    at its a_star bit for bit.
+    profile and residual table that the cap and the labels read, and the
+    profile's sup norm that the labels compare; they equal
+    :func:`recover.solve_profile` and :func:`recover.residual_table` at its
+    a_star bit for bit.
     """
     found = [dict(f, phi=recover.recover_phi(f["w"]))
              for f in _accepted(lam, bc, window, n_iter)]
-    labels = _labels([f["a_star"] for f in found],
-                     [f["phi"] for f in found], lam)
-    return [BranchRoot(bc=bc, lam=lam, label=label, **f)
-            for f, label in zip(found, labels)]
+    labels, sups = _labels([f["a_star"] for f in found],
+                           [f["phi"] for f in found], lam)
+    return [BranchRoot(bc=bc, lam=lam, label=label, sup_norm=sup, **f)
+            for f, label, sup in zip(found, labels, sups)]

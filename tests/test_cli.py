@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -324,8 +325,34 @@ def test_sweep_csv(tmp_path):
     assert forty_rows == ["40.0,0,,,,"]
 
 
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # --jobs runs on at most as many processes as processors it may use
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+
+
+def _no_job_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 40 lies past navier1's fold (no branch) and -20 has no upper branch
+_FAN_OUT_RATES = "0,15,40,-20"
+
+
+def _bytes_by_jobs(tmp_path, argv, name):
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / jobs
+        assert run(argv + ["--out", str(out), "--jobs", jobs]) == 0
+        _no_job_left()
+        outputs.append((out / name).read_bytes())
+    return outputs
+
+
 def test_sweep_jobs_write_the_same_bytes(tmp_path):
-    # with two jobs the records, roots and all, cross the process pool
+    # with two jobs the records, roots and all, come back through a pipe
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / jobs
@@ -333,6 +360,14 @@ def test_sweep_jobs_write_the_same_bytes(tmp_path):
                     "--out", str(out), "--jobs", jobs]) == 0
         outputs.append((out / "sweep_navier2.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_at_one_to_three_jobs_writes_the_same_bytes(tmp_path,
+                                                          three_cpus):
+    outputs = _bytes_by_jobs(tmp_path, ["sweep", "--bc", "navier1", "--lambdas",
+                                        _FAN_OUT_RATES], "sweep_navier1.csv")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert b"\n40.0,0,,,,\n" in outputs[0]
 
 
 def test_sweep_csv_and_json_carry_the_same_floats(tmp_path):
@@ -833,6 +868,72 @@ def test_flag_overrides_environment(tmp_path, monkeypatch):
     assert not (tmp_path / "envout").exists()
 
 
+def test_residual_table_at_one_to_three_jobs_writes_the_same_bytes(
+        tmp_path, three_cpus):
+    outputs = _bytes_by_jobs(tmp_path, [
+        "residual-table", "--bc", "navier1", "--branch", "upper",
+        "--lambdas", _FAN_OUT_RATES], "residual_table_navier1_upper.csv")
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert outputs[0].startswith(b"r,lambda=0.0,lambda=15.0\n")
+
+
+def _failing_job(monkeypatch, fail):
+    """Make the sweep worker call fail on the rate 3, the second task of
+    the forked job's share at --jobs 2 over the rates 0,1,2,3."""
+    caller, worker = os.getpid(), cli._sweep_worker
+
+    def failing(task):
+        # never in the calling process: os._exit there would end the tests
+        if task[0] == 3.0 and os.getpid() != caller:
+            fail()
+        return worker(task)
+
+    monkeypatch.setattr(cli, "_sweep_worker", failing)
+
+
+_FAILING_SWEEP = ["sweep", "--bc", "navier1", "--lambdas", "0,1,2,3",
+                  "--jobs", "2"]
+
+
+def test_exception_in_a_job_is_raised_by_the_caller(tmp_path, monkeypatch,
+                                                    capsys, three_cpus):
+    def fail():
+        raise ValueError("rate 3 refused")
+
+    _failing_job(monkeypatch, fail)
+    assert run(_FAILING_SWEEP + ["--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: rate 3 refused\n"
+    _no_job_left()
+    assert not (tmp_path / "sweep_navier1.csv").exists()
+
+
+def test_job_that_dies_fails_the_command(tmp_path, monkeypatch, capsys,
+                                         three_cpus):
+    _failing_job(monkeypatch, lambda: os._exit(9))
+    assert run(_FAILING_SWEEP + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: job 2 of 2 ended with exit status 9 before "
+                   "sending its results\n")
+    _no_job_left()
+
+
+def test_jobs_are_killed_when_the_caller_fails(three_cpus):
+    # the caller's own share fails at once; the job still running is
+    # killed and reaped, not waited for
+    caller = os.getpid()
+
+    def worker(task):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._run_pool(worker, [0, 1, 2], 3)
+    assert time.monotonic() - start < 30
+    _no_job_left()
+
+
 def test_residual_table_parallel_jobs(tmp_path):
     code = run(["residual-table", "--bc", "navier2", "--branch", "lower",
                 "--lambdas", "0,8", "--out", str(tmp_path), "--jobs", "2"])
@@ -842,7 +943,7 @@ def test_residual_table_parallel_jobs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# worker pool limits
+# --jobs limits
 # ---------------------------------------------------------------------------
 
 def test_sweep_non_finite_rate_is_usage_error(tmp_path, capsys):
@@ -876,27 +977,48 @@ def test_jobs_below_one_is_usage_error(tmp_path, command, jobs):
 ])
 def test_default_jobs_start_no_pool(tmp_path, monkeypatch, command):
     # one job by default: a few rates run faster in the calling process
-    # than a pool of two can start, even on a machine with many processors
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    # than a second process can start, even on a machine with many processors
+    def no_fork():
+        raise AssertionError("a job was forked")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     assert run(command + ["--out", str(tmp_path)]) == 0
     assert _echo(tmp_path)["jobs"] == 1
 
 
 def test_pool_size_is_clamped(monkeypatch):
-    # pure arithmetic: no process is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # pure arithmetic: no process is started; the processors counted are
+    # those this process may run on, not those the machine has
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     assert cli._pool_size(100000, 7) == 2
     assert cli._pool_size(2, 1) == 1
     assert cli._pool_size(1, 7) == 1
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    assert cli._pool_size(2, 7) == 1
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
     assert cli._pool_size(100000, 7) == 7
     assert cli._pool_size(3, 7) == 3
+    # a platform without affinity masks counts the machine's processors
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._pool_size(100000, 7) == 7
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._pool_size(4, 7) == 1
+
+
+def test_import_does_not_load_multiprocessing():
+    # the jobs are forked directly: no executor to import
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(epibvp.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, epibvp.cli; sys.exit('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from epibvp import (
     depth_sensitivity,
     find_branches,
     find_critical_lambda,
-    recover,
     shooting,
     sweep,
 )
@@ -55,7 +54,7 @@ def test_sweep_supercritical_dirichlet_is_empty():
 
 def test_sweep_records_sup_norms():
     (record,) = sweep([15.0], BoundaryKind.NAVIER_ONE)
-    sup = {b.label: recover._sup_norm(b.phi) for b in record.branches}
+    sup = {b.label: b.sup_norm for b in record.branches}
     assert sup[BranchLabel.UPPER] > sup[BranchLabel.LOWER] > 0.0
 
 
@@ -66,7 +65,8 @@ def test_sweep_records_hold_the_roots():
 
 
 def test_sweep_records_survive_pickling():
-    # records, roots and all, cross the command line's process pool
+    # records, roots and all, come back from the command line's --jobs
+    # processes as pickles
     records = sweep([15.0, 40.0], BoundaryKind.NAVIER_ONE)
     again = pickle.loads(pickle.dumps(records))
     assert again == records

@@ -260,7 +260,8 @@ def test_immutability():
 
 
 def test_pickle_round_trip():
-    # records holding polynomials cross the command line's process pool
+    # records holding polynomials come back from the command line's --jobs
+    # processes as pickles
     for p in (RPoly([0.0, 0.0, 1.5]), RPoly.zero(), RPoly([-0.0, 1e-300, 2.0])):
         copy = pickle.loads(pickle.dumps(p))
         assert copy == p

@@ -610,15 +610,15 @@ def _dummy_root(lam, w, a=-1.0):
     return BranchRoot(a_star=a, bc=BoundaryKind.NAVIER_ONE, lam=lam,
                       label=BranchLabel.LOWER, bracket=(a - 0.1, a + 0.1),
                       band=0.0, w=w, phi=recover_phi(w),
-                      table=residual_table(w, lam))
+                      table=residual_table(w, lam), sup_norm=math.nan)
 
 
 def _labels(lam, roots):
     """The labels of roots and the texts of the warnings raised on the way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        labels = shooting._labels([root.a_star for root in roots],
-                                  [root.phi for root in roots], lam)
+        labels, _ = shooting._labels([root.a_star for root in roots],
+                                     [root.phi for root in roots], lam)
     return labels, [str(item.message) for item in caught]
 
 
