@@ -449,17 +449,13 @@ def _cmd_residual_table(args) -> int:
 
 def _cmd_critical(args) -> int:
     bc = args.bc
-    try:
-        # a bracket that fails its checks or its counts writes nothing
-        estimate = critical.find_critical_lambda(
-            bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
-        out_dir = _open_out(args, optional=True)
-        sensitivity = critical.depth_sensitivity(
-            bc, args.lo, args.hi, args.tol, n_iter=args.n_iter,
-            window=args.a_window)
-    except critical.InvalidBracket as exc:
-        print(f"invalid bracket: {exc}", file=sys.stderr)
-        return EXIT_BAD_BRACKET
+    # a bracket that fails its checks or its counts raises before any output
+    estimate = critical.find_critical_lambda(
+        bc, args.lo, args.hi, args.tol, n_iter=args.n_iter, window=args.a_window)
+    out_dir = _open_out(args, optional=True)
+    sensitivity = critical._neighbours(
+        bc, estimate.n_iter_used, estimate.a_fold, estimate.lambda_star,
+        args.tol, args.a_window)
     payload = {
         "bc": bc.value,
         "lambda_crit": estimate.lambda_crit,
@@ -643,6 +639,9 @@ def main(argv=None) -> int:
         if vars(args).get("n_iter") is not None:
             _check_depth(args.n_iter)
         return _COMMANDS[args.command](args)
+    except critical.InvalidBracket as exc:
+        print(f"invalid bracket: {exc}", file=sys.stderr)
+        return EXIT_BAD_BRACKET
     except IterationOverflow as exc:
         print(f"error: {exc}; narrow --a-window or take a rate of smaller "
               f"magnitude", file=sys.stderr)

@@ -8,11 +8,11 @@ branches below, none above).  Newton's method on the fold system
 B(a, lam) = 0, dB/da = 0 (Moore & Spence 1980), with the derivatives
 that the collocation kernel steps along with B, finds the fold, and
 the count 0.45 tol to either side of it certifies it (:func:`_certified`);
-only a search without a fold bisects.  A count is one root search of
-:func:`shooting._accepted`, on the Chebyshev proxy, without profiles or
-labels; it sees the pair until about 1e-11 below the fold.  The same fold
-at the neighbouring depths, under the same certificate, is the depth
-sensitivity.
+where Newton from lo finds none, a count bisection raises lo to a new seed.
+A count is one root search of :func:`shooting._accepted`, on the Chebyshev
+proxy, without profiles or labels; it sees the pair until about 1e-11
+below the fold.  The same fold at the neighbouring depths, under the same
+certificate, is the depth sensitivity.
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class CriticalEstimate:
-    """Count bracket and Newton fold (None if none) of the critical rate."""
+    """Newton fold of the critical rate and the count bracket around it."""
 
     bc: BoundaryKind
     lambda_crit: float
     bracket: tuple
     n_iter_used: int
-    a_fold: float | None = None
-    lambda_star: float | None = None
+    a_fold: float
+    lambda_star: float
 
 
 def sweep(lambdas, bc: BoundaryKind, *, n_iter: int | None = None,
@@ -129,29 +129,50 @@ def _fold(bc: BoundaryKind, n: int, a: float, lam: float,
     return None
 
 
-def _fold_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
-                window):
-    """:func:`_fold` in (lo, hi) from the closest root pair at lo; raises
-    InvalidBracket unless lo < hi and tol > 0 are finite and lo has a
-    pair."""
+def _roots_at_lo(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
+                 window) -> list:
+    """The roots a* that the count finds at lo; raises InvalidBracket unless
+    lo < hi and tol > 0 are finite and lo has a pair."""
     if not (all(math.isfinite(x) for x in (lo, hi, tol))
             and lo < hi and tol > 0.0):
         raise InvalidBracket("need finite lo < hi and tol > 0")
-    a_star = [root["a_star"]
-              for root in shooting._accepted(lo, bc, window, n)]
+    a_star = [root["a_star"] for root in shooting._accepted(lo, bc, window, n)]
     if len(a_star) < 2:
         raise InvalidBracket(f"fewer than two branches at lo = {lo}")
-    i = min(range(len(a_star) - 1), key=lambda j: a_star[j + 1] - a_star[j])
-    return _fold(bc, n, 0.5 * (a_star[i] + a_star[i + 1]), lo, lo, hi)
+    return a_star
+
+
+def _seed(bc: BoundaryKind, n: int, lo: float, hi: float, tol: float,
+          window, a_star: list):
+    """:func:`_fold` in (lo, hi) from the closest pair of the roots a* at lo,
+    else from that at each lo that a count bisection raises; InvalidBracket
+    once hi - lo <= tol or a midpoint rounds to an end."""
+    while True:
+        if len(a_star) >= 2:
+            low, high = min(zip(a_star, a_star[1:]), key=lambda p: p[1] - p[0])
+            fold = _fold(bc, n, 0.5 * (low + high), lo, lo, hi)
+            if fold is not None:
+                return fold
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or mid == lo or mid == hi:
+            raise InvalidBracket(f"Newton finds no fold in [{lo}, {hi}]")
+        a_star = [root["a_star"]
+                  for root in shooting._accepted(mid, bc, window, n)]
+        if len(a_star) >= 2:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _certified(bc: BoundaryKind, depth: int, lam: float, tol: float, window,
                lo: float = -math.inf, hi: float = math.inf):
-    """(lam - 0.45 tol, lam + 0.45 tol) cut to (lo, hi) if the depth-
-    ``depth`` count shows two branches or more at its lower end and none at
-    its upper end, else None; an end cut to lo or hi keeps its known count."""
+    """(lam - 0.45 tol, lam + 0.45 tol) cut to (lo, hi) if at most tol wide
+    and the depth-``depth`` count shows two branches or more at its lower end
+    and none at its upper end, else None; a cut end keeps its known count."""
     offset = _PROBE_OFFSET * tol
     lower, upper = max(lo, lam - offset), min(hi, lam + offset)
+    if upper - lower > tol:
+        return None
     if lower > lo and len(shooting._accepted(lower, bc, window, depth)) < 2:
         return None
     if upper < hi and shooting._accepted(upper, bc, window, depth):
@@ -159,40 +180,40 @@ def _certified(bc: BoundaryKind, depth: int, lam: float, tol: float, window,
     return lower, upper
 
 
+def _neighbours(bc: BoundaryKind, n: int, a_fold: float, lambda_star: float,
+                tol: float, window) -> dict:
+    """Depth n -+ 1 -> :func:`_fold` from the depth-n fold if certified."""
+    out = dict.fromkeys((n - 1, n + 1))
+    for depth in [depth for depth in out if 1 <= depth <= MAX_DEPTH]:
+        fold = _fold(bc, depth, a_fold, lambda_star)
+        if fold is not None and _certified(bc, depth, fold[1], tol, window):
+            out[depth] = fold[1]
+    return out
+
+
 def find_critical_lambda(bc: BoundaryKind, lo: float, hi: float, tol: float,
                          *, n_iter: int | None = None,
                          window=shooting.DEFAULT_WINDOW) -> CriticalEstimate:
-    """A count bracket of the critical rate at most tol wide: at least two
-    branches at its lower end and none at its upper end.
+    """The Newton fold and a count bracket around it at most tol wide: at
+    least two branches at its lower end and none at its upper end.
 
-    Requires finite lo < hi and tol > 0, at least two branches at lo and
-    none at hi; anything else raises :class:`InvalidBracket` (the bounds
-    before any count).  When Newton gives a fold, the bracket is the one
-    :func:`_certified` returns around it, else InvalidBracket: the count
-    merges a pair about 1e-11 below the fold, so a tol near that can be
-    refused.  Without a fold the search bisects on the count until hi - lo
-    <= tol, or until the midpoint rounds to an end.
+    Raises :class:`InvalidBracket` unless lo < hi and tol > 0 are finite
+    (checked before any count), lo has two branches and hi none, the search
+    of :func:`_seed` finds a fold and :func:`_certified` holds around it;
+    the count merges a pair about 1e-11 below the fold, so a tol near that
+    can be refused.
     """
     n = bc.default_iterations if n_iter is None else n_iter
-    fold = _fold_at_lo(bc, n, lo, hi, tol, window)
+    a_star = _roots_at_lo(bc, n, lo, hi, tol, window)
     if shooting._accepted(hi, bc, window, n):
         raise InvalidBracket(f"branches persist at hi = {hi}")
-    a_fold, lambda_star = fold or (None, None)
-    if fold is not None:
-        bracket = _certified(bc, n, lambda_star, tol, window, lo, hi)
-        if bracket is None:
-            raise InvalidBracket(f"the count does not certify tol = {tol!r}")
-        lo, hi = bracket
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if len(shooting._accepted(mid, bc, window, n)) >= 2:
-            lo = mid
-        else:
-            hi = mid
+    a_fold, lambda_star = _seed(bc, n, lo, hi, tol, window, a_star)
+    bracket = _certified(bc, n, lambda_star, tol, window, lo, hi)
+    if bracket is None:
+        raise InvalidBracket(f"the count does not certify tol = {tol!r}")
+    lo, hi = bracket
     return CriticalEstimate(bc=bc, lambda_crit=0.5 * (lo + hi),
-                            bracket=(lo, hi), n_iter_used=n,
+                            bracket=bracket, n_iter_used=n,
                             a_fold=a_fold, lambda_star=lambda_star)
 
 
@@ -203,18 +224,11 @@ def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
     default depth when None), for disclosure.
 
     Newton's method at each neighbouring depth starts from the depth-n
-    fold found from the roots at lo, and may end beyond hi.  A value is
-    kept when the count at its depth certifies it (:func:`_certified`;
-    the count sees a pair until about 1e-11 below its fold); else, and for
-    a depth outside 1..MAX_DEPTH, it is None.  lo, hi and tol are checked
-    as in :func:`find_critical_lambda`, except hi's count.
+    fold that :func:`find_critical_lambda` finds, without counting hi, and
+    may end beyond hi.  A value is kept when the count at its depth
+    certifies it; else, and for a depth outside 1..MAX_DEPTH, it is None.
     """
     n = bc.default_iterations if n_iter is None else n_iter
-    seed = _fold_at_lo(bc, n, lo, hi, tol, window)
-    out = dict.fromkeys((n - 1, n + 1))
-    for depth in out:
-        fold = (_fold(bc, depth, *seed)
-                if seed is not None and 1 <= depth <= MAX_DEPTH else None)
-        if fold is not None and _certified(bc, depth, fold[1], tol, window):
-            out[depth] = fold[1]
-    return out
+    a_star = _roots_at_lo(bc, n, lo, hi, tol, window)
+    a_fold, lambda_star = _seed(bc, n, lo, hi, tol, window, a_star)
+    return _neighbours(bc, n, a_fold, lambda_star, tol, window)

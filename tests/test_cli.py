@@ -225,6 +225,33 @@ def test_critical_json_output(tmp_path, capsys):
     assert payload["lambda_star"] == pytest.approx(11.3426, abs=1e-4)
 
 
+def test_critical_solves_the_depth_n_fold_once(capsys, monkeypatch):
+    # the neighbouring depths start from the estimate's fold, so the count
+    # at lo and the depth-n Newton solve are not repeated: four counts for
+    # the bracket and two for each neighbouring depth, where the library's
+    # find_critical_lambda and depth_sensitivity make nine
+    bc = epibvp.BoundaryKind.NAVIER_TWO
+    estimate = epibvp.find_critical_lambda(bc, 5.0, 20.0, 0.01)
+    sensitivity = epibvp.depth_sensitivity(bc, 5.0, 20.0, 0.01)
+    expected = json.dumps({
+        "bc": "navier2", "lambda_crit": estimate.lambda_crit,
+        "bracket": list(estimate.bracket), "n_iter": estimate.n_iter_used,
+        "a_fold": estimate.a_fold, "lambda_star": estimate.lambda_star,
+        "sensitivity": {str(k): v for k, v in sensitivity.items()},
+    }, sort_keys=True)
+    rates = []
+    count = epibvp.shooting._accepted
+
+    def counted(lam, *args, **kwargs):
+        rates.append(lam)
+        return count(lam, *args, **kwargs)
+
+    monkeypatch.setattr(epibvp.shooting, "_accepted", counted)
+    assert run(["critical", "--bc", "navier2", "--lo", "5", "--hi", "20"]) == 0
+    assert len(rates) == 8, rates
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_critical_sensitivity_is_around_the_depth_used(capsys):
     code = run(["critical", "--bc", "navier2", "--lo", "11.2", "--hi", "11.6",
                 "--n-iter", "6"])

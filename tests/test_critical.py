@@ -178,7 +178,7 @@ def test_closest_resolved_pair_is_wider_than_its_bands():
 
 
 # ---------------------------------------------------------------------------
-# fold estimate, the count certificate around it and the bisection without
+# fold estimate, the count certificate around it and the seed search
 # ---------------------------------------------------------------------------
 
 # the README and acceptance brackets: (lo, hi, tol)
@@ -209,6 +209,14 @@ def _midpoint_bisection(bc, lo, hi, tol):
         else:
             hi = mid
     return 0.5 * (lo + hi), (lo, hi)
+
+
+def _seeded_fold(bc, n, lo, hi, tol):
+    """The depth-n fold that the search of find_critical_lambda finds from
+    the roots at lo."""
+    window = shooting.DEFAULT_WINDOW
+    a_star = critical._roots_at_lo(bc, n, lo, hi, tol, window)
+    return critical._seed(bc, n, lo, hi, tol, window, a_star)
 
 
 def _independent_fold(bc, lo, hi, n, points=1001):
@@ -271,12 +279,26 @@ def test_critical_rate_within_tol_of_midpoint_bisection(bc):
     assert lo <= b_lo < b_hi <= hi and b_hi - b_lo <= tol
 
 
-@pytest.mark.parametrize("bc", list(BRACKETS))
-def test_without_an_estimate_the_bisection_is_unchanged(bc, monkeypatch):
+def _search_without_a_fold(monkeypatch, bc, lo, hi, tol, **kwargs):
+    """The rates that find_critical_lambda counts when Newton finds no fold
+    from any lo: it bisects and then raises, after at most the two ends and
+    the steps that halve the bracket to tol, and counts no rate twice."""
     monkeypatch.setattr(critical, "_fold", lambda *args: None)
-    estimate = find_critical_lambda(bc, *BRACKETS[bc])
-    assert (estimate.lambda_crit, estimate.bracket) == MIDPOINT_RESULTS[bc]
-    assert estimate.a_fold is None and estimate.lambda_star is None
+    rates = _scan_counter(monkeypatch)
+    with pytest.raises(InvalidBracket, match="Newton finds no fold"):
+        find_critical_lambda(bc, lo, hi, tol, **kwargs)
+    assert len(rates) <= math.ceil(math.log2((hi - lo) / tol)) + 2, rates
+    assert len(set(rates)) == len(rates)
+    return rates
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_without_a_fold_the_seed_search_raises(bc, monkeypatch):
+    # the search bisects through the midpoints of the plain count
+    # bisection, down to its last bracket
+    rates = _search_without_a_fold(monkeypatch, bc, *BRACKETS[bc])
+    _, bracket = MIDPOINT_RESULTS[bc]
+    assert set(bracket) <= set(rates)
 
 
 @pytest.mark.parametrize("bc", list(BRACKETS))
@@ -284,8 +306,7 @@ def test_without_an_estimate_the_bisection_is_unchanged(bc, monkeypatch):
 def test_fold_estimate_matches_independent_fold(bc, offset):
     lo, hi, tol = BRACKETS[bc]
     n = bc.default_iterations + offset
-    fold = critical._fold_at_lo(bc, n, lo, hi, tol, shooting.DEFAULT_WINDOW)
-    assert fold is not None
+    fold = _seeded_fold(bc, n, lo, hi, tol)
     assert fold[1] == pytest.approx(_independent_fold(bc, lo, hi, n),
                                     abs=1e-5)
 
@@ -373,7 +394,7 @@ def test_fold_equals_the_exact_fold(bc, offset):
     if offset == 0:
         for x, digits in zip(exact, EXACT_FOLDS[bc]):
             assert abs(x - Decimal(digits)) <= Decimal("1e-18")
-    fold = critical._fold_at_lo(bc, n, lo, hi, tol, shooting.DEFAULT_WINDOW)
+    fold = _seeded_fold(bc, n, lo, hi, tol)
     for x, y in zip(fold, exact):
         assert abs(Decimal(x) - y) <= Decimal("1e-13") * abs(y)
 
@@ -408,8 +429,7 @@ def test_critical_estimate_reports_the_newton_fold(bc):
     # certifies the scan
     lo, hi, tol = BRACKETS[bc]
     estimate = find_critical_lambda(bc, lo, hi, tol)
-    fold = critical._fold_at_lo(bc, bc.default_iterations, lo, hi, tol,
-                                shooting.DEFAULT_WINDOW)
+    fold = _seeded_fold(bc, bc.default_iterations, lo, hi, tol)
     assert (estimate.a_fold, estimate.lambda_star) == fold
     if bc is BoundaryKind.NAVIER_TWO:
         assert estimate.a_fold == pytest.approx(NAVIER_TWO_FOLD[0], abs=1e-9)
@@ -474,24 +494,60 @@ def test_count_bracket_holds_the_fold_at_tol_1e_4(bc):
                for v in values.values())
 
 
+# brackets whose lo lies so far below the fold that Newton from the
+# closest pair there finds none: (bc, lo, hi, tol)
+WIDE_BRACKETS = [
+    (BoundaryKind.NAVIER_ONE, -100.0, 40.0, 1e-2),
+    (BoundaryKind.NAVIER_ONE, -100.0, 40.0, 1e-4),
+    (BoundaryKind.DIRICHLET, -100.0, 200.0, 1e-1),
+    (BoundaryKind.DIRICHLET, -100.0, 200.0, 1e-4),
+    (BoundaryKind.NAVIER_TWO, -190.0, 20.0, 1e-2),
+    (BoundaryKind.NAVIER_TWO, -190.0, 20.0, 1e-4),
+]
+
+
+@pytest.mark.parametrize("bc,lo,hi,tol", WIDE_BRACKETS)
+def test_wide_bracket_seeds_the_fold_in_five_counts(bc, lo, hi, tol,
+                                                    monkeypatch):
+    # one count at the midpoint raises lo, and Newton from the pair there
+    # finds the fold of the README bracket, which the certificate holds
+    reference = find_critical_lambda(bc, *BRACKETS[bc]).lambda_star
+    rates = _scan_counter(monkeypatch)
+    estimate = find_critical_lambda(bc, lo, hi, tol)
+    assert len(rates) <= 5 and 0.5 * (lo + hi) in rates, rates
+    b_lo, b_hi = estimate.bracket
+    assert b_lo <= estimate.lambda_star <= b_hi and b_hi - b_lo <= tol
+    assert estimate.lambda_star == pytest.approx(reference, abs=1e-9)
+    values = depth_sensitivity(bc, lo, hi, tol)
+    assert all(isinstance(v, float) and math.isfinite(v)
+               for v in values.values())
+
+
+def test_certificate_refuses_a_bracket_that_rounding_widens(monkeypatch):
+    # 0.45e-14 to either side of the navier2 fold rounds to rates 1.07e-14
+    # apart, wider than tol: refused before any count
+    _scan_counter(monkeypatch, limit=0)
+    assert critical._certified(BoundaryKind.NAVIER_TWO, 7, NAVIER_TWO_FOLD[1],
+                               1e-14, shooting.DEFAULT_WINDOW) is None
+
+
 @pytest.mark.parametrize("with_estimate", [True, False])
 def test_tol_below_float_spacing_stops(with_estimate, monkeypatch):
     # the midpoint of adjacent floats is one of them; the search used to
     # scan that rate forever.  With the fold, both counts of the certificate
     # sit on the fold itself, where the count sees no pair, so the search
-    # refuses after the two bracket checks and at most two counts
+    # refuses after the two bracket checks and at most two counts.  Without
+    # one, the seed search stops at adjacent floats and refuses
     args = (BoundaryKind.NAVIER_TWO, 11.33, 11.35, 1e-300)
     if with_estimate:
         _scan_counter(monkeypatch, limit=4)
         with pytest.raises(InvalidBracket, match="does not certify"):
             find_critical_lambda(*args, window=(-4.7, -4.1))
         return
-    monkeypatch.setattr(critical, "_fold", lambda *args: None)
-    rates = _scan_counter(monkeypatch, limit=200)
-    estimate = find_critical_lambda(*args, window=(-4.7, -4.1))
-    lo, hi = estimate.bracket
-    assert np.nextafter(lo, math.inf) == hi
-    assert len(set(rates)) == len(rates)
+    rates = sorted(_search_without_a_fold(monkeypatch, *args,
+                                          window=(-4.7, -4.1)))
+    assert any(np.nextafter(x, math.inf) == y
+               for x, y in zip(rates, rates[1:]))
 
 
 @pytest.mark.parametrize("bc,lo,hi,window", [
