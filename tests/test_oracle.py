@@ -431,31 +431,31 @@ def _pinned(table):
 _HEX_ROOTS = {
     "X86_V4": {
         (BoundaryKind.DIRICHLET, -25.0):
-            ("-0x1.5d761eaf416dep+6", "0x1.7de6a3e630caep+0"),
+            ("-0x1.5d761eaf4096cp+6", "0x1.7de6a3e633306p+0"),
         (BoundaryKind.DIRICHLET, 30.0):
-            ("-0x1.2271b03c8bffap+6", "-0x1.ff3148849111fp+0"),
+            ("-0x1.2271b03c8bff8p+6", "-0x1.ff3148849111ep+0"),
         (BoundaryKind.NAVIER_ONE, -60.0):
-            ("-0x1.2228c87ad7972p+5", "0x1.529f11576585ep+2"),
+            ("-0x1.2228c87ad7973p+5", "0x1.529f115765860p+2"),
         (BoundaryKind.NAVIER_ONE, 15.0):
-            ("-0x1.13e6910bdd793p+4", "-0x1.1c634b15ddfcap+1"),
+            ("-0x1.13e6910bdd791p+4", "-0x1.1c634b15ddfc8p+1"),
         (BoundaryKind.NAVIER_TWO, -100.0):
-            ("-0x1.8ede2eb66b760p+4", "0x1.115527ac306a2p+3"),
+            ("-0x1.8ede2eb66b738p+4", "0x1.115527ac306a1p+3"),
         (BoundaryKind.NAVIER_TWO, 8.0):
-            ("-0x1.c2e1b31c5f922p+2", "-0x1.fac0860d25be9p+0"),
+            ("-0x1.c2e1b31c5f927p+2", "-0x1.fac0860d25be8p+0"),
     },
     "X86_V3": {
         (BoundaryKind.DIRICHLET, -25.0):
-            ("-0x1.5d761eaf416dep+6", "0x1.7de6a3e630caep+0"),
+            ("-0x1.5d761eaf4096dp+6", "0x1.7de6a3e633306p+0"),
         (BoundaryKind.DIRICHLET, 30.0):
-            ("-0x1.2271b03c8bffap+6", "-0x1.ff31488491120p+0"),
+            ("-0x1.2271b03c8bff8p+6", "-0x1.ff3148849111fp+0"),
         (BoundaryKind.NAVIER_ONE, -60.0):
-            ("-0x1.2228c87ad7972p+5", "0x1.529f11576585ep+2"),
+            ("-0x1.2228c87ad7973p+5", "0x1.529f115765860p+2"),
         (BoundaryKind.NAVIER_ONE, 15.0):
-            ("-0x1.13e6910bdd792p+4", "-0x1.1c634b15ddfcap+1"),
+            ("-0x1.13e6910bdd791p+4", "-0x1.1c634b15ddfc8p+1"),
         (BoundaryKind.NAVIER_TWO, -100.0):
-            ("-0x1.8ede2eb66b760p+4", "0x1.115527ac306a2p+3"),
+            ("-0x1.8ede2eb66b738p+4", "0x1.115527ac306a1p+3"),
         (BoundaryKind.NAVIER_TWO, 8.0):
-            ("-0x1.c2e1b31c5f922p+2", "-0x1.fac0860d25be8p+0"),
+            ("-0x1.c2e1b31c5f92ap+2", "-0x1.fac0860d25be8p+0"),
     },
 }
 
@@ -494,11 +494,17 @@ _PINNED_ROOTS = {
 }
 
 
+def _scan(lam, bc):
+    """The oracle's 320-point scan of the default window: the points and
+    the residuals there."""
+    xs = np.linspace(-120.0, 20.0, oracle._GRID_POINTS)
+    return xs, bc.residual(*_taylor(xs, lam, IvpConfig())[:2])
+
+
 def _bisection_roots(lam, bc):
     """Reference: plain bisection to 1e-12 in each sign change of the
-    oracle's 320-point scan of the default window, on the same integrator."""
-    xs = np.linspace(-120.0, 20.0, 320)
-    fs = bc.residual(*_taylor(xs, lam, IvpConfig())[:2])
+    oracle's scan, on the same integrator."""
+    xs, fs = _scan(lam, bc)
     roots = []
     for lo, hi, f_lo, f_hi in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
         if not (np.isfinite(f_lo) and np.isfinite(f_hi)):
@@ -522,31 +528,32 @@ def _bisection_roots(lam, bc):
     return roots
 
 
-def _counted_root_solve(monkeypatch):
-    """The list that the root solve's residual calls append their column
-    counts to, one entry per iteration."""
+def _counted_integrator_calls(monkeypatch):
+    """The list that each integrator call appends its column count to;
+    the first entry is the scan's, the rest are the root solve's."""
     columns = []
-    illinois = oracle._illinois
+    taylor = oracle._taylor
 
-    def counted(residual, *brackets):
-        def counted_residual(a):
-            columns.append(np.size(a))
-            return residual(a)
-        return illinois(counted_residual, *brackets)
+    def counted(a_values, *args):
+        columns.append(np.size(a_values))
+        return taylor(a_values, *args)
 
-    monkeypatch.setattr(oracle, "_illinois", counted)
+    monkeypatch.setattr(oracle, "_taylor", counted)
     return columns
 
 
 @pytest.mark.parametrize("bc,lam", list(_PINNED_ROOTS))
 def test_illinois_roots(bc, lam, monkeypatch):
-    # count the columns the root solve integrates, bracket by bracket
-    columns = _counted_root_solve(monkeypatch)
+    # count the columns the root solve integrates, call by call
+    columns = _counted_integrator_calls(monkeypatch)
     roots = oracle_branches(lam, bc)
     monkeypatch.undo()
     assert len(roots) == len(_PINNED_ROOTS[bc, lam])
-    # superlinear: plain bisection to the same tolerance needs about 33
-    assert 0 < sum(columns) <= 12 * len(roots)
+    # the zoom and the check close every bracket: D - 1 columns and 2 per
+    # bracket, where plain bisection needs about 33 per root
+    assert columns[0] == oracle._GRID_POINTS
+    assert len(columns[1:]) == 2
+    assert sum(columns[1:]) <= (oracle._ZOOM_DEGREE + 1) * len(roots)
     for root, pinned in zip(roots, _PINNED_ROOTS[bc, lam]):
         assert abs(root - pinned) <= 1e-6
     reference = _bisection_roots(lam, bc)
@@ -559,16 +566,106 @@ def test_illinois_roots(bc, lam, monkeypatch):
     (BoundaryKind.NAVIER_ONE, 8.0), (BoundaryKind.NAVIER_ONE, 15.0),
     (BoundaryKind.DIRICHLET, -96.0), (BoundaryKind.NAVIER_TWO, -45.0),
 ])
-def test_point_rounding_onto_an_end_closes_the_bracket(bc, lam, monkeypatch):
-    # a bracket that lands on its root to the last bit has its next regula
-    # falsi point round onto that end; closing the bracket there ends these
-    # solves in 5 to 7 iterations, where bisecting on from that point takes
-    # 17 to 25 at navier1 15, dirichlet -96 and navier2 -45; on the three
-    # bcs at lam = -100, -99, ..., 39 no solve takes more than 8
-    iterations = _counted_root_solve(monkeypatch)
-    roots = oracle_branches(lam, bc)
-    assert len(roots) == 2
+def test_point_rounding_onto_an_end_closes_the_bracket(bc, lam):
+    # Illinois alone on the scan brackets: a bracket that lands on its
+    # root to the last bit has its next regula falsi point round onto that
+    # end; closing the bracket there ends these solves in 5 to 7
+    # iterations, where bisecting on from that point takes 17 to 25 at
+    # navier1 15, dirichlet -96 and navier2 -45; on the three bcs at
+    # lam = -100, -99, ..., 39 no solve takes more than 8
+    xs, fs = _scan(lam, bc)
+    change = np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0
+    iterations = []
+
+    def residual(a):
+        iterations.append(np.size(a))
+        return bc.residual(*_taylor(a, lam, IvpConfig())[:2])
+
+    roots = oracle._illinois(residual, xs[:-1][change], xs[1:][change],
+                             fs[:-1][change], fs[1:][change])
+    assert roots.size == 2
     assert len(iterations) <= 8
+
+
+def _zoomed(f, lo, hi):
+    """The zoom's brackets for f on the brackets [lo, hi], and the column
+    count of each call it makes to f."""
+    lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return f(x)
+
+    return oracle._zoom(counted, lo, hi, f(lo), f(hi)), calls
+
+
+def test_zoom_matrix_gives_the_chebyshev_coefficients():
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(oracle._ZOOM_DEGREE + 1)
+    values = np.polynomial.chebyshev.chebval(oracle._ZOOM_NODES, c)
+    assert np.max(np.abs(values @ oracle._ZOOM_DCT - c)) <= 1e-14
+    assert oracle._ZOOM_NODES[0] == -1.0 and oracle._ZOOM_NODES[-1] == 1.0
+    assert np.all(np.diff(oracle._ZOOM_NODES) > 0.0)
+
+
+def test_zoom_closes_smooth_brackets_in_two_calls():
+    # e**x - 2 and two zeros of cos, in lockstep: the check pair holds each
+    # root, so Illinois runs no iteration
+    def f(x):
+        return np.where(x < 5.0, np.exp(x) - 2.0, np.cos(x))
+
+    lo, hi = np.array([0.0, 6.0, 10.0]), np.array([1.0, 9.0, 12.0])
+    brackets, calls = _zoomed(f, lo, hi)
+    assert calls == [3 * (oracle._ZOOM_DEGREE - 1), 6]
+    assert np.all(brackets[1] - brackets[0] <= oracle._ROOT_TOL)
+    roots = oracle._illinois(lambda x: pytest.fail("Illinois iterated"),
+                             *brackets)
+    expected = [np.log(2.0), 2.5 * np.pi, 3.5 * np.pi]
+    assert np.max(np.abs(roots - expected)) <= oracle._ROOT_TOL
+
+
+def test_zoom_falls_back_to_the_sampled_cell_at_a_kink():
+    # a kink next to the root spoils the interpolant: the check pair keeps
+    # its sign, and Illinois finishes from the sampled cell
+    def f(x):
+        return np.where(x < 0.5, x - 0.45, 19.0 * x - 9.45)
+
+    (lo, hi, f_lo, f_hi), calls = _zoomed(f, 0.0, 1.0)
+    assert len(calls) == 2
+    samples = 0.5 + 0.5 * oracle._ZOOM_NODES
+    assert lo[0] in samples and hi[0] in samples
+    assert lo[0] < 0.45 < hi[0] and (f_lo[0], f_hi[0]) == (f(lo)[0], f(hi)[0])
+    root = oracle._illinois(f, lo, hi, f_lo, f_hi)
+    assert abs(root[0] - 0.45) <= oracle._ROOT_TOL
+
+
+def test_zoom_keeps_the_scan_bracket_at_a_sample_that_is_not_finite():
+    lo, hi = np.array([0.0]), np.array([1.0])
+    nan_at = 0.5 + 0.5 * oracle._ZOOM_NODES[3]
+
+    def f(x):
+        return np.where(x == nan_at, np.nan, x - 0.37)
+
+    brackets, calls = _zoomed(f, lo, hi)
+    assert calls == [oracle._ZOOM_DEGREE - 1]
+    assert [b.tolist() for b in brackets] == [[0.0], [1.0], [-0.37], [0.63]]
+    root = oracle._illinois(f, *brackets)
+    assert root.tolist() == oracle._illinois(f, lo, hi, f(lo), f(hi)).tolist()
+
+
+def test_zoom_takes_an_exact_zero_sample_as_the_root():
+    zero_at = 0.5 + 0.5 * oracle._ZOOM_NODES[4]
+
+    def f(x):
+        return np.where(x == zero_at, 0.0, x - zero_at - 1e-3)
+
+    # a bracket of width 0, which Illinois returns without a call
+    brackets, calls = _zoomed(f, 0.0, 1.0)
+    assert calls == [oracle._ZOOM_DEGREE - 1]
+    roots = oracle._illinois(lambda x: pytest.fail("Illinois iterated"),
+                             *brackets)
+    assert roots.tolist() == [zero_at]
 
 
 def test_illinois_rule_halves_the_kept_end():
