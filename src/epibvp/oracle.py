@@ -39,12 +39,12 @@ recovered by trapezoidal quadrature of w / r over the trajectory, sampled
 from the series below r_h and from each step's polynomial above, and
 branch roots are re-derived from the endpoint state inside the sign
 changes of a scan.  A call costs about the same for 1 column as for 64,
-so each root takes two calls after the scan: one reads every bracket at
-its Chebyshev-Lobatto points, and one checks the root of each bracket's
-interpolant 4e-11 to either side.  An Illinois solve (regula falsi
-with the retained end's value halved; Dowell & Jarratt, BIT 11, 1971)
-ends every bracket, with no iteration where the check pair holds the
-root.  Agreement with the iterative solver is therefore genuine
+so one solver takes all brackets in lockstep, in rounds of two calls:
+one reads every bracket at its Chebyshev-Lobatto points, and one checks
+the root of each bracket's interpolant 4e-11 to either side.  Where that
+pair changes sign the bracket is closed, so each root takes two calls
+after the scan; a bracket left open repeats the round on its sampled
+cell.  Agreement with the iterative solver is therefore genuine
 two-method validation.
 """
 
@@ -288,11 +288,12 @@ def profile_from_trajectory(rs: np.ndarray, ws: np.ndarray) -> np.ndarray:
 # scan points and root tolerance in the shooting parameter
 _GRID_POINTS = 320
 _ROOT_TOL = 1e-10
-# the zoom: the degree of the interpolant on each scan bracket, the Newton
+# the zoom: the degree of the interpolant on each bracket, the Newton
 # steps on its root, and the offset of the check pair from that root; on
 # the 1016 brackets of 519 cases on the default window and three wide
-# ones, degrees 12 and 16 closed all, 8 all but 6, 6 all but 25 and 4 all
-# but 584, and at degree 12 two steps closed all
+# ones, the first round closed all at degrees 12 and 16, all but 6 at 8,
+# all but 25 at 6 and all but 584 at 4, and at degree 12 two steps closed
+# all
 _ZOOM_DEGREE = 12
 _ZOOM_STEPS = 3
 _CHECK_OFFSET = 0.4 * _ROOT_TOL
@@ -337,114 +338,79 @@ def _cell_roots(coeffs, theta_lo, theta_hi, f_lo, f_hi):
 
 
 def _zoom(residual, lo, hi, f_lo, f_hi):
-    """Narrower brackets for the scan brackets [lo, hi], whose end values
-    f_lo and f_hi are finite, nonzero and differ in sign, in two calls of
-    ``residual``.
+    """Roots of ``residual`` in the brackets [lo, hi], whose end values
+    f_lo and f_hi are finite, nonzero and differ in sign, solved in
+    lockstep in rounds of at most two calls.
 
-    The first reads every bracket at its interior Lobatto points; its
-    first sampled cell where the sign changes, or its first exact zero,
-    holds the root it zooms on.  A zero sample is the root, a bracket of
-    width 0.  Otherwise the root in that cell of the degree-D Chebyshev
-    interpolant through the samples (Boyd, SIAM J. Numer. Anal. 40, 2002)
-    is read 0.4 ``_ROOT_TOL`` to either side by the second call, and where
-    that pair changes sign it is the bracket.  Where it does not, the
-    bracket is the cell; a bracket with a sample that is not finite stays
-    as it is.  Returns the brackets and their end values.
+    ``residual`` maps an array of points to their values.  Each round
+    reads every bracket still wider than ``_ROOT_TOL`` at its interior
+    Lobatto points and finds its first exact zero, or its first cell where
+    the sign changes between finite samples.  A zero sample is the root, a
+    bracket of width 0.  Otherwise, where every sample is finite, the root
+    in that cell of the degree-D Chebyshev interpolant through the samples
+    (Boyd, SIAM J. Numer. Anal. 40, 2002) is read 0.4 ``_ROOT_TOL`` to
+    either side by the second call, and where that pair changes sign it is
+    the bracket.  Where it does not, or a sample is not finite, the cell
+    is.  A bracket ends once it is at most ``_ROOT_TOL`` wide, or when a
+    round does not narrow it, as at float resolution, and yields its
+    midpoint.
     """
-    lo, hi, f_lo, f_hi = (np.array(x, dtype=float)
+    lo, hi, f_lo, f_hi = (np.array(x, dtype=float, ndmin=1)
                           for x in (lo, hi, f_lo, f_hi))
-    if not lo.size:
-        return lo, hi, f_lo, f_hi
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * _ZOOM_NODES
-    xs[:, 0], xs[:, -1] = lo, hi
-    fs = np.empty_like(xs)
-    fs[:, 0], fs[:, -1] = f_lo, f_hi
-    fs[:, 1:-1] = np.reshape(residual(xs[:, 1:-1].ravel()), (lo.size, -1))
-    finite = np.flatnonzero(np.isfinite(fs).all(axis=1))
-    # j, the first sample whose sign is not the left end's: a zero, or the
-    # right end of a cell where the sign changes; found by a cumulative
-    # sum, since argmax, used nowhere else here, maps 64 kB on first use
-    signs = np.sign(fs[finite])
-    j = np.sum(np.cumsum(signs != signs[:, :1], axis=1) == 0, axis=1)
-    lo[finite], f_lo[finite] = xs[finite, j - 1], fs[finite, j - 1]
-    hi[finite], f_hi[finite] = xs[finite, j], fs[finite, j]
-    zero = f_hi[finite] == 0.0
-    lo[finite[zero]], f_lo[finite[zero]] = hi[finite[zero]], 0.0
-    rows, j = finite[~zero], j[~zero]
-    if not rows.size:
-        return lo, hi, f_lo, f_hi
-    t = _cell_roots(np.einsum("ij,jk->ik", fs[rows], _ZOOM_DCT),
-                    _ZOOM_ANGLES[j - 1], _ZOOM_ANGLES[j], f_lo[rows],
-                    f_hi[rows])
-    pair = mid[rows] + half[rows] * t + np.array([[-_CHECK_OFFSET],
-                                                  [_CHECK_OFFSET]])
-    f_pair = np.reshape(residual(pair.ravel()), pair.shape)
-    closed = (np.isfinite(f_pair).all(axis=0)
-              & (np.sign(f_pair[0]) != np.sign(f_pair[1])))
-    rows = rows[closed]
-    lo[rows], hi[rows] = pair[:, closed]
-    f_lo[rows], f_hi[rows] = f_pair[:, closed]
-    return lo, hi, f_lo, f_hi
-
-
-def _illinois(residual, lo, hi, f_lo, f_hi):
-    """Roots of residual in the brackets [lo, hi], where f_lo and f_hi
-    differ in sign, solved in lockstep.
-
-    ``residual`` maps an array of points to their values; each iteration
-    calls it once, on the points of the brackets still open.  Each bracket
-    follows the scalar rule: regula falsi keeps the sign change bracketed;
-    when the same end is kept twice in a row its value is halved (the
-    Illinois rule), so both ends close in.  A point that rounds onto an
-    end closes the bracket at that end; one that falls outside the bracket
-    is replaced by the midpoint.  A bracket stops at an exact zero, at a
-    width no more than ``_ROOT_TOL``, or when the midpoint rounds to an
-    end, and yields its midpoint.
-    """
-    # the ends (lo, hi) and their values, one row each
-    ends, vals = (np.stack([np.array(x, dtype=float, ndmin=1) for x in pair])
-                  for pair in ((lo, hi), (f_lo, f_hi)))
-    # the row of the end each bracket's last point replaced, -1 before any
-    last = np.full(ends.shape[1], -1)
-    live = np.flatnonzero(ends[1] - ends[0] > _ROOT_TOL)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while live.size:
-            (a, b), (fa, fb) = ends[:, live], vals[:, live]
-            x = b - fb * (b - a) / (fb - fa)
-            # a point that rounds onto an end closes its bracket there
-            end = (x == a) | (x == b)
-            ends[:, live[end]] = x[end]
-            inside = (a < x) & (x < b)
-            mid = 0.5 * (a + b)
-            x = np.where(inside, x, mid)
-            go = ~end & (inside | ((mid != a) & (mid != b)))
-            live, x = live[go], x[go]
-            fx = np.asarray(residual(x), dtype=float)
-            # an exact zero closes its bracket on the point
-            zero = fx == 0.0
-            ends[:, live[zero]] = x[zero]
-            moved, x, fx = live[~zero], x[~zero], fx[~zero]
-            # x replaces the end whose value has its sign, and the kept
-            # end's value halves when the same end was replaced last
-            row = ((fx < 0.0) == (vals[1, moved] < 0.0)).astype(int)
-            vals[1 - row, moved] *= np.where(last[moved] == row, 0.5, 1.0)
-            ends[row, moved], vals[row, moved] = x, fx
-            last[moved] = row
-            live = live[ends[1, live] - ends[0, live] > _ROOT_TOL]
-    return 0.5 * (ends[0] + ends[1])
+    live = np.flatnonzero(hi - lo > _ROOT_TOL)
+    while live.size:
+        width = hi[live] - lo[live]
+        mid, half = 0.5 * (lo[live] + hi[live]), 0.5 * width
+        xs = mid[:, None] + half[:, None] * _ZOOM_NODES
+        xs[:, 0], xs[:, -1] = lo[live], hi[live]
+        fs = np.empty_like(xs)
+        fs[:, 0], fs[:, -1] = f_lo[live], f_hi[live]
+        fs[:, 1:-1] = np.reshape(residual(xs[:, 1:-1].ravel()),
+                                 (live.size, -1))
+        finite = np.isfinite(fs)
+        # j, the first finite sample whose sign is not the left end's: a
+        # zero, or the right end of a cell where the sign changes; i, the
+        # last finite sample before it, is the number of samples whose
+        # running count of finite ones falls short of that at j - 1; both
+        # by cumulative sums, since argmax and maximum.accumulate, used
+        # nowhere else here, each add 128 kB of peak RSS on first use
+        signs = np.sign(fs)
+        j = np.sum(np.cumsum(finite & (signs != signs[:, :1]), axis=1) == 0,
+                   axis=1)
+        rows = np.arange(live.size)
+        counts = np.cumsum(finite, axis=1)
+        i = np.sum(counts < counts[rows, j - 1, None], axis=1)
+        lo[live], f_lo[live] = xs[rows, i], fs[rows, i]
+        hi[live], f_hi[live] = xs[rows, j], fs[rows, j]
+        zero = f_hi[live] == 0.0
+        lo[live[zero]], f_lo[live[zero]] = hi[live[zero]], 0.0
+        rows = rows[~zero & finite.all(axis=1)]
+        if rows.size:
+            t = _cell_roots(np.einsum("ij,jk->ik", fs[rows], _ZOOM_DCT),
+                            _ZOOM_ANGLES[j[rows] - 1], _ZOOM_ANGLES[j[rows]],
+                            f_lo[live[rows]], f_hi[live[rows]])
+            pair = mid[rows] + half[rows] * t + np.array([[-_CHECK_OFFSET],
+                                                          [_CHECK_OFFSET]])
+            f_pair = np.reshape(residual(pair.ravel()), pair.shape)
+            closed = (np.isfinite(f_pair).all(axis=0)
+                      & (np.sign(f_pair[0]) != np.sign(f_pair[1])))
+            rows = live[rows[closed]]
+            lo[rows], hi[rows] = pair[:, closed]
+            f_lo[rows], f_hi[rows] = f_pair[:, closed]
+        narrowed = hi[live] - lo[live]
+        live = live[(narrowed > _ROOT_TOL) & (narrowed < width)]
+    return 0.5 * (lo + hi)
 
 
 def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
                     cfg: IvpConfig | None = None) -> list:
     """Roots of the boundary functional built from the integrator.
 
-    Scans the window, skips blown-up stretches, narrows all sign-change
-    brackets together by :func:`_zoom` and ends them by :func:`_illinois`
-    to ``_ROOT_TOL`` in the shooting parameter: three integrator calls in
-    all when the zoom closes every bracket.  An empty list mirrors branch
-    non-existence above the critical rate; a rate that is not finite
-    raises ValueError.
+    Scans the window, skips blown-up stretches and solves all sign-change
+    brackets together by :func:`_zoom` to ``_ROOT_TOL`` in the shooting
+    parameter: three integrator calls in all when its first round closes
+    every bracket.  An empty list mirrors branch non-existence above the
+    critical rate; a rate that is not finite raises ValueError.
     """
     lo, hi = float(window[0]), float(window[1])
     # a width that overflows would fill the grid with inf and NaN
@@ -463,9 +429,8 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     with np.errstate(over="ignore"):
         change = both & (f_lo != 0.0) & (f_hi != 0.0) & ~(f_lo * f_hi > 0.0)
     roots = xs[:-1][both & (f_lo == 0.0)].tolist()
-    brackets = _zoom(residual, xs[:-1][change], xs[1:][change],
-                     f_lo[change], f_hi[change])
-    roots += _illinois(residual, *brackets).tolist()
+    roots += _zoom(residual, xs[:-1][change], xs[1:][change], f_lo[change],
+                   f_hi[change]).tolist()
     if fs[-1] == 0.0:
         roots.append(float(xs[-1]))
     return sorted(roots)

@@ -543,13 +543,13 @@ def _counted_integrator_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("bc,lam", list(_PINNED_ROOTS))
-def test_illinois_roots(bc, lam, monkeypatch):
+def test_zoom_roots_match_bisection_in_two_calls(bc, lam, monkeypatch):
     # count the columns the root solve integrates, call by call
     columns = _counted_integrator_calls(monkeypatch)
     roots = oracle_branches(lam, bc)
     monkeypatch.undo()
     assert len(roots) == len(_PINNED_ROOTS[bc, lam])
-    # the zoom and the check close every bracket: D - 1 columns and 2 per
+    # the first round closes every bracket: D - 1 columns and 2 per
     # bracket, where plain bisection needs about 33 per root
     assert columns[0] == oracle._GRID_POINTS
     assert len(columns[1:]) == 2
@@ -562,38 +562,53 @@ def test_illinois_roots(bc, lam, monkeypatch):
         assert abs(root - expected) <= 1e-9
 
 
-@pytest.mark.parametrize("bc,lam", [
-    (BoundaryKind.NAVIER_ONE, 8.0), (BoundaryKind.NAVIER_ONE, 15.0),
-    (BoundaryKind.DIRICHLET, -96.0), (BoundaryKind.NAVIER_TWO, -45.0),
-])
-def test_point_rounding_onto_an_end_closes_the_bracket(bc, lam):
-    # Illinois alone on the scan brackets: a bracket that lands on its
-    # root to the last bit has its next regula falsi point round onto that
-    # end; closing the bracket there ends these solves in 5 to 7
-    # iterations, where bisecting on from that point takes 17 to 25 at
-    # navier1 15, dirichlet -96 and navier2 -45; on the three bcs at
-    # lam = -100, -99, ..., 39 no solve takes more than 8
-    xs, fs = _scan(lam, bc)
-    change = np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0
-    iterations = []
+def _zoom_degree(monkeypatch, degree):
+    """Swap the zoom's interpolant for one of the given degree."""
+    angles, dct = oracle._zoom_matrix(degree)
+    monkeypatch.setattr(oracle, "_ZOOM_DEGREE", degree)
+    monkeypatch.setattr(oracle, "_ZOOM_ANGLES", angles)
+    monkeypatch.setattr(oracle, "_ZOOM_DCT", dct)
+    monkeypatch.setattr(oracle, "_ZOOM_NODES", np.cos(angles))
 
-    def residual(a):
-        iterations.append(np.size(a))
-        return bc.residual(*_taylor(a, lam, IvpConfig())[:2])
 
-    roots = oracle._illinois(residual, xs[:-1][change], xs[1:][change],
-                             fs[:-1][change], fs[1:][change])
-    assert roots.size == 2
-    assert len(iterations) <= 8
+@pytest.mark.parametrize("bc,lam", list(_PINNED_ROOTS))
+def test_zoom_repeats_on_the_brackets_its_check_leaves_open(bc, lam,
+                                                           monkeypatch):
+    # at degree 4 the check pair misses most roots of B, and the round
+    # repeats on the sampled cell: two rounds here, where plain bisection
+    # takes about 33 calls
+    _zoom_degree(monkeypatch, 4)
+    columns = _counted_integrator_calls(monkeypatch)
+    roots = oracle_branches(lam, bc)
+    monkeypatch.undo()
+    assert len(columns[1:]) > 2
+    assert len(columns[1:]) <= 6
+    reference = _bisection_roots(lam, bc)
+    assert len(reference) == len(roots)
+    for root, expected in zip(roots, reference):
+        assert abs(root - expected) <= 1e-9
+
+
+# the pinned cases, and one past the fold with no bracket to solve
+@pytest.mark.parametrize("bc,lam", list(_HEX_ROOTS["X86_V4"])
+                         + list(_PINNED_ROOTS)
+                         + [(BoundaryKind.NAVIER_ONE, 40.0)])
+def test_no_integrator_call_on_zero_columns(bc, lam, monkeypatch):
+    columns = _counted_integrator_calls(monkeypatch)
+    oracle_branches(lam, bc)
+    assert columns and all(columns)
 
 
 def _zoomed(f, lo, hi):
-    """The zoom's brackets for f on the brackets [lo, hi], and the column
-    count of each call it makes to f."""
+    """The zoom's roots for f in the brackets [lo, hi], and the column
+    count of each call it makes to f, none of which may be empty; a zoom
+    that makes 100 calls fails rather than runs on."""
     lo, hi = np.atleast_1d(lo), np.atleast_1d(hi)
     calls = []
 
     def counted(x):
+        assert np.size(x), "the zoom called the residual on zero points"
+        assert len(calls) < 100, "the zoom did not end"
         calls.append(np.size(x))
         return f(x)
 
@@ -611,47 +626,39 @@ def test_zoom_matrix_gives_the_chebyshev_coefficients():
 
 def test_zoom_closes_smooth_brackets_in_two_calls():
     # e**x - 2 and two zeros of cos, in lockstep: the check pair holds each
-    # root, so Illinois runs no iteration
+    # root, so one round ends all three
     def f(x):
         return np.where(x < 5.0, np.exp(x) - 2.0, np.cos(x))
 
-    lo, hi = np.array([0.0, 6.0, 10.0]), np.array([1.0, 9.0, 12.0])
-    brackets, calls = _zoomed(f, lo, hi)
+    roots, calls = _zoomed(f, [0.0, 6.0, 10.0], [1.0, 9.0, 12.0])
     assert calls == [3 * (oracle._ZOOM_DEGREE - 1), 6]
-    assert np.all(brackets[1] - brackets[0] <= oracle._ROOT_TOL)
-    roots = oracle._illinois(lambda x: pytest.fail("Illinois iterated"),
-                             *brackets)
     expected = [np.log(2.0), 2.5 * np.pi, 3.5 * np.pi]
     assert np.max(np.abs(roots - expected)) <= oracle._ROOT_TOL
 
 
-def test_zoom_falls_back_to_the_sampled_cell_at_a_kink():
+def test_zoom_repeats_on_the_sampled_cell_at_a_kink():
     # a kink next to the root spoils the interpolant: the check pair keeps
-    # its sign, and Illinois finishes from the sampled cell
+    # its sign, and the second round, on the sampled cell, closes
     def f(x):
         return np.where(x < 0.5, x - 0.45, 19.0 * x - 9.45)
 
-    (lo, hi, f_lo, f_hi), calls = _zoomed(f, 0.0, 1.0)
-    assert len(calls) == 2
-    samples = 0.5 + 0.5 * oracle._ZOOM_NODES
-    assert lo[0] in samples and hi[0] in samples
-    assert lo[0] < 0.45 < hi[0] and (f_lo[0], f_hi[0]) == (f(lo)[0], f(hi)[0])
-    root = oracle._illinois(f, lo, hi, f_lo, f_hi)
-    assert abs(root[0] - 0.45) <= oracle._ROOT_TOL
+    roots, calls = _zoomed(f, 0.0, 1.0)
+    assert calls == [oracle._ZOOM_DEGREE - 1, 2] * 2
+    assert abs(roots[0] - 0.45) <= oracle._ROOT_TOL
 
 
-def test_zoom_keeps_the_scan_bracket_at_a_sample_that_is_not_finite():
-    lo, hi = np.array([0.0]), np.array([1.0])
+def test_zoom_passes_over_a_sample_that_is_not_finite():
+    # the cell runs between the finite samples on either side of the sign
+    # change; it gets no interpolant in the first round, and the second
+    # closes on the root
     nan_at = 0.5 + 0.5 * oracle._ZOOM_NODES[3]
 
     def f(x):
         return np.where(x == nan_at, np.nan, x - 0.37)
 
-    brackets, calls = _zoomed(f, lo, hi)
-    assert calls == [oracle._ZOOM_DEGREE - 1]
-    assert [b.tolist() for b in brackets] == [[0.0], [1.0], [-0.37], [0.63]]
-    root = oracle._illinois(f, *brackets)
-    assert root.tolist() == oracle._illinois(f, lo, hi, f(lo), f(hi)).tolist()
+    roots, calls = _zoomed(f, 0.0, 1.0)
+    assert calls == [oracle._ZOOM_DEGREE - 1] * 2 + [2]
+    assert roots.tolist() == [0.37]
 
 
 def test_zoom_takes_an_exact_zero_sample_as_the_root():
@@ -660,83 +667,52 @@ def test_zoom_takes_an_exact_zero_sample_as_the_root():
     def f(x):
         return np.where(x == zero_at, 0.0, x - zero_at - 1e-3)
 
-    # a bracket of width 0, which Illinois returns without a call
-    brackets, calls = _zoomed(f, 0.0, 1.0)
+    # a bracket of width 0, which ends without a check call
+    roots, calls = _zoomed(f, 0.0, 1.0)
     assert calls == [oracle._ZOOM_DEGREE - 1]
-    roots = oracle._illinois(lambda x: pytest.fail("Illinois iterated"),
-                             *brackets)
     assert roots.tolist() == [zero_at]
 
 
-def test_illinois_rule_halves_the_kept_end():
-    # plain regula falsi keeps the left end of e**x - 2 on [0, 4] for
-    # about 250 evaluations; halving the kept end's value ends it in 11
-    calls = []
+def test_zoom_ends_a_bracket_at_float_resolution():
+    # near 1e7 one ulp, 1.9e-9, exceeds the tolerance, and the check pair
+    # rounds onto one point; the rounds narrow the cell to one ulp, and the
+    # round that cannot narrow it ends it (9 rounds here)
+    def f(x):
+        return (x - 1e7) - 0.37
+
+    roots, calls = _zoomed(f, 1e7, 1e7 + 1.0)
+    assert len(calls) <= 24
+    assert abs(roots[0] - (1e7 + 0.37)) <= np.spacing(1e7)
+
+
+def test_zoom_ends_a_bracket_whose_samples_are_all_not_finite():
+    # the cell is the whole bracket, so the round does not narrow it
+    def f(x):
+        return np.where((0.0 < x) & (x < 1.0), np.nan, x - 0.37)
+
+    roots, calls = _zoomed(f, 0.0, 1.0)
+    assert calls == [oracle._ZOOM_DEGREE - 1]
+    assert roots.tolist() == [0.5]
+
+
+def test_zoom_roots_do_not_depend_on_the_other_brackets():
+    # each bracket gives the same root bits solved alone or beside the
+    # others: e**x - 2, two zeros of cos, a kink, a sample that is not
+    # finite, a root at float resolution and a bracket already narrower
+    # than the tolerance
+    nan_at = 30.5 + 0.5 * oracle._ZOOM_NODES[3]
 
     def f(x):
-        calls.append(x)
-        return np.exp(x) - 2.0
+        return np.select(
+            [x < 5.0, x < 15.0, x < 25.0, x < 35.0, x < 45.0],
+            [np.exp(np.fmin(x, 5.0)) - 2.0, np.cos(x),
+             np.where(x < 20.5, x - 20.45, 19.0 * x - 389.45),
+             np.where(x == nan_at, np.nan, x - 30.37), x - 40.0 - 2e-11],
+            (x - 1e7) - 0.37)
 
-    root = oracle._illinois(f, 0.0, 4.0, -1.0, np.exp(4.0) - 2.0)
-    assert len(calls) <= 20
-    assert abs(root - np.log(2.0)) <= 1e-10
-
-
-def _scalar_illinois(residual, lo, hi, f_lo, f_hi):
-    """The Illinois rule on one bracket, as the oracle ran it before it
-    solved its brackets in lockstep, with one change since: a point that
-    rounds onto an end closes the bracket there.  Kept frozen."""
-    side = 0
-    while hi - lo > oracle._ROOT_TOL:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if x == lo or x == hi:
-            return x
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-        f_x = residual(x)
-        if f_x == 0.0:
-            return x
-        if (f_x < 0.0) == (f_hi < 0.0):
-            hi, f_hi = x, f_x
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = x, f_x
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-    return 0.5 * (lo + hi)
-
-
-def test_lockstep_brackets_follow_the_scalar_rule():
-    # each bracket takes exactly the scalar rule's points and root, bit for
-    # bit: e**x - 2, two zeros of cos, an exact zero on the first point,
-    # and a bracket already narrower than the tolerance
-    def f(x):
-        return np.where(x < 5.0, np.exp(x) - 2.0,
-                        np.where(x < 15.0, np.cos(x),
-                                 np.where(x < 25.0, x - 22.0, x - 30.0 - 2e-11)))
-
-    lo = np.array([0.0, 6.0, 10.0, 20.0, 30.0])
-    hi = np.array([4.0, 9.0, 12.0, 24.0, 30.0 + 5e-11])
-    points = []
-
-    def recorded(x):
-        points.extend(np.asarray(x).tolist())
-        return f(x)
-
-    roots = oracle._illinois(recorded, lo, hi, f(lo), f(hi))
+    lo = np.array([0.0, 6.0, 10.0, 20.0, 30.0, 40.0, 1e7])
+    hi = np.array([1.0, 9.0, 12.0, 21.0, 31.0, 40.0 + 5e-11, 1e7 + 1.0])
+    roots, _ = _zoomed(f, lo, hi)
     for i in range(lo.size):
-        calls = []
-
-        def scalar(x):
-            calls.append(x)
-            return float(f(np.array(x)))
-
-        expected = _scalar_illinois(scalar, lo[i], hi[i], float(f(lo[i])),
-                                    float(f(hi[i])))
-        assert float(roots[i]).hex() == float(expected).hex()
-        assert [x for x in points if lo[i] <= x <= hi[i]] == calls
+        alone, _ = _zoomed(f, lo[i], hi[i])
+        assert float(alone[0]).hex() == float(roots[i]).hex()
