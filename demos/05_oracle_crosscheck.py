@@ -5,19 +5,16 @@ as an initial value problem in t = ln r, by order-24 Taylor steps from
 the Frobenius series at the singular origin, shoot on the quadratic coefficient,
 and recover the profile by trapezoidal quadrature.  Roots and profiles
 from the two methods agree to a few hundredths at the default truncation
-depth.  Doubling the Taylor order moves the endpoint by less than 1e-12
-at a = -0.126, where classic RK4 on 2000 steps from r = 1e-4 lies 2e-10
-from RK4 on 8000.
+depth.  The Taylor order is fixed; that doubling it moves the endpoint
+by less than 1e-9 is checked in tests/test_acceptance.py (test_09).
 """
 
 import numpy as np
 
 from epibvp import (
     BoundaryKind,
-    IvpConfig,
     evaluate,
     find_branches,
-    ivp_integrate,
     ivp_trajectory,
     oracle_branches,
     profile_from_trajectory,
@@ -38,8 +35,3 @@ for bc in BoundaryKind:
               f"integrator root {nearest:12.6f}  "
               f"|da| {abs(nearest - root.a_star):.2e}  "
               f"profile gap {dphi:.2e}")
-
-w24, v24 = ivp_integrate(-0.126, 1.0, IvpConfig(r0=1e-2, order=24))
-w48, v48 = ivp_integrate(-0.126, 1.0, IvpConfig(r0=1e-2, order=48))
-print(f"\norder doubling at a = -0.126: w(1) moves by {abs(w24 - w48):.1e}, "
-      f"w'(1) by {abs(v24 - v48):.1e}")

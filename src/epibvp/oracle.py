@@ -9,7 +9,7 @@ which is regular on [ln r0, 0]: the singular Euler operator becomes one
 with constant coefficients.  It is integrated by Taylor series steps in t
 (Corliss & Chang, ACM TOMS 8, 1982; Jorba & Zou, Exp. Math. 14, 2005).
 At t0 the coefficients of w(t0 + h) = sum W_k h**k and u(t0 + h) =
-sum U_k h**k follow, to the order K of the configuration, from
+sum U_k h**k follow, to the order K = 24 (``_TAYLOR_ORDER``), from
 
     W_{k+1} = U_k / (k + 1),
     U_{k+1} = (2 U_k + (W*W)_k / 2 + lam exp(4 t0) 4**k / (2 k!)) / (k + 1),
@@ -28,11 +28,12 @@ series: with s = r**2, w = s v(s) and
     v_0 = a,      v_j = ((v*v)_{j-1} + lam delta_{j1}) / (8 j (j + 1)),
 
 taken to the same order K.  Each column hands off from the series to the
-Taylor steps at r_h = max(r0, min(0.1, sqrt(0.35 / g))), where g is the
-root test's inverse radius in s over the upper half of the v_j, measured
-against m = max(|v_0|, |v_1|).  The cap 0.1 holds for |a| up to about
-1357; below it the series is the solution to rounding, so the steps only
-cover ln r_h .. 0: 4 to 9 of them on the default window at lam = 15.
+Taylor steps at r_h = max(r0, min(0.1, sqrt(0.35 / g))), where r0 = 1e-4
+(``_R0``) and g is the root test's inverse radius in s over the upper
+half of the v_j, measured against m = max(|v_0|, |v_1|).  The cap 0.1
+holds for |a| up to about 1357; below it the series is the solution to
+rounding, so the steps only cover ln r_h .. 0: 4 to 9 of them on the
+default window at lam = 15.
 
 Nothing here shares code with the polynomial solver: profiles are
 recovered by trapezoidal quadrature of w / r over the trajectory, sampled
@@ -51,14 +52,12 @@ two-method validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "IvpOverflow",
-    "IvpConfig",
     "BLOWUP_GUARD",
     "series_start",
     "ivp_integrate",
@@ -69,10 +68,11 @@ __all__ = [
 
 BLOWUP_GUARD = 1e12
 
-# bounds on the Taylor order: below 8 a step's truncation, about
-# 0.35**K, exceeds 1e-4; the work per step grows as K**2
-_MIN_ORDER = 8
-_MAX_ORDER = 64
+# the order K of the Frobenius series and of the Taylor steps: a step's
+# truncation is about 0.35**K of the state, and its work grows as K**2
+_TAYLOR_ORDER = 24
+# the least series handoff radius, and the first node of ivp_trajectory
+_R0 = 1e-4
 # each step goes this fraction of the estimated radius of convergence, and
 # so does the series handoff, in s = r**2, though never past r = 0.1
 _STEP_FRACTION = 0.35
@@ -93,25 +93,6 @@ class IvpOverflow(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class IvpConfig:
-    """Integrator settings: the least series handoff radius, and the order
-    of the series and of the Taylor steps in t = ln r up to 0."""
-
-    r0: float = 1e-4
-    order: int = 24
-
-    def __post_init__(self):
-        if not 0.0 < self.r0 < 1.0:
-            raise ValueError("handoff radius must lie in (0, 1)")
-        if (isinstance(self.order, bool) or not isinstance(self.order, int)
-                or not _MIN_ORDER <= self.order <= _MAX_ORDER):
-            raise ValueError(
-                f"order must be an int in [{_MIN_ORDER}, {_MAX_ORDER}], "
-                f"got {self.order!r}"
-            )
-
-
 def _root_test(coeffs, scale, upper):
     """Inverse radius of convergence per row: the largest
     (|c_k| / scale)**(1/k) over the coefficients c_k of the upper half,
@@ -119,11 +100,11 @@ def _root_test(coeffs, scale, upper):
     return np.max((np.abs(coeffs) / scale[:, None]) ** upper, axis=1)
 
 
-def _handoff(a, lam: float, cfg: IvpConfig):
+def _handoff(a, lam: float):
     """The Frobenius series v_0..v_K of v = w / s, one row per shooting
     parameter in the 1-D array ``a``, each row's handoff radius, and the
     series state (w, u) there."""
-    order = cfg.order
+    order = _TAYLOR_ORDER
     v = np.empty((a.size, order + 1))
     v[:, 0] = a
     v[:, 1] = (a * a + lam) / 16.0
@@ -135,8 +116,7 @@ def _handoff(a, lam: float, cfg: IvpConfig):
     # fmin hands it off at the cap
     g = _root_test(v[:, order // 2:],
                    np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1])), upper)
-    r = np.maximum(cfg.r0, np.fmin(_HANDOFF_CAP,
-                                   np.sqrt(_STEP_FRACTION / g)))
+    r = np.maximum(_R0, np.fmin(_HANDOFF_CAP, np.sqrt(_STEP_FRACTION / g)))
     return v, r, _series_state(v, r * r)
 
 
@@ -150,12 +130,11 @@ def _series_state(v, s):
     return s * w, s * u
 
 
-def series_start(a, lam: float, cfg: IvpConfig | None = None):
+def series_start(a, lam: float):
     """Handoff radius and the series state (r, w, w') there, per shooting
     parameter; ``a`` may be an array, and each output has its shape."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, r, (w, u) = _handoff(np.asarray(a, dtype=float).reshape(-1), lam,
-                                cfg or IvpConfig())
+        _, r, (w, u) = _handoff(np.asarray(a, dtype=float).reshape(-1), lam)
         return tuple(x.reshape(np.shape(a))[()] for x in (r, w, u / r))
 
 
@@ -172,7 +151,7 @@ def _constants(order: int):
     return rates, 0.5 / (k + 1.0), forcing, upper, np.arange(order + 1.0)
 
 
-def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
+def _taylor(a_values, lam: float, dense=None):
     """Endpoint states (w, u) at t = 0 for many shooting parameters at once,
     and the t each column reached.
 
@@ -191,11 +170,11 @@ def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
-    order = cfg.order
+    order = _TAYLOR_ORDER
     rates, halves, forcing, upper, powers = _constants(order)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v, r, start = _handoff(np.asarray(a_values, dtype=float).reshape(-1),
-                               lam, cfg)
+                               lam)
         state, t = np.stack(start, axis=1), np.log(r)
         if dense is not None:
             ts, out = dense
@@ -238,38 +217,37 @@ def _taylor(a_values, lam: float, cfg: IvpConfig, dense=None):
     return state[:, 0], state[:, 1], t
 
 
-def _endpoint(a: float, lam: float, cfg: IvpConfig, dense=None):
-    w, u, t = _taylor(a, lam, cfg, dense)
+def _endpoint(a: float, lam: float, dense=None):
+    w, u, t = _taylor(a, lam, dense)
     if np.isnan(w[0]):
         raise IvpOverflow(f"|w| passed {BLOWUP_GUARD:g} or the step budget "
                           f"before r = 1, at r = {math.exp(t[0]):.6f}")
     return float(w[0]), float(u[0])
 
 
-def ivp_integrate(a: float, lam: float, cfg: IvpConfig | None = None):
+def ivp_integrate(a: float, lam: float):
     """Integrate to r = 1; returns the endpoint pair (w(1), w'(1)).
 
     Raises :class:`IvpOverflow` if the trajectory blows up on the way,
     and ValueError for a rate that is not finite.
     """
-    return _endpoint(a, lam, cfg or IvpConfig())
+    return _endpoint(a, lam)
 
 
-def ivp_trajectory(a: float, lam: float, cfg: IvpConfig | None = None):
+def ivp_trajectory(a: float, lam: float):
     """Integrate to r = 1 sampling the state on the way.
 
     Returns arrays (r, w, w') on 2001 geometric nodes r = exp(t), from
-    exactly r0 to exactly 1, read from the series below the handoff radius
-    and from each step's polynomial above; the last node is
-    :func:`ivp_integrate`'s endpoint.  Dense output feeds the
+    exactly r0 = ``_R0`` to exactly 1, read from the series below the
+    handoff radius and from each step's polynomial above; the last node
+    is :func:`ivp_integrate`'s endpoint.  Dense output feeds the
     quadrature-based profile recovery.
     """
-    cfg = cfg or IvpConfig()
-    ts = np.linspace(math.log(cfg.r0), 0.0, _TRAJECTORY_NODES)
+    ts = np.linspace(math.log(_R0), 0.0, _TRAJECTORY_NODES)
     states = np.empty((2, _TRAJECTORY_NODES))
-    states[:, -1] = _endpoint(a, lam, cfg, (ts, states))
+    states[:, -1] = _endpoint(a, lam, (ts, states))
     rs = np.exp(ts)
-    rs[0] = cfg.r0
+    rs[0] = _R0
     return rs, states[0], states[1] / rs
 
 
@@ -402,8 +380,7 @@ def _zoom(residual, lo, hi, f_lo, f_hi):
     return 0.5 * (lo + hi)
 
 
-def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
-                    cfg: IvpConfig | None = None) -> list:
+def oracle_branches(lam: float, bc, window=(-120.0, 20.0)) -> list:
     """Roots of the boundary functional built from the integrator.
 
     Scans the window, skips blown-up stretches and solves all sign-change
@@ -416,10 +393,9 @@ def oracle_branches(lam: float, bc, window=(-120.0, 20.0), *,
     # a width that overflows would fill the grid with inf and NaN
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"window must be finite with lo < hi, got {window!r}")
-    cfg = cfg or IvpConfig()
 
     def residual(a):
-        w, u, _ = _taylor(a, lam, cfg)
+        w, u, _ = _taylor(a, lam)
         return bc.residual(w, u)
 
     xs = np.linspace(lo, hi, _GRID_POINTS)

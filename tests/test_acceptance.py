@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from epibvp import (
     BoundaryKind,
     BranchLabel,
-    IvpConfig,
     RPoly,
     VimProblem,
     apply_vim_kernel,
@@ -330,22 +329,22 @@ def test_08_linear_regime_check():
     assert elapsed < 10.0
 
 
-def test_09_cross_method_validation():
+def test_09_cross_method_validation(oracle_setting):
     t0 = time.perf_counter()
-    cfg = IvpConfig(order=16)
+    oracle_setting(order=16)
     worst_root = 0.0
     worst_profile = 0.0
     checked = 0
     for bc in BoundaryKind:
         for lam in (-10.0, -1.0, 0.0, 1.0, 5.0):
             vim_roots = find_branches(lam, bc)
-            ivp_roots = oracle_branches(lam, bc, cfg=cfg)
+            ivp_roots = oracle_branches(lam, bc)
             assert len(vim_roots) == len(ivp_roots), (bc, lam)
             for root in vim_roots:
                 nearest = min(ivp_roots, key=lambda x: abs(x - root.a_star))
                 worst_root = max(worst_root, abs(nearest - root.a_star))
                 profile = solve_profile(root.a_star, lam, bc)
-                rs, ws, _ = ivp_trajectory(nearest, lam, cfg)
+                rs, ws, _ = ivp_trajectory(nearest, lam)
                 phi_ivp = profile_from_trajectory(rs, ws)
                 sample = slice(0, rs.size, max(1, rs.size // 400))
                 gap = float(np.max(np.abs(
@@ -361,8 +360,10 @@ def test_09_cross_method_validation():
 
     reference = frozen_rk4(-0.126, 1.0, 1e-4, 8000)
     bound = distance(frozen_rk4(-0.126, 1.0, 1e-4, 2000), reference)
-    ends = [ivp_integrate(-0.126, 1.0, IvpConfig(r0=1e-2, order=order))
-            for order in (24, 48)]
+    ends = []
+    for order in (24, 48):
+        oracle_setting(r0=1e-2, order=order)
+        ends.append(ivp_integrate(-0.126, 1.0))
     doubling = distance(*ends)
     order_ok = (doubling <= 1e-9
                 and all(distance(end, reference) <= bound for end in ends))

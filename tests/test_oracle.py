@@ -9,7 +9,6 @@ from numpy._core._multiarray_umath import __cpu_features__
 
 from epibvp import (
     BoundaryKind,
-    IvpConfig,
     IvpOverflow,
     evaluate,
     find_branches,
@@ -29,27 +28,15 @@ from _util import frozen_rk4, frozen_rk4_endpoints, lower_branch_root
 
 
 # ---------------------------------------------------------------------------
-# configuration and series handoff
+# series handoff
 # ---------------------------------------------------------------------------
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IvpConfig(r0=0.0)
-    with pytest.raises(ValueError):
-        IvpConfig(r0=1.5)
-    for order in (0, 7, 65, True, 24.0, "24", None):
-        with pytest.raises(ValueError, match="order"):
-            IvpConfig(order=order)
-    assert IvpConfig(order=8).order == 8
-    assert IvpConfig(order=64).order == 64
-
 
 def test_series_start_trivial():
     # a zero series hands off at the cap
     assert series_start(0.0, 0.0) == (0.1, 0.0, 0.0)
 
 
-def test_handoff_radius_from_the_root_test():
+def test_handoff_radius_from_the_root_test(oracle_setting):
     # the root test sets the radius only far out on the steep side; the cap
     # 0.1 holds on the default window, and the floor r0 at huge |a|
     r, w, wp = series_start(np.array([[-1500.0, -17.24], [1e12, 0.5]]),
@@ -58,7 +45,27 @@ def test_handoff_radius_from_the_root_test():
     assert 0.0953 <= r[0, 0] <= 0.0954
     assert r[0, 1] == r[1, 1] == 0.1
     assert r[1, 0] == 1e-4
-    assert 1e-8 < series_start(1e12, -2000.0, IvpConfig(r0=1e-8))[0] < 1e-4
+    oracle_setting(r0=1e-8)
+    assert 1e-8 < series_start(1e12, -2000.0)[0] < 1e-4
+
+
+def test_setting_is_read_at_call_time(oracle_setting):
+    # the order and the floor are module constants read on every call, so a
+    # new setting holds from the next call and the module's own one gives
+    # back the default bits
+    default = ivp_integrate(-0.5, 1.0)
+    oracle_setting(r0=1e-3, order=16)
+    assert oracle._handoff(np.array([-0.5]), 1.0)[0].shape == (1, 17)
+    assert ivp_trajectory(-0.5, 1.0)[0][0] == 1e-3
+    w1, v1 = ivp_integrate(-0.5, 1.0)
+    # the same endpoint to the coarser setting's accuracy: measured 8.4e-9
+    # in w and 1.7e-8 in u
+    assert (w1, v1) != default
+    assert abs(w1 - default[0]) <= 5e-8 and abs(v1 - default[1]) <= 5e-8
+    oracle_setting()
+    assert (oracle._R0, oracle._TAYLOR_ORDER) == (1e-4, 24)
+    assert oracle._handoff(np.array([-0.5]), 1.0)[0].shape == (1, 25)
+    assert ivp_integrate(-0.5, 1.0) == default
 
 
 def _exact_series(a, lam, order):
@@ -75,7 +82,7 @@ def _exact_series(a, lam, order):
 def test_series_defect_by_symbolic_substitution():
     # substituting the K-term series w = sum v_j r**(2 j + 2) into the
     # equation leaves no term below r**(2 K + 4)
-    order = IvpConfig().order
+    order = oracle._TAYLOR_ORDER
     _, r, a, lam = sympy.ring("r a lam", sympy.QQ)
     w = sum(c * r ** (2 * j + 2)
             for j, c in enumerate(_exact_series(a, lam, order)))
@@ -108,30 +115,31 @@ def test_trivial_trajectory_stays_zero():
     assert v1 == 0.0
 
 
-def test_endpoint_matches_trajectory():
-    for cfg in (IvpConfig(r0=1e-3, order=16), IvpConfig()):
-        w1, v1 = ivp_integrate(-0.5, 1.0, cfg)
-        rs, ws, vs = ivp_trajectory(-0.5, 1.0, cfg)
+def test_endpoint_matches_trajectory(oracle_setting):
+    for r0, order in ((1e-3, 16), (1e-4, 24)):
+        oracle_setting(r0=r0, order=order)
+        w1, v1 = ivp_integrate(-0.5, 1.0)
+        rs, ws, vs = ivp_trajectory(-0.5, 1.0)
         assert rs.size == ws.size == vs.size == 2001
-        assert rs[0] == cfg.r0
+        assert rs[0] == r0
         assert rs[-1] == 1.0
         assert np.all(np.diff(rs) > 0.0)
         # geometric nodes: equal steps in ln r
-        assert np.allclose(np.diff(np.log(rs)), -np.log(cfg.r0) / 2000,
+        assert np.allclose(np.diff(np.log(rs)), -np.log(r0) / 2000,
                            rtol=1e-9, atol=0.0)
         assert ws[-1] == w1
         assert vs[-1] == v1
 
 
-def test_trajectory_samples_match_scaled_endpoints():
+def test_trajectory_samples_match_scaled_endpoints(oracle_setting):
     # at lam = 0, w(c r) solves the equation when w does, from the series
     # start of a c**2, so the sample at node r_j is the endpoint of the
     # integration from a r_j**2 at the handoff radius r0 / r_j
     a = -9.4
     rs, ws, vs = ivp_trajectory(a, 0.0)
     for j in (1, 400, 1000, 1999):
-        cfg = IvpConfig(r0=rs[0] / rs[j])
-        w1, v1 = ivp_integrate(a * rs[j] ** 2, 0.0, cfg)
+        oracle_setting(r0=rs[0] / rs[j])
+        w1, v1 = ivp_integrate(a * rs[j] ** 2, 0.0)
         assert abs(ws[j] - w1) <= 1e-10 * max(1.0, abs(w1))
         assert abs(rs[j] * vs[j] - v1) <= 1e-10 * max(1.0, abs(v1))
 
@@ -156,34 +164,36 @@ def test_non_finite_rate_rejected(lam):
 
 # At a = -113.17 and -72.22 a start formed as a * r0**2 instead of
 # (a * r0) * r0 ended a few ulps off under RK4; a = 50 blows up
-_SHORT = (IvpConfig(r0=1e-2, order=16),
+_SHORT = (1e-2, 16,
           np.concatenate([np.linspace(-120.0, 20.0, 29),
                           [-113.17, -72.22, 50.0]]),
           1)
 
 
-@pytest.mark.parametrize("lam,cfg,a_values,blown_up", [
+@pytest.mark.parametrize("lam,r0,order,a_values,blown_up", [
     pytest.param(-40.0, *_SHORT, id="-40.0"),
     pytest.param(0.0, *_SHORT, id="0.0"),
     pytest.param(15.0, *_SHORT, id="15.0"),
-    # the oracle's own scan: default config and 320 columns; on the wide
+    # the oracle's own scan: default setting and 320 columns; on the wide
     # window a run of columns blows up while the rest integrate on; RK4 on
     # 2000 steps blew up on 139 of them
-    pytest.param(15.0, IvpConfig(), np.linspace(-120.0, 20.0, 320), 0,
+    pytest.param(15.0, 1e-4, 24, np.linspace(-120.0, 20.0, 320), 0,
                  id="scan-15.0"),
-    pytest.param(-130.0, IvpConfig(), np.linspace(-300.0, 300.0, 320), 140,
+    pytest.param(-130.0, 1e-4, 24, np.linspace(-300.0, 300.0, 320), 140,
                  id="wide-scan--130.0"),
 ])
-def test_batch_matches_scalar_integration_bit_for_bit(lam, cfg, a_values,
-                                                      blown_up):
+def test_batch_matches_scalar_integration_bit_for_bit(lam, r0, order,
+                                                      a_values, blown_up,
+                                                      oracle_setting):
     # the scan and the root solve of oracle_branches must read the same B:
     # a column gives the same bits whatever other columns share its call,
     # and exactly the columns whose scalar integration overflows read NaN
-    w, v, _ = _taylor(a_values, lam, cfg)
+    oracle_setting(r0=r0, order=order)
+    w, v, _ = _taylor(a_values, lam)
     overflowed = np.zeros(a_values.size, dtype=bool)
     for i, a in enumerate(a_values):
         try:
-            expected = ivp_integrate(float(a), lam, cfg)
+            expected = ivp_integrate(float(a), lam)
         except IvpOverflow:
             overflowed[i] = True
             continue
@@ -192,8 +202,8 @@ def test_batch_matches_scalar_integration_bit_for_bit(lam, cfg, a_values,
     assert np.array_equal(np.isnan(w), overflowed)
     assert np.array_equal(np.isnan(v), overflowed)
     # RK4 on 8000 steps blows up on the same columns
-    reference, _ = frozen_rk4_endpoints(tuple(a_values.tolist()), lam,
-                                        cfg.r0, 8000)
+    reference, _ = frozen_rk4_endpoints(tuple(a_values.tolist()), lam, r0,
+                                        8000)
     assert np.array_equal(np.isnan(reference), overflowed)
 
 
@@ -230,28 +240,32 @@ def _distance(w, u, reference):
 
 
 @pytest.mark.parametrize("lam,r0,a_values", _ACCURACY_GRIDS)
-def test_endpoints_closer_to_fine_rk4_than_default_rk4(lam, r0, a_values):
+def test_endpoints_closer_to_fine_rk4_than_default_rk4(lam, r0, a_values,
+                                                       oracle_setting):
     # RK4 on 8000 steps is the reference; the Taylor endpoints lie no
     # further from it than the 2000 steps RK4 the oracle used to take, and
     # blow up on the same columns
     key = tuple(a_values.tolist())
     reference = frozen_rk4_endpoints(key, lam, _RK4_R0, 8000)
-    w, u, _ = _taylor(a_values, lam, IvpConfig(r0=r0))
+    oracle_setting(r0=r0)
+    w, u, _ = _taylor(a_values, lam)
     assert np.array_equal(np.isnan(w), np.isnan(reference[0]))
     assert _distance(w, u, reference) <= _distance(
         *frozen_rk4_endpoints(key, lam, _RK4_R0, 2000), reference)
 
 
 @pytest.mark.parametrize("lam,r0,a_values", _ACCURACY_GRIDS)
-def test_order_doubling(lam, r0, a_values):
+def test_order_doubling(lam, r0, a_values, oracle_setting):
     # the endpoints at orders 24 and 48 differ by less than 1e-9 relative,
     # and both lie within the distance of 2000-step RK4 from the reference
     key = tuple(a_values.tolist())
     reference = frozen_rk4_endpoints(key, lam, _RK4_R0, 8000)
     coarse = _distance(*frozen_rk4_endpoints(key, lam, _RK4_R0, 2000),
                        reference)
-    w, u, _ = _taylor(a_values, lam, IvpConfig(r0=r0, order=24))
-    w2, u2, _ = _taylor(a_values, lam, IvpConfig(r0=r0, order=48))
+    oracle_setting(r0=r0, order=24)
+    w, u, _ = _taylor(a_values, lam)
+    oracle_setting(r0=r0, order=48)
+    w2, u2, _ = _taylor(a_values, lam)
     assert np.array_equal(np.isnan(w), np.isnan(w2))
     assert _distance(w, u, (w2, u2)) <= 1e-9
     assert _distance(w, u, reference) <= coarse
@@ -261,7 +275,7 @@ def test_order_doubling(lam, r0, a_values):
 def test_blown_up_column_stops_at_the_step_budget(monkeypatch):
     # a column short of r = 1 when the budget runs out reads as blown up
     monkeypatch.setattr(oracle, "_STEP_BUDGET", 3)
-    w, u, t = _taylor(np.array([-17.2, 0.0]), 15.0, IvpConfig())
+    w, u, t = _taylor(np.array([-17.2, 0.0]), 15.0)
     assert np.isnan(w).all() and np.isnan(u).all()
     assert np.all(t < 0.0)
     with pytest.raises(IvpOverflow, match="step budget"):
@@ -293,18 +307,20 @@ def test_blow_up_is_reported_where_rk4_passes_the_guard():
     assert abs(np.log(radius[1] / radius[0])) <= 2.0 * -np.log(1e-4) / 8000
 
 
-def test_series_start_insensitivity():
+def test_series_start_insensitivity(oracle_setting):
     # for every r0 up to 1e-2 the handoff lies at the cap 0.1, so the
     # endpoints agree bit for bit; a floor past the cap moves the handoff
     # out with it, and at 0.2 and 0.3 w(1) moves by 6.9e-14 and 9.7e-14
     root = lower_branch_root(1.0, BoundaryKind.DIRICHLET)
-    endpoints = {ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0))
-                 for r0 in (1e-5, 1e-4, 1e-3, 1e-2)}
+    endpoints = set()
+    for r0 in (1e-5, 1e-4, 1e-3, 1e-2):
+        oracle_setting(r0=r0)
+        endpoints.add(ivp_integrate(root.a_star, 1.0))
     assert len(endpoints) == 1
     (w1, _), = endpoints
     for r0 in (0.2, 0.3):
-        assert abs(ivp_integrate(root.a_star, 1.0, IvpConfig(r0=r0))[0]
-                   - w1) <= 2e-13
+        oracle_setting(r0=r0)
+        assert abs(ivp_integrate(root.a_star, 1.0)[0] - w1) <= 2e-13
 
 
 def test_scan_columns_reach_r_1_in_few_steps(monkeypatch):
@@ -313,15 +329,14 @@ def test_scan_columns_reach_r_1_in_few_steps(monkeypatch):
     # takes 9
     monkeypatch.setattr(oracle, "_STEP_BUDGET", 9)
     xs = np.linspace(-120.0, 20.0, 320)
-    w, u, t = _taylor(xs, 15.0, IvpConfig())
+    w, u, t = _taylor(xs, 15.0)
     assert np.isfinite(w).all() and np.isfinite(u).all()
     assert np.all(t == 0.0)
     radius = series_start(xs, 15.0)[0]
     assert np.all((1e-4 <= radius) & (radius <= 0.1))
     # both roots in 5
     monkeypatch.setattr(oracle, "_STEP_BUDGET", 5)
-    w, _, _ = _taylor(np.array([-17.2437906707, -2.2217801911]), 15.0,
-                      IvpConfig())
+    w, _, _ = _taylor(np.array([-17.2437906707, -2.2217801911]), 15.0)
     assert np.isfinite(w).all()
 
 
@@ -364,9 +379,9 @@ def test_oracle_branches_empty_above_critical():
     assert oracle_branches(40.0, BoundaryKind.NAVIER_ONE) == []
 
 
-def test_both_methods_agree_on_nonexistence_past_the_fold():
+def test_both_methods_agree_on_nonexistence_past_the_fold(oracle_setting):
     # one and a half times the critical rate for each boundary kind
-    cfg = IvpConfig(order=16)
+    oracle_setting(order=16)
     cases = [
         (BoundaryKind.NAVIER_ONE, 47.91),
         (BoundaryKind.NAVIER_TWO, 17.01),
@@ -374,7 +389,7 @@ def test_both_methods_agree_on_nonexistence_past_the_fold():
     ]
     for bc, lam in cases:
         assert find_branches(lam, bc) == []
-        assert oracle_branches(lam, bc, cfg=cfg) == []
+        assert oracle_branches(lam, bc) == []
 
 
 def test_oracle_cross_check_dirichlet():
@@ -498,7 +513,7 @@ def _scan(lam, bc):
     """The oracle's 320-point scan of the default window: the points and
     the residuals there."""
     xs = np.linspace(-120.0, 20.0, oracle._GRID_POINTS)
-    return xs, bc.residual(*_taylor(xs, lam, IvpConfig())[:2])
+    return xs, bc.residual(*_taylor(xs, lam)[:2])
 
 
 def _bisection_roots(lam, bc):
