@@ -28,12 +28,12 @@ series: with s = r**2, w = s v(s) and
     v_0 = a,      v_j = ((v*v)_{j-1} + lam delta_{j1}) / (8 j (j + 1)),
 
 taken to the same order K.  Each column hands off from the series to the
-Taylor steps at r_h = max(r0, min(0.1, sqrt(0.35 / g))), where r0 = 1e-4
+Taylor steps at r_h = max(r0, min(1, sqrt(0.25 / g))), where r0 = 1e-4
 (``_R0``) and g is the root test's inverse radius in s over the upper
-half of the v_j, measured against m = max(|v_0|, |v_1|).  The cap 0.1
-holds for |a| up to about 1357; below it the series is the solution to
-rounding, so the steps only cover ln r_h .. 0: 4 to 9 of them on the
-default window at lam = 15.
+half of the v_j, measured against m = max(|v_0|, |v_1|).  Below r_h the
+series is the solution to rounding, so the steps only cover ln r_h .. 0:
+0 to 4 of them on the default window at lam = 15, where a column that
+hands off at r = 1 takes its endpoint from the series with no step.
 
 Nothing here shares code with the polynomial solver: profiles are
 recovered by trapezoidal quadrature of w / r over the trajectory, sampled
@@ -73,12 +73,14 @@ BLOWUP_GUARD = 1e12
 _TAYLOR_ORDER = 24
 # the least series handoff radius, and the first node of ivp_trajectory
 _R0 = 1e-4
-# each step goes this fraction of the estimated radius of convergence, and
-# so does the series handoff, in s = r**2, though never past r = 0.1
+# each step goes this fraction of the estimated radius of convergence in
+# t, and the series handoff this one of it in s = r**2, though never past
+# r = 1; the handoff's is smaller, since the series' u = r w' row carries
+# factors 2 j + 2 that the root test of its v row does not see
 _STEP_FRACTION = 0.35
-_HANDOFF_CAP = 0.1
+_SERIES_FRACTION = 0.25
 # a column still short of r = 1 after this many steps counts as blown up;
-# from the handoff a column that reaches r = 1 takes 4 to 27 steps, one
+# from the handoff a column that reaches r = 1 takes 0 to 35 steps, one
 # that passes the guard about 50
 _STEP_BUDGET = 400
 # geometric nodes of ivp_trajectory, from r0 to 1
@@ -100,6 +102,12 @@ def _root_test(coeffs, scale, upper):
     return np.max((np.abs(coeffs) / scale[:, None]) ** upper, axis=1)
 
 
+def _within_guard(state):
+    """Per row of (w, u) states: |w| within the blow-up guard and u
+    finite."""
+    return (np.abs(state[:, 0]) <= BLOWUP_GUARD) & np.isfinite(state[:, 1])
+
+
 def _handoff(a, lam: float):
     """The Frobenius series v_0..v_K of v = w / s, one row per shooting
     parameter in the 1-D array ``a``, each row's handoff radius, and the
@@ -113,10 +121,11 @@ def _handoff(a, lam: float):
         v[:, j] /= 8 * j * (j + 1)
     upper = _constants(order)[3]
     # the inverse radius in s; a zero series (a = lam = 0) reads NaN, and
-    # fmin hands it off at the cap
+    # so does one whose a**2 overflows (|a| above 1.3e154), and fmin
+    # hands either off at r = 1, where _taylor's guard takes the second
     g = _root_test(v[:, order // 2:],
                    np.maximum(np.abs(v[:, 0]), np.abs(v[:, 1])), upper)
-    r = np.maximum(_R0, np.fmin(_HANDOFF_CAP, np.sqrt(_STEP_FRACTION / g)))
+    r = np.maximum(_R0, np.fmin(1.0, np.sqrt(_SERIES_FRACTION / g)))
     return v, r, _series_state(v, r * r)
 
 
@@ -131,8 +140,9 @@ def _series_state(v, s):
 
 
 def series_start(a, lam: float):
-    """Handoff radius and the series state (r, w, w') there, per shooting
-    parameter; ``a`` may be an array, and each output has its shape."""
+    """Handoff radius, at most 1, and the series state (r, w, w') there,
+    per shooting parameter; ``a`` may be an array, and each output has its
+    shape."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         _, r, (w, u) = _handoff(np.asarray(a, dtype=float).reshape(-1), lam)
         return tuple(x.reshape(np.shape(a))[()] for x in (r, w, u / r))
@@ -156,8 +166,9 @@ def _taylor(a_values, lam: float, dense=None):
     and the t each column reached.
 
     Each column starts from its series at its handoff radius and steps on
-    its own; a column reads NaN once |w| passes the blow-up guard, a value
-    leaves the finite range or the step budget runs out.  The coefficients
+    its own, unless it hands off at r = 1; a column reads NaN once |w|
+    passes the blow-up guard, a value leaves the finite range or the step
+    budget runs out, at the handoff as after any step.  The coefficients
     are stored one row per column and the convolutions are summed along
     the row, so a column reads the same bits whatever other columns share
     the call.  Given ``dense`` = (ts, out) for one column, with ts sorted
@@ -180,8 +191,10 @@ def _taylor(a_values, lam: float, dense=None):
             ts, out = dense
             below = slice(np.searchsorted(ts, t[0]))
             out[:, below] = _series_state(v[0], np.exp(2.0 * ts[below]))
-        live = np.arange(t.size)
-        blown = np.zeros(t.size, dtype=bool)
+        # a column that hands off at r = 1 ends there, with no step
+        ok = _within_guard(state)
+        blown = ~ok
+        live = np.flatnonzero(ok & (t < 0.0))
         for _ in range(_STEP_BUDGET):
             if not live.size:
                 break
@@ -209,7 +222,7 @@ def _taylor(a_values, lam: float, dense=None):
             c *= (h[:, None] ** powers)[:, None, :]
             new = c.sum(axis=2)
             state[live], t[live] = new, t1
-            ok = (np.abs(new[:, 0]) <= BLOWUP_GUARD) & np.isfinite(new[:, 1])
+            ok = _within_guard(new)
             blown[live[~ok]] = True
             live = live[ok & (t1 < 0.0)]
     blown[live] = True
@@ -239,8 +252,9 @@ def ivp_trajectory(a: float, lam: float):
 
     Returns arrays (r, w, w') on 2001 geometric nodes r = exp(t), from
     exactly r0 = ``_R0`` to exactly 1, read from the series below the
-    handoff radius and from each step's polynomial above; the last node
-    is :func:`ivp_integrate`'s endpoint.  Dense output feeds the
+    handoff radius and from each step's polynomial above, so all but the
+    last from the series where it hands off at r = 1; the last node is
+    :func:`ivp_integrate`'s endpoint.  Dense output feeds the
     quadrature-based profile recovery.
     """
     ts = np.linspace(math.log(_R0), 0.0, _TRAJECTORY_NODES)

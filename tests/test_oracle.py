@@ -32,18 +32,19 @@ from _util import frozen_rk4, frozen_rk4_endpoints, lower_branch_root
 # ---------------------------------------------------------------------------
 
 def test_series_start_trivial():
-    # a zero series hands off at the cap
-    assert series_start(0.0, 0.0) == (0.1, 0.0, 0.0)
+    # a zero series hands off at r = 1
+    assert series_start(0.0, 0.0) == (1.0, 0.0, 0.0)
 
 
 def test_handoff_radius_from_the_root_test(oracle_setting):
-    # the root test sets the radius only far out on the steep side; the cap
-    # 0.1 holds on the default window, and the floor r0 at huge |a|
+    # the root test sets the radius, between the floor r0, which holds at
+    # huge |a|, and the end r = 1 of the interval
     r, w, wp = series_start(np.array([[-1500.0, -17.24], [1e12, 0.5]]),
                             -2000.0)
     assert r.shape == w.shape == wp.shape == (2, 2)
-    assert 0.0953 <= r[0, 0] <= 0.0954
-    assert r[0, 1] == r[1, 1] == 0.1
+    assert np.all((1e-4 <= r) & (r <= 1.0))
+    assert 0.0805 <= r[0, 0] <= 0.0806
+    assert 0.5 <= r[0, 1] <= 0.52 and 0.5 <= r[1, 1] <= 0.52
     assert r[1, 0] == 1e-4
     oracle_setting(r0=1e-8)
     assert 1e-8 < series_start(1e12, -2000.0)[0] < 1e-4
@@ -53,19 +54,22 @@ def test_setting_is_read_at_call_time(oracle_setting):
     # the order and the floor are module constants read on every call, so a
     # new setting holds from the next call and the module's own one gives
     # back the default bits
-    default = ivp_integrate(-0.5, 1.0)
-    oracle_setting(r0=1e-3, order=16)
-    assert oracle._handoff(np.array([-0.5]), 1.0)[0].shape == (1, 17)
-    assert ivp_trajectory(-0.5, 1.0)[0][0] == 1e-3
-    w1, v1 = ivp_integrate(-0.5, 1.0)
-    # the same endpoint to the coarser setting's accuracy: measured 8.4e-9
-    # in w and 1.7e-8 in u
+    default = ivp_integrate(-17.2, 15.0)
+    oracle_setting(r0=1e-3)
+    assert ivp_trajectory(-17.2, 15.0)[0][0] == 1e-3
+    # the series hands off at r = 0.65, above either floor
+    assert ivp_integrate(-17.2, 15.0) == default
+    oracle_setting(order=16)
+    assert oracle._handoff(np.array([-17.2]), 15.0)[0].shape == (1, 17)
+    w1, v1 = ivp_integrate(-17.2, 15.0)
+    # the same endpoint to the lower order's accuracy: measured 1.0e-9 in
+    # w and 5.5e-10 in u
     assert (w1, v1) != default
-    assert abs(w1 - default[0]) <= 5e-8 and abs(v1 - default[1]) <= 5e-8
+    assert abs(w1 - default[0]) <= 5e-9 and abs(v1 - default[1]) <= 5e-9
     oracle_setting()
     assert (oracle._R0, oracle._TAYLOR_ORDER) == (1e-4, 24)
-    assert oracle._handoff(np.array([-0.5]), 1.0)[0].shape == (1, 25)
-    assert ivp_integrate(-0.5, 1.0) == default
+    assert oracle._handoff(np.array([-17.2]), 15.0)[0].shape == (1, 25)
+    assert ivp_integrate(-17.2, 15.0) == default
 
 
 def _exact_series(a, lam, order):
@@ -91,10 +95,10 @@ def test_series_defect_by_symbolic_substitution():
     assert min(k for k, _, _ in defect.monoms()) == 2 * order + 4
     # the integrator's state is this series at the exact binary values of
     # a, lam and the handoff radius, to rounding, where the root test, the
-    # cap and the floor set the radius; measured 8.5e-16 relative at most,
-    # and 2.4e-15 at the floor, where the terms grow
+    # floor and the end r = 1 set the radius; measured 2.1e-16 relative at
+    # most, and 2.4e-15 at the floor, where the terms grow
     for a_value, lam_value in ((-1500.0, -2000.0), (-17.24, 15.0),
-                               (1e12, 0.0)):
+                               (1e12, 0.0), (-0.5, 1.0)):
         exact = _exact_series(Fraction(a_value), Fraction(lam_value), order)
         radius, *start = series_start(a_value, lam_value)
         rho = Fraction(radius)
@@ -208,8 +212,9 @@ def test_batch_matches_scalar_integration_bit_for_bit(lam, r0, order,
 
 
 # (lam, r0, shooting parameters): the default window at a large floor r0,
-# the wide window, where about 140 of 320 columns blow up, and a steep
-# stretch where the root test sets the handoff radius (0.0953 at -1500).
+# which its handoff radii, 0.27 to 1, lie above, the wide window, where
+# about 140 of 320 columns blow up, and a steep stretch where the root
+# test sets a small handoff radius (0.0806 at -1500).
 # At 320 points the steep stretch holds a column at the guard, a = -970.22,
 # where 8000-step RK4 ends at w = 9.4e11 and 16 000-step RK4 and the
 # Taylor steps pass 1e12; at 32 points it holds none
@@ -256,8 +261,10 @@ def test_endpoints_closer_to_fine_rk4_than_default_rk4(lam, r0, a_values,
 
 @pytest.mark.parametrize("lam,r0,a_values", _ACCURACY_GRIDS)
 def test_order_doubling(lam, r0, a_values, oracle_setting):
-    # the endpoints at orders 24 and 48 differ by less than 1e-9 relative,
-    # and both lie within the distance of 2000-step RK4 from the reference
+    # the endpoints at orders 24 and 48 differ by less than 1e-10 relative,
+    # and both lie within the distance of 2000-step RK4 from the reference;
+    # a series handoff at 0.35 of the v rows' radius, which overlooks the
+    # factors 2 j + 2 of the u rows, read 5.8e-10 to 1.2e-6 here
     key = tuple(a_values.tolist())
     reference = frozen_rk4_endpoints(key, lam, _RK4_R0, 8000)
     coarse = _distance(*frozen_rk4_endpoints(key, lam, _RK4_R0, 2000),
@@ -267,19 +274,20 @@ def test_order_doubling(lam, r0, a_values, oracle_setting):
     oracle_setting(r0=r0, order=48)
     w2, u2, _ = _taylor(a_values, lam)
     assert np.array_equal(np.isnan(w), np.isnan(w2))
-    assert _distance(w, u, (w2, u2)) <= 1e-9
+    assert _distance(w, u, (w2, u2)) <= 1e-10
     assert _distance(w, u, reference) <= coarse
     assert _distance(w2, u2, reference) <= coarse
 
 
 def test_blown_up_column_stops_at_the_step_budget(monkeypatch):
-    # a column short of r = 1 when the budget runs out reads as blown up
+    # a column short of r = 1 when the budget runs out reads as blown up;
+    # the two ends of the default window at 15 take 4 steps
     monkeypatch.setattr(oracle, "_STEP_BUDGET", 3)
-    w, u, t = _taylor(np.array([-17.2, 0.0]), 15.0)
+    w, u, t = _taylor(np.array([-120.0, 20.0]), 15.0)
     assert np.isnan(w).all() and np.isnan(u).all()
     assert np.all(t < 0.0)
     with pytest.raises(IvpOverflow, match="step budget"):
-        ivp_integrate(-17.2, 15.0)
+        ivp_integrate(20.0, 15.0)
 
 
 def test_frozen_rk4_batch_equals_the_scalar_march():
@@ -308,36 +316,106 @@ def test_blow_up_is_reported_where_rk4_passes_the_guard():
 
 
 def test_series_start_insensitivity(oracle_setting):
-    # for every r0 up to 1e-2 the handoff lies at the cap 0.1, so the
-    # endpoints agree bit for bit; a floor past the cap moves the handoff
-    # out with it, and at 0.2 and 0.3 w(1) moves by 6.9e-14 and 9.7e-14
+    # the series of this root hands off at r = 1, above every floor r0
+    # tried, so the endpoints agree bit for bit
     root = lower_branch_root(1.0, BoundaryKind.DIRICHLET)
+    assert series_start(root.a_star, 1.0)[0] == 1.0
     endpoints = set()
-    for r0 in (1e-5, 1e-4, 1e-3, 1e-2):
+    for r0 in (1e-5, 1e-4, 1e-3, 1e-2, 0.2, 0.3):
         oracle_setting(r0=r0)
         endpoints.add(ivp_integrate(root.a_star, 1.0))
     assert len(endpoints) == 1
-    (w1, _), = endpoints
-    for r0 in (0.2, 0.3):
-        oracle_setting(r0=r0)
-        assert abs(ivp_integrate(root.a_star, 1.0)[0] - w1) <= 2e-13
 
 
 def test_scan_columns_reach_r_1_in_few_steps(monkeypatch):
     # from the handoff each column of the default window at 15 reaches
-    # r = 1 in 4 to 9 steps; 300 take at most 7, and the last, a = 20,
-    # takes 9
-    monkeypatch.setattr(oracle, "_STEP_BUDGET", 9)
+    # r = 1 in 0 to 4 steps: 30 take none, 225 at most 3, and the 95 at
+    # the ends of the window, a <= -80.9 and a >= 18.2, take 4
+    monkeypatch.setattr(oracle, "_STEP_BUDGET", 4)
     xs = np.linspace(-120.0, 20.0, 320)
     w, u, t = _taylor(xs, 15.0)
     assert np.isfinite(w).all() and np.isfinite(u).all()
     assert np.all(t == 0.0)
     radius = series_start(xs, 15.0)[0]
-    assert np.all((1e-4 <= radius) & (radius <= 0.1))
-    # both roots in 5
-    monkeypatch.setattr(oracle, "_STEP_BUDGET", 5)
+    assert np.all((1e-4 <= radius) & (radius <= 1.0))
+    # both roots in 2
+    monkeypatch.setattr(oracle, "_STEP_BUDGET", 2)
     w, _, _ = _taylor(np.array([-17.2437906707, -2.2217801911]), 15.0)
     assert np.isfinite(w).all()
+
+
+def test_upper_root_hands_off_at_r_1_with_no_step(monkeypatch):
+    # the series of the navier1 upper root at 15 holds to r = 1, so its
+    # endpoint is the series state there, and a budget of no step passes
+    a = -2.2217801911
+    v, r, _ = oracle._handoff(np.array([a]), 15.0)
+    assert r[0] == 1.0
+    monkeypatch.setattr(oracle, "_STEP_BUDGET", 0)
+    expected = oracle._series_state(v[0], 1.0)
+    assert (np.array(ivp_integrate(a, 15.0)).tobytes()
+            == np.array(expected).tobytes())
+
+
+def test_columns_that_hand_off_at_r_1_take_no_step(monkeypatch):
+    # the handoff reads one root test and each step one more, so a call
+    # whose columns all hand off at r = 1 reads one root test in all
+    xs = np.linspace(-120.0, 20.0, 320)
+    xs = xs[series_start(xs, 15.0)[0] == 1.0]
+    assert xs.size == 30
+    tests = []
+    root_test = oracle._root_test
+
+    def counted(*args):
+        tests.append(len(args[0]))
+        return root_test(*args)
+
+    monkeypatch.setattr(oracle, "_root_test", counted)
+    w, u, t = _taylor(xs, 15.0)
+    assert tests == [xs.size]
+    assert np.isfinite(w).all() and np.isfinite(u).all()
+    assert np.all(t == 0.0)
+
+
+def test_column_that_ends_at_the_handoff_is_guarded(monkeypatch):
+    # a column that takes no step reads NaN where its series state is not
+    # finite: at a = 1e200 and -1e200 the series overflows, its root test
+    # reads NaN, and it hands off at r = 1
+    w, u, t = _taylor(np.array([1e200, -1e200]), 15.0)
+    assert np.isnan(w).all() and np.isnan(u).all()
+    assert np.all(t == 0.0)
+    with pytest.raises(IvpOverflow):
+        ivp_integrate(1e200, 15.0)
+    # and where it passes the guard: the upper root at 15 ends at
+    # w(1) = -1.07, past a guard of 1
+    a = -2.2217801911
+    monkeypatch.setattr(oracle, "BLOWUP_GUARD", 1.0)
+    w, u, t = _taylor(np.array([a]), 15.0)
+    assert np.isnan(w).all() and np.isnan(u).all()
+    assert t[0] == 0.0
+    with pytest.raises(IvpOverflow):
+        ivp_integrate(a, 15.0)
+
+
+# the columns a = -10**e, 0 and 10**e for e = -3, -2.75, ..., 12 that blow
+# up, as the least e of each sign that does and whether a = 0 does; the
+# same columns blew up when every column stepped on from r <= 0.1
+@pytest.mark.parametrize("lam,negative,positive,zero", [
+    (-2000.0, 3.0, 1.75, False),
+    (0.0, 3.0, 1.75, False),
+    (150.0, 3.0, 1.75, False),
+    (-1e6, 4.25, 3.25, False),
+    (1e6, -3.0, -3.0, True),
+])
+def test_extreme_columns_blow_up_where_they_did(lam, negative, positive,
+                                                zero):
+    exponents = np.linspace(-3.0, 12.0, 61)
+    a_values = np.concatenate([-10.0 ** exponents[::-1], [0.0],
+                               10.0 ** exponents])
+    w, u, _ = _taylor(a_values, lam)
+    expected = np.concatenate([exponents[::-1] >= negative, [zero],
+                               exponents >= positive])
+    assert np.array_equal(np.isnan(w), expected)
+    assert np.array_equal(np.isnan(u), expected)
 
 
 def test_vim_root_nearly_closes_the_dirichlet_condition():
@@ -446,31 +524,31 @@ def _pinned(table):
 _HEX_ROOTS = {
     "X86_V4": {
         (BoundaryKind.DIRICHLET, -25.0):
-            ("-0x1.5d761eaf4096cp+6", "0x1.7de6a3e633306p+0"),
+            ("-0x1.5d761eaf40abcp+6", "0x1.7de6a3e6322bap+0"),
         (BoundaryKind.DIRICHLET, 30.0):
-            ("-0x1.2271b03c8bff8p+6", "-0x1.ff3148849111ep+0"),
+            ("-0x1.2271b03c8c433p+6", "-0x1.ff31488492cbep+0"),
         (BoundaryKind.NAVIER_ONE, -60.0):
-            ("-0x1.2228c87ad7973p+5", "0x1.529f115765860p+2"),
+            ("-0x1.2228c87ad7a96p+5", "0x1.529f115765776p+2"),
         (BoundaryKind.NAVIER_ONE, 15.0):
-            ("-0x1.13e6910bdd791p+4", "-0x1.1c634b15ddfc8p+1"),
+            ("-0x1.13e6910bdd4d8p+4", "-0x1.1c634b15dee9ep+1"),
         (BoundaryKind.NAVIER_TWO, -100.0):
-            ("-0x1.8ede2eb66b738p+4", "0x1.115527ac306a1p+3"),
+            ("-0x1.8ede2eb66b62fp+4", "0x1.115527ac3092ep+3"),
         (BoundaryKind.NAVIER_TWO, 8.0):
-            ("-0x1.c2e1b31c5f927p+2", "-0x1.fac0860d25be8p+0"),
+            ("-0x1.c2e1b31c60167p+2", "-0x1.fac0860d2785cp+0"),
     },
     "X86_V3": {
         (BoundaryKind.DIRICHLET, -25.0):
-            ("-0x1.5d761eaf4096dp+6", "0x1.7de6a3e633306p+0"),
+            ("-0x1.5d761eaf40abcp+6", "0x1.7de6a3e6322bap+0"),
         (BoundaryKind.DIRICHLET, 30.0):
-            ("-0x1.2271b03c8bff8p+6", "-0x1.ff3148849111fp+0"),
+            ("-0x1.2271b03c8c433p+6", "-0x1.ff31488492cbep+0"),
         (BoundaryKind.NAVIER_ONE, -60.0):
-            ("-0x1.2228c87ad7973p+5", "0x1.529f115765860p+2"),
+            ("-0x1.2228c87ad7a96p+5", "0x1.529f115765776p+2"),
         (BoundaryKind.NAVIER_ONE, 15.0):
-            ("-0x1.13e6910bdd791p+4", "-0x1.1c634b15ddfc8p+1"),
+            ("-0x1.13e6910bdd4d8p+4", "-0x1.1c634b15dee9ep+1"),
         (BoundaryKind.NAVIER_TWO, -100.0):
-            ("-0x1.8ede2eb66b738p+4", "0x1.115527ac306a1p+3"),
+            ("-0x1.8ede2eb66b630p+4", "0x1.115527ac3092ep+3"),
         (BoundaryKind.NAVIER_TWO, 8.0):
-            ("-0x1.c2e1b31c5f92ap+2", "-0x1.fac0860d25be8p+0"),
+            ("-0x1.c2e1b31c60167p+2", "-0x1.fac0860d2785cp+0"),
     },
 }
 
@@ -484,9 +562,9 @@ def test_oracle_roots_pinned_bit_for_bit(bc, lam):
 
 # w(1), w'(1), and w and w' at node 1000 of the trajectory below
 _HEX_TRAJECTORY = {
-    "X86_V4": ("-0x1.89140968b3b2cp+2", "0x1.cc269521ea000p-28",
+    "X86_V4": ("-0x1.89140968b3b9ap+2", "0x1.cc3cc2d222c60p-28",
                "-0x1.c3fc053eb81b9p-10", "-0x1.6112a84e7955cp-2"),
-    "X86_V3": ("-0x1.89140968b3b2cp+2", "0x1.cc269521ea000p-28",
+    "X86_V3": ("-0x1.89140968b3b9ap+2", "0x1.cc3cc2d222c60p-28",
                "-0x1.c3fc053eb81b9p-10", "-0x1.6112a84e7955cp-2"),
 }
 
