@@ -10,8 +10,10 @@ that the collocation kernel steps along with B, finds the fold, and
 the count 0.45 tol to either side of it certifies it (:func:`_certified`);
 where Newton from lo finds none, a count bisection raises lo to a new seed.
 A count is one root search of :func:`shooting._accepted`, on the Chebyshev
-proxy, without profiles or labels; it sees the pair until about 1e-11
-below the fold.  The same fold at the neighbouring depths, under the same
+proxy; a count builds no profiles, labels or residual tables (the cap
+reads a float enclosure of the table, and builds the table only where the
+enclosure straddles the cap).  It sees the pair until about 1e-11 below
+the fold.  The same fold at the neighbouring depths, under the same
 certificate, is the depth sensitivity.
 """
 
@@ -182,12 +184,17 @@ def _certified(bc: BoundaryKind, depth: int, lam: float, tol: float, window,
 
 def _neighbours(bc: BoundaryKind, n: int, a_fold: float, lambda_star: float,
                 tol: float, window) -> dict:
-    """Depth n -+ 1 -> :func:`_fold` from the depth-n fold if certified."""
+    """Depth n -+ 1 -> :func:`_fold` from the depth-n fold if certified;
+    a count that overflows does not certify."""
     out = dict.fromkeys((n - 1, n + 1))
     for depth in [depth for depth in out if 1 <= depth <= MAX_DEPTH]:
         fold = _fold(bc, depth, a_fold, lambda_star)
-        if fold is not None and _certified(bc, depth, fold[1], tol, window):
-            out[depth] = fold[1]
+        try:
+            if fold is not None and _certified(bc, depth, fold[1], tol,
+                                               window):
+                out[depth] = fold[1]
+        except IterationOverflow:
+            pass
     return out
 
 
@@ -226,7 +233,8 @@ def depth_sensitivity(bc: BoundaryKind, lo: float, hi: float, tol: float,
     Newton's method at each neighbouring depth starts from the depth-n
     fold that :func:`find_critical_lambda` finds, without counting hi, and
     may end beyond hi.  A value is kept when the count at its depth
-    certifies it; else, and for a depth outside 1..MAX_DEPTH, it is None.
+    certifies it; else, and for a depth outside 1..MAX_DEPTH or whose
+    count overflows, it is None.
     """
     n = bc.default_iterations if n_iter is None else n_iter
     a_star = _roots_at_lo(bc, n, lo, hi, tol, window)

@@ -204,9 +204,11 @@ COLLOCATION_POINTS = 64
 
 # stack rows per product of the collocation kernel on 64 points, and on
 # p > 64 points the same count of multiply-adds per step on p points; on
-# one pinned CPU of a 2-CPU host fold rounds took a median 100 ms with 64
-# rows against 120 ms with 32 and 111 ms with 128, and a census pass
-# 41 ms against 45 and 50 ms
+# one pinned CPU of a 2-CPU host (medians of 10 interleaved seeds) a fold
+# round took 56 ms with 64 rows against 64 ms with 32 and 52 ms with 128,
+# and a census pass of 36 find_branches 118 ms against 134 and 121 ms;
+# 128 rows won 9 and 8 of 10 fold pairs in two rounds but 5 and 7 of 10
+# census pairs, so 64 stays
 _COLLOCATION_ROWS = 64
 
 
@@ -366,14 +368,19 @@ def _collocate(s: np.ndarray, lam: float, n_iter: int, p: int):
             v, lv = prolonged[:, :size], prolonged[:, size:]
         else:
             v, lv = s, None
-        v = v.reshape(k, m, size)
-        q = np.empty_like(v)
-        q[0] = v[0] * v[0] + lam
-        q[1:] = 2.0 * v[0] * v[1:]
-        if k > 2:
-            q[2] += 1.0
-            q[3:] += 2.0 * v[1] * v[1:3]
-        q = q.reshape(k * m, size)
+        if k == 1:
+            # nothing to differentiate: q in place, no derivative rows
+            q = v * v
+            q += lam
+        else:
+            v = v.reshape(k, m, size)
+            q = np.empty_like(v)
+            q[0] = v[0] * v[0] + lam
+            q[1:] = 2.0 * v[0] * v[1:]
+            if k > 2:
+                q[2] += 1.0
+                q[3:] += 2.0 * v[1] * v[1:3]
+            q = q.reshape(k * m, size)
         if not last:
             s = ((s @ step_v if lv is None else lv)
                  + q @ _collocation(size)[1])

@@ -261,6 +261,17 @@ def test_critical_sensitivity_is_around_the_depth_used(capsys):
     assert set(payload["sensitivity"]) == {"5", "7"}
 
 
+def test_critical_neighbour_whose_count_overflows_reads_null(tmp_path,
+                                                            capsys):
+    # the counts 4.5e299 to either side of each neighbouring fold overflow
+    argv = ["critical", "--bc", "navier1", "--lo", "20", "--hi", "40",
+            "--tol", "1e300", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["bracket"] == [20.0, 40.0]
+    assert payload["sensitivity"] == {"6": None, "8": None}
+
+
 def test_critical_bad_bracket_exit_code(capsys):
     code = run(["critical", "--bc", "navier2", "--lo", "15", "--hi", "20",
                 "--tol", "0.5"])

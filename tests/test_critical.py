@@ -472,6 +472,28 @@ def test_depth_sensitivity_around_the_depth_used():
     assert values[0] is None and set(values) == {0, 2}
 
 
+def test_depth_sensitivity_whose_count_overflows_reads_none():
+    # at tol 1e300 the certificate counts each neighbouring fold 4.5e299 to
+    # either side, where the iterates overflow: that certifies nothing
+    bc = BoundaryKind.NAVIER_ONE
+    with pytest.raises(IterationOverflow):
+        shooting._accepted(31.9 + 4.5e299, bc, shooting.DEFAULT_WINDOW, 6)
+    assert depth_sensitivity(bc, 20.0, 40.0, 1e300) == {6: None, 8: None}
+
+
+@pytest.mark.parametrize("bc", list(BRACKETS))
+def test_fold_search_builds_no_residual_table(bc, monkeypatch):
+    # every count decides the cap from its float enclosure
+    lo, hi, tol = BRACKETS[bc]
+    calls = []
+    monkeypatch.setattr(shooting.recover, "_defect_at",
+                        lambda *args: calls.append(args))
+    estimate = find_critical_lambda(bc, lo, hi, tol)
+    critical._neighbours(bc, bc.default_iterations, estimate.a_fold,
+                         estimate.lambda_star, tol, shooting.DEFAULT_WINDOW)
+    assert calls == []
+
+
 def test_depth_sensitivity_is_certified_below_tol_2e_3():
     # the 1500-point count scan missed the pair 0.45 tol below either
     # neighbouring fold here and reported None; the proxy count sees it

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import random
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from epibvp import (
     residual_table,
     solve_profile,
 )
-from epibvp import recover, shooting, vim
+from epibvp import critical, recover, shooting, vim
 from epibvp.vim import _rounding_gamma
 
 from _util import ALL_BCS, GRID_101, exact_readings, frozen_iterates
@@ -506,17 +507,212 @@ def test_newton_step_matches_bisection(bc, lam):
     assert (0.0 in [root.a_star for root in roots]) == (lam == 0.0)
 
 
-@pytest.mark.parametrize("entry", [2.0 * shooting.DEFAULT_RESIDUAL_CAP,
-                                   float("nan")])
-def test_roots_need_a_residual_table_below_the_cap(monkeypatch, entry):
+CAP = shooting.DEFAULT_RESIDUAL_CAP
+
+
+def test_a_root_whose_table_is_over_the_cap_is_dropped(monkeypatch):
+    # the steep dirichlet root near -107.68 at lam = -110 changes sign
+    # across its bracket, but its exact table reads 11.03
+    bc, lam = BoundaryKind.DIRICHLET, -110.0
+    kept = [root.a_star for root in find_branches(lam, bc)]
+    monkeypatch.setattr(shooting, "_capped", lambda w, lam: (True, None))
+    dropped = [root for root in find_branches(lam, bc)
+               if root.a_star not in kept]
+    assert [round(root.a_star, 2) for root in dropped] == [-107.68]
+    assert residual_table(dropped[0].w, lam).max_abs() > CAP
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_a_root_with_coefficients_that_are_not_finite_is_dropped(
+        monkeypatch, entry):
+    def broken(problem):
+        c = vim.iterate(problem).coeffs.copy()
+        c[-1] = entry
+        return RPoly(c)
+
+    assert len(find_branches(15.0, BoundaryKind.NAVIER_ONE)) == 2
+    monkeypatch.setattr(shooting, "iterate", broken)
+    assert find_branches(15.0, BoundaryKind.NAVIER_ONE) == []
+
+
+@pytest.mark.parametrize("entry", [2.0 * CAP, math.nan])
+def test_a_root_whose_enclosure_straddles_the_cap_needs_its_table(
+        monkeypatch, entry):
+    # the steep dirichlet root near -106.02 at lam = -100: its enclosure
+    # reaches past the cap on both sides, so its exact table (8.76) decides;
+    # the mild root's enclosure accepts it without one
     def table(w, lam, grid=None):
         values = (0.0, entry) + (0.0,) * 8
         return recover.ResidualTable(grid=recover.TABLE_GRID, values=values,
                                      lam=lam)
 
-    assert len(find_branches(15.0, BoundaryKind.NAVIER_ONE)) == 2
+    bc, lam = BoundaryKind.DIRICHLET, -100.0
+    steep, mild = find_branches(lam, bc)
+    d, e = shooting._defect_enclosure(steep.w.coeffs, lam, recover.TABLE_GRID)
+    assert np.max(np.abs(d) + e) > CAP > np.max(np.abs(d) - e)
     monkeypatch.setattr(recover, "residual_table", table)
-    assert find_branches(15.0, BoundaryKind.NAVIER_ONE) == []
+    assert [root.a_star for root in find_branches(lam, bc)] == [mild.a_star]
+
+
+_ABOVE = np.nextafter(CAP, math.inf)
+
+
+@pytest.mark.parametrize("size,bound,decision", [
+    (CAP, 0.0, True),
+    (-CAP, 0.0, True),
+    (CAP - 1.0, 1.0, True),
+    # an exact value up to half a spacing above the cap rounds to it, and
+    # the next float above the cap may hold one
+    (_ABOVE, 0.0, None),
+    (np.nextafter(_ABOVE, math.inf), 0.0, False),
+    (CAP + 2.0, 1.0, False),
+    (CAP + 1.0, 1.0, None),
+    (CAP - 0.5, 1.0, None),
+    (math.inf, 1.0, None),
+    (math.nan, 1.0, None),
+    (1.0, math.inf, None),
+])
+def test_enclosure_decides_the_cap_or_leaves_it_to_the_table(
+        monkeypatch, size, bound, decision):
+    # one entry at size, the others 0, each within bound: a decided cap
+    # builds no table, and an open one takes the table's (here below it)
+    def enclosure(c, lam, r):
+        return np.append(np.zeros(9), size), np.full(10, bound)
+
+    tables = []
+
+    def table(w, lam, grid=None):
+        tables.append(lam)
+        return recover.ResidualTable(grid=recover.TABLE_GRID,
+                                     values=(0.0,) * 10, lam=lam)
+
+    monkeypatch.setattr(shooting, "_defect_enclosure", enclosure)
+    monkeypatch.setattr(recover, "residual_table", table)
+    capped, built = shooting._capped(RPoly([0.0, 0.0, 1.0]), 1.0)
+    if decision is None:
+        assert capped and built.values == (0.0,) * 10 and tables == [1.0]
+    else:
+        assert (capped, built, tables) == (decision, None, [])
+
+
+def _systematic(rng, lo, hi, n):
+    # perfbench/workloads.py: n points on [lo, hi] under one uniform shift
+    shift = rng.random()
+    return [lo + (k + shift) / n * (hi - lo) for k in range(n)]
+
+
+# perfbench's fold references per bc: (lambda_ref, half-width, tol)
+_REFERENCE = {
+    BoundaryKind.DIRICHLET: (169.0, 10.0, 0.1),
+    BoundaryKind.NAVIER_ONE: (31.94, 1.0, 0.01),
+    BoundaryKind.NAVIER_TWO: (11.34, 0.5, 0.01),
+}
+
+
+def _workload_roots(workload, monkeypatch):
+    """(w, lam) of every root whose cap the benchmark's seeds decide: the
+    census cases of seeds 1-20 (12 rounds), the oracle cases of seeds 1-5
+    (3 rounds) and the fold brackets of seeds 1-12 (1 round)."""
+    seen = []
+    capped = shooting._capped
+
+    def recorded(w, lam):
+        seen.append((w, lam))
+        return capped(w, lam)
+
+    monkeypatch.setattr(shooting, "_capped", recorded)
+    seeds, rounds = {"census": (range(1, 21), 12), "oracle": (range(1, 6), 3),
+                     "fold": (range(1, 13), 1)}[workload]
+    for seed in seeds:
+        rng = random.Random(f"{workload}:{seed}")
+        for bc, (ref, width, tol) in _REFERENCE.items():
+            if workload == "fold":
+                lo = ref - width * _systematic(rng, 1.0, 2.0, rounds)[0]
+                critical.find_critical_lambda(bc, lo, lo + 3.0 * width, tol)
+                critical.depth_sensitivity(bc, lo, lo + 3.0 * width, tol)
+                continue
+            for lam in _systematic(rng, -100.0, 1.2 * ref, rounds):
+                find_branches(lam, bc)
+    monkeypatch.undo()
+    return seen
+
+
+def _enclosure_holds_the_exact_table(w, lam):
+    d, e = shooting._defect_enclosure(w.coeffs, lam, recover.TABLE_GRID)
+    exact = vim._defect_at(w.coeffs, lam, recover.TABLE_GRID)
+    finite = np.isfinite(d).all() and np.isfinite(e).all()
+    assert not finite or (np.abs(exact - d) <= e).all(), (lam, d, e, exact)
+    assert shooting._capped(w, lam)[0] == (np.max(np.abs(exact)) <= CAP)
+    return finite and CAP < np.max(np.abs(d) + e) and (
+        np.max(np.abs(d) - e) <= _ABOVE)
+
+
+@pytest.mark.parametrize("workload", ["census", "oracle", "fold"])
+def test_enclosure_holds_every_workload_root(workload, monkeypatch):
+    # the exact defect lies within the enclosure, and the cap decided from
+    # it equals the exact table's; census and oracle see the steep
+    # dirichlet roots, whose enclosures straddle the cap
+    roots = _workload_roots(workload, monkeypatch)
+    assert len(roots) >= {"census": 1200, "oracle": 60, "fold": 300}[workload]
+    open_ = sum(_enclosure_holds_the_exact_table(w, lam) for w, lam in roots)
+    assert open_ < 0.1 * len(roots)
+    if workload != "fold":
+        assert open_
+
+
+def test_enclosure_holds_random_steep_polynomials():
+    # iterates at random (a, lam) down to -300, and even polynomials with
+    # coefficients up to 1e14, against the exact table
+    rng = np.random.default_rng(7)
+    decided = {True: 0, False: 0}
+    for _ in range(150):
+        lam, a = rng.uniform(-300.0, 200.0), rng.uniform(-150.0, 10.0)
+        try:
+            w = vim.iterate(vim.VimProblem(lam=lam, a=a,
+                                           n_iter=int(rng.integers(4, 9))))
+        except IterationOverflow:
+            continue
+        _enclosure_holds_the_exact_table(w, lam)
+        decided[shooting._capped(w, lam)[0]] += 1
+    for _ in range(150):
+        c = np.zeros(2 * int(rng.integers(2, 300)) + 1)
+        c[2::2] = (rng.standard_normal(c.size // 2)
+                   * 10.0 ** rng.uniform(-3.0, 14.0, c.size // 2))
+        _enclosure_holds_the_exact_table(RPoly(c), rng.uniform(-300.0, 300.0))
+    assert min(decided.values()) >= 20, decided
+
+
+def test_enclosure_straddles_a_defect_at_the_cap():
+    # w = delta r**4 at lam = 0 has the defect 8 z - z**2 / 2, z = delta
+    # x**4; deltas that put it at x = 0.9 within a few 1e-14 of the cap
+    # leave the enclosure open, and the table decides either way
+    x4 = recover.TABLE_GRID[-1] ** 4
+    delta = (8.0 - math.sqrt(64.0 - 2.0 * CAP)) / x4
+    decided = set()
+    for step in range(-40, 41):
+        w = RPoly([0.0, 0.0, 0.0, 0.0, delta + step * 1e-15])
+        open_ = _enclosure_holds_the_exact_table(w, 0.0)
+        decided.add((open_, shooting._capped(w, 0.0)[0]))
+    assert decided == {(False, True), (True, True), (True, False),
+                       (False, False)}
+
+
+def test_find_branches_builds_one_table_per_root(monkeypatch):
+    # a table that the cap needed is kept, not built again
+    calls = []
+    exact = recover._defect_at
+
+    def counted(c, lam, r):
+        calls.append(lam)
+        return exact(c, lam, r)
+
+    monkeypatch.setattr(recover, "_defect_at", counted)
+    for bc, lam in ((BoundaryKind.NAVIER_ONE, 15.0),
+                    (BoundaryKind.DIRICHLET, -100.0),
+                    (BoundaryKind.NAVIER_TWO, -50.0)):
+        calls.clear()
+        roots = find_branches(lam, bc)
+        assert len(calls) == len(roots) == 2
 
 
 @pytest.mark.parametrize("bc,lam", [
