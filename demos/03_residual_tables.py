@@ -13,7 +13,7 @@ rates = [0.0, 15.0, 20.0, 31.0]
 
 columns = {}
 for lam in rates:
-    # each root carries the exact residual table of its iterate
+    # root.table builds the exact residual table of the root's iterate
     for root in find_branches(lam, bc):
         columns[(root.label.value, lam)] = root.table
 

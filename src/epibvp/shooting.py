@@ -23,7 +23,8 @@ rules only:
 The cap is decided from a float enclosure of that table
 (:func:`_defect_enclosure`) wherever the enclosure lies on one side
 of it, and from the exact table only where it straddles the cap or is
-not finite (:func:`_capped`), so a count builds no table for most roots.
+not finite (:func:`_capped`), so a search builds no table for most roots
+and keeps none: a root's ``table`` is built from its iterate when read.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class BranchLabel(_Named):
 @dataclass(frozen=True)
 class BranchRoot:
     """One resolved solution branch at fixed (lam, bc), with its evidence:
-    the iterate w at a_star, the profile phi recovered from it and the
-    exact residual table of w."""
+    the iterate w at a_star, the profile phi recovered from it and, as
+    :attr:`table`, the exact residual table of w."""
 
     a_star: float
     bc: BoundaryKind
@@ -132,9 +133,13 @@ class BranchRoot:
     band: float
     w: RPoly = field(repr=False)
     phi: RPoly = field(repr=False)
-    table: recover.ResidualTable = field(repr=False)
     # largest |phi| on recover.PROFILE_GRID, which the labels compare
     sup_norm: float = field(repr=False)
+
+    @property
+    def table(self) -> recover.ResidualTable:
+        """:func:`recover.residual_table` of w, built on each read."""
+        return recover.residual_table(self.w, self.lam)
 
 
 def _readings(a, lam: float, bc: BoundaryKind, n: int,
@@ -349,10 +354,9 @@ def _defect_enclosure(c: np.ndarray, lam: float, r) -> tuple:
     return d, e * (1.0 + 2.0 ** -40)
 
 
-def _capped(w: RPoly, lam: float) -> tuple:
+def _capped(w: RPoly, lam: float) -> bool:
     """Whether the exact residual table of w (:func:`recover.residual_table`)
-    has a maximum of at most ``DEFAULT_RESIDUAL_CAP``, and that table if it
-    was built, else None.
+    has a maximum of at most ``DEFAULT_RESIDUAL_CAP``.
 
     The float enclosure [d - e, d + e] of each entry
     (:func:`_defect_enclosure`) accepts when every |d| + e is at most
@@ -361,24 +365,22 @@ def _capped(w: RPoly, lam: float) -> tuple:
     most half a spacing above it, where an entry still rounds to the cap,
     and a float difference above the next float is an exact one above
     it.  Anything else, a value that is not finite included, is decided
-    by the exact table; a NaN maximum fails and rejects.
+    by the exact table, then dropped; a NaN maximum fails and rejects.
     """
     d, e = _defect_enclosure(w.coeffs, lam, recover.TABLE_GRID)
     size = np.abs(d)
     if np.isfinite(size).all() and np.isfinite(e).all():
         if (size + e <= DEFAULT_RESIDUAL_CAP).all():
-            return True, None
+            return True
         if (size - e > _ABOVE_CAP).any():
-            return False, None
-    table = recover.residual_table(w, lam)
-    return table.max_abs() <= DEFAULT_RESIDUAL_CAP, table
+            return False
+    return recover.residual_table(w, lam).max_abs() <= DEFAULT_RESIDUAL_CAP
 
 
 def _accepted(lam: float, bc: BoundaryKind, window,
               n_iter: int | None = None) -> list:
     """The roots :func:`find_branches` accepts, sorted by a, as dicts of
-    a_star, bracket, band, iterate w and the residual table where
-    :func:`_capped` built it, else None.
+    a_star, bracket, band and iterate w.
 
     Each root of :func:`_proxy_roots` takes one Newton step with the
     collocation a-tangent; where B(0) reads exactly 0, a = 0 is a root.
@@ -431,12 +433,11 @@ def _accepted(lam: float, bc: BoundaryKind, window,
     found = []
     for i in kept:
         w = iterate(VimProblem(lam=lam, a=a[i], n_iter=n))
-        capped, table = _capped(w, lam)
-        if capped:
+        if _capped(w, lam):
             found.append(dict(a_star=float(a[i]),
                               bracket=(float(a[i] - delta[i]),
                                        float(a[i] + delta[i])),
-                              band=float(band[i]), w=w, table=table))
+                              band=float(band[i]), w=w))
     return found
 
 
@@ -458,15 +459,13 @@ def find_branches(lam: float, bc: BoundaryKind,
     A root is fixed to within its ``band``, the reading's error bound over
     |dB/da|: a rounding bound of the collocation reading plus its change
     from p to 2 p points.  The roots are distinct and come out sorted by
-    a, labelled by :func:`_labels`.  Each root carries the iterate,
-    profile and residual table that the cap and the labels read, and the
-    profile's sup norm that the labels compare; they equal
-    :func:`recover.solve_profile` and :func:`recover.residual_table` at its
-    a_star bit for bit.  A root's table is built here, next to its profile,
-    unless :func:`_capped` built it already.
+    a, labelled by :func:`_labels`.  Each root carries the iterate and
+    profile that the cap and the labels read, and the profile's sup norm
+    that the labels compare; they equal :func:`recover.solve_profile` at
+    its a_star bit for bit.  No table is kept: a root's ``table`` is
+    :func:`recover.residual_table` of its iterate, built when it is read.
     """
-    found = [dict(f, phi=recover.recover_phi(f["w"]),
-                  table=f["table"] or recover.residual_table(f["w"], lam))
+    found = [dict(f, phi=recover.recover_phi(f["w"]))
              for f in _accepted(lam, bc, window, n_iter)]
     labels, sups = _labels([f["a_star"] for f in found],
                            [f["phi"] for f in found], lam)

@@ -342,11 +342,13 @@ def test_packed_blocks_are_kept_for_the_default_grids():
     assert vim._pack.cache_info().hits == kept.hits + 1
 
     def solve_pair():
-        # TABLE_GRID of each root and the 101 points of ``solve``, at the
-        # tops 256 (navier1, depth 7) and 128 (dirichlet, depth 6)
+        # TABLE_GRID of each root (its table, built when read) and the 101
+        # points of ``solve``, at the tops 256 (navier1, depth 7) and 128
+        # (dirichlet, depth 6)
         for lam, bc in ((15.0, BoundaryKind.NAVIER_ONE),
                         (-25.0, BoundaryKind.DIRICHLET)):
             for root in find_branches(lam, bc):
+                assert root.table.grid == TABLE_GRID
                 residual_table(root.w, lam, grid=GRID_101)
         return vim._pack.cache_info().misses
 

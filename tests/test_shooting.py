@@ -1,7 +1,9 @@
 """Branch location, classification and root quality."""
 
+import dataclasses
 import decimal
 import math
+import pickle
 import random
 import warnings
 
@@ -515,7 +517,7 @@ def test_a_root_whose_table_is_over_the_cap_is_dropped(monkeypatch):
     # across its bracket, but its exact table reads 11.03
     bc, lam = BoundaryKind.DIRICHLET, -110.0
     kept = [root.a_star for root in find_branches(lam, bc)]
-    monkeypatch.setattr(shooting, "_capped", lambda w, lam: (True, None))
+    monkeypatch.setattr(shooting, "_capped", lambda w, lam: True)
     dropped = [root for root in find_branches(lam, bc)
                if root.a_star not in kept]
     assert [round(root.a_star, 2) for root in dropped] == [-107.68]
@@ -588,11 +590,11 @@ def test_enclosure_decides_the_cap_or_leaves_it_to_the_table(
 
     monkeypatch.setattr(shooting, "_defect_enclosure", enclosure)
     monkeypatch.setattr(recover, "residual_table", table)
-    capped, built = shooting._capped(RPoly([0.0, 0.0, 1.0]), 1.0)
+    capped = shooting._capped(RPoly([0.0, 0.0, 1.0]), 1.0)
     if decision is None:
-        assert capped and built.values == (0.0,) * 10 and tables == [1.0]
+        assert capped is True and tables == [1.0]
     else:
-        assert (capped, built, tables) == (decision, None, [])
+        assert (capped, tables) == (decision, [])
 
 
 def _systematic(rng, lo, hi, n):
@@ -642,7 +644,7 @@ def _enclosure_holds_the_exact_table(w, lam):
     exact = vim._defect_at(w.coeffs, lam, recover.TABLE_GRID)
     finite = np.isfinite(d).all() and np.isfinite(e).all()
     assert not finite or (np.abs(exact - d) <= e).all(), (lam, d, e, exact)
-    assert shooting._capped(w, lam)[0] == (np.max(np.abs(exact)) <= CAP)
+    assert shooting._capped(w, lam) == (np.max(np.abs(exact)) <= CAP)
     return finite and CAP < np.max(np.abs(d) + e) and (
         np.max(np.abs(d) - e) <= _ABOVE)
 
@@ -673,7 +675,7 @@ def test_enclosure_holds_random_steep_polynomials():
         except IterationOverflow:
             continue
         _enclosure_holds_the_exact_table(w, lam)
-        decided[shooting._capped(w, lam)[0]] += 1
+        decided[shooting._capped(w, lam)] += 1
     for _ in range(150):
         c = np.zeros(2 * int(rng.integers(2, 300)) + 1)
         c[2::2] = (rng.standard_normal(c.size // 2)
@@ -692,27 +694,47 @@ def test_enclosure_straddles_a_defect_at_the_cap():
     for step in range(-40, 41):
         w = RPoly([0.0, 0.0, 0.0, 0.0, delta + step * 1e-15])
         open_ = _enclosure_holds_the_exact_table(w, 0.0)
-        decided.add((open_, shooting._capped(w, 0.0)[0]))
+        decided.add((open_, shooting._capped(w, 0.0)))
     assert decided == {(False, True), (True, True), (True, False),
                        (False, False)}
 
 
-def test_find_branches_builds_one_table_per_root(monkeypatch):
-    # a table that the cap needed is kept, not built again
+def test_search_builds_tables_only_where_the_enclosure_straddles_the_cap(
+        monkeypatch):
+    # the enclosures of both roots at navier1 15 and navier2 -50 decide the
+    # cap; at dirichlet -100 the steep root's straddles it, and its table
+    # is built once, for the cap, and dropped
     calls = []
     exact = recover._defect_at
 
     def counted(c, lam, r):
-        calls.append(lam)
+        calls.append(c)
         return exact(c, lam, r)
 
     monkeypatch.setattr(recover, "_defect_at", counted)
-    for bc, lam in ((BoundaryKind.NAVIER_ONE, 15.0),
-                    (BoundaryKind.DIRICHLET, -100.0),
-                    (BoundaryKind.NAVIER_TWO, -50.0)):
+    for bc, lam, tables in ((BoundaryKind.NAVIER_ONE, 15.0, 0),
+                            (BoundaryKind.DIRICHLET, -100.0, 1),
+                            (BoundaryKind.NAVIER_TWO, -50.0, 0)):
         calls.clear()
         roots = find_branches(lam, bc)
-        assert len(calls) == len(roots) == 2
+        assert len(roots) == 2 and len(calls) == tables
+        assert [_bits(c) for c in calls] == [_bits(root.w.coeffs)
+                                            for root in roots[:tables]]
+
+
+def test_a_root_builds_its_table_when_read():
+    # the table is no field: each read builds residual_table(w, lam), also
+    # on a root that came back as a pickle from a --jobs process
+    names = {f.name for f in dataclasses.fields(BranchRoot)}
+    assert "table" not in names
+    for bc, lam in ((BoundaryKind.NAVIER_ONE, 15.0),
+                    (BoundaryKind.DIRICHLET, -100.0)):
+        for root in find_branches(lam, bc):
+            table = residual_table(root.w, root.lam)
+            for copy in (root, pickle.loads(pickle.dumps(root))):
+                assert copy.table.grid == table.grid
+                assert copy.table.lam == table.lam == lam
+                assert _bits(copy.table.values) == _bits(table.values)
 
 
 @pytest.mark.parametrize("bc,lam", [
@@ -805,8 +827,7 @@ def test_window_validation():
 def _dummy_root(lam, w, a=-1.0):
     return BranchRoot(a_star=a, bc=BoundaryKind.NAVIER_ONE, lam=lam,
                       label=BranchLabel.LOWER, bracket=(a - 0.1, a + 0.1),
-                      band=0.0, w=w, phi=recover_phi(w),
-                      table=residual_table(w, lam), sup_norm=math.nan)
+                      band=0.0, w=w, phi=recover_phi(w), sup_norm=math.nan)
 
 
 def _labels(lam, roots):
