@@ -349,15 +349,14 @@ def _run_share(worker, share, write: int, pipes):
 def _run_pool(worker, tasks, jobs: int):
     """worker over tasks, in task order, on n = ``_pool_size`` processes:
     the caller is job 1 and runs tasks[0::n], and job k, forked from it,
-    runs tasks[k - 1::n] and sends its results back through a pipe.
-    Forked jobs start from the caller's loaded modules and warm caches,
-    and worker and tasks need no pickling.  An exception a job raised is
-    raised again here; a job that ends without sending its results raises
+    runs tasks[k - 1::n] and sends its results back through a pipe; with
+    one job the caller runs every task and forks nothing.  Forked jobs
+    start from the caller's loaded modules and warm caches, and worker
+    and tasks need no pickling.  An exception a job raised is raised
+    again here; a job that ends without sending its results raises
     :class:`JobFailed`.  Every job is reaped before this returns, and on
     an exception here the jobs still running are killed first."""
     n = _pool_size(jobs, len(tasks))
-    if n == 1:
-        return [worker(task) for task in tasks]
     pids, pipes = [], []
     received = False
     try:

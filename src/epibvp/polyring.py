@@ -159,8 +159,6 @@ def mul(p: RPoly, q: RPoly) -> RPoly:
 def differentiate(p: RPoly) -> RPoly:
     """First derivative: coefficient rule c'[k-1] = k c[k]."""
     c = p.coeffs
-    if c.size == 1:
-        return RPoly.zero()
     k = np.arange(1, c.size, dtype=float)
     return RPoly(k * c[1:])
 

@@ -82,14 +82,12 @@ def recover_phi(w: RPoly) -> RPoly:
     the remaining terms at r = 1, so ``evaluate(phi, 1.0)`` is exactly zero.
     """
     c = w.coeffs
-    if c[0] != 0.0 or (c.size > 1 and c[1] != 0.0):
+    if c[:2].any():
         raise NonRecoverable(
             "profile recovery requires zero r**0 and r**1 coefficients"
         )
-    coeffs = np.zeros(max(c.size, 1))
-    if c.size > 2:
-        k = np.arange(2, c.size, dtype=float)
-        coeffs[2:] = c[2:] / k
+    coeffs = np.zeros(c.size)
+    coeffs[2:] = c[2:] / np.arange(2, c.size, dtype=float)
     homogeneous = RPoly(np.concatenate([[0.0], coeffs[1:]]))
     coeffs[0] = -evaluate(homogeneous, 1.0)
     return RPoly(coeffs)

@@ -64,7 +64,7 @@ class DomainError(ValueError):
 
 
 class IterationBudgetExceeded(ValueError):
-    """Requested symbolic depth exceeds the configured budget.
+    """Requested symbolic depth exceeds the budget of 8 steps.
 
     Each symbolic step squares the term count, so the budget guards against
     accidental blow-up rather than any mathematical obstruction.
@@ -641,9 +641,9 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     precision (Ziv 1991), and at a high enough precision every input is
     exact and the bound is zero.  Blocks of :data:`_BLOCK_POINTS` points
     share their powers in packed ints (:func:`_pack`), which keeps the
-    last 16 blocks of grids of at most 16.  A value beyond the float range
-    reads as +-inf; a coefficient or rate that is not finite makes every
-    value NaN, and a point that is not finite its value.
+    last 16 blocks packed.  A value beyond the float range reads as +-inf;
+    a coefficient or rate that is not finite makes every value NaN, and a
+    point that is not finite its value.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
     out = np.full(r.size, np.nan)
@@ -659,11 +659,7 @@ def _defect_at(c: np.ndarray, lam: float, r) -> np.ndarray:
     todo = np.flatnonzero(np.isfinite(r))
     while todo.size:
         points = tuple(r[todo].tolist())
-        # a grid of more blocks than the cache keeps would evict its own
-        # blocks before a repeat reached them, and those kept for others
-        pack = (_pack.__wrapped__ if len(points) > _BLOCK_POINTS
-                * _pack.cache_parameters()["maxsize"] else _pack)
-        blocks = (pack(points[i:i + _BLOCK_POINTS], top, step, p)
+        blocks = (_pack(points[i:i + _BLOCK_POINTS], top, step, p)
                   for i in range(0, len(points), _BLOCK_POINTS))
         # an open rounding reads NaN, which no certain value is
         got = np.array(_fixed_point(c, ks, float(lam), e, p, step, blocks),
@@ -773,17 +769,21 @@ def _sym_kernel(defect: dict) -> dict:
     return out
 
 
-def symbolic_iterate(n: int, *, max_iterations: int = 8) -> APoly:
+# deepest symbolic iterate: its term count squares with each step
+_SYMBOLIC_BUDGET = 8
+
+
+def symbolic_iterate(n: int) -> APoly:
     """Iterate with ``a`` and ``lam`` kept symbolic; returns the n-th iterate.
 
-    Term counts square with each step, so depths beyond ``max_iterations``
-    raise :class:`IterationBudgetExceeded`.
+    Term counts square with each step, so depths beyond
+    :data:`_SYMBOLIC_BUDGET` (8) raise :class:`IterationBudgetExceeded`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_iterations:
+    if n > _SYMBOLIC_BUDGET:
         raise IterationBudgetExceeded(
-            f"symbolic depth {n} exceeds the budget of {max_iterations}"
+            f"symbolic depth {n} exceeds the budget of {_SYMBOLIC_BUDGET}"
         )
     terms = {(1, 0, 2): 1.0}
     for _ in range(n):

@@ -1048,6 +1048,26 @@ def test_pool_size_is_clamped(monkeypatch):
     assert cli._pool_size(4, 7) == 1
 
 
+def test_one_job_runs_in_the_caller(monkeypatch):
+    # with one job the fan-out forks nothing: the caller runs every task
+    def no_fork():
+        raise AssertionError("forked with one job")
+
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    assert cli._run_pool(lambda t: t * t, [3, 1, 2], 1) == [9, 1, 4]
+    assert cli._run_pool(lambda t: t * t, [], 1) == []
+    raised = KeyError("rate 5")
+
+    def worker(task):
+        if task == 5:
+            raise raised
+        return task
+
+    with pytest.raises(KeyError) as info:
+        cli._run_pool(worker, [0, 5, 10], 1)
+    assert info.value is raised
+
+
 def test_import_does_not_load_multiprocessing():
     # the jobs are forked directly: no executor to import
     env = dict(os.environ,
