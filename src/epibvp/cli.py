@@ -306,7 +306,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 
 class JobFailed(Exception):
-    """A forked job ended without sending its results."""
+    """A job could not be started, or ended without sending its results."""
 
 
 def _sweep_worker(task):
@@ -314,14 +314,25 @@ def _sweep_worker(task):
     return critical.sweep([lam], bc, n_iter=n_iter, window=window)[0]
 
 
+# A fork pays only past about 16 rates per job.  One rate takes 3-6 ms at
+# the default depths, while the fork, the job's start and the
+# copy-on-write page faults it causes in the caller cost a few ms, and on
+# a shared 2-CPU host two busy jobs slow each other.  navier1 sweeps over
+# rates spread on -120..18 (one process, OPENBLAS_NUM_THREADS=1, medians
+# of 6) took 0.62-0.91 times as long at one job as at two for 7 to 28
+# rates, and 1.4-1.75 times as long for 32 to 70 rates.
+_MIN_RATES_PER_JOB = 16
+
+
 def _pool_size(jobs: int, n_tasks: int) -> int:
-    # never more processes than tasks or than processors this process may
-    # run on: a job forked onto a busy processor only slows the other down
+    # at most jobs, the processors this process may run on (a job forked
+    # onto a busy processor only slows the other down) and one process per
+    # _MIN_RATES_PER_JOB rates, so fewer than twice that run in the caller
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
         usable = os.cpu_count() or 1
-    return max(1, min(jobs, n_tasks, usable))
+    return max(1, min(jobs, usable, n_tasks // _MIN_RATES_PER_JOB))
 
 
 def _run_share(worker, share, write: int, pipes):
@@ -350,25 +361,32 @@ def _run_pool(worker, tasks, jobs: int):
     """worker over tasks, in task order, on n = ``_pool_size`` processes:
     the caller is job 1 and runs tasks[0::n], and job k, forked from it,
     runs tasks[k - 1::n] and sends its results back through a pipe; with
-    one job the caller runs every task and forks nothing.  Forked jobs
+    one job, which is every run of fewer than 2 * ``_MIN_RATES_PER_JOB``
+    tasks, the caller runs every task and forks nothing.  Forked jobs
     start from the caller's loaded modules and warm caches, and worker
     and tasks need no pickling.  An exception a job raised is raised
-    again here; a job that ends without sending its results raises
-    :class:`JobFailed`.  Every job is reaped before this returns, and on
-    an exception here the jobs still running are killed first."""
+    again here; a job that cannot be started, or that ends without
+    sending its results, raises :class:`JobFailed`.  Every job is reaped
+    before this returns, and on an exception here the jobs still running
+    are killed first."""
     n = _pool_size(jobs, len(tasks))
     pids, pipes = [], []
     received = False
     try:
         for i in range(1, n):
-            read, write = os.pipe()
-            pipes.append(open(read, "rb"))
+            write = None
             try:
+                read, write = os.pipe()
+                pipes.append(open(read, "rb"))
                 pid = os.fork()
                 if pid == 0:
                     _run_share(worker, tasks[i::n], write, pipes)
+            except OSError as exc:
+                # _run_share never returns: the pipe or the fork failed
+                raise JobFailed(f"cannot start job {i + 1} of {n}: {exc}") from exc
             finally:
-                os.close(write)
+                if write is not None:
+                    os.close(write)
             pids.append(pid)
         own = [worker(task) for task in tasks[0::n]]
         data = [pipe.read() for pipe in pipes]

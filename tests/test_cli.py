@@ -370,6 +370,12 @@ def three_cpus(monkeypatch):
                         raising=False)
 
 
+@pytest.fixture
+def one_rate_per_job(monkeypatch):
+    # a few rates fork real jobs only once each job may get one rate
+    monkeypatch.setattr(cli, "_MIN_RATES_PER_JOB", 1)
+
+
 def _no_job_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -389,7 +395,7 @@ def _bytes_by_jobs(tmp_path, argv, name):
     return outputs
 
 
-def test_sweep_jobs_write_the_same_bytes(tmp_path):
+def test_sweep_jobs_write_the_same_bytes(tmp_path, one_rate_per_job):
     # with two jobs the records, roots and all, come back through a pipe
     outputs = []
     for jobs in ("1", "2"):
@@ -400,8 +406,8 @@ def test_sweep_jobs_write_the_same_bytes(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_sweep_at_one_to_three_jobs_writes_the_same_bytes(tmp_path,
-                                                          three_cpus):
+def test_sweep_at_one_to_three_jobs_writes_the_same_bytes(
+        tmp_path, three_cpus, one_rate_per_job):
     outputs = _bytes_by_jobs(tmp_path, ["sweep", "--bc", "navier1", "--lambdas",
                                         _FAN_OUT_RATES], "sweep_navier1.csv")
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -907,7 +913,7 @@ def test_flag_overrides_environment(tmp_path, monkeypatch):
 
 
 def test_residual_table_at_one_to_three_jobs_writes_the_same_bytes(
-        tmp_path, three_cpus):
+        tmp_path, three_cpus, one_rate_per_job):
     outputs = _bytes_by_jobs(tmp_path, [
         "residual-table", "--bc", "navier1", "--branch", "upper",
         "--lambdas", _FAN_OUT_RATES], "residual_table_navier1_upper.csv")
@@ -917,7 +923,9 @@ def test_residual_table_at_one_to_three_jobs_writes_the_same_bytes(
 
 def _failing_job(monkeypatch, fail):
     """Make the sweep worker call fail on the rate 3, the second task of
-    the forked job's share at --jobs 2 over the rates 0,1,2,3."""
+    the forked job's share at --jobs 2 over the rates 0,1,2,3, with the
+    floor on rates per job lowered to 1 so that four rates fork."""
+    monkeypatch.setattr(cli, "_MIN_RATES_PER_JOB", 1)
     caller, worker = os.getpid(), cli._sweep_worker
 
     def failing(task):
@@ -955,7 +963,7 @@ def test_job_that_dies_fails_the_command(tmp_path, monkeypatch, capsys,
     _no_job_left()
 
 
-def test_jobs_are_killed_when_the_caller_fails(three_cpus):
+def test_jobs_are_killed_when_the_caller_fails(three_cpus, one_rate_per_job):
     # the caller's own share fails at once; the job still running is
     # killed and reaped, not waited for
     caller = os.getpid()
@@ -972,12 +980,89 @@ def test_jobs_are_killed_when_the_caller_fails(three_cpus):
     _no_job_left()
 
 
-def test_residual_table_parallel_jobs(tmp_path):
+def test_residual_table_parallel_jobs(tmp_path, one_rate_per_job):
     code = run(["residual-table", "--bc", "navier2", "--branch", "lower",
                 "--lambdas", "0,8", "--out", str(tmp_path), "--jobs", "2"])
     assert code == 0
     lines = (tmp_path / "residual_table_navier2_lower.csv").read_text().splitlines()
     assert lines[0] == "r,lambda=0.0,lambda=8.0"
+
+
+def test_failed_fork_ends_the_command_cleanly(tmp_path, monkeypatch, capsys,
+                                              three_cpus, one_rate_per_job):
+    # job 2 is forked, job 3 cannot be: job 2 is killed and reaped, and
+    # the command exits 1 with one line and writes no sweep
+    fork, calls = os.fork, []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", fork_once)
+    assert run(["sweep", "--bc", "navier1", "--lambdas", "0,1,2,3",
+                "--jobs", "3", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cannot start job 3 of 3: [Errno 11] "
+                            "Resource temporarily unavailable\n")
+    assert captured.out == ""
+    assert not (tmp_path / "sweep_navier1.csv").exists()
+    _no_job_left()
+
+
+def test_failed_pipe_ends_the_command_cleanly(tmp_path, monkeypatch, capsys,
+                                              three_cpus, one_rate_per_job):
+    def no_pipe():
+        raise OSError(24, "Too many open files")
+
+    monkeypatch.setattr(cli.os, "pipe", no_pipe)
+    assert run(["sweep", "--bc", "navier1", "--lambdas", "0,1", "--jobs", "2",
+                "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("error: cannot start job 2 of 2: "
+                                       "[Errno 24] Too many open files\n")
+    assert not (tmp_path / "sweep_navier1.csv").exists()
+
+
+@pytest.mark.parametrize("command,name", [
+    (["sweep", "--bc", "navier1", "--lambdas", _FAN_OUT_RATES],
+     "sweep_navier1.csv"),
+    (["residual-table", "--bc", "navier1", "--branch", "upper",
+      "--lambdas", _FAN_OUT_RATES], "residual_table_navier1_upper.csv"),
+])
+def test_few_rates_at_several_jobs_fork_nothing(tmp_path, monkeypatch,
+                                                three_cpus, command, name):
+    # below the floor on rates per job every --jobs value runs in the
+    # caller, and writes the bytes that one job writes
+    def no_fork():
+        raise AssertionError("a job was forked")
+
+    assert run(command + ["--out", str(tmp_path / "1"), "--jobs", "1"]) == 0
+    monkeypatch.setattr(cli.os, "fork", no_fork)
+    for jobs in ("2", "3"):
+        out = tmp_path / jobs
+        assert run(command + ["--out", str(out), "--jobs", jobs]) == 0
+        assert (out / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+def test_sweep_at_the_floor_forks(tmp_path, monkeypatch):
+    # 2 * _MIN_RATES_PER_JOB rates give each of two jobs its floor: on two
+    # processors --jobs 2 and 3 fork one job each, and write the same bytes
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(cli.os, "fork", counted_fork)
+    rates = [str(lam) for lam in range(-62, 2, 2)]
+    assert len(rates) == 2 * cli._MIN_RATES_PER_JOB
+    outputs = _bytes_by_jobs(tmp_path, ["sweep", "--bc", "navier1", "--lambdas",
+                                        ",".join(rates)], "sweep_navier1.csv")
+    assert len(forks) == 2
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1033,14 +1118,23 @@ def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    # each job gets at least _MIN_RATES_PER_JOB = 16 rates
+    assert [cli._pool_size(100000, n) for n in (7, 31, 32, 100000)] == [1, 1, 2, 2]
+    assert cli._pool_size(1, 100000) == 1
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert [cli._pool_size(100000, n) for n in (7, 31, 32, 100000)] == [1, 1, 2, 64]
+    assert cli._pool_size(3, 100000) == 3
+    assert cli._pool_size(100000, 48) == 3
+    # with the floor at one rate only jobs, processors and rates count
+    monkeypatch.setattr(cli, "_MIN_RATES_PER_JOB", 1)
+    assert cli._pool_size(100000, 7) == 7
+    assert cli._pool_size(3, 7) == 3
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     assert cli._pool_size(100000, 7) == 2
     assert cli._pool_size(2, 1) == 1
     assert cli._pool_size(1, 7) == 1
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
     assert cli._pool_size(2, 7) == 1
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert cli._pool_size(100000, 7) == 7
-    assert cli._pool_size(3, 7) == 3
     # a platform without affinity masks counts the machine's processors
     monkeypatch.delattr(cli.os, "sched_getaffinity")
     assert cli._pool_size(100000, 7) == 7
