@@ -11,10 +11,10 @@ the count 0.45 tol to either side of it certifies it (:func:`_certified`);
 where Newton from lo finds none, a count bisection raises lo to a new seed.
 A count is one root search of :func:`shooting._accepted`, on the Chebyshev
 proxy; a count builds no profiles or labels, and a residual table only
-where the cap's float enclosure of it straddles the cap, and then drops
-it.  It sees the pair until about 1e-11 below the fold.  The same fold
-at the neighbouring depths, under the same certificate, is the depth
-sensitivity.
+where :func:`recover._capped` cannot settle the cap from its float
+enclosure of the table, and then drops it.  It sees the pair until about
+1e-11 below the fold.  The same fold at the neighbouring depths, under
+the same certificate, is the depth sensitivity.
 """
 
 from __future__ import annotations

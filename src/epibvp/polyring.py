@@ -116,7 +116,8 @@ class RPoly:
         )
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # by value, as __eq__ compares: hash(-0.0) == hash(0.0)
+        return hash(tuple(self.coeffs.tolist()))
 
     def __add__(self, other: "RPoly") -> "RPoly":
         return add(self, other)

@@ -20,11 +20,10 @@ rules only:
   ``residual-table`` print) has a maximum of at most
   ``DEFAULT_RESIDUAL_CAP``; a NaN maximum fails.
 
-The cap is decided from a float enclosure of that table
-(:func:`_defect_enclosure`) wherever the enclosure lies on one side
-of it, and from the exact table only where it straddles the cap or is
-not finite (:func:`_capped`), so a search builds no table for most roots
-and keeps none: a root's ``table`` is built from its iterate when read.
+:func:`recover._capped` gives that verdict, and builds the table only
+where a float enclosure of it leaves the verdict open, so a search builds
+no table for most roots and keeps none: a root's ``table`` is built from
+its iterate when read.
 """
 
 from __future__ import annotations
@@ -53,11 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW = (-120.0, 20.0)
-DEFAULT_RESIDUAL_CAP = 10.0
-
-# an exact maximum above the cap by at most half its spacing rounds to the
-# cap, which the table accepts; one above this float does not
-_ABOVE_CAP = float(np.nextafter(DEFAULT_RESIDUAL_CAP, math.inf))
+# the cap of recover's verdict (:func:`recover._capped`) on each root
+DEFAULT_RESIDUAL_CAP = recover._CAP
 
 
 class _Named(Enum):
@@ -307,76 +303,6 @@ def _starts(lo: float, hi: float, lam: float, bc: BoundaryKind,
     return start, b, b_a
 
 
-def _defect_enclosure(c: np.ndarray, lam: float, r) -> tuple:
-    """(d, e): the float defect d of the polynomial with coefficients c at
-    the points r, and a bound e with the exact defect that
-    :func:`vim._defect_at` rounds in [d - e, d + e] at each point.
-
-    The powers x**k come by repeated multiplication, k - 1 roundings each
-    (of x, or of x**2 when c holds even powers only), and W = sum c_k x**k
-    and L = sum k (k - 2) c_k x**k are two inner products of n terms, the
-    weights taking one rounding more.  In any summation order, with FMA or
-    without, a term then carries at most m = n + top + 1 roundings, so W
-    and L are off by at most gamma_m / (1 - gamma_m) times the computed
-    sums of |c_k| |x**k| and |k (k - 2) c_k| |x**k| (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., 2002, sections 3.1 and
-    5.1).  d = L - W**2 / 2 - lam x**4 / 2 adds (|W| + E_W) E_W and
-    gamma_10 times its three terms; t = 2**-1000 (1 + lam and the
-    coefficient masses) covers every underflow, and the factor 1 + 2**-40
-    the roundings of e itself.  A value that overflows reads inf or NaN
-    in d or e, so a caller decides only where both are finite.
-    """
-    r = np.asarray(r, dtype=float).reshape(-1)
-    # iterates hold even powers only: their powers are those of x**2
-    step = 1 if c[1::2].any() else 2
-    cs = c[::step]
-    n = cs.size
-    k = step * np.arange(n, dtype=float)
-    coeffs = np.stack((cs, k * (k - 2.0) * cs))
-    y = r * r
-    powers = np.empty((n, r.size))
-    powers[0] = 1.0
-    powers[1:] = r if step == 1 else y
-    np.multiply.accumulate(powers, axis=0, out=powers)
-    u = 0.5 * np.finfo(float).eps
-    m = n + k[-1] + 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        (w, lin), (mass_w, mass_l) = (coeffs @ powers,
-                                      np.abs(coeffs) @ np.abs(powers))
-        half_square = 0.5 * w * w
-        forcing = 0.5 * lam * (y * y)
-        d = lin - half_square - forcing
-        t = 2.0 ** -1000 * (1.0 + abs(lam) + np.abs(coeffs).sum())
-        g = m * u / (1.0 - 2.0 * m * u)
-        e_w, e_l = g * mass_w + t, g * mass_l + t
-        e = (e_l + (np.abs(w) + e_w) * e_w + t + 10.0 * u / (1.0 - 10.0 * u)
-             * (np.abs(lin) + half_square + np.abs(forcing)))
-    return d, e * (1.0 + 2.0 ** -40)
-
-
-def _capped(w: RPoly, lam: float) -> bool:
-    """Whether the exact residual table of w (:func:`recover.residual_table`)
-    has a maximum of at most ``DEFAULT_RESIDUAL_CAP``.
-
-    The float enclosure [d - e, d + e] of each entry
-    (:func:`_defect_enclosure`) accepts when every |d| + e is at most
-    the cap and rejects when some |d| - e exceeds the next float above it.
-    Rounding is monotone: a float sum at most the cap is an exact one at
-    most half a spacing above it, where an entry still rounds to the cap,
-    and a float difference above the next float is an exact one above
-    it.  Anything else, a value that is not finite included, is decided
-    by the exact table, then dropped; a NaN maximum fails and rejects.
-    """
-    d, e = _defect_enclosure(w.coeffs, lam, recover.TABLE_GRID)
-    size = np.abs(d)
-    if np.isfinite(size).all() and np.isfinite(e).all():
-        if (size + e <= DEFAULT_RESIDUAL_CAP).all():
-            return True
-        if (size - e > _ABOVE_CAP).any():
-            return False
-    return recover.residual_table(w, lam).max_abs() <= DEFAULT_RESIDUAL_CAP
-
-
 def _accepted(lam: float, bc: BoundaryKind, window,
               n_iter: int | None = None) -> list:
     """The roots :func:`find_branches` accepts, sorted by a, as dicts of
@@ -391,7 +317,7 @@ def _accepted(lam: float, bc: BoundaryKind, window,
     16 band + |Newton step| + 8 eps max(1, |a*|), but below half the gap
     to either neighbour, and when the exact residual table of its
     monomial iterate has a maximum of at most ``DEFAULT_RESIDUAL_CAP``, as
-    :func:`_capped` decides it.
+    :func:`recover._capped` decides it.
     """
     if not math.isfinite(lam):
         raise ValueError(f"the rate must be finite, got {lam!r}")
@@ -433,7 +359,7 @@ def _accepted(lam: float, bc: BoundaryKind, window,
     found = []
     for i in kept:
         w = iterate(VimProblem(lam=lam, a=a[i], n_iter=n))
-        if _capped(w, lam):
+        if recover._capped(w, lam):
             found.append(dict(a_star=float(a[i]),
                               bracket=(float(a[i] - delta[i]),
                                        float(a[i] + delta[i])),
@@ -450,9 +376,8 @@ def find_branches(lam: float, bc: BoundaryKind,
     Finds the real roots of a piecewise Chebyshev proxy of the boundary
     functional, steps each once by Newton and keeps it when the functional
     changes sign across its bracket and the exact residual table of its
-    iterate has a maximum of at most ``DEFAULT_RESIDUAL_CAP``, decided from
-    a float enclosure of the table where it lies on one side of the cap
-    (see :func:`_accepted` and :func:`_capped`).  An empty list is the
+    iterate has a maximum of at most ``DEFAULT_RESIDUAL_CAP`` (see
+    :func:`_accepted` and :func:`recover._capped`).  An empty list is the
     expected non-existence signal above the critical deposition rate, not
     a failure.
 

@@ -486,7 +486,7 @@ def test_fold_search_builds_no_residual_table(bc, monkeypatch):
     # every count decides the cap from its float enclosure
     lo, hi, tol = BRACKETS[bc]
     calls = []
-    monkeypatch.setattr(shooting.recover, "_defect_at",
+    monkeypatch.setattr(shooting.recover, "residual_table",
                         lambda *args: calls.append(args))
     estimate = find_critical_lambda(bc, lo, hi, tol)
     critical._neighbours(bc, bc.default_iterations, estimate.a_fold,

@@ -1,5 +1,6 @@
 """Polynomial arithmetic and the closed-form correction kernel."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from scipy.integrate import quad
 
 from epibvp import (
+    BoundaryKind,
     NonIntegrableDefect,
     RPoly,
     add,
     apply_vim_kernel,
     differentiate,
     evaluate,
+    find_branches,
     mul,
 )
 
@@ -257,6 +260,21 @@ def test_immutability():
         p.coeffs = np.zeros(3)
     with pytest.raises(ValueError):
         p.coeffs[0] = 5.0
+
+
+def test_equal_polynomials_hash_alike():
+    # __eq__ compares values, so a -0.0 coefficient equals +0.0, and the
+    # hashes must agree too: those of RPoly and of the frozen records that
+    # hold one
+    for p, q in ((RPoly([0.0]), RPoly([-0.0])),
+                 (RPoly([1.0, -0.0, 2.0]), RPoly([1.0, 0.0, 2.0]))):
+        assert p == q and p.coeffs.tobytes() != q.coeffs.tobytes()
+        assert hash(p) == hash(q) and len({p, q}) == 1
+    root = find_branches(15.0, BoundaryKind.NAVIER_ONE)[0]
+    signed = dataclasses.replace(
+        root, w=RPoly(np.where(root.w.coeffs == 0.0, -0.0, root.w.coeffs)))
+    assert root == signed and hash(root) == hash(signed)
+    assert len({root, signed}) == 1
 
 
 def test_pickle_round_trip():

@@ -23,7 +23,7 @@ from epibvp import (
     residual_table,
     solve_profile,
 )
-from epibvp import vim
+from epibvp import recover
 from epibvp.recover import TABLE_GRID
 
 from _util import (ALL_BCS, GRID_101, exact_defect, exact_readings,
@@ -288,16 +288,16 @@ def test_residual_table_doubles_the_precision_at_a_near_tie(monkeypatch):
     # last coefficient, which the start precision truncates to zero: its
     # rounding is left open there and settled at twice the precision
     precisions = []
-    fixed_point = vim._fixed_point
+    fixed_point = recover._fixed_point
 
     def spy(c, ks, lam, e, p, step, blocks):
         precisions.append(p)
         return fixed_point(c, ks, lam, e, p, step, blocks)
 
-    monkeypatch.setattr(vim, "_fixed_point", spy)
+    monkeypatch.setattr(recover, "_fixed_point", spy)
     w, lam = RPoly([1.0, 0.0, 1e-60]), 1.0 + 2.0 ** -52
     value = residual_table(w, lam, grid=(1.0,)).values[0]
-    assert precisions == [vim._PRECISION, 2 * vim._PRECISION]
+    assert precisions == [recover._PRECISION, 2 * recover._PRECISION]
     assert value == float(exact_defect(w, lam, 1.0)) == -1.0000000000000002
 
 
@@ -309,7 +309,7 @@ def test_residual_table_doubles_the_precision_at_a_near_tie(monkeypatch):
 ])
 def test_residual_table_from_a_low_start_precision(monkeypatch, w, lam):
     # 8 bits leave the roundings open; the doubled precisions settle each
-    monkeypatch.setattr(vim, "_PRECISION", 8)
+    monkeypatch.setattr(recover, "_PRECISION", 8)
     _assert_exact(w, lam, TABLE_GRID, residual_table(w, lam).values)
 
 
@@ -330,7 +330,7 @@ def test_packed_blocks_are_kept_for_the_default_grids():
     lam = -25.0
     w = iterate(VimProblem(lam=lam, a=-87.28214667753512, n_iter=6))
     grid = np.linspace(0.0, 1.0, 1001)
-    vim._pack.cache_clear()
+    recover._pack.cache_clear()
     before = residual_table(w, lam).values
     first = residual_table(w, lam, grid=grid).values
     again = residual_table(w, lam, grid=grid).values
@@ -347,9 +347,9 @@ def test_packed_blocks_are_kept_for_the_default_grids():
             for root in find_branches(lam, bc):
                 assert root.table.grid == TABLE_GRID
                 residual_table(root.w, lam, grid=GRID_101)
-        return vim._pack.cache_info().misses
+        return recover._pack.cache_info().misses
 
-    vim._pack.cache_clear()
+    recover._pack.cache_clear()
     assert solve_pair() == 16
     assert solve_pair() == 16
 

@@ -232,7 +232,7 @@ def test_one_resolved_sign_change_vouches_for_one_bracket(monkeypatch):
     # oracle on the same window finds -85.6868 and 10.1355.  The steep
     # root's residual table has read 0.5 to 8.6 within a few floats of a*,
     # so the cap is lifted: the cap decides on rounding here
-    monkeypatch.setattr(shooting, "DEFAULT_RESIDUAL_CAP", math.inf)
+    monkeypatch.setattr(recover, "_CAP", math.inf)
     roots = find_branches(-150.0, BoundaryKind.NAVIER_ONE, window=(-300.0, 300.0))
     assert [root.label for root in roots] == [BranchLabel.POSITIVE,
                                               BranchLabel.NEGATIVE]
@@ -280,7 +280,7 @@ def test_roots_the_scan_missed_are_sign_changes_of_the_exact_functional(
     # the fold pair lies above the RK4 fold (11.3408).  Some of these roots
     # have residual tables up to 8.9, and those tables move by a third
     # within a few ulps of a*, so the cap is lifted
-    monkeypatch.setattr(shooting, "DEFAULT_RESIDUAL_CAP", math.inf)
+    monkeypatch.setattr(recover, "_CAP", math.inf)
     (root,) = [r for r in find_branches(lam, bc, window)
                if abs(r.a_star - a_star) < 1e-5]
     n = bc.default_iterations
@@ -326,7 +326,7 @@ def test_branches_are_the_sign_changes_of_the_functional(
     # across every bracket, and every sign change between neighbours of a
     # 41-point grid on the window holds an odd number of roots: no root
     # is missed
-    monkeypatch.setattr(shooting, "DEFAULT_RESIDUAL_CAP", math.inf)
+    monkeypatch.setattr(recover, "_CAP", math.inf)
     n = bc.default_iterations if n_iter is None else n_iter
     roots = shooting._accepted(lam, bc, window, n_iter)
     for root in roots:
@@ -346,7 +346,7 @@ def test_depth_ten_brackets_are_sign_changes_of_the_functional(monkeypatch,
     # the deepest iterate has degree 1024 in a, far beyond the 64 and 128
     # points of the two readings; B read in high precision still changes
     # sign across every bracket, the steep roots included
-    monkeypatch.setattr(shooting, "DEFAULT_RESIDUAL_CAP", math.inf)
+    monkeypatch.setattr(recover, "_CAP", math.inf)
     roots = shooting._accepted(-100.0, bc, _DEFAULT, 10)
     assert len(roots) == 2
     for root in roots:
@@ -517,7 +517,7 @@ def test_a_root_whose_table_is_over_the_cap_is_dropped(monkeypatch):
     # across its bracket, but its exact table reads 11.03
     bc, lam = BoundaryKind.DIRICHLET, -110.0
     kept = [root.a_star for root in find_branches(lam, bc)]
-    monkeypatch.setattr(shooting, "_capped", lambda w, lam: True)
+    monkeypatch.setattr(recover, "_capped", lambda w, lam: True)
     dropped = [root for root in find_branches(lam, bc)
                if root.a_star not in kept]
     assert [round(root.a_star, 2) for root in dropped] == [-107.68]
@@ -550,7 +550,7 @@ def test_a_root_whose_enclosure_straddles_the_cap_needs_its_table(
 
     bc, lam = BoundaryKind.DIRICHLET, -100.0
     steep, mild = find_branches(lam, bc)
-    d, e = shooting._defect_enclosure(steep.w.coeffs, lam, recover.TABLE_GRID)
+    d, e = recover._defect_enclosure(steep.w.coeffs, lam, recover.TABLE_GRID)
     assert np.max(np.abs(d) + e) > CAP > np.max(np.abs(d) - e)
     monkeypatch.setattr(recover, "residual_table", table)
     assert [root.a_star for root in find_branches(lam, bc)] == [mild.a_star]
@@ -588,9 +588,9 @@ def test_enclosure_decides_the_cap_or_leaves_it_to_the_table(
         return recover.ResidualTable(grid=recover.TABLE_GRID,
                                      values=(0.0,) * 10, lam=lam)
 
-    monkeypatch.setattr(shooting, "_defect_enclosure", enclosure)
+    monkeypatch.setattr(recover, "_defect_enclosure", enclosure)
     monkeypatch.setattr(recover, "residual_table", table)
-    capped = shooting._capped(RPoly([0.0, 0.0, 1.0]), 1.0)
+    capped = recover._capped(RPoly([0.0, 0.0, 1.0]), 1.0)
     if decision is None:
         assert capped is True and tables == [1.0]
     else:
@@ -616,13 +616,13 @@ def _workload_roots(workload, monkeypatch):
     census cases of seeds 1-20 (12 rounds), the oracle cases of seeds 1-5
     (3 rounds) and the fold brackets of seeds 1-12 (1 round)."""
     seen = []
-    capped = shooting._capped
+    capped = recover._capped
 
     def recorded(w, lam):
         seen.append((w, lam))
         return capped(w, lam)
 
-    monkeypatch.setattr(shooting, "_capped", recorded)
+    monkeypatch.setattr(recover, "_capped", recorded)
     seeds, rounds = {"census": (range(1, 21), 12), "oracle": (range(1, 6), 3),
                      "fold": (range(1, 13), 1)}[workload]
     for seed in seeds:
@@ -640,11 +640,11 @@ def _workload_roots(workload, monkeypatch):
 
 
 def _enclosure_holds_the_exact_table(w, lam):
-    d, e = shooting._defect_enclosure(w.coeffs, lam, recover.TABLE_GRID)
-    exact = vim._defect_at(w.coeffs, lam, recover.TABLE_GRID)
+    d, e = recover._defect_enclosure(w.coeffs, lam, recover.TABLE_GRID)
+    exact = np.array(recover.residual_table(w, lam).values)
     finite = np.isfinite(d).all() and np.isfinite(e).all()
     assert not finite or (np.abs(exact - d) <= e).all(), (lam, d, e, exact)
-    assert shooting._capped(w, lam) == (np.max(np.abs(exact)) <= CAP)
+    assert recover._capped(w, lam) == (np.max(np.abs(exact)) <= CAP)
     return finite and CAP < np.max(np.abs(d) + e) and (
         np.max(np.abs(d) - e) <= _ABOVE)
 
@@ -675,7 +675,7 @@ def test_enclosure_holds_random_steep_polynomials():
         except IterationOverflow:
             continue
         _enclosure_holds_the_exact_table(w, lam)
-        decided[shooting._capped(w, lam)] += 1
+        decided[recover._capped(w, lam)] += 1
     for _ in range(150):
         c = np.zeros(2 * int(rng.integers(2, 300)) + 1)
         c[2::2] = (rng.standard_normal(c.size // 2)
@@ -694,7 +694,7 @@ def test_enclosure_straddles_a_defect_at_the_cap():
     for step in range(-40, 41):
         w = RPoly([0.0, 0.0, 0.0, 0.0, delta + step * 1e-15])
         open_ = _enclosure_holds_the_exact_table(w, 0.0)
-        decided.add((open_, shooting._capped(w, 0.0)))
+        decided.add((open_, recover._capped(w, 0.0)))
     assert decided == {(False, True), (True, True), (True, False),
                        (False, False)}
 
@@ -705,13 +705,13 @@ def test_search_builds_tables_only_where_the_enclosure_straddles_the_cap(
     # cap; at dirichlet -100 the steep root's straddles it, and its table
     # is built once, for the cap, and dropped
     calls = []
-    exact = recover._defect_at
+    exact = recover.residual_table
 
-    def counted(c, lam, r):
-        calls.append(c)
-        return exact(c, lam, r)
+    def counted(w, lam, grid=None):
+        calls.append(w.coeffs)
+        return exact(w, lam, grid)
 
-    monkeypatch.setattr(recover, "_defect_at", counted)
+    monkeypatch.setattr(recover, "residual_table", counted)
     for bc, lam, tables in ((BoundaryKind.NAVIER_ONE, 15.0, 0),
                             (BoundaryKind.DIRICHLET, -100.0, 1),
                             (BoundaryKind.NAVIER_TWO, -50.0, 0)):
